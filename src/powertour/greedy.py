@@ -3,19 +3,31 @@
 Starting from a collection of vertex-disjoint paths (by default: all
 singletons; optionally a warm-start PathSystem), repeatedly insert the
 cheapest edge joining endpoints of two distinct paths until a single
-Hamiltonian path remains.
+Hamiltonian path remains.  Ties break by (distance, min index, max index).
 
-The engine sorts all candidate pairs once by (distance, min index, max
-index) and scans in that order, accepting a pair whenever both vertices
-are still path endpoints of distinct components.  Because a pair, once
-invalid (an endpoint became interior, or the paths merged), can never
-become valid again, the scan picks exactly the minimum valid pair at
-every step - the same sequence as recomputing the minimum per step, which
-``minimum_join_edge`` below implements as the replay oracle for tests.
+The engine keeps a lazy heap with one entry per path endpoint u: u's
+nearest joinable partner v, keyed by (d^2, min(u, v), max(u, v)).  A
+popped entry whose u is no longer an endpoint is dropped; one whose
+partner is no longer joinable is recomputed from u's row and pushed
+back; otherwise the pair is inserted.  This is exact because a pair, once
+invalid (an endpoint became interior, or the paths merged), never becomes
+valid again: degrees only grow and paths only merge.  So every stored key
+is a lower bound on its endpoint's current best key, and the first valid
+pop is the global minimum - the same sequence as recomputing the minimum
+per step, which ``minimum_join_edge`` below implements as the replay
+oracle for tests.  Within one row, ``argmin`` returns the first minimum,
+the smallest partner index, which is also the smallest (min, max) pair.
+
+Cost: one dense d^2 matrix from ``pairwise_sq``, with its upper triangle
+mirrored onto the lower one so that row u holds d2[min(u, v), max(u, v)]
+for every v - every key, weight and tie then matches a scan of the
+sorted upper triangle bit for bit.  No triangle-index or sort arrays;
+each recomputed entry costs one O(n) row and an ``argmin``.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 
 import numpy as np
@@ -46,6 +58,26 @@ def minimum_join_edge(points: PointSet, system: PathSystem) -> tuple[int, int, f
     return best
 
 
+#: Rows per strip in ``_mirror_upper``; a strip of n = 2000 rows fits in cache.
+_STRIP = 256
+_STRICT_LOWER = np.tri(_STRIP, k=-1, dtype=bool)
+
+
+def _mirror_upper(d2: np.ndarray) -> None:
+    """Copy the upper triangle of square ``d2`` onto its lower one, in place.
+
+    Works one strip of rows at a time: a whole-matrix transpose runs at
+    memory speed, several times slower at n = 2000.
+    """
+    n = len(d2)
+    for i in range(0, n, _STRIP):
+        j = i + _STRIP
+        block = d2[i:j, i:j]
+        m = len(block)
+        np.copyto(block, block.T, where=_STRICT_LOWER[:m, :m])
+        d2[j:, i:j] = d2[i:j, j:].T
+
+
 def greedy_ham_path(points: PointSet, warm_start: PathSystem | None = None
                     ) -> tuple[HamPath, list[Edge]]:
     """Run the greedy path-merging construction to a Hamiltonian path.
@@ -72,19 +104,42 @@ def greedy_ham_path(points: PointSet, warm_start: PathSystem | None = None
     needed = system.component_count() - 1
     if needed > 0:
         d2 = pairwise_sq(points.coords)
-        iu, iv = np.triu_indices(n, k=1)
-        flat = d2[iu, iv]
-        order = np.lexsort((iv, iu, flat))
-        for idx in order:
-            u = int(iu[idx])
-            v = int(iv[idx])
-            if not system.can_join(u, v):
+        _mirror_upper(d2)
+        np.fill_diagonal(d2, np.inf)
+        deg = [system.degree(v) for v in range(n)]
+        other_end = list(range(n))
+        for a, b in system.endpoints().values():
+            other_end[a], other_end[b] = b, a
+        # added to a row: inf masks the interior vertices
+        blocked = np.array([0.0 if d < 2 else np.inf for d in deg])
+
+        def nearest(u: int) -> tuple[float, int, int, int, int]:
+            """Heap entry (d^2, min, max, u, v) for u's nearest joinable v."""
+            row = d2[u] + blocked
+            row[other_end[u]] = np.inf
+            v = int(row.argmin())
+            return (float(d2[u, v]), *((u, v) if u < v else (v, u)), u, v)
+
+        heap = [nearest(v) for v in range(n) if deg[v] < 2]
+        heapq.heapify(heap)
+        while needed > 0:
+            dd, a, b, u, v = heapq.heappop(heap)
+            if deg[u] == 2:
                 continue
-            system.add_path_edge(u, v)
-            trace.append(Edge(u, v, math.sqrt(float(flat[idx]))))
+            if deg[v] == 2 or other_end[u] == v:
+                heapq.heappush(heap, nearest(u))
+                continue
+            system.add_path_edge(a, b)
+            trace.append(Edge(a, b, math.sqrt(dd)))
             needed -= 1
-            if needed == 0:
-                break
+            ou, ov = other_end[u], other_end[v]
+            other_end[ou], other_end[ov] = ov, ou
+            for w in (u, v):
+                deg[w] += 1
+                if deg[w] == 2:
+                    blocked[w] = np.inf
+            if deg[u] < 2 and needed > 0:
+                heapq.heappush(heap, nearest(u))
 
     walk = system.paths()
     if len(walk) != 1:

@@ -16,14 +16,25 @@ from .geometry import Edge, PointSet, pairwise_sq
 from .structures import SpanningTree
 
 
+#: Pairs converted to Python scalars at a time by ``_sorted_pairs``.
+_BLOCK = 1 << 13
+
+
 def _sorted_pairs(points: PointSet):
-    """All index pairs u < v with squared distances, in (d, u, v) order."""
+    """Yield all index pairs u < v with squared distances, in (d, u, v) order.
+
+    Pairs become Python scalars one block at a time, so a Kruskal scan
+    that stops early pays only for the blocks it reaches.
+    """
     n = points.n
     d2 = pairwise_sq(points.coords)
     iu, iv = np.triu_indices(n, k=1)
     d2 = d2[iu, iv]
     order = np.lexsort((iv, iu, d2))
-    return iu[order], iv[order], d2[order]
+    iu, iv, d2 = iu[order], iv[order], d2[order]
+    for s in range(0, len(d2), _BLOCK):
+        block = slice(s, s + _BLOCK)
+        yield from zip(iu[block].tolist(), iv[block].tolist(), d2[block].tolist())
 
 
 class _DSU:
@@ -54,10 +65,9 @@ def build_mst(points: PointSet) -> SpanningTree:
     n = points.n
     if n == 1:
         return SpanningTree((0,), ())
-    iu, iv, d2 = _sorted_pairs(points)
     dsu = _DSU(n)
     edges = []
-    for u, v, dd in zip(iu.tolist(), iv.tolist(), d2.tolist()):
+    for u, v, dd in _sorted_pairs(points):
         if dsu.union(u, v):
             edges.append(Edge(u, v, math.sqrt(dd)))
             if len(edges) == n - 1:
@@ -71,7 +81,9 @@ def build_threshold_forest(points: PointSet, cutoff: float) -> list[SpanningTree
     Returns one SpanningTree per resulting component (ordered by smallest
     member vertex); every inter-component distance exceeds the cutoff.
     Component-wise this equals the subgraph of the full MST with edges
-    <= cutoff (standard exchange property).
+    <= cutoff (standard exchange property).  The scan stops at the cutoff
+    or after n - 1 unions, when a single tree spans every point and no
+    later pair can be accepted.
     """
     if cutoff < 0:
         raise InputError("cutoff must be nonnegative")
@@ -80,23 +92,25 @@ def build_threshold_forest(points: PointSet, cutoff: float) -> list[SpanningTree
     dsu = _DSU(n)
     comp_edges: dict[int, list[Edge]] = {}
     if n > 1:
-        iu, iv, d2 = _sorted_pairs(points)
-        keep = d2 <= cut2
-        for u, v, dd in zip(iu[keep].tolist(), iv[keep].tolist(), d2[keep].tolist()):
+        unions = 0
+        for u, v, dd in _sorted_pairs(points):
+            if dd > cut2:
+                break
             if dsu.union(u, v):
                 comp_edges.setdefault(dsu.find(u), []).append(Edge(u, v, math.sqrt(dd)))
+                unions += 1
+                if unions == n - 1:
+                    break
     groups: dict[int, list[int]] = {}
     for v in range(n):
         groups.setdefault(dsu.find(v), []).append(v)
-    trees = []
-    for root, members in groups.items():
-        edges = []
-        for r, es in comp_edges.items():
-            if dsu.find(r) == root:
-                edges.extend(es)
-        trees.append(SpanningTree(tuple(sorted(members)), tuple(edges)))
-    trees.sort(key=lambda t: t.vertices[0])
-    return trees
+    # a tree lists its roots' edge lists in the order those roots got their first edge
+    tree_edges: dict[int, list[Edge]] = {}
+    for r, es in comp_edges.items():
+        tree_edges.setdefault(dsu.find(r), []).extend(es)
+    # groups were opened in increasing order of their smallest member
+    return [SpanningTree(tuple(members), tuple(tree_edges.get(root, ())))
+            for root, members in groups.items()]
 
 
 def mst_ball_packing_check(t: SpanningTree, points: PointSet,

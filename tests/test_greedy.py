@@ -2,15 +2,111 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from powertour.constructions import cube_vertex_subset, diagonal_pair, k4_even_weight_code
 from powertour.errors import InputError
-from powertour.geometry import point_set, power_cost
+from powertour.geometry import Edge, pairwise_sq, point_set, power_cost
 from powertour.greedy import (classify_edges, greedy_edge_count_by_length,
                               greedy_ham_path, minimum_join_edge)
 from powertour.structures import PathSystem, validate
 
 from conftest import random_points
+
+
+def sorted_scan_greedy(points, warm_start=None):
+    """Reference engine: sort all pairs once by (d^2, min, max) and scan.
+
+    Returns the vertex walk and the trace; ``greedy_ham_path`` must match
+    both exactly, weights bit for bit.
+    """
+    n = points.n
+    system = PathSystem(n) if warm_start is None else warm_start.copy()
+    trace = []
+    needed = system.component_count() - 1
+    if needed > 0:
+        d2 = pairwise_sq(points.coords)
+        iu, iv = np.triu_indices(n, k=1)
+        flat = d2[iu, iv]
+        for idx in np.lexsort((iv, iu, flat)):
+            u, v = int(iu[idx]), int(iv[idx])
+            if not system.can_join(u, v):
+                continue
+            system.add_path_edge(u, v)
+            trace.append(Edge(u, v, math.sqrt(float(flat[idx]))))
+            needed -= 1
+            if needed == 0:
+                break
+    (walk,) = system.paths()
+    return tuple(walk), trace
+
+
+def mixed_warm_start(n, seed):
+    """Paths of 1-4 vertices over a shuffled half of the vertices: interior
+    degree-2 vertices, path ends and singletons all occur."""
+    gen = np.random.default_rng(seed)
+    perm = gen.permutation(n)[: n // 2].tolist()
+    warm = PathSystem(n)
+    i = 0
+    while i < len(perm):
+        size = int(gen.integers(1, 5))
+        chunk = perm[i:i + size]
+        for a, b in zip(chunk, chunk[1:]):
+            warm.add_path_edge(a, b)
+        i += size
+    return warm
+
+
+def assert_matches_sorted_scan(points, warm_start=None):
+    path, trace = greedy_ham_path(points, warm_start=warm_start)
+    ref_walk, ref_trace = sorted_scan_greedy(points, warm_start)
+    assert trace == ref_trace
+    assert [e.weight.hex() for e in trace] == [e.weight.hex() for e in ref_trace]
+    assert path.order == ref_walk
+
+
+def grid_subset(side, n, k, seed):
+    gen = np.random.default_rng(seed)
+    cells = gen.permutation(side ** k)[:n]
+    coords = np.stack(np.unravel_index(cells, (side,) * k), axis=1) / (side - 1)
+    return point_set(coords)
+
+
+def tripled(points, seed):
+    gen = np.random.default_rng(seed)
+    return point_set(np.repeat(points.coords, 3, axis=0)[gen.permutation(3 * points.n)])
+
+
+EQUALITY_INPUTS = [
+    pytest.param(lambda: cube_vertex_subset(4, 16, 1), id="cube-k4-all"),
+    pytest.param(lambda: cube_vertex_subset(6, 50, 2), id="cube-k6"),
+    pytest.param(lambda: cube_vertex_subset(12, 120, 3), id="cube-k12"),
+    pytest.param(lambda: cube_vertex_subset(12, 600, 4), id="cube-k12-n600"),
+    pytest.param(lambda: grid_subset(9, 70, 2, 5), id="grid-2d"),
+    pytest.param(lambda: grid_subset(5, 90, 3, 6), id="grid-3d"),
+    pytest.param(lambda: tripled(random_points(7, 30, 2), 7), id="tripled-2d"),
+    pytest.param(lambda: tripled(cube_vertex_subset(5, 20, 8), 8), id="tripled-cube"),
+    pytest.param(lambda: random_points(9, 150, 3), id="uniform-k3"),
+    pytest.param(lambda: random_points(10, 80, 8), id="uniform-k8"),
+]
+
+
+@pytest.mark.parametrize("make", EQUALITY_INPUTS)
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+def test_heap_engine_matches_sorted_scan(make, warm):
+    points = make()
+    assert_matches_sorted_scan(points, mixed_warm_start(points.n, points.n) if warm else None)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=1, max_value=3), st.integers(min_value=2, max_value=40),
+       st.integers(min_value=0, max_value=2 ** 32 - 1), st.booleans())
+def test_heap_engine_matches_sorted_scan_on_ties(k, n, seed, warm):
+    """Coordinates on a 3-level lattice: many equal distances and repeats."""
+    gen = np.random.default_rng(seed)
+    points = point_set(gen.integers(0, 3, size=(n, k)) / 2.0)
+    assert_matches_sorted_scan(points, mixed_warm_start(n, seed) if warm else None)
 
 
 def test_square_corners_path(square_corners):

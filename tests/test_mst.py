@@ -4,9 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from powertour.geometry import point_set
-from powertour.mst import build_mst, build_threshold_forest, mst_ball_packing_check
-from powertour.structures import tree_from_pairs, validate
+from powertour.constructions import clustered, cube_vertex_subset
+from powertour.geometry import Edge, pairwise_sq, point_set
+from powertour.mst import _DSU, build_mst, build_threshold_forest, mst_ball_packing_check
+from powertour.structures import SpanningTree, tree_from_pairs, validate
 
 from conftest import random_points
 
@@ -89,6 +90,61 @@ def test_mst_collinear_points():
 def test_mst_single_point():
     tree = build_mst(point_set([[0.3, 0.3]]))
     assert tree.n == 1 and tree.edges == ()
+
+
+def full_scan_forest(points, cutoff):
+    """Reference forest: Kruskal over every pair of weight <= cutoff, with
+    no early stop, edges regrouped per final root by a scan over roots."""
+    n = points.n
+    d2 = pairwise_sq(points.coords)
+    iu, iv = np.triu_indices(n, k=1)
+    d2 = d2[iu, iv]
+    order = np.lexsort((iv, iu, d2))
+    iu, iv, d2 = iu[order], iv[order], d2[order]
+    keep = d2 <= cutoff * cutoff
+    dsu = _DSU(n)
+    comp_edges = {}
+    for u, v, dd in zip(iu[keep].tolist(), iv[keep].tolist(), d2[keep].tolist()):
+        if dsu.union(u, v):
+            comp_edges.setdefault(dsu.find(u), []).append(Edge(u, v, math.sqrt(dd)))
+    groups = {}
+    for v in range(n):
+        groups.setdefault(dsu.find(v), []).append(v)
+    trees = []
+    for root, members in groups.items():
+        edges = []
+        for r, es in comp_edges.items():
+            if dsu.find(r) == root:
+                edges.extend(es)
+        trees.append(SpanningTree(tuple(sorted(members)), tuple(edges)))
+    trees.sort(key=lambda t: t.vertices[0])
+    return trees
+
+
+def duplicated(points, seed):
+    gen = np.random.default_rng(seed)
+    coords = np.repeat(points.coords, 2, axis=0)
+    return point_set(coords[gen.permutation(len(coords))])
+
+
+@pytest.mark.parametrize("make", [
+    lambda: random_points(30, 60, 3),
+    lambda: duplicated(random_points(31, 40, 2), 31),
+    lambda: duplicated(cube_vertex_subset(5, 20, 32), 32),
+    lambda: clustered(4, 120, 5, 0.05, 33),
+    lambda: cube_vertex_subset(8, 90, 34),
+], ids=["uniform", "duplicated", "duplicated-cube", "clustered", "cube-vertex"])
+@pytest.mark.parametrize("cutoff", [0.0, 0.1, 0.5, 1.0, "diameter"])
+def test_threshold_forest_matches_full_scan(make, cutoff):
+    """Early stop and one-pass regrouping keep the trees, their order and
+    each tree's edge order; the forest is the MST restricted to the cutoff."""
+    points = make()
+    if cutoff == "diameter":
+        cutoff = math.sqrt(points.k)
+    trees = build_threshold_forest(points, cutoff)
+    assert trees == full_scan_forest(points, cutoff)
+    kept = sorted(e.key() for e in build_mst(points).edges if e.weight <= cutoff)
+    assert sorted(e.key() for t in trees for e in t.edges) == kept
 
 
 def test_threshold_forest_zero_cutoff(rng):
