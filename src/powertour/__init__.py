@@ -6,7 +6,7 @@ bounding the power-k edge cost S_k = sum |e|^k, and verifies every
 checkable bound against exact brute-force oracles.
 """
 
-from .errors import BoundViolationError, CertificateError, InputError, SizeError
+from .errors import CertificateError, InputError, SizeError
 from .geometry import (Container, Edge, NamedBounds, Point, PointSet, PowerCost,
                        cycle_upper_improved, euclidean_distance, make_edge,
                        named_bounds, point_set, power_cost, power_cost_from_weights)
@@ -35,8 +35,8 @@ from .verifiers import (BoundReport, bound_report, hamming_min_distance,
 __version__ = "0.1.0"
 
 __all__ = [
-    "BoundReport", "BoundViolationError", "CertificateError", "Container",
-    "Edge", "ExtendedPath", "HamPath", "InputError", "Matching", "NamedBounds",
+    "BoundReport", "CertificateError", "Container", "Edge", "ExtendedPath",
+    "HamPath", "InputError", "Matching", "NamedBounds",
     "PathSystem", "PhaseReport", "Point", "PointSet", "PowerCost",
     "RightTriangle", "SizeError", "SpanningTree", "Tour", "UsageCertificate",
     "bound_report", "build_mst", "build_threshold_forest", "classify_edges",

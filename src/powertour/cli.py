@@ -168,8 +168,8 @@ def cmd_gen(args) -> int:
 def cmd_tour(args) -> int:
     points = constructions.load_point_set(args.input)
     k = args.k if args.k is not None else points.k
-    if k < 1:
-        raise InputError("exponent must be positive")
+    if k < 2:
+        raise InputError(f"exponent must be >= 2 for the bound report, got {k}")
     start = time.perf_counter()
     tour, phase = _run_algo(args.algo, points, k, args.cutoff, args.diagonal)
     elapsed = time.perf_counter() - start

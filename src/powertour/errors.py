@@ -14,7 +14,3 @@ class CertificateError(RuntimeError):
 
     This always signals an implementation bug, never bad input.
     """
-
-
-class BoundViolationError(RuntimeError):
-    """A constructively guaranteed cost bound failed on an instance."""

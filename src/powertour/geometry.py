@@ -177,6 +177,11 @@ class PowerCost:
     def edge_count(self) -> int:
         return len(self.log_terms) + self.zero_edges
 
+    def to_dict(self) -> dict:
+        """The JSON cost block; S_k is None when it overflows."""
+        return {"S_k": None if self.overflow else self.unscaled, "s_k": self.scaled,
+                "log_S_k": self.log_unscaled, "overflow": self.overflow}
+
 
 def _logsumexp_desc(terms: Sequence[float]) -> float:
     """Log-sum-exp over terms already sorted descending (fixed order)."""

@@ -31,6 +31,38 @@ def _power_matrix(points: PointSet, k: int) -> np.ndarray:
     return d2 ** (k / 2.0)
 
 
+def _first_best_order(dk: np.ndarray, n: int, closed: bool) -> tuple[int, ...]:
+    """First minimum-cost order over 0..n-1 in lexicographic enumeration.
+
+    Closed orders fix the pivot 0 and permute 1..n-1, adding the closing
+    term after the open sum; open orders permute 0..n-1.  Of each reversal
+    pair only the order whose first permuted entry precedes its last is
+    costed.  Ties keep the earliest order: first argmin within a chunk,
+    strict < across chunks.
+    """
+    best_cost = math.inf
+    best_order: tuple[int, ...] | None = None
+    perms = itertools.permutations(range(1 if closed else 0, n))
+    while True:
+        chunk = list(itertools.islice(perms, _CHUNK))
+        if not chunk:
+            break
+        arr = np.array(chunk, dtype=np.intp)
+        arr = arr[arr[:, 0] < arr[:, -1]]  # one representative per reversal pair
+        if arr.size == 0:
+            continue
+        if closed:
+            arr = np.concatenate([np.zeros((arr.shape[0], 1), dtype=np.intp), arr], axis=1)
+        costs = dk[arr[:, :-1], arr[:, 1:]].sum(axis=1)
+        if closed:
+            costs += dk[arr[:, -1], 0]
+        i = int(np.argmin(costs))
+        if costs[i] < best_cost:
+            best_cost = float(costs[i])
+            best_order = tuple(int(x) for x in arr[i])
+    return best_order
+
+
 def exact_min_tour(points: PointSet, k: int) -> tuple[Tour, PowerCost]:
     """Globally minimal power-k tour by exhaustive enumeration (n <= 12)."""
     n = points.n
@@ -41,24 +73,7 @@ def exact_min_tour(points: PointSet, k: int) -> tuple[Tour, PowerCost]:
     if n == 2:
         tour = tour_from_order(points, (0, 1))
         return tour, power_cost(tour.edges, k)
-    dk = _power_matrix(points, k)
-    best_cost = math.inf
-    best_order: tuple[int, ...] | None = None
-    perms = itertools.permutations(range(1, n))
-    while True:
-        chunk = list(itertools.islice(perms, _CHUNK))
-        if not chunk:
-            break
-        arr = np.array(chunk, dtype=np.intp)
-        arr = arr[arr[:, 0] < arr[:, -1]]  # one representative per reversal pair
-        if arr.size == 0:
-            continue
-        full = np.concatenate([np.zeros((arr.shape[0], 1), dtype=np.intp), arr], axis=1)
-        costs = dk[full[:, :-1], full[:, 1:]].sum(axis=1) + dk[full[:, -1], 0]
-        i = int(np.argmin(costs))
-        if costs[i] < best_cost:
-            best_cost = float(costs[i])
-            best_order = tuple(int(x) for x in full[i])
+    best_order = _first_best_order(_power_matrix(points, k), n, closed=True)
     tour = tour_from_order(points, best_order)
     return tour, power_cost(tour.edges, k)
 
@@ -70,23 +85,7 @@ def exact_min_path(points: PointSet, k: int) -> tuple[HamPath, PowerCost]:
         raise InputError("need at least 2 points")
     if n > MAX_EXACT_PATH:
         raise SizeError(f"exact paths capped at n = {MAX_EXACT_PATH}, got {n}")
-    dk = _power_matrix(points, k)
-    best_cost = math.inf
-    best_order: tuple[int, ...] | None = None
-    perms = itertools.permutations(range(n))
-    while True:
-        chunk = list(itertools.islice(perms, _CHUNK))
-        if not chunk:
-            break
-        arr = np.array(chunk, dtype=np.intp)
-        arr = arr[arr[:, 0] < arr[:, -1]]
-        if arr.size == 0:
-            continue
-        costs = dk[arr[:, :-1], arr[:, 1:]].sum(axis=1)
-        i = int(np.argmin(costs))
-        if costs[i] < best_cost:
-            best_cost = float(costs[i])
-            best_order = tuple(int(x) for x in arr[i])
+    best_order = _first_best_order(_power_matrix(points, k), n, closed=False)
     path = path_from_order(points, best_order)
     return path, power_cost(path.edges, k)
 

@@ -138,7 +138,7 @@ def verify_double_cover(tree: SpanningTree,
     return out
 
 
-def _root_tree(adj: dict[int, list[int]], anchor: int):
+def _root_tree(adj: dict[int, tuple[int, ...]], anchor: int):
     """Children lists (sorted ascending) and subtree sizes, iteratively."""
     children: dict[int, list[int]] = {}
     parent = {anchor: None}
@@ -159,7 +159,7 @@ def _root_tree(adj: dict[int, list[int]], anchor: int):
     return children, size
 
 
-def _cube_cycle(adj: dict[int, list[int]], anchor: int):
+def _cube_cycle(adj: dict[int, tuple[int, ...]], anchor: int):
     """Core worklist machine over global vertex ids.
 
     Returns (cycle_adjacency, hops) where hops maps normalized cycle-edge
@@ -270,17 +270,21 @@ def tree_cube_cycle(t: SpanningTree, points: PointSet, anchor: int = 0
                     ) -> tuple[Tour, UsageCertificate]:
     """Hamiltonian cycle of T^3 using every tree edge exactly twice.
 
+    ``t`` may be any tree whose vertices index ``points``, such as one tree
+    of a threshold forest; the returned tour visits exactly ``t.vertices``.
     ``anchor`` selects the vertex guaranteed to meet a cycle edge that is
-    itself a tree edge.  The returned certificate has been re-verified;
-    any internal inconsistency raises CertificateError.
+    itself a tree edge.  The returned certificate has been re-verified, as
+    has every hop's triangle inequality; any internal inconsistency raises
+    CertificateError.
     """
-    if t.vertices != tuple(range(points.n)):
-        raise InputError("tree must span the full point set")
+    bad = [v for v in t.vertices if not 0 <= v < points.n]
+    if bad:
+        raise InputError(f"tree vertex {bad[0]} out of range for {points.n} points")
     if t.n < 3:
         raise InputError(f"need at least 3 vertices, got {t.n}")
-    if anchor not in t.adjacency:
+    adj = t.adjacency
+    if anchor not in adj:
         raise InputError(f"anchor {anchor} not a tree vertex")
-    adj = {v: list(ns) for v, ns in t.adjacency.items()}
     cyc, pair_hops = _cube_cycle(adj, anchor)
     edge_id = {}
     for i, e in enumerate(t.edges):
@@ -338,6 +342,8 @@ def mst_sekanina_tour(points: PointSet, k: int) -> tuple[Tour, BoundReport]:
 
     if points.n < 2:
         raise InputError("need at least 2 points")
+    if k < 2:
+        raise InputError(f"exponent must be >= 2 for the bound report, got {k}")
     if points.n == 2:
         tour = tour_from_order(points, (0, 1))
     else:

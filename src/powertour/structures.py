@@ -377,11 +377,5 @@ def to_json_dict(structure, points: PointSet, k: int) -> dict:
         cost = power_cost_from_weights(weights, k)
     else:
         raise InputError(f"cannot serialize object of type {type(structure).__name__}")
-    body["cost"] = {
-        "k": cost.exponent,
-        "S_k": None if cost.overflow else cost.unscaled,
-        "s_k": cost.scaled,
-        "log_S_k": cost.log_unscaled,
-        "overflow": cost.overflow,
-    }
+    body["cost"] = {"k": cost.exponent, **cost.to_dict()}
     return body

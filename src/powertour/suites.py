@@ -30,7 +30,7 @@ from .planar import newman_square_tour
 from .sekanina import mst_sekanina_tour, tree_cube_cycle
 from .structures import tree_from_pairs
 from .two_phase import two_phase_tour
-from .verifiers import midball_reach_batch
+from .verifiers import MIDBALL_COEFF, midball_reach, midball_reach_batch
 
 DEFAULT_TRIALS = 1000
 DEFAULT_TOL = 1e-9
@@ -108,8 +108,8 @@ def suite_lemma5(trials: int = DEFAULT_TRIALS, seed: int = DEFAULT_SEED,
     tight_bad = []
     for k in range(5, 55, 5):
         u, v = midball_reach_extremal_pair(k)
-        lhs = float(np.linalg.norm(u + v) / 2 + np.linalg.norm(u - v) / 4)
-        rhs = math.sqrt(5.0) / 4.0 * math.sqrt(k)
+        lhs = midball_reach(u, v)
+        rhs = MIDBALL_COEFF * math.sqrt(k)
         if abs(lhs - rhs) > 1e-9 * rhs:
             tight_bad.append(k)
     return {"suite": "lemma5", "trials_per_k": trials, "ks": [int(k) for k in ks],

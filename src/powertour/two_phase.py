@@ -19,7 +19,7 @@ from .errors import CertificateError, InputError
 from .geometry import PointSet, PowerCost, power_cost, power_cost_from_weights
 from .greedy import greedy_ham_path
 from .mst import build_threshold_forest
-from .sekanina import _cube_cycle, verify_double_cover
+from .sekanina import tree_cube_cycle
 from .structures import PathSystem, Tour, close_path
 
 
@@ -39,21 +39,17 @@ class PhaseReport:
     elapsed_s: float
 
     def to_dict(self) -> dict:
-        def cost_block(c: PowerCost) -> dict:
-            return {"S_k": None if c.overflow else c.unscaled, "s_k": c.scaled,
-                    "log_S_k": c.log_unscaled, "overflow": c.overflow}
-
         return {
             "k": self.k,
             "cutoff": self.cutoff,
             "tree_count": len(self.tree_sizes),
             "tree_sizes": list(self.tree_sizes),
-            "forest": cost_block(self.forest_cost),
-            "path_system": cost_block(self.path_system_cost),
+            "forest": self.forest_cost.to_dict(),
+            "path_system": self.path_system_cost.to_dict(),
             "greedy_added": self.greedy_added,
-            "final_path": cost_block(self.path_cost),
+            "final_path": self.path_cost.to_dict(),
             "closing_weight": self.closing_weight,
-            "tour": cost_block(self.tour_cost),
+            "tour": self.tour_cost.to_dict(),
             "elapsed_s": self.elapsed_s,
         }
 
@@ -78,16 +74,9 @@ def two_phase_tour(points: PointSet, k: int, cutoff: float | None = None
         if tree.n == 2:
             path_pairs.append((tree.vertices[0], tree.vertices[1]))
             continue
-        adj = {v: list(ns) for v, ns in tree.adjacency.items()}
-        anchor = tree.vertices[0]
-        cyc, hops = _cube_cycle(adj, anchor)
-        edge_id = {e.key(): i for i, e in enumerate(tree.edges)}
-        id_hops = {ce: tuple(edge_id[p] for p in path) for ce, path in hops.items()}
-        problems = verify_double_cover(tree, id_hops, anchor)
-        if problems:
-            raise CertificateError("; ".join(problems))
+        _cycle, cert = tree_cube_cycle(tree, points, anchor=tree.vertices[0])
         cycle_edges = []
-        for (a, b) in hops:
+        for (a, b) in cert.hops:
             w = float(math.dist(coords[a], coords[b]))
             cycle_edges.append((w, a, b))
         # drop the heaviest cycle edge (ties: lexicographically smallest pair)

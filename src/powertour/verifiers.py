@@ -218,13 +218,7 @@ def bound_report(points: PointSet, k: int, results: dict[str, PowerCost],
                 k >= 3 or name == "square_tour_upper")
             rows.append({"name": name, "value": value,
                          "certified": certified, "satisfied": bool(satisfied)})
-        algorithms[algo] = {
-            "S_k": None if cost.overflow else cost.unscaled,
-            "s_k": cost.scaled,
-            "log_S_k": cost.log_unscaled,
-            "overflow": cost.overflow,
-            "bounds": rows,
-        }
+        algorithms[algo] = {**cost.to_dict(), "bounds": rows}
     inst = {"n": points.n, "k": points.k, "container": points.container.value}
     if instance:
         inst.update(instance)

@@ -3,8 +3,9 @@ import json
 import numpy as np
 import pytest
 
+import powertour.mst
 from powertour.cli import main
-from powertour.constructions import k3_code4, load_point_set
+from powertour.constructions import k3_code4, load_point_set, save_point_set, uniform_cube
 
 
 def run_cli(*args):
@@ -46,6 +47,24 @@ def test_tour_oracle_even_weight(tmp_path, capsys):
     assert code == 0
     body = json.loads(out.read_text())
     assert body["algorithms"]["oracle"]["S_k"] == pytest.approx(32.0, rel=1e-9)
+
+
+@pytest.mark.parametrize("dim, k_args", [(1, ()), (3, ("--k", "1"))],
+                         ids=["1d-file", "k1-on-3d-file"])
+def test_tour_rejects_exponent_below_two_before_work(tmp_path, monkeypatch, capsys,
+                                                     dim, k_args):
+    def fail(*_args, **_kwargs):
+        raise AssertionError("build_mst called")
+
+    monkeypatch.setattr(powertour.mst, "build_mst", fail)
+    src = tmp_path / "pts.json"
+    save_point_set(uniform_cube(dim, 20, 0), src)
+    out = tmp_path / "tour.json"
+    code = run_cli("tour", str(src), "--algo", "mst-sekanina", *k_args,
+                   "--no-timestamp", "-o", str(out))
+    assert code == 1
+    assert not out.exists()
+    assert "exponent must be >= 2" in capsys.readouterr().err
 
 
 def test_tour_newman_five_points(tmp_path):

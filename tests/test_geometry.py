@@ -64,6 +64,15 @@ def test_power_cost_huge_exponent_no_overflow_in_scaled():
     assert c.scaled == pytest.approx(5 ** (1 / k) * math.sqrt(k), rel=1e-9)
 
 
+def test_power_cost_dict_block():
+    c = power_cost_from_weights([0.5, 2.0], 2)
+    assert c.to_dict() == {"S_k": 4.25, "s_k": c.scaled, "log_S_k": c.log_unscaled,
+                           "overflow": False}
+    big = power_cost_from_weights([math.sqrt(1000)] * 5, 1000)
+    assert big.to_dict()["S_k"] is None
+    assert big.to_dict()["overflow"]
+
+
 def test_power_cost_log_consistency():
     rng = np.random.default_rng(1)
     for k in (1, 2, 5, 11):

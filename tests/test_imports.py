@@ -1,0 +1,33 @@
+"""Package modules use only the public names of their siblings."""
+
+import ast
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "powertour"
+
+
+def private_sibling_imports(source: str) -> list[str]:
+    """``module.name`` for every underscore name imported from the package."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        module = node.module or ""
+        if node.level == 0 and module.split(".")[0] != "powertour":
+            continue
+        out += [f"{module}.{a.name}" for a in node.names if a.name.startswith("_")]
+    return out
+
+
+def test_detector_flags_relative_and_absolute_forms():
+    assert private_sibling_imports("from .sekanina import _cube_cycle, tree_cube_cycle\n"
+                                   "from powertour.mst import _DSU\n"
+                                   "from numpy import _globals\n") == [
+        "sekanina._cube_cycle", "powertour.mst._DSU"]
+
+
+def test_no_module_imports_a_private_sibling_name():
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert modules
+    found = {p.name: private_sibling_imports(p.read_text()) for p in modules}
+    assert {name: names for name, names in found.items() if names} == {}

@@ -4,8 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from powertour.constructions import (diagonal_pair, k3_code4, k4_even_weight_code,
-                                     square_tight_sets, uniform_cube)
+from powertour.constructions import (cube_vertex_subset, diagonal_pair, k3_code4,
+                                     k4_even_weight_code, square_tight_sets, uniform_cube)
 from powertour.errors import InputError, SizeError
 from powertour.geometry import point_set, power_cost
 from powertour.oracle import (closest_pair_bound_check, exact_min_matching,
@@ -56,6 +56,42 @@ def test_tour_deterministic_tie_break():
     t1, _ = exact_min_tour(ps, 2)
     t2, _ = exact_min_tour(ps, 2)
     assert t1.order == t2.order
+
+
+def first_optimum_reference(points, closed):
+    """Pure-Python canonical enumeration over cube vertices under k = 4.
+
+    |u - v|^4 is the squared Hamming distance, so every cost is an exact
+    integer and ties are exact.  Permutations run in lexicographic order,
+    closed orders fix the pivot 0, one order per reversal pair is kept
+    (first permuted entry below the last) and the first strict minimum wins.
+    """
+    n = points.n
+    bits = [[int(x) for x in row] for row in points.coords]
+    w = [[sum(a != b for a, b in zip(bits[i], bits[j])) ** 2 for j in range(n)]
+         for i in range(n)]
+    best_cost, best_order = None, None
+    for perm in itertools.permutations(range(1, n) if closed else range(n)):
+        if perm[0] > perm[-1]:
+            continue
+        order = (0,) + perm if closed else perm
+        cost = sum(w[order[i]][order[i + 1]] for i in range(n - 1))
+        if closed:
+            cost += w[order[-1]][order[0]]
+        if best_cost is None or cost < best_cost:
+            best_cost, best_order = cost, order
+    return best_cost, best_order
+
+
+@pytest.mark.parametrize("n", [8, 9])
+def test_ties_keep_first_optimum_in_lexicographic_order(n):
+    for seed in (0, 1):
+        pts = cube_vertex_subset(4, n, seed)
+        for closed, oracle in ((True, exact_min_tour), (False, exact_min_path)):
+            structure, cost = oracle(pts, 4)
+            want_cost, want_order = first_optimum_reference(pts, closed)
+            assert structure.order == want_order
+            assert cost.unscaled == pytest.approx(want_cost, rel=1e-12)
 
 
 def test_tour_size_limits():

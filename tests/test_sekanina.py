@@ -3,12 +3,14 @@ import math
 import numpy as np
 import pytest
 
+import powertour.mst
+from powertour.constructions import clustered
 from powertour.errors import InputError
 from powertour.geometry import point_set, power_cost
-from powertour.mst import build_mst
+from powertour.mst import build_mst, build_threshold_forest
 from powertour.sekanina import (mst_sekanina_tour, tree_cube_cycle,
                                 tree_to_cycle_cost_bound, verify_double_cover)
-from powertour.structures import tree_from_pairs, validate
+from powertour.structures import SpanningTree, tree_from_pairs, validate
 from powertour.suites import random_tree_pairs
 
 from conftest import random_points
@@ -117,6 +119,29 @@ def test_rejects_tiny_trees():
         tree_cube_cycle(t, pts)
 
 
+def test_forest_subtree_without_vertex_zero():
+    pts = clustered(3, 60, 4, 0.05, 11)
+    subtrees = [t for t in build_threshold_forest(pts, 0.3)
+                if t.n >= 3 and 0 not in t.vertices]
+    assert subtrees
+    for t in subtrees:
+        for anchor in (t.vertices[0], t.vertices[-1]):
+            tour, cert = tree_cube_cycle(t, pts, anchor=anchor)
+            assert sorted(tour.order) == list(t.vertices)
+            assert tour.order[0] == anchor
+            assert cert.validate(t) == []
+
+
+def test_rejects_tree_vertex_outside_point_set():
+    pts = random_points(5, 6, 2)
+    t = tree_from_pairs(pts, [(3, 4), (4, 5)], vertices=[3, 4, 5])
+    with pytest.raises(InputError, match="out of range"):
+        tree_cube_cycle(t, point_set(pts.coords[:5]), anchor=3)
+    negative = SpanningTree((-1,) + t.vertices, t.edges)
+    with pytest.raises(InputError, match="out of range"):
+        tree_cube_cycle(negative, pts, anchor=3)
+
+
 def test_hops_are_tree_paths_of_bounded_span(rng):
     for seed in range(40):
         n = int(rng.integers(3, 60))
@@ -215,6 +240,16 @@ def test_mst_tour_three_points(rng):
         tour, report = mst_sekanina_tour(pts, 4)
         assert validate(tour, pts) == []
         assert not report.certified_failures()
+
+
+@pytest.mark.parametrize("k", [0, 1])
+def test_mst_tour_rejects_exponent_below_two_before_work(monkeypatch, k):
+    def fail(*_args, **_kwargs):
+        raise AssertionError("build_mst called")
+
+    monkeypatch.setattr(powertour.mst, "build_mst", fail)
+    with pytest.raises(InputError, match="exponent"):
+        mst_sekanina_tour(random_points(9, 20, 3), k)
 
 
 def adversarial_trees(n):
