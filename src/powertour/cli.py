@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import itertools
 import json
 import sys
 import time
@@ -26,7 +27,7 @@ from . import constructions
 from .errors import CertificateError, InputError
 from .geometry import PointSet, point_set, power_cost
 from .greedy import greedy_ham_path
-from .oracle import exact_min_tour
+from .oracle import MAX_EXACT_TOUR, exact_min_tour
 from .planar import newman_square_tour
 from .sekanina import mst_sekanina_tour
 from .structures import Tour, close_path
@@ -221,6 +222,14 @@ def cmd_bench(args) -> int:
     for a in algos:
         if a not in ALGORITHMS:
             raise InputError(f"unknown algorithm {a!r}")
+    # check every row before computing any, so a bad grid writes no rows
+    for k, n, algo in itertools.product(ks, ns, algos):
+        if algo == "mst-sekanina" and k < 2:
+            raise InputError("mst-sekanina rows require k >= 2")
+        if algo == "newman2d" and k != 2:
+            raise InputError("newman2d rows require k = 2")
+        if algo == "oracle" and n > MAX_EXACT_TOUR:
+            raise InputError(f"oracle rows require n <= {MAX_EXACT_TOUR}")
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["k", "n", "algo", "S_k", "s_k", "time_s"])
@@ -229,10 +238,6 @@ def cmd_bench(args) -> int:
             for trial in range(args.trials):
                 points = constructions.uniform_cube(k, n, args.seed + trial)
                 for algo in algos:
-                    if algo == "newman2d" and k != 2:
-                        raise InputError("newman2d rows require k = 2")
-                    if algo == "oracle" and n > 12:
-                        raise InputError("oracle rows require n <= 12")
                     start = time.perf_counter()
                     tour, _phase = _run_algo(algo, points, k, None, "main")
                     elapsed = time.perf_counter() - start

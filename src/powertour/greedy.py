@@ -161,7 +161,7 @@ def trace_from_json(rows: list[dict]) -> list[Edge]:
         raise InputError(f"malformed trace row: {ex}") from ex
 
 
-def greedy_edge_count_by_length(trace: list[Edge], j: float, k: int | None = None) -> int:
+def greedy_edge_count_by_length(trace: list[Edge], j: float) -> int:
     """Number of trace edges with squared length >= j.
 
     On cube-vertex inputs squared lengths are integers, so the comparison

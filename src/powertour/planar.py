@@ -3,13 +3,16 @@
 All costs here are sums of squared edge lengths (exponent 2).  The core
 primitive is the extended path through a right triangle: a path between
 the two hypotenuse endpoints, visiting every input point, whose squared
-cost never exceeds the squared hypotenuse.  It recurses along the
-altitude through the right-angle vertex; the two sub-paths are
-concatenated at that vertex and the junction is removed by a shortcut,
-which is valid because the angle spanned there never exceeds 90 degrees
-(so the chord is no longer than the two replaced edges, squared).
+cost never exceeds the squared hypotenuse.  It splits the triangle along
+the altitude through the right-angle vertex, over and over, on an
+explicit worklist (a skinny triangle nests the splits far deeper than
+Python's recursion limit); the two sub-paths are concatenated at that
+vertex and the junction is removed by a shortcut, which is valid because
+the angle spanned there never exceeds 90 degrees (so the chord is no
+longer than the two replaced edges, squared).
 
-Stacked on top of it:
+Stacked on top of it, each splicing two right-triangle paths at a shared
+vertex:
 
 * extended paths through non-obtuse triangles with budget a^2 + b^2 and
   cycles with budget a^2 + b^2 + c^2,
@@ -21,7 +24,6 @@ Stacked on top of it:
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -145,14 +147,66 @@ def _rt_seq(coords, A, B, C, idx: list[int]) -> tuple[list[int], float]:
     """Extended-path order through the points ``idx`` of a right triangle
     (right angle at C, hypotenuse AB), plus the chain cost A -> ... -> B.
 
-    ``coords`` is a list of (x, y) tuples; A, B, C are (x, y) tuples.  The
-    inductive budget cost <= |AB|^2 is asserted at every level.  Points on
-    the dividing altitude go to the A-side subtriangle.  Callers collapse
+    ``coords`` is a list of (x, y) tuples; A, B, C are (x, y) tuples.  A
+    triangle with two or more points is split along the altitude through
+    C; points on it go to the A-side half.  The split runs on an explicit
+    worklist, since skinny triangles nest splits about 10^5 deep: a split
+    pushes its join, then the C-B half, then the A-C half, and the join
+    shortcuts the two finished halves at C.  The inductive budget
+    cost <= |AB|^2 is asserted at every join and leaf.  Callers collapse
     coincident points beforehand (they are threaded consecutively at zero
     cost when re-expanded).
     """
-    ax, ay = A
-    bx, by = B
+    order: list[int] = []  # leaves finish left to right
+    done: list[tuple[int, int, float]] = []  # order[start:end] and cost per finished triangle
+    work: list[tuple] = [(A, B, C, idx)]
+    while work:
+        A, B, C, idx = work.pop()
+        (ax, ay), (bx, by), (cx, cy) = A, B, C
+        abx = bx - ax
+        aby = by - ay
+        c2 = abx * abx + aby * aby
+        if idx is None:  # join frame: both halves are done
+            start_r, end_r, cost_r = done.pop()
+            start_l, end_l, cost_l = done.pop()
+            u = coords[order[end_l - 1]] if end_l > start_l else A
+            w = coords[order[start_r]] if end_r > start_r else B
+            _check_shortcut(u, C, w, "a junction")
+            (ux, uy), (wx, wy) = u, w
+            cost = (cost_l + cost_r
+                    - ((ux - cx) ** 2 + (uy - cy) ** 2)
+                    - ((cx - wx) ** 2 + (cy - wy) ** 2)
+                    + ((ux - wx) ** 2 + (uy - wy) ** 2))
+            _assert_budget(cost, c2)
+            done.append((start_l, end_r, cost))
+            continue
+        if len(idx) > 1 and c2 > 1e-30:
+            # altitude foot from C onto AB
+            t = ((cx - ax) * abx + (cy - ay) * aby) / c2
+            hx = ax + t * abx
+            hy = ay + t * aby
+            if (cx - hx) ** 2 + (cy - hy) ** 2 > 1e-18 * c2:  # else collinear
+                left: list[int] = []
+                right: list[int] = []
+                for i in idx:
+                    px, py = coords[i]
+                    if (px - hx) * abx + (py - hy) * aby <= 0.0:
+                        left.append(i)  # A's side of the altitude line, ties included
+                    else:
+                        right.append(i)
+                H = (hx, hy)
+                work += [(A, B, C, None), (C, B, H, right), (A, C, H, left)]
+                continue
+        seq, cost = _rt_leaf(coords, A, B, idx)
+        done.append((len(order), len(order) + len(seq), cost))
+        order += seq
+    return order, done[0][2]
+
+
+def _rt_leaf(coords, A, B, idx: list[int]) -> tuple[list[int], float]:
+    """Order and checked chain cost for a right triangle that is not split:
+    at most one point, or every point on the hypotenuse AB."""
+    (ax, ay), (bx, by) = A, B
     abx = bx - ax
     aby = by - ay
     c2 = abx * abx + aby * aby
@@ -165,60 +219,34 @@ def _rt_seq(coords, A, B, C, idx: list[int]) -> tuple[list[int], float]:
         _assert_budget(cost, c2)
         return list(idx), cost
     if c2 <= 1e-30:
-        # collapsed triangle: every point coincides with the anchors
-        seq = list(idx)
-        cost = _chain_cost(coords, A, B, seq)
-        _assert_budget(cost, max(c2, 0.0))
-        return seq, cost
-    cx, cy = C
-    # altitude foot from C onto AB
-    t = ((cx - ax) * abx + (cy - ay) * aby) / c2
-    hx = ax + t * abx
-    hy = ay + t * aby
-    height_sq = (cx - hx) ** 2 + (cy - hy) ** 2
-    if height_sq <= 1e-18 * c2:
+        seq = list(idx)  # collapsed triangle: every point coincides with the anchors
+    else:
         # degenerate (collinear) triangle: sweep along the segment
         seq = sorted(idx, key=lambda i: ((coords[i][0] - ax) * abx
                                          + (coords[i][1] - ay) * aby, i))
-        cost = _chain_cost(coords, A, B, seq)
-        _assert_budget(cost, c2)
-        return seq, cost
-    left: list[int] = []
-    right: list[int] = []
-    for i in idx:
-        px, py = coords[i]
-        if (px - hx) * abx + (py - hy) * aby <= 0.0:
-            left.append(i)  # A's side of the altitude line, ties included
-        else:
-            right.append(i)
-    H = (hx, hy)
-    seq_l, cost_l = _rt_seq(coords, A, C, H, left)
-    seq_r, cost_r = _rt_seq(coords, C, B, H, right)
-    ux, uy = coords[seq_l[-1]] if seq_l else A
-    wx, wy = coords[seq_r[0]] if seq_r else B
-    if (ux - cx) * (wx - cx) + (uy - cy) * (wy - cy) < -SHORTCUT_DOT_TOL:
-        raise CertificateError("shortcut angle exceeds 90 degrees at a junction")
-    cost = (cost_l + cost_r
-            - ((ux - cx) ** 2 + (uy - cy) ** 2)
-            - ((cx - wx) ** 2 + (cy - wy) ** 2)
-            + ((ux - wx) ** 2 + (uy - wy) ** 2))
-    _assert_budget(cost, c2)
-    return seq_l + seq_r, cost
-
-
-def _chain_cost(coords, A, B, seq: list[int]) -> float:
     ch = [A] + [coords[i] for i in seq] + [B]
-    return float(sum((ch[i][0] - ch[i + 1][0]) ** 2 + (ch[i][1] - ch[i + 1][1]) ** 2
+    cost = float(sum((ch[i][0] - ch[i + 1][0]) ** 2 + (ch[i][1] - ch[i + 1][1]) ** 2
                      for i in range(len(ch) - 1)))
+    _assert_budget(cost, c2)
+    return seq, cost
 
 
-def _with_recursion_room(fn):
-    old = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(old, 100_000))
-    try:
-        return fn()
-    finally:
-        sys.setrecursionlimit(old)
+def _check_shortcut(u, j, w, where: str) -> None:
+    """Certify the shortcut u -> w past the junction j (all (x, y) pairs):
+    the angle at j in u -> j -> w must be at most 90 degrees."""
+    if (u[0] - j[0]) * (w[0] - j[0]) + (u[1] - j[1]) * (w[1] - j[1]) < -SHORTCUT_DOT_TOL:
+        raise CertificateError(f"shortcut angle exceeds 90 degrees at {where}")
+
+
+def _splice(coords, A, J, C1, idx1, B, C2, idx2, where: str):
+    """Orders of the extended paths A -> J through ``idx1`` (right angle at
+    C1) and J -> B through ``idx2`` (right angle at C2), with the shortcut
+    at their shared vertex J certified."""
+    seq1, _ = _rt_seq(coords, A, J, C1, idx1)
+    seq2, _ = _rt_seq(coords, J, B, C2, idx2)
+    _check_shortcut(coords[seq1[-1]] if seq1 else A, J,
+                    coords[seq2[0]] if seq2 else B, where)
+    return seq1, seq2
 
 
 def _point_in_triangle(p, v0, v1, v2, tol: float) -> bool:
@@ -257,8 +285,7 @@ def right_triangle_path(tri: RightTriangle, points) -> ExtendedPath:
             raise InputError(f"point {i} lies outside the triangle")
     uniq_idx, expand = _collapse_duplicates(coords)
     pts = _tuples(coords)
-    seq, _cost = _with_recursion_room(
-        lambda: _rt_seq(pts, _t2(tri.A), _t2(tri.B), _t2(tri.C), uniq_idx))
+    seq, _cost = _rt_seq(pts, _t2(tri.A), _t2(tri.B), _t2(tri.C), uniq_idx)
     path = ExtendedPath(tri.A, tri.B, tuple(_expand(seq, expand)))
     _assert_budget(path.cost_sq(coords), _sq(tri.A, tri.B))
     return path
@@ -337,14 +364,9 @@ def non_obtuse_path(tri, points) -> ExtendedPath:
     side = (coords[uniq_idx] - H) @ pq
     left = [i for i, s in zip(uniq_idx, side) if s <= 0.0]
     right = [i for i, s in zip(uniq_idx, side) if s > 0.0]
-    pts = _tuples(coords)
-    tP, tQ, tR, tH = _t2(P), _t2(Q), _t2(R), _t2(H)
-    seq_l, _ = _with_recursion_room(lambda: _rt_seq(pts, tP, tR, tH, left))
-    seq_r, _ = _with_recursion_room(lambda: _rt_seq(pts, tR, tQ, tH, right))
-    u = coords[seq_l[-1]] if seq_l else P
-    w = coords[seq_r[0]] if seq_r else Q
-    if float(np.dot(u - R, w - R)) < -SHORTCUT_DOT_TOL:
-        raise CertificateError("shortcut angle exceeds 90 degrees at the apex")
+    tH = _t2(H)
+    seq_l, seq_r = _splice(_tuples(coords), _t2(P), _t2(R), tH, left,
+                           _t2(Q), tH, right, "the apex")
     path = ExtendedPath(P, Q, tuple(_expand(seq_l + seq_r, expand)))
     budget = _sq(P, R) + _sq(R, Q)  # = a^2 + b^2
     _assert_budget(path.cost_sq(coords), budget)
@@ -373,39 +395,22 @@ def _triangle_vertices(tri):
     return arr[0], arr[1], arr[2]
 
 
-_SIDE_CORNERS = {
-    "bottom": (np.array([0.0, 0.0]), np.array([1.0, 0.0])),
-    "top": (np.array([1.0, 1.0]), np.array([0.0, 1.0])),
-    "left": (np.array([0.0, 1.0]), np.array([0.0, 0.0])),
-    "right": (np.array([1.0, 0.0]), np.array([1.0, 1.0])),
-}
+#: Quarter turns (each -90 degrees about the center) taking a side of the
+#: unit square onto the bottom side.
+_SIDE_TURNS = {"bottom": 0, "right": 1, "top": 2, "left": 3}
 
 _SQUARE_CENTER = np.array([0.5, 0.5])
 
 
-def _side_isometry(side: str):
-    """Rotation of the unit square mapping ``side`` onto the bottom side."""
-    if side not in _SIDE_CORNERS:
-        raise InputError(f"unknown square side {side!r}")
-    turns = {"bottom": 0, "right": 1, "top": 2, "left": 3}[side]
-    if turns == 0:
-        identity = lambda xy: np.asarray(xy, dtype=np.float64)
-        return identity, identity
-
-    # rotate by -90 degrees ``turns`` times about the center
-    def fwd(xy: np.ndarray) -> np.ndarray:
-        p = np.asarray(xy, dtype=np.float64) - _SQUARE_CENTER
-        for _ in range(turns):
-            p = np.stack([p[..., 1], -p[..., 0]], axis=-1)
-        return p + _SQUARE_CENTER
-
-    def inv(xy: np.ndarray) -> np.ndarray:
-        p = np.asarray(xy, dtype=np.float64) - _SQUARE_CENTER
-        for _ in range((4 - turns) % 4):
-            p = np.stack([p[..., 1], -p[..., 0]], axis=-1)
-        return p + _SQUARE_CENTER
-
-    return fwd, inv
+def _quarter_turns(xy, turns: int) -> np.ndarray:
+    """``xy`` rotated by -90 degrees ``turns`` times (mod 4) about the center."""
+    p = np.asarray(xy, dtype=np.float64)
+    if turns % 4 == 0:
+        return p
+    p = p - _SQUARE_CENTER
+    for _ in range(turns % 4):
+        p = np.stack([p[..., 1], -p[..., 0]], axis=-1)
+    return p + _SQUARE_CENTER
 
 
 def envelope_path(points, side: str = "bottom") -> ExtendedPath:
@@ -415,10 +420,11 @@ def envelope_path(points, side: str = "bottom") -> ExtendedPath:
     Anchors are the two corners of the excluded side.  Points must lie in
     the closed region (square minus open center triangle).
     """
-    if side not in _SIDE_CORNERS:
+    if side not in _SIDE_TURNS:
         raise InputError(f"unknown square side {side!r}")
-    fwd, inv = _side_isometry(side)
-    coords = fwd(_planar_coords(points))  # canonical frame: excluded side at the bottom
+    turns = _SIDE_TURNS[side]
+    # canonical frame: excluded side at the bottom
+    coords = _quarter_turns(_planar_coords(points), turns)
     tol = 1e-9
     if coords.size and (coords.min() < -tol or coords.max() > 1.0 + tol):
         raise InputError("points must lie in the unit square")
@@ -436,17 +442,10 @@ def envelope_path(points, side: str = "bottom") -> ExtendedPath:
     uniq_idx, expand = _collapse_duplicates(coords)
     upper = [i for i in uniq_idx if side_val[i] >= 0.0]
     lower = [i for i in uniq_idx if side_val[i] < 0.0]
-    pts = _tuples(coords)
-    seq_l, _ = _with_recursion_room(
-        lambda: _rt_seq(pts, (0.0, 0.0), (1.0, 1.0), (0.0, 1.0), upper))
-    seq_r, _ = _with_recursion_room(
-        lambda: _rt_seq(pts, (1.0, 1.0), (1.0, 0.0), (0.5, 0.5), lower))
-    u = coords[seq_l[-1]] if seq_l else ca
-    w = coords[seq_r[0]] if seq_r else cb
-    if float(np.dot(u - c_far, w - c_far)) < -SHORTCUT_DOT_TOL:
-        raise CertificateError("shortcut angle exceeds 90 degrees at the far corner")
+    seq_l, seq_r = _splice(_tuples(coords), (0.0, 0.0), (1.0, 1.0), (0.0, 1.0), upper,
+                           (1.0, 0.0), (0.5, 0.5), lower, "the far corner")
     order = tuple(_expand(seq_l + seq_r, expand))
-    path = ExtendedPath(inv(ca), inv(cb), order)
+    path = ExtendedPath(_quarter_turns(ca, -turns), _quarter_turns(cb, -turns), order)
     _assert_budget(path.cost_sq(_planar_coords(points)), 3.0)
     return path
 
@@ -474,27 +473,17 @@ def newman_square_tour(points: PointSet, diagonal: str = "main") -> Tour:
     else:
         raise InputError(f"unknown diagonal {diagonal!r}")
 
-    j0 = np.array([0.0, 0.0])
-    j1 = np.array([1.0, 1.0])
+    j0, j1 = (0.0, 0.0), (1.0, 1.0)
     uniq_idx, expand = _collapse_duplicates(work)
     low = [i for i in uniq_idx if work[i, 1] - work[i, 0] <= 0.0]  # ties: lower
     up = [i for i in uniq_idx if work[i, 1] - work[i, 0] > 0.0]
     pts = _tuples(work)
-    seq_low, _ = _with_recursion_room(
-        lambda: _rt_seq(pts, (0.0, 0.0), (1.0, 1.0), (1.0, 0.0), low))
-    seq_up, _ = _with_recursion_room(
-        lambda: _rt_seq(pts, (1.0, 1.0), (0.0, 0.0), (0.0, 1.0), up))
-
     # cyclic chain J0 -> seq_low -> J1 -> seq_up -> (J0); shortcut the
     # virtual junctions against their current cyclic neighbors
-    u1 = work[seq_low[-1]] if seq_low else j0
-    w1 = work[seq_up[0]] if seq_up else j0
-    if float(np.dot(u1 - j1, w1 - j1)) < -SHORTCUT_DOT_TOL:
-        raise CertificateError("shortcut angle exceeds 90 degrees at a corner")
-    u0 = work[seq_up[-1]] if seq_up else (work[seq_low[-1]] if seq_low else j1)
-    w0 = work[seq_low[0]] if seq_low else (work[seq_up[0]] if seq_up else j1)
-    if float(np.dot(u0 - j0, w0 - j0)) < -SHORTCUT_DOT_TOL:
-        raise CertificateError("shortcut angle exceeds 90 degrees at a corner")
+    seq_low, seq_up = _splice(pts, j0, j1, (1.0, 0.0), low, j0, (0.0, 1.0), up, "a corner")
+    u0 = pts[seq_up[-1]] if seq_up else (pts[seq_low[-1]] if seq_low else j1)
+    w0 = pts[seq_low[0]] if seq_low else (pts[seq_up[0]] if seq_up else j1)
+    _check_shortcut(u0, j0, w0, "a corner")
 
     order = _expand(seq_low + seq_up, expand)
     tour = tour_from_order(points, order)

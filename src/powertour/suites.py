@@ -22,7 +22,7 @@ from .constructions import (cube_vertex_subset, diagonal_pair, k3_code4,
                             square_tight_sets)
 from .errors import InputError
 from .geometry import cycle_upper_improved, point_set, power_cost
-from .greedy import greedy_ham_path
+from .greedy import greedy_edge_count_by_length, greedy_ham_path
 from .mst import build_mst, mst_ball_packing_check
 from .oracle import (closest_pair_bound_check, exact_min_matching, exact_min_tour,
                      max_pairwise_square_sum)
@@ -171,10 +171,9 @@ def suite_bincode(trials: int = 200, seed: int = DEFAULT_SEED,
         n = int(rng.integers(3, min(2 ** k, 260) + 1))
         pts = cube_vertex_subset(k, n, int(rng.integers(0, 2 ** 31)))
         _path, trace = greedy_ham_path(pts)
-        sq = sorted(round(e.weight * e.weight) for e in trace)
         bad = 0
         for j in range(1, k + 1):
-            count = sum(1 for s in sq if s >= j)
+            count = greedy_edge_count_by_length(trace, j)
             if count >= 2.0 ** (k - j + 1):
                 bad += 1
             if j < 2 * k / 3 and count >= 2.0 ** (k - 1.5 * j + 2):

@@ -196,6 +196,20 @@ def test_bench_oracle_guard():
     assert run_cli("bench", "--k", "2", "--n", "20", "--algos", "oracle") == 1
 
 
+def test_bench_checks_whole_grid_before_any_row(monkeypatch, capsys):
+    import powertour.cli as cli
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a row was computed before the grid was checked")
+
+    monkeypatch.setattr(cli, "_run_algo", unreachable)
+    for grid in (("--k", "2..3", "--n", "5,30", "--algos", "mst-sekanina,greedy,oracle"),
+                 ("--k", "2..3", "--n", "5", "--algos", "newman2d"),
+                 ("--k", "2,1", "--n", "5", "--algos", "greedy,mst-sekanina")):
+        assert run_cli("bench", *grid, "--no-timestamp") == 1
+        assert capsys.readouterr().out == ""
+
+
 def test_verify_bounds_sweep_with_ranges(capsys):
     assert run_cli("verify", "bounds-sweep", "--k", "3..4", "--n", "2..40",
                    "--trials", "5", "--no-timestamp") == 0

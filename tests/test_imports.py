@@ -31,3 +31,23 @@ def test_no_module_imports_a_private_sibling_name():
     assert modules
     found = {p.name: private_sibling_imports(p.read_text()) for p in modules}
     assert {name: names for name, names in found.items() if names} == {}
+
+
+def recursion_limit_calls(source: str) -> int:
+    """Number of calls to ``setrecursionlimit``, as ``sys.setrecursionlimit``
+    or a bare imported name."""
+    calls = [n.func for n in ast.walk(ast.parse(source)) if isinstance(n, ast.Call)]
+    return sum((isinstance(f, ast.Attribute) and f.attr == "setrecursionlimit")
+               or (isinstance(f, ast.Name) and f.id == "setrecursionlimit") for f in calls)
+
+
+def test_recursion_limit_detector_flags_both_forms():
+    assert recursion_limit_calls("import sys\nsys.setrecursionlimit(10 ** 5)\n"
+                                 "from sys import setrecursionlimit\nsetrecursionlimit(9)\n"
+                                 "sys.getrecursionlimit()\n") == 2
+
+
+def test_no_module_changes_the_recursion_limit():
+    """The limit is process-wide, and suites run on threads."""
+    found = {p.name: recursion_limit_calls(p.read_text()) for p in sorted(PACKAGE.glob("*.py"))}
+    assert {name: n for name, n in found.items() if n} == {}

@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from powertour.errors import InputError
+from powertour import planar
+from powertour.errors import CertificateError, InputError
 from powertour.geometry import Container, point_set
-from powertour.planar import (RightTriangle, envelope_path,
-                              newman_square_tour, non_obtuse_cycle, non_obtuse_path,
-                              right_triangle_path, shortcut_ok)
+from powertour.planar import (SHORTCUT_DOT_TOL, RightTriangle, _assert_budget,
+                              envelope_path, newman_square_tour, non_obtuse_cycle,
+                              non_obtuse_path, right_triangle_path, shortcut_ok)
 from powertour.structures import validate
 
 RT = RightTriangle(A=np.array([1.0, 0.0]), B=np.array([0.0, 1.0]), C=np.array([0.0, 0.0]))
@@ -255,3 +256,183 @@ def test_square_tour_needs_two_points():
 def test_square_tour_requires_planar():
     with pytest.raises(InputError):
         newman_square_tour(point_set([[0.5, 0.5, 0.5], [0.1, 0.1, 0.1]]))
+
+
+def recursive_rt_seq(coords, A, B, C, idx):
+    """Reference engine: the altitude recursion that ``planar._rt_seq``
+    runs on a worklist.  Same arguments and result; orders must match
+    exactly and costs bit for bit."""
+    ax, ay = A
+    bx, by = B
+    abx = bx - ax
+    aby = by - ay
+    c2 = abx * abx + aby * aby
+    if not idx:
+        return [], c2
+    if len(idx) == 1:
+        px, py = coords[idx[0]]
+        cost = ((px - ax) ** 2 + (py - ay) ** 2
+                + (bx - px) ** 2 + (by - py) ** 2)
+        _assert_budget(cost, c2)
+        return list(idx), cost
+    if c2 <= 1e-30:
+        seq = list(idx)
+        cost = _reference_chain_cost(coords, A, B, seq)
+        _assert_budget(cost, max(c2, 0.0))
+        return seq, cost
+    cx, cy = C
+    t = ((cx - ax) * abx + (cy - ay) * aby) / c2
+    hx = ax + t * abx
+    hy = ay + t * aby
+    height_sq = (cx - hx) ** 2 + (cy - hy) ** 2
+    if height_sq <= 1e-18 * c2:
+        seq = sorted(idx, key=lambda i: ((coords[i][0] - ax) * abx
+                                         + (coords[i][1] - ay) * aby, i))
+        cost = _reference_chain_cost(coords, A, B, seq)
+        _assert_budget(cost, c2)
+        return seq, cost
+    left, right = [], []
+    for i in idx:
+        px, py = coords[i]
+        if (px - hx) * abx + (py - hy) * aby <= 0.0:
+            left.append(i)
+        else:
+            right.append(i)
+    H = (hx, hy)
+    seq_l, cost_l = recursive_rt_seq(coords, A, C, H, left)
+    seq_r, cost_r = recursive_rt_seq(coords, C, B, H, right)
+    ux, uy = coords[seq_l[-1]] if seq_l else A
+    wx, wy = coords[seq_r[0]] if seq_r else B
+    if (ux - cx) * (wx - cx) + (uy - cy) * (wy - cy) < -SHORTCUT_DOT_TOL:
+        raise CertificateError("shortcut angle exceeds 90 degrees at a junction")
+    cost = (cost_l + cost_r
+            - ((ux - cx) ** 2 + (uy - cy) ** 2)
+            - ((cx - wx) ** 2 + (cy - wy) ** 2)
+            + ((ux - wx) ** 2 + (uy - wy) ** 2))
+    _assert_budget(cost, c2)
+    return seq_l + seq_r, cost
+
+
+def _reference_chain_cost(coords, A, B, seq):
+    ch = [A] + [coords[i] for i in seq] + [B]
+    return float(sum((ch[i][0] - ch[i + 1][0]) ** 2 + (ch[i][1] - ch[i + 1][1]) ** 2
+                     for i in range(len(ch) - 1)))
+
+
+LOWER_RT = RightTriangle(np.array([0.0, 0.0]), np.array([1.0, 1.0]), np.array([1.0, 0.0]))
+ISO_RT = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])  # apex altitude: the diagonal
+EQ = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 0.8]])
+
+
+def _inside(X, tri):
+    return np.array([p for p in X if planar._point_in_triangle(p, *tri, 1e-9)]).reshape(-1, 2)
+
+
+def _outside_envelope_hole(X, side):
+    Y = planar._quarter_turns(X, planar._SIDE_TURNS[side])
+    return X[~(Y[:, 1] < np.minimum(Y[:, 0], 1.0 - Y[:, 0]) - 1e-12)]
+
+
+def _outcome(build, pts):
+    """(order, cost as float.hex) of one construction, or what it raised."""
+    try:
+        out = build()
+    except CertificateError as ex:
+        return ("raised", str(ex))
+    if isinstance(out, planar.ExtendedPath):
+        return (out.order, out.cost_sq(pts).hex(), out.start.tobytes(), out.end.tobytes())
+    return (out.order, sum(e.weight ** 2 for e in out.edges).hex())
+
+
+def all_constructions(X):
+    """Outcome of every public planar construction on the parts of the
+    unit-square sample ``X`` that each one accepts."""
+    out = {}
+    if len(X) >= 2:
+        ps = point_set(X)
+        for d in ("main", "anti"):
+            out["square-" + d] = _outcome(lambda: newman_square_tour(ps, d), X)
+    L = X[X[:, 1] <= X[:, 0]]
+    out["right"] = _outcome(lambda: right_triangle_path(LOWER_RT, L), L)
+    for name, tri in (("iso", ISO_RT), ("eq", EQ)):
+        T = _inside(X, tri)
+        out["non-obtuse-" + name] = _outcome(lambda: non_obtuse_path(tri, T), T)
+    for side in ("bottom", "right", "top", "left"):
+        E = _outside_envelope_hole(X, side)
+        out["envelope-" + side] = _outcome(lambda: envelope_path(E, side), E)
+    return out
+
+
+def assert_matches_recursive_reference(monkeypatch, X):
+    got = all_constructions(X)
+    with monkeypatch.context() as m:
+        m.setattr(planar, "_rt_seq", recursive_rt_seq)
+        want = all_constructions(X)
+    assert got == want
+
+
+def _lattice(rng, n, m):
+    return rng.integers(0, m + 1, size=(n, 2)) / m
+
+
+def test_worklist_engine_matches_recursion_bit_for_bit():
+    rng = np.random.default_rng(21)
+    A, B, C = (0.0, 0.0), (1.0, 1.0), (1.0, 0.0)
+    for trial in range(60):
+        n = int(rng.integers(0, 90))
+        X = rng.uniform(size=(n, 2)) if trial % 2 else _lattice(rng, n, int(rng.integers(1, 9)))
+        X = np.sort(X, axis=1)[:, ::-1]  # x >= y: inside the triangle
+        pts = [(float(x), float(y)) for x, y in X]
+        idx = sorted({p: i for i, p in enumerate(pts)}.values())  # one index per location
+        seq, cost = planar._rt_seq(pts, A, B, C, idx)
+        ref_seq, ref_cost = recursive_rt_seq(pts, A, B, C, idx)
+        assert seq == ref_seq
+        assert cost.hex() == ref_cost.hex()
+
+
+def test_constructions_match_reference_on_random_points(monkeypatch):
+    rng = np.random.default_rng(22)
+    for _ in range(25):
+        n = int(rng.integers(2, 120))
+        assert_matches_recursive_reference(monkeypatch, rng.uniform(size=(n, 2)))
+
+
+def test_constructions_match_reference_on_lattices_with_repeats(monkeypatch):
+    rng = np.random.default_rng(23)
+    for _ in range(40):
+        n = int(rng.integers(2, 80))
+        assert_matches_recursive_reference(monkeypatch, _lattice(rng, n, int(rng.integers(1, 9))))
+
+
+def test_constructions_match_reference_on_diagonals_and_altitudes(monkeypatch):
+    t = np.linspace(0.0, 1.0, 21)
+    diagonal = np.column_stack([t, t])  # main diagonal: lower triangle, iso altitude
+    anti = np.column_stack([t, 1.0 - t])  # anti-diagonal: LOWER_RT's altitude
+    corners = np.array([[0, 0], [1, 0], [1, 1], [0, 1], [0.5, 0.5]], dtype=float)
+    for X in (diagonal, anti, np.vstack([diagonal, anti]), np.vstack([diagonal, corners]),
+              np.repeat(anti[::4], 3, axis=0)):
+        assert_matches_recursive_reference(monkeypatch, X)
+
+
+lattice_samples = st.integers(1, 8).flatmap(
+    lambda m: st.lists(st.tuples(st.integers(0, m), st.integers(0, m)), min_size=2, max_size=40)
+    .map(lambda cells: np.array(cells, dtype=float) / m))
+
+
+@settings(max_examples=60, deadline=None)
+@given(lattice_samples)
+def test_constructions_match_reference_on_lattice_property(X):
+    with pytest.MonkeyPatch.context() as mp:
+        assert_matches_recursive_reference(mp, X)
+
+
+def test_right_triangle_path_skinny_triangle_deep_splits():
+    """Legs in ratio 1:200: the altitude splits nest far beyond Python's
+    recursion limit, so only an explicit worklist finishes."""
+    eps = 0.005
+    A, B = np.array([0.0, 0.0]), np.array([1.0, 0.0])
+    C = np.array([eps * eps, eps * math.sqrt(1.0 - eps * eps)])
+    X = sample_in_triangle(A, B, C, 50, np.random.default_rng(0))
+    ep = right_triangle_path(RightTriangle(A, B, C), X)
+    assert sorted(ep.order) == list(range(50))
+    assert ep.cost_sq(X) <= 1.0 + 1e-9
