@@ -25,7 +25,7 @@ from datetime import datetime, timezone
 
 from . import constructions
 from .errors import CertificateError, InputError
-from .geometry import PointSet, point_set, power_cost
+from .geometry import PointSet, check_dense_size, point_set, power_cost
 from .greedy import greedy_ham_path
 from .oracle import MAX_EXACT_TOUR, exact_min_tour
 from .planar import newman_square_tour
@@ -230,6 +230,8 @@ def cmd_bench(args) -> int:
             raise InputError("newman2d rows require k = 2")
         if algo == "oracle" and n > MAX_EXACT_TOUR:
             raise InputError(f"oracle rows require n <= {MAX_EXACT_TOUR}")
+        if algo in ("mst-sekanina", "greedy", "two-phase"):
+            check_dense_size(n)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["k", "n", "algo", "S_k", "s_k", "time_s"])

@@ -20,7 +20,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, SizeError
 
 # Default comparison tolerances; callers may override per call.
 REL_TOL = 1e-9
@@ -145,6 +145,22 @@ def euclidean_distance(a, b) -> float:
 
 def make_edge(points: PointSet, u: int, v: int) -> Edge:
     return Edge(u, v, euclidean_distance(points.coords[u], points.coords[v]))
+
+
+#: Most points the dense paths accept (``build_mst``, ``build_threshold_forest``,
+#: ``greedy_ham_path``): each holds an n x n float matrix, and the Kruskal
+#: scans 24 bytes per pair besides, about 2 GB at the cap.
+MAX_DENSE_POINTS = 10_000
+
+
+def check_dense_size(n: int) -> None:
+    """Raise SizeError, before anything is allocated, when n points exceed
+    ``MAX_DENSE_POINTS``.  The estimate is the Kruskal scans' need: 8 n^2
+    bytes of matrix and 24 bytes per pair (the greedy needs the matrix)."""
+    if n > MAX_DENSE_POINTS:
+        need = 8 * n * n + 24 * (n * (n - 1) // 2)
+        raise SizeError(f"dense paths capped at n = {MAX_DENSE_POINTS}, got n = {n} "
+                        f"(up to about {need:,} bytes)")
 
 
 def pairwise_sq(coords: np.ndarray) -> np.ndarray:

@@ -33,7 +33,7 @@ import math
 import numpy as np
 
 from .errors import InputError
-from .geometry import Edge, PointSet, pairwise_sq
+from .geometry import Edge, PointSet, check_dense_size, pairwise_sq
 from .structures import HamPath, PathSystem, path_from_order, validate
 
 
@@ -90,6 +90,7 @@ def greedy_ham_path(points: PointSet, warm_start: PathSystem | None = None
     n = points.n
     if n < 2:
         raise InputError("need at least 2 points")
+    check_dense_size(n)
     if warm_start is None:
         system = PathSystem(n)
     else:

@@ -440,8 +440,10 @@ def envelope_path(points, side: str = "bottom") -> ExtendedPath:
     # split along the diagonal ca -> c_far; the center lies on it
     side_val = coords[:, 1] - coords[:, 0]  # > 0 above the diagonal
     uniq_idx, expand = _collapse_duplicates(coords)
-    upper = [i for i in uniq_idx if side_val[i] >= 0.0]
-    lower = [i for i in uniq_idx if side_val[i] < 0.0]
+    # the same tol as the membership test: a rotated point on the excluded
+    # triangle's boundary may land a rounding error below the diagonal
+    upper = [i for i in uniq_idx if side_val[i] >= -tol]
+    lower = [i for i in uniq_idx if side_val[i] < -tol]
     seq_l, seq_r = _splice(_tuples(coords), (0.0, 0.0), (1.0, 1.0), (0.0, 1.0), upper,
                            (1.0, 0.0), (0.5, 0.5), lower, "the far corner")
     order = tuple(_expand(seq_l + seq_r, expand))

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+import powertour.geometry
 import powertour.mst
 from powertour.cli import main
 from powertour.constructions import k3_code4, load_point_set, save_point_set, uniform_cube
@@ -149,6 +150,15 @@ def test_tour_oracle_size_guard(tmp_path):
     assert run_cli("tour", str(src), "--algo", "oracle") == 1
 
 
+@pytest.mark.parametrize("algo", ["mst-sekanina", "two-phase", "greedy"])
+def test_tour_dense_size_guard(tmp_path, monkeypatch, capsys, algo):
+    src = tmp_path / "u.json"
+    run_cli("gen", "uniform", "--k", "3", "--n", "13", "--seed", "0", "-o", str(src))
+    monkeypatch.setattr(powertour.geometry, "MAX_DENSE_POINTS", 12)
+    assert run_cli("tour", str(src), "--algo", algo) == 1
+    assert "dense paths capped at n = 12, got n = 13" in capsys.readouterr().err
+
+
 def test_tour_missing_file():
     assert run_cli("tour", "/nonexistent/file.json", "--algo", "greedy") == 1
 
@@ -207,6 +217,11 @@ def test_bench_checks_whole_grid_before_any_row(monkeypatch, capsys):
                  ("--k", "2..3", "--n", "5", "--algos", "newman2d"),
                  ("--k", "2,1", "--n", "5", "--algos", "greedy,mst-sekanina")):
         assert run_cli("bench", *grid, "--no-timestamp") == 1
+        assert capsys.readouterr().out == ""
+    monkeypatch.setattr(powertour.geometry, "MAX_DENSE_POINTS", 12)
+    for algo in ("mst-sekanina", "greedy", "two-phase"):
+        assert run_cli("bench", "--k", "3", "--n", "5,13", "--algos", algo,
+                       "--no-timestamp") == 1
         assert capsys.readouterr().out == ""
 
 

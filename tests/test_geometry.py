@@ -5,8 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from powertour.errors import InputError
-from powertour.geometry import (Container, Edge, euclidean_distance, named_bounds,
+import powertour.geometry
+import powertour.greedy
+import powertour.mst
+from powertour.errors import InputError, SizeError
+from powertour.geometry import (MAX_DENSE_POINTS, Container, Edge, euclidean_distance,
+                                named_bounds,
                                 point_set, power_cost_from_weights)
 
 # extended-precision evaluation of 3*sqrt(5)*(2/3)^(1/3)*sqrt(3)
@@ -164,3 +168,29 @@ def test_point_set_is_immutable():
 def test_edge_rejects_loops():
     with pytest.raises(InputError):
         Edge(3, 3, 0.0)
+
+
+def test_dense_cap_leaves_room_above_benchmark_sizes():
+    assert MAX_DENSE_POINTS >= 5 * 2000
+
+
+@pytest.mark.parametrize("build", [
+    powertour.mst.build_mst,
+    lambda pts: powertour.mst.build_threshold_forest(pts, 0.5),
+    powertour.greedy.greedy_ham_path,
+], ids=["mst", "forest", "greedy"])
+def test_dense_paths_refuse_points_beyond_the_cap_before_allocating(monkeypatch, build):
+    def no_matrix(coords):
+        raise AssertionError("the dense matrix was built")
+
+    monkeypatch.setattr(powertour.geometry, "MAX_DENSE_POINTS", 10)
+    monkeypatch.setattr(powertour.mst, "pairwise_sq", no_matrix)
+    monkeypatch.setattr(powertour.greedy, "pairwise_sq", no_matrix)
+    pts = point_set(np.random.default_rng(0).uniform(size=(11, 3)))
+    with pytest.raises(SizeError) as info:
+        build(pts)
+    assert "n = 11" in str(info.value)
+    assert f"about {8 * 11 * 11 + 24 * 55:,} bytes" in str(info.value)
+    monkeypatch.undo()
+    monkeypatch.setattr(powertour.geometry, "MAX_DENSE_POINTS", 11)
+    build(pts)

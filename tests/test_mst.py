@@ -1,10 +1,14 @@
+import functools
 import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from powertour.constructions import clustered, cube_vertex_subset
+from powertour import mst
+from powertour.constructions import clustered, cube_vertex_subset, uniform_cube
 from powertour.geometry import Edge, pairwise_sq, point_set
 from powertour.mst import _DSU, build_mst, build_threshold_forest, mst_ball_packing_check
 from powertour.structures import SpanningTree, tree_from_pairs, validate
@@ -92,19 +96,37 @@ def test_mst_single_point():
     assert tree.n == 1 and tree.edges == ()
 
 
+def sorted_pairs(points, cutoff=math.inf):
+    """Every pair u < v of length <= cutoff with its squared length, in
+    (d^2, u, v) order, from one sort of all n(n-1)/2 pairs."""
+    iu, iv = np.triu_indices(points.n, k=1)
+    d2 = pairwise_sq(points.coords)[iu, iv]
+    order = np.lexsort((iv, iu, d2))
+    iu, iv, d2 = iu[order], iv[order], d2[order]
+    keep = d2 <= cutoff * cutoff
+    return zip(iu[keep].tolist(), iv[keep].tolist(), d2[keep].tolist())
+
+
+def full_scan_mst(points):
+    """Reference MST: Kruskal over the full sort of every pair."""
+    n = points.n
+    dsu = _DSU(n)
+    edges = []
+    for u, v, dd in sorted_pairs(points):
+        if len(edges) == n - 1:
+            break
+        if dsu.union(u, v):
+            edges.append(Edge(u, v, math.sqrt(dd)))
+    return SpanningTree(tuple(range(n)), tuple(edges))
+
+
 def full_scan_forest(points, cutoff):
     """Reference forest: Kruskal over every pair of weight <= cutoff, with
     no early stop, edges regrouped per final root by a scan over roots."""
     n = points.n
-    d2 = pairwise_sq(points.coords)
-    iu, iv = np.triu_indices(n, k=1)
-    d2 = d2[iu, iv]
-    order = np.lexsort((iv, iu, d2))
-    iu, iv, d2 = iu[order], iv[order], d2[order]
-    keep = d2 <= cutoff * cutoff
     dsu = _DSU(n)
     comp_edges = {}
-    for u, v, dd in zip(iu[keep].tolist(), iv[keep].tolist(), d2[keep].tolist()):
+    for u, v, dd in sorted_pairs(points, cutoff):
         if dsu.union(u, v):
             comp_edges.setdefault(dsu.find(u), []).append(Edge(u, v, math.sqrt(dd)))
     groups = {}
@@ -121,30 +143,218 @@ def full_scan_forest(points, cutoff):
     return trees
 
 
-def duplicated(points, seed):
+def tree_key(tree):
+    """Vertices, edge order and exact weights of a tree."""
+    return tree.vertices, [(e.u, e.v, e.weight.hex()) for e in tree.edges]
+
+
+def repeated(points, copies, seed):
     gen = np.random.default_rng(seed)
-    coords = np.repeat(points.coords, 2, axis=0)
+    coords = np.repeat(points.coords, copies, axis=0)
     return point_set(coords[gen.permutation(len(coords))])
 
 
-@pytest.mark.parametrize("make", [
+def grid(k, m, copies, seed):
+    """The (m x ... x m) lattice of the unit cube, each point ``copies``
+    times, shuffled."""
+    axis = np.linspace(0.0, 1.0, m)
+    return repeated(point_set(list(itertools.product(axis, repeat=k))), copies, seed)
+
+
+def watch_sorts(monkeypatch, calls=None):
+    """Replace ``np.lexsort`` with a wrapper that fails on an empty sort (a
+    filter round that takes no pair would repeat forever) and appends each
+    call's (min index, max index, d^2) keys to ``calls`` when given."""
+    lexsort = np.lexsort
+
+    def watched(keys):
+        v, u, d2 = keys
+        assert len(d2), "a round took no pair"
+        if calls is not None:
+            calls.append((u.tolist(), v.tolist(), d2.tolist()))
+        return lexsort(keys)
+
+    monkeypatch.setattr(np, "lexsort", watched)
+
+
+def use_many_rounds(monkeypatch):
+    """One pair per point and no floor: many rounds, and ties at the pivot
+    on lattices and cube vertices."""
+    monkeypatch.setattr(mst, "_ROUND_PER_POINT", 1)
+    monkeypatch.setattr(mst, "_ROUND_FLOOR", 0)
+
+
+@pytest.fixture(params=["default", "many"])
+def rounds(request, monkeypatch):
+    """The filter rounds as shipped, or ``use_many_rounds``."""
+    if request.param == "many":
+        use_many_rounds(monkeypatch)
+    watch_sorts(monkeypatch)
+    return request.param
+
+
+TIED_INPUTS = {
+    "cube-vertex-k4": lambda: cube_vertex_subset(4, 16, 40),
+    "cube-vertex-k6": lambda: cube_vertex_subset(6, 50, 41),
+    "cube-vertex-k12": lambda: cube_vertex_subset(12, 300, 42),
+    "grid-2d-duplicates": lambda: grid(2, 7, 2, 43),
+    "grid-3d-duplicates": lambda: grid(3, 4, 2, 44),
+    "tripled": lambda: repeated(random_points(45, 40, 3), 3, 45),
+    "clustered": lambda: clustered(4, 200, 5, 0.05, 46),
+}
+
+#: The tour-large benchmark inputs (n = 2000), by generator and seed.
+TOUR_LARGE = {
+    f"{name}-seed{seed}": functools.partial(make, seed=seed)
+    for seed in (1, 5)
+    for name, make in (
+        ("uniform-k3", lambda seed: uniform_cube(3, 2000, seed)),
+        ("clustered-k8", lambda seed: clustered(8, 2000, 8, 0.05, seed)),
+        ("cube-vertex-k12", lambda seed: cube_vertex_subset(12, 2000, seed)),
+    )
+}
+
+
+@functools.lru_cache(maxsize=None)
+def tour_large_reference(name):
+    """Input, reference MST and reference forest at the two-phase default
+    cutoff k^(-1/4), computed once per input."""
+    points = TOUR_LARGE[name]()
+    cutoff = points.k ** -0.25
+    return points, cutoff, full_scan_mst(points), full_scan_forest(points, cutoff)
+
+
+@pytest.mark.parametrize("name", TIED_INPUTS)
+def test_mst_matches_full_sort_on_tied_inputs(name, rounds):
+    points = TIED_INPUTS[name]()
+    assert tree_key(build_mst(points)) == tree_key(full_scan_mst(points))
+
+
+@pytest.mark.parametrize("name", TOUR_LARGE)
+def test_mst_and_forest_match_full_sort_on_tour_large_inputs(name, rounds):
+    points, cutoff, ref_mst, ref_forest = tour_large_reference(name)
+    assert tree_key(build_mst(points)) == tree_key(ref_mst)
+    assert [tree_key(t) for t in build_threshold_forest(points, cutoff)] == \
+        [tree_key(t) for t in ref_forest]
+
+
+lattices_with_repeats = st.tuples(st.integers(1, 3), st.integers(1, 5)).flatmap(
+    lambda km: st.tuples(
+        st.lists(st.tuples(*[st.integers(0, km[1])] * km[0]), min_size=1, max_size=40)
+        .map(lambda cells: point_set(np.array(cells, dtype=float) / km[1])),
+        st.integers(0, km[0] * km[1] ** 2).map(lambda j: math.sqrt(j) / km[1]),
+        st.booleans()))
+
+
+@settings(max_examples=80, deadline=None)
+@given(lattices_with_repeats)
+def test_mst_and_forest_match_full_sort_on_lattice_property(case):
+    """Lattice points with repeats tie everywhere; the cutoff lands on a
+    lattice distance."""
+    points, cutoff, many = case
+    want_mst = tree_key(full_scan_mst(points))
+    want_forest = [tree_key(t) for t in full_scan_forest(points, cutoff)]
+    with pytest.MonkeyPatch.context() as mp:
+        if many:
+            use_many_rounds(mp)
+        watch_sorts(mp)
+        assert tree_key(build_mst(points)) == want_mst
+        assert [tree_key(t) for t in build_threshold_forest(points, cutoff)] == want_forest
+
+
+@pytest.mark.parametrize("name", [*TIED_INPUTS, "clustered-k8-seed1"])
+@pytest.mark.parametrize("cut", [math.inf, 1.0])
+def test_each_round_sorts_only_joinable_pairs_heavier_than_the_last(monkeypatch, name, cut):
+    """One pair per point and no floor.  Every pair a round sorts is
+    heavier than all pairs of earlier rounds (ties are never split) and
+    joins two components that earlier rounds left apart (the filter used
+    the roots after the last scan)."""
+    points = TIED_INPUTS[name]() if name in TIED_INPUTS else TOUR_LARGE[name]()
+    use_many_rounds(monkeypatch)
+    calls = []
+    watch_sorts(monkeypatch, calls)
+    accepted, seen = [], []
+    kruskal = mst._kruskal(points, cut * cut)
+    while True:
+        before = len(calls)
+        pair = next(kruskal, None)
+        # a round's sort happens before its first accepted pair
+        seen.extend([len(accepted)] * (len(calls) - before))
+        if pair is None:
+            break
+        accepted.append(pair)
+    monkeypatch.undo()
+    assert calls, "nothing was sorted"
+    dsu = _DSU(points.n)
+    done, heaviest = 0, -math.inf
+    for (us, vs, d2s), joined in zip(calls, seen):
+        for u, v, _ in accepted[done:joined]:
+            dsu.union(u, v)
+        done = joined
+        assert min(d2s) > heaviest
+        heaviest = max(d2s)
+        assert all(dsu.find(u) != dsu.find(v) for u, v in zip(us, vs))
+
+
+def sorted_pair_count(monkeypatch, build):
+    calls = []
+    watch_sorts(monkeypatch, calls)
+    build()
+    monkeypatch.undo()
+    return sum(len(u) for u, _v, _d2 in calls)
+
+
+@pytest.mark.parametrize("name", ["uniform-k3-seed1", "clustered-k8-seed1"])
+def test_mst_sorts_under_a_tenth_of_the_pairs(monkeypatch, name):
+    """A fall-back to one full sort of all pairs fails here."""
+    points = TOUR_LARGE[name]()
+    pairs = points.n * (points.n - 1) // 2
+    assert sorted_pair_count(monkeypatch, lambda: build_mst(points)) < 0.1 * pairs
+
+
+def test_forest_on_cube_vertices_below_unit_distance_sorts_nothing(monkeypatch):
+    """Cube vertices lie at distance >= 1; the two-phase cutoff 12^(-1/4) < 1
+    drops every pair before the first round."""
+    points = TOUR_LARGE["cube-vertex-k12-seed1"]()
+    trees = []
+    assert sorted_pair_count(
+        monkeypatch, lambda: trees.extend(build_threshold_forest(points, 12 ** -0.25))) == 0
+    assert len(trees) == points.n
+
+
+forest_inputs = pytest.mark.parametrize("make", [
     lambda: random_points(30, 60, 3),
-    lambda: duplicated(random_points(31, 40, 2), 31),
-    lambda: duplicated(cube_vertex_subset(5, 20, 32), 32),
+    lambda: repeated(random_points(31, 40, 2), 2, 31),
+    lambda: repeated(cube_vertex_subset(5, 20, 32), 2, 32),
     lambda: clustered(4, 120, 5, 0.05, 33),
     lambda: cube_vertex_subset(8, 90, 34),
 ], ids=["uniform", "duplicated", "duplicated-cube", "clustered", "cube-vertex"])
-@pytest.mark.parametrize("cutoff", [0.0, 0.1, 0.5, 1.0, "diameter"])
-def test_threshold_forest_matches_full_scan(make, cutoff):
-    """Early stop and one-pass regrouping keep the trees, their order and
-    each tree's edge order; the forest is the MST restricted to the cutoff."""
-    points = make()
+forest_cutoffs = pytest.mark.parametrize("cutoff", [0.0, 0.1, 0.5, 1.0, "diameter"])
+
+
+def assert_forest_matches_full_scan(points, cutoff):
     if cutoff == "diameter":
         cutoff = math.sqrt(points.k)
     trees = build_threshold_forest(points, cutoff)
     assert trees == full_scan_forest(points, cutoff)
     kept = sorted(e.key() for e in build_mst(points).edges if e.weight <= cutoff)
     assert sorted(e.key() for t in trees for e in t.edges) == kept
+
+
+@forest_inputs
+@forest_cutoffs
+def test_threshold_forest_matches_full_scan(make, cutoff):
+    """Early stop and one-pass regrouping keep the trees, their order and
+    each tree's edge order; the forest is the MST restricted to the cutoff."""
+    assert_forest_matches_full_scan(make(), cutoff)
+
+
+@forest_inputs
+@forest_cutoffs
+def test_threshold_forest_matches_full_scan_in_many_rounds(monkeypatch, make, cutoff):
+    use_many_rounds(monkeypatch)
+    watch_sorts(monkeypatch)
+    assert_forest_matches_full_scan(make(), cutoff)
 
 
 def test_threshold_forest_zero_cutoff(rng):

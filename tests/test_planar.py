@@ -258,6 +258,27 @@ def test_square_tour_requires_planar():
         newman_square_tour(point_set([[0.5, 0.5, 0.5], [0.1, 0.1, 0.1]]))
 
 
+@pytest.mark.parametrize("side, xy", [
+    ("left", (1 / 7, 6 / 7)), ("left", (0.3, 0.7)), ("left", (1 / 3, 2 / 3)),
+    ("left", (3 / 7, 4 / 7)), ("right", (0.8, 0.2)), ("right", (9 / 11, 2 / 11)),
+])
+def test_envelope_point_on_excluded_triangle_boundary(side, xy):
+    """The quarter turn puts these a rounding error below the canonical
+    diagonal; they still belong to the upper triangle."""
+    ep = envelope_path([xy], side=side)
+    assert ep.order == (0,)
+    assert ep.cost_sq(np.array([xy])) <= 3.0 + 1e-9
+
+
+def test_envelope_accepts_every_lattice_point_of_the_region():
+    for side in ("bottom", "right", "top", "left"):
+        for m in range(1, 12):
+            cells = np.array([(i, j) for i in range(m + 1) for j in range(m + 1)]) / m
+            for xy in _outside_envelope_hole(cells, side):
+                ep = envelope_path([xy], side=side)
+                assert ep.cost_sq(np.array([xy])) <= 3.0 + 1e-9
+
+
 def recursive_rt_seq(coords, A, B, C, idx):
     """Reference engine: the altitude recursion that ``planar._rt_seq``
     runs on a worklist.  Same arguments and result; orders must match
@@ -436,3 +457,13 @@ def test_right_triangle_path_skinny_triangle_deep_splits():
     ep = right_triangle_path(RightTriangle(A, B, C), X)
     assert sorted(ep.order) == list(range(50))
     assert ep.cost_sq(X) <= 1.0 + 1e-9
+
+
+@settings(max_examples=80, deadline=None)
+@given(lattice_samples, st.sampled_from(["bottom", "right", "top", "left"]))
+def test_envelope_path_on_lattice_property_all_sides(X, side):
+    E = _outside_envelope_hole(X, side)
+    if len(E):
+        ep = envelope_path(E, side=side)
+        assert sorted(ep.order) == list(range(len(E)))
+        assert ep.cost_sq(E) <= 3.0 + 1e-9
