@@ -1,7 +1,8 @@
 """Exact optimization on small instances, and the extremal configurations.
 
-The brute-force solvers enumerate every tour / path / perfect matching,
-so they are the ground truth the constructions are measured against.
+The exact solvers find the optimal tour / path / perfect matching with a
+Held-Karp table over vertex subsets, so they are the ground truth the
+constructions are measured against.
 The named point sets below are the ones that pin the known bounds.
 """
 
@@ -21,7 +22,7 @@ print("\n== two point sets in {0,1}^4 with the same optimal cost 32 ==")
 _t, c_diag = exact_min_tour(diagonal_pair(4), 4)
 _t, c_code = exact_min_tour(k4_even_weight_code(), 4)
 print(f"diagonal pair:     S_4 = {c_diag.unscaled:.1f}")
-print(f"even-weight code:  S_4 = {c_code.unscaled:.1f}  (8 points, 2520 tours enumerated)")
+print(f"even-weight code:  S_4 = {c_code.unscaled:.1f}  (8 points, 2520 distinct tours)")
 
 print("\n== paths lose the closing edge ==")
 _p, c = exact_min_path(k3_code4(), 3)

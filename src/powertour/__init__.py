@@ -3,7 +3,7 @@
 The library constructs Hamiltonian cycles, Hamiltonian paths, spanning
 trees and perfect matchings over finite point sets in [0, 1]^k while
 bounding the power-k edge cost S_k = sum |e|^k, and verifies every
-checkable bound against exact brute-force oracles.
+checkable bound against exact oracles.
 """
 
 from .errors import CertificateError, InputError, SizeError

@@ -21,6 +21,7 @@ import itertools
 import json
 import sys
 import time
+from dataclasses import replace
 from datetime import datetime, timezone
 
 from . import constructions
@@ -33,7 +34,7 @@ from .sekanina import mst_sekanina_tour
 from .structures import Tour, close_path
 from .suites import SUITES, run_suite
 from .two_phase import two_phase_tour
-from .verifiers import SCHEMA_VERSION, bound_report
+from .verifiers import SCHEMA_VERSION, BoundReport, bound_report
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -132,23 +133,24 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _run_algo(algo: str, points: PointSet, k: int, cutoff: float | None,
-              diagonal: str) -> tuple[Tour, dict | None]:
+              diagonal: str) -> tuple[Tour, dict | None, BoundReport | None]:
+    """The tour, two-phase's phase report, and mst-sekanina's bound report."""
     if algo == "mst-sekanina":
-        tour, _report = mst_sekanina_tour(points, k)
-        return tour, None
+        tour, report = mst_sekanina_tour(points, k)
+        return tour, None, report
     if algo == "greedy":
         path, _trace = greedy_ham_path(points)
-        return close_path(path, points), None
+        return close_path(path, points), None, None
     if algo == "two-phase":
         tour, phase = two_phase_tour(points, k, cutoff=cutoff)
-        return tour, phase.to_dict()
+        return tour, phase.to_dict(), None
     if algo == "newman2d":
         if points.k != 2:
             raise InputError("newman2d requires 2-dimensional input")
-        return newman_square_tour(points, diagonal=diagonal), None
+        return newman_square_tour(points, diagonal=diagonal), None, None
     if algo == "oracle":
         tour, _cost = exact_min_tour(points, k)
-        return tour, None
+        return tour, None, None
     raise InputError(f"unknown algorithm {algo!r}")
 
 
@@ -172,12 +174,12 @@ def cmd_tour(args) -> int:
     if k < 2:
         raise InputError(f"exponent must be >= 2 for the bound report, got {k}")
     start = time.perf_counter()
-    tour, phase = _run_algo(args.algo, points, k, args.cutoff, args.diagonal)
+    tour, phase, report = _run_algo(args.algo, points, k, args.cutoff, args.diagonal)
     elapsed = time.perf_counter() - start
-    cost = power_cost(tour.edges, k)
-    report = bound_report(points, k, {args.algo: cost},
-                          instance={"source": args.input},
-                          wall_time_s=None if args.no_timestamp else elapsed)
+    if report is None:
+        report = bound_report(points, k, {args.algo: power_cost(tour.edges, k)})
+    report = replace(report, instance={**report.instance, "source": args.input},
+                     wall_time_s=None if args.no_timestamp else elapsed)
     body = report.to_dict()
     body["order"] = list(tour.order)
     body["edges"] = [[e.u, e.v] for e in tour.edges]
@@ -241,7 +243,7 @@ def cmd_bench(args) -> int:
                 points = constructions.uniform_cube(k, n, args.seed + trial)
                 for algo in algos:
                     start = time.perf_counter()
-                    tour, _phase = _run_algo(algo, points, k, None, "main")
+                    tour, _phase, _report = _run_algo(algo, points, k, None, "main")
                     elapsed = time.perf_counter() - start
                     cost = power_cost(tour.edges, k)
                     writer.writerow([

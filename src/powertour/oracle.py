@@ -1,16 +1,44 @@
-"""Exact brute-force optimization for small instances.
+"""Exact optimization for small instances.
 
-Tours enumerate (n-1)!/2 cyclic orders, paths n!/2 open orders (both with
-the reversal representative fixed by requiring the entry after the pivot
-to precede the final entry), matchings the (n-1)!! pairings.  Enumeration
-is in lexicographic order and ties keep the first optimum, so results are
-reproducible bit for bit.
+Method.  A Held-Karp table ``g[S, v]`` holds the cheapest way to start at
+v, visit every vertex of the bitmask S and, for tours, close back to the
+pivot 0.  It is filled one popcount layer of S at a time, O(n^2 2^n) work.
+A depth-first search then walks the canonical orders in lexicographic
+order and keeps a prefix only while its cost plus the table's bound for
+the rest stays within OPT * (1 + 1e-9).  The orders it reaches are the
+near-optimal candidates.  Matchings use a table ``h[S]`` over the free
+vertices, pairing the lowest free vertex first, and the same search.
+
+Tie contract.  The result is the first minimum, in lexicographic order,
+over the canonical orders: tours put the pivot 0 first and permute
+1..n-1, paths permute 0..n-1, and of each reversal pair only the order
+whose first permuted entry is below its last entry counts.  An order o
+costs the numpy row sum ``dk[o[:-1], o[1:]].sum(axis=1)`` over a row of
+n - 1 terms, plus ``dk[o[-1], 0]`` for tours.  The table and the search
+add in another order, so they only select candidates.  Every candidate is
+re-costed with that row sum and the first argmin wins.  The tolerance is
+far above the few-n-ulp gap between the two ways of adding non-negative
+terms, so the first minimum is always a candidate.  Matchings pair the
+lowest free vertex with each free vertex in increasing order, add the
+pair costs left to right, and keep the first strict minimum.
+
+Duplicate rule.  Two points are copies when exchanging them leaves the
+power matrix unchanged, as for identical points or the corners of a
+regular simplex.  The search visits the copies of a point in increasing
+index order.  Exchanging two copies in an order changes none of its cost
+terms, and putting the lower index first gives a canonical order that is
+lexicographically earlier, so the rule never changes the answer.  Without
+it, m copies of a point multiply the tied candidates by m!.
+
+Time grows with the number of near-optimal orders.  That number is small
+for generic inputs but not for every symmetric one: the 16 words of the
+even-weight code in {0,1}^5 have too many optimal tours to list.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
+from collections.abc import Callable
 
 import numpy as np
 
@@ -18,12 +46,13 @@ from .errors import InputError, SizeError
 from .geometry import PointSet, PowerCost, make_edge, pairwise_sq, power_cost
 from .structures import HamPath, Matching, Tour, path_from_order, tour_from_order
 
-MAX_EXACT_TOUR = 12
-MAX_EXACT_PATH = 12
+MAX_EXACT_TOUR = 16
+MAX_EXACT_PATH = 16
 MAX_EXACT_MATCHING = 14
 MAX_PAIR_SUM = 14
 
-_CHUNK = 100_000
+_TOL = 1e-9
+_BLOCK = 10_000
 
 
 def _power_matrix(points: PointSet, k: int) -> np.ndarray:
@@ -31,40 +60,182 @@ def _power_matrix(points: PointSet, k: int) -> np.ndarray:
     return d2 ** (k / 2.0)
 
 
-def _first_best_order(dk: np.ndarray, n: int, closed: bool) -> tuple[int, ...]:
-    """First minimum-cost order over 0..n-1 in lexicographic enumeration.
+def _subsets(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every bitmask over n vertices, its membership rows and its size."""
+    masks = np.arange(1 << n)
+    member = (masks[:, None] >> np.arange(n)) & 1 == 1
+    return masks, member, member.sum(axis=1)
 
-    Closed orders fix the pivot 0 and permute 1..n-1, adding the closing
-    term after the open sum; open orders permute 0..n-1.  Of each reversal
-    pair only the order whose first permuted entry precedes its last is
-    costed.  Ties keep the earliest order: first argmin within a chunk,
-    strict < across chunks.
+
+def _limit(opt: float) -> float:
+    limit = float(opt) * (1.0 + _TOL)
+    if not math.isfinite(limit):
+        raise InputError(f"power costs are not finite in float64 (optimum {opt})")
+    return limit
+
+
+def _suffix_table(dk: np.ndarray, closed: bool) -> np.ndarray:
+    """g[S, v] for v outside S: the cheapest walk from v through all of S,
+    then back to the pivot 0 for tours.  Tours never put the pivot in S."""
+    n = len(dk)
+    masks, member, size = _subsets(n)
+    bit = 1 << np.arange(n)
+    pivot = 1 if closed else 0
+    g = np.full((1 << n, n), np.inf)
+    g[0] = dk[:, 0] if closed else 0.0
+    for c in range(1, n):
+        layer = masks[(size == c) & ((masks & pivot) == 0)]
+        # after[s, u]: the rest of the walk once it steps to u in S
+        after = np.where(member[layer], g[layer[:, None] ^ bit, np.arange(n)], np.inf)
+        g[layer] = (dk + after[:, None, :]).min(axis=2)
+    return g
+
+
+def _earlier_copies(dk: np.ndarray) -> list[int]:
+    """Bit of the nearest lower-index copy of each vertex, or 0."""
+    n = len(dk)
+    earlier = [0] * n
+    for v in range(n):
+        for u in range(v - 1, -1, -1):
+            swap = np.arange(n)
+            swap[[u, v]] = v, u
+            if np.array_equal(dk[swap][:, swap], dk):
+                earlier[v] = 1 << u
+                break
+    return earlier
+
+
+def _search_orders(dk: np.ndarray, g: np.ndarray, closed: bool, limit: float,
+                   found: Callable[[tuple[int, ...]], None]) -> None:
+    """Pass to ``found``, in lexicographic order, every canonical order each
+    of whose prefixes costs at most ``limit`` with the table's bound for the
+    rest."""
+    n = len(dk)
+    w = dk.tolist()
+    w.append([0.0] * n)  # paths start from a free virtual vertex n
+    earlier = _earlier_copies(dk)
+    order = [0] if closed else []
+
+    def extend(last: int, first: int, left: int, cost: float) -> None:
+        if not left:
+            found(tuple(order))
+            return
+        for v in range(n):
+            b = 1 << v
+            if not left & b or left & earlier[v]:
+                continue
+            rest = left ^ b
+            f = v if first < 0 else first
+            # one order per reversal pair: the last entry exceeds the first permuted one
+            if (rest >> (f + 1) == 0) if rest else v <= f:
+                continue
+            step = cost + w[last][v]
+            if step + g[rest, v] <= limit:
+                order.append(v)
+                extend(v, f, rest, step)
+                order.pop()
+
+    full = (1 << n) - 1
+    if closed:
+        extend(0, -1, full ^ 1, 0.0)
+    else:
+        extend(n, -1, full, 0.0)
+
+
+def _first_best_order(dk: np.ndarray, closed: bool) -> tuple[int, ...]:
+    """First minimum-cost canonical order under the module's tie contract.
+
+    Candidates are re-costed in blocks, so memory stays bounded when many
+    orders tie: a 12-point subset of the 5-bit even-weight code has about
+    two million optimal paths.
     """
+    n = len(dk)
+    g = _suffix_table(dk, closed)
+    full = (1 << n) - 1
+    if closed:
+        opt = g[full ^ 1, 0]
+    else:
+        ends = np.arange(n)
+        opt = g[full ^ (1 << ends), ends].min()
     best_cost = math.inf
-    best_order: tuple[int, ...] | None = None
-    perms = itertools.permutations(range(1 if closed else 0, n))
-    while True:
-        chunk = list(itertools.islice(perms, _CHUNK))
-        if not chunk:
-            break
-        arr = np.array(chunk, dtype=np.intp)
-        arr = arr[arr[:, 0] < arr[:, -1]]  # one representative per reversal pair
-        if arr.size == 0:
-            continue
-        if closed:
-            arr = np.concatenate([np.zeros((arr.shape[0], 1), dtype=np.intp), arr], axis=1)
+    best_order: tuple[int, ...] = ()
+    block: list[tuple[int, ...]] = []
+
+    def recost() -> None:
+        nonlocal best_cost, best_order
+        arr = np.array(block, dtype=np.intp)
+        block.clear()
         costs = dk[arr[:, :-1], arr[:, 1:]].sum(axis=1)
         if closed:
             costs += dk[arr[:, -1], 0]
         i = int(np.argmin(costs))
-        if costs[i] < best_cost:
+        if costs[i] < best_cost:  # strict, so an earlier block keeps a tie
             best_cost = float(costs[i])
             best_order = tuple(int(x) for x in arr[i])
+
+    def found(order: tuple[int, ...]) -> None:
+        block.append(order)
+        if len(block) == _BLOCK:
+            recost()
+
+    _search_orders(dk, g, closed, _limit(opt), found)
+    if block:
+        recost()
     return best_order
 
 
+def _matching_table(dk: np.ndarray) -> np.ndarray:
+    """h[S]: the cheapest perfect matching of the vertices in S (even size)."""
+    n = len(dk)
+    masks, member, size = _subsets(n)
+    bit = 1 << np.arange(n)
+    h = np.full(1 << n, np.inf)
+    h[0] = 0.0
+    for c in range(2, n + 1, 2):
+        layer = masks[size == c]
+        low = member[layer].argmax(axis=1)
+        partner = member[layer] & (np.arange(n) != low[:, None])
+        rest = layer[:, None] ^ bit[low][:, None] ^ bit
+        h[layer] = np.where(partner, dk[low] + h[rest], np.inf).min(axis=1)
+    return h
+
+
+def _first_best_pairs(dk: np.ndarray) -> list[tuple[int, int]]:
+    """First strict minimum in the order of the recursion that pairs the
+    lowest free vertex with each free vertex in increasing order.  ``acc``
+    adds the pair costs left to right as that recursion does, so a leaf's
+    ``acc`` is already its re-costed value."""
+    n = len(dk)
+    h = _matching_table(dk)
+    limit = _limit(h[-1])
+    w = dk.tolist()
+    best_cost = math.inf
+    best_pairs: list[tuple[int, int]] = []
+    pairs: list[tuple[int, int]] = []
+
+    def extend(free: int, acc: float) -> None:
+        nonlocal best_cost, best_pairs
+        if not free:
+            if acc < best_cost:
+                best_cost = acc
+                best_pairs = list(pairs)
+            return
+        u = (free & -free).bit_length() - 1
+        for v in range(u + 1, n):
+            if free >> v & 1:
+                rest = free ^ (1 << u) ^ (1 << v)
+                step = acc + w[u][v]
+                if step + h[rest] <= limit:
+                    pairs.append((u, v))
+                    extend(rest, step)
+                    pairs.pop()
+
+    extend((1 << n) - 1, 0.0)
+    return best_pairs
+
+
 def exact_min_tour(points: PointSet, k: int) -> tuple[Tour, PowerCost]:
-    """Globally minimal power-k tour by exhaustive enumeration (n <= 12)."""
+    """Globally minimal power-k tour (n <= 16)."""
     n = points.n
     if n < 2:
         raise InputError("need at least 2 points")
@@ -73,19 +244,19 @@ def exact_min_tour(points: PointSet, k: int) -> tuple[Tour, PowerCost]:
     if n == 2:
         tour = tour_from_order(points, (0, 1))
         return tour, power_cost(tour.edges, k)
-    best_order = _first_best_order(_power_matrix(points, k), n, closed=True)
+    best_order = _first_best_order(_power_matrix(points, k), closed=True)
     tour = tour_from_order(points, best_order)
     return tour, power_cost(tour.edges, k)
 
 
 def exact_min_path(points: PointSet, k: int) -> tuple[HamPath, PowerCost]:
-    """Globally minimal power-k Hamiltonian path (n <= 12)."""
+    """Globally minimal power-k Hamiltonian path (n <= 16)."""
     n = points.n
     if n < 2:
         raise InputError("need at least 2 points")
     if n > MAX_EXACT_PATH:
         raise SizeError(f"exact paths capped at n = {MAX_EXACT_PATH}, got {n}")
-    best_order = _first_best_order(_power_matrix(points, k), n, closed=False)
+    best_order = _first_best_order(_power_matrix(points, k), closed=False)
     path = path_from_order(points, best_order)
     return path, power_cost(path.edges, k)
 
@@ -97,26 +268,7 @@ def exact_min_matching(points: PointSet, k: int) -> tuple[Matching, PowerCost]:
         raise InputError(f"perfect matchings need even n >= 2, got {n}")
     if n > MAX_EXACT_MATCHING:
         raise SizeError(f"exact matchings capped at n = {MAX_EXACT_MATCHING}, got {n}")
-    dk = _power_matrix(points, k)
-    best_cost = math.inf
-    best_pairs: list[tuple[int, int]] | None = None
-    pairs: list[tuple[int, int]] = []
-
-    def recurse(free: list[int], acc: float) -> None:
-        nonlocal best_cost, best_pairs
-        if not free:
-            if acc < best_cost:
-                best_cost = acc
-                best_pairs = list(pairs)
-            return
-        u = free[0]
-        for j in range(1, len(free)):
-            v = free[j]
-            pairs.append((u, v))
-            recurse(free[1:j] + free[j + 1:], acc + dk[u, v])
-            pairs.pop()
-
-    recurse(list(range(n)), 0.0)
+    best_pairs = _first_best_pairs(_power_matrix(points, k))
     edges = tuple(make_edge(points, u, v) for u, v in best_pairs)
     matching = Matching(edges)
     return matching, power_cost(edges, k)

@@ -146,7 +146,7 @@ def test_tour_newman_rejects_3d(tmp_path):
 
 def test_tour_oracle_size_guard(tmp_path):
     src = tmp_path / "u.json"
-    run_cli("gen", "uniform", "--k", "2", "--n", "13", "--seed", "0", "-o", str(src))
+    run_cli("gen", "uniform", "--k", "2", "--n", "17", "--seed", "0", "-o", str(src))
     assert run_cli("tour", str(src), "--algo", "oracle") == 1
 
 
@@ -249,3 +249,31 @@ def test_certificate_failure_exit_code(tmp_path, monkeypatch):
 
     monkeypatch.setattr(cli, "mst_sekanina_tour", boom)
     assert run_cli("tour", str(src), "--algo", "mst-sekanina") == 3
+
+
+def test_tour_costs_and_bounds_once(tmp_path, monkeypatch):
+    """mst-sekanina's own bound report is the one printed, not rebuilt."""
+    import powertour.cli as cli
+    import powertour.sekanina as sekanina
+    import powertour.verifiers as verifiers
+
+    calls = {"power_cost": 0, "named_bounds": 0}
+
+    def count(module, name):
+        real = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+
+    count(cli, "power_cost")
+    count(sekanina, "power_cost")
+    count(verifiers, "named_bounds")
+    src = tmp_path / "u.json"
+    run_cli("gen", "uniform", "--k", "3", "--n", "60", "--seed", "0", "-o", str(src))
+    for algo in ("mst-sekanina", "greedy"):
+        calls.update(power_cost=0, named_bounds=0)
+        assert run_cli("tour", str(src), "--algo", algo, "--no-timestamp",
+                       "-o", str(tmp_path / "out.json")) == 0
+        assert calls == {"power_cost": 1, "named_bounds": 1}

@@ -3,16 +3,175 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import powertour.oracle
 from powertour.constructions import (cube_vertex_subset, diagonal_pair, k3_code4,
                                      k4_even_weight_code, square_tight_sets, uniform_cube)
 from powertour.errors import InputError, SizeError
-from powertour.geometry import point_set, power_cost
+from powertour.geometry import make_edge, point_set, power_cost
 from powertour.oracle import (closest_pair_bound_check, exact_min_matching,
                               exact_min_path, exact_min_tour, max_pairwise_square_sum)
-from powertour.structures import validate
+from powertour.structures import path_from_order, tour_from_order, validate
 
 from conftest import random_points
+
+
+def brute_first_best_order(dk, n, closed):
+    """The enumeration the exact tour and path oracles must reproduce.
+
+    Closed orders fix the pivot 0 and permute 1..n-1, adding the closing
+    term after the open sum; open orders permute 0..n-1.  Of each reversal
+    pair only the order whose first permuted entry precedes its last is
+    costed.  Ties keep the earliest order: first argmin within a chunk,
+    strict < across chunks.
+    """
+    best_cost = math.inf
+    best_order = None
+    perms = itertools.permutations(range(1 if closed else 0, n))
+    while True:
+        chunk = list(itertools.islice(perms, 100_000))
+        if not chunk:
+            break
+        arr = np.array(chunk, dtype=np.intp)
+        arr = arr[arr[:, 0] < arr[:, -1]]  # one representative per reversal pair
+        if arr.size == 0:
+            continue
+        if closed:
+            arr = np.concatenate([np.zeros((arr.shape[0], 1), dtype=np.intp), arr], axis=1)
+        costs = dk[arr[:, :-1], arr[:, 1:]].sum(axis=1)
+        if closed:
+            costs += dk[arr[:, -1], 0]
+        i = int(np.argmin(costs))
+        if costs[i] < best_cost:
+            best_cost = float(costs[i])
+            best_order = tuple(int(x) for x in arr[i])
+    return best_order
+
+
+def recursive_first_best_pairs(dk, n):
+    """The recursion the exact matching oracle must reproduce: pair the
+    lowest free vertex with each free vertex in turn, add left to right,
+    keep the first strict minimum."""
+    best_cost = math.inf
+    best_pairs = None
+    pairs = []
+
+    def recurse(free, acc):
+        nonlocal best_cost, best_pairs
+        if not free:
+            if acc < best_cost:
+                best_cost = acc
+                best_pairs = list(pairs)
+            return
+        u = free[0]
+        for j in range(1, len(free)):
+            v = free[j]
+            pairs.append((u, v))
+            recurse(free[1:j] + free[j + 1:], acc + dk[u, v])
+            pairs.pop()
+
+    recurse(list(range(n)), 0.0)
+    return best_pairs
+
+
+def assert_matches_references(points, k):
+    """Orders and pairs equal to the enumeration's, costs equal bit for bit."""
+    n = points.n
+    dk = powertour.oracle._power_matrix(points, k)
+    checks = [(exact_min_path, False, path_from_order)]
+    if n >= 3:
+        checks.append((exact_min_tour, True, tour_from_order))
+    for oracle, closed, build in checks:
+        structure, cost = oracle(points, k)
+        want = brute_first_best_order(dk, n, closed)
+        assert structure.order == want
+        assert cost.unscaled.hex() == power_cost(build(points, want).edges, k).unscaled.hex()
+    if n % 2 == 0 and n <= 12:
+        matching, cost = exact_min_matching(points, k)
+        want = recursive_first_best_pairs(dk, n)
+        assert [(e.u, e.v) for e in matching.edges] == want
+        want_edges = [make_edge(points, u, v) for u, v in want]
+        assert cost.unscaled.hex() == power_cost(want_edges, k).unscaled.hex()
+
+
+def half_grid(n, seed):
+    cells = np.array([(i, j) for i in range(3) for j in range(3)], dtype=float) / 2
+    pick = np.random.default_rng(seed).choice(9, size=n, replace=n > 9)
+    return point_set(cells[pick])
+
+
+def few_points_repeated(distinct, n, seed):
+    gen = np.random.default_rng(np.random.SeedSequence([seed, distinct, n]))
+    base = gen.uniform(size=(distinct, 3))
+    return point_set(base[gen.integers(0, distinct, size=n)])
+
+
+REFERENCE_INPUTS = {
+    "uniform-k3": (lambda n, s: random_points(s + 1500, n, 3), 3),
+    "uniform-k8": (lambda n, s: random_points(s + 1600, n, 8), 8),
+    "cube-vertex-k4": (lambda n, s: cube_vertex_subset(4, n, s), 4),
+    "cube-vertex-k6": (lambda n, s: cube_vertex_subset(6, n, s), 6),
+    "half-grid-k2": (half_grid, 2),
+    "two-points-repeated": (lambda n, s: few_points_repeated(2, n, s), 3),
+    "three-points-repeated": (lambda n, s: few_points_repeated(3, n, s), 3),
+}
+
+
+@pytest.mark.parametrize("name", REFERENCE_INPUTS)
+def test_tours_paths_and_matchings_match_the_enumeration(name):
+    make, k = REFERENCE_INPUTS[name]
+    for n in range(2, 10):
+        for seed in (0, 1):
+            assert_matches_references(make(n, seed), k)
+
+
+@pytest.mark.parametrize("name", REFERENCE_INPUTS)
+def test_matchings_match_the_recursion_up_to_n_12(name):
+    make, k = REFERENCE_INPUTS[name]
+    for n in (10, 12):
+        points = make(n, 2)
+        matching, _cost = exact_min_matching(points, k)
+        assert [(e.u, e.v) for e in matching.edges] == \
+            recursive_first_best_pairs(powertour.oracle._power_matrix(points, k), n)
+
+
+lattices_with_repeats = st.tuples(st.integers(1, 3), st.integers(1, 3)).flatmap(
+    lambda dm: st.tuples(
+        st.lists(st.tuples(*[st.integers(0, dm[1])] * dm[0]), min_size=2, max_size=8)
+        .map(lambda cells: point_set(np.array(cells, dtype=float) / dm[1])),
+        st.integers(2, 5)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(lattices_with_repeats)
+def test_matches_the_enumeration_on_lattice_property(case):
+    """Lattice points tie exactly at even k and repeat often."""
+    points, k = case
+    assert_matches_references(points, k)
+
+
+def test_ties_across_recost_blocks_keep_the_first(monkeypatch):
+    """With blocks of two candidates, a tie in a later block must not win."""
+    monkeypatch.setattr(powertour.oracle, "_BLOCK", 2)
+    for seed in (0, 1):
+        assert_matches_references(cube_vertex_subset(4, 9, seed), 4)
+        assert_matches_references(half_grid(8, seed), 2)
+
+
+@pytest.mark.parametrize("length", range(2, 17))
+def test_row_sums_do_not_depend_on_which_rows_are_summed(length):
+    """Re-costing sums a few candidate rows where the enumeration summed
+    whole chunks.  numpy's pairwise row reduction must give each row the
+    same bits either way; IEEE arithmetic alone does not promise this."""
+    gen = np.random.default_rng(length)
+    terms = gen.uniform(size=(300, length)) ** 3 * 10.0 ** gen.integers(-3, 4, size=(300, length))
+    full = terms.sum(axis=1)
+    subsets = [np.array([7]), np.arange(0, 300, 3), gen.choice(300, size=41, replace=False),
+               np.arange(5, 6 + length)]
+    for rows in subsets:
+        assert (terms[rows].sum(axis=1).view(np.uint64) == full[rows].view(np.uint64)).all()
 
 
 def brute_tour_cost(points, k):
@@ -96,9 +255,36 @@ def test_ties_keep_first_optimum_in_lexicographic_order(n):
 
 def test_tour_size_limits():
     with pytest.raises(SizeError):
-        exact_min_tour(uniform_cube(2, 13, 0), 2)
+        exact_min_tour(uniform_cube(2, 17, 0), 2)
+    with pytest.raises(SizeError):
+        exact_min_path(uniform_cube(2, 17, 0), 2)
     with pytest.raises(InputError):
         exact_min_tour(point_set([[0.5, 0.5]]), 2)
+
+
+@pytest.mark.parametrize("groups", [1, 2])
+def test_copies_at_n_16_give_valid_tours_and_paths(groups):
+    """16 points in one or two groups of identical copies: every order of a
+    group's copies ties, and the copies are visited in index order."""
+    gen = np.random.default_rng(groups)
+    points = point_set(np.repeat(gen.uniform(size=(groups, 3)), 16 // groups, axis=0))
+    edge = float(np.sum((points.coords[0] - points.coords[-1]) ** 2)) ** 1.5
+    tour, tour_cost = exact_min_tour(points, 3)
+    path, path_cost = exact_min_path(points, 3)
+    assert validate(tour, points) == [] and validate(path, points) == []
+    assert tour.order == path.order == tuple(range(16))
+    assert tour_cost.unscaled == pytest.approx(2 * edge)
+    assert path_cost.unscaled == pytest.approx(edge)
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                            "ignore:invalid value:RuntimeWarning")
+def test_non_finite_costs_rejected():
+    points = point_set([[0.0, 0.0], [1e200, 0.0], [0.0, 1e200], [1e200, 1e200]],
+                       "unconstrained")
+    for oracle in (exact_min_tour, exact_min_path, exact_min_matching):
+        with pytest.raises(InputError):
+            oracle(points, 2)
 
 
 def test_path_diagonal_pair():
