@@ -30,15 +30,19 @@ terms, and putting the lower index first gives a canonical order that is
 lexicographically earlier, so the rule never changes the answer.  Without
 it, m copies of a point multiply the tied candidates by m!.
 
-Time grows with the number of near-optimal orders.  That number is small
-for generic inputs but not for every symmetric one: the 16 words of the
-even-weight code in {0,1}^5 have too many optimal tours to list.
+Limit.  Time grows with the number of near-optimal orders.  That number
+is small for generic inputs but not for every symmetric one: the 16 words
+of the even-weight code in {0,1}^5 tie in millions of tours, and no two
+words are copies.  A search that reaches more than ``MAX_CANDIDATES``
+candidates raises SizeError.  The cap is the number of canonical tours at
+n = 12, so no tour up to n = 12 and no path up to n = 11 is ever refused.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
+from collections.abc import Iterator
+from itertools import islice
 
 import numpy as np
 
@@ -50,6 +54,7 @@ MAX_EXACT_TOUR = 16
 MAX_EXACT_PATH = 16
 MAX_EXACT_MATCHING = 14
 MAX_PAIR_SUM = 14
+MAX_CANDIDATES = math.factorial(11) // 2
 
 _TOL = 1e-9
 _BLOCK = 10_000
@@ -105,20 +110,19 @@ def _earlier_copies(dk: np.ndarray) -> list[int]:
     return earlier
 
 
-def _search_orders(dk: np.ndarray, g: np.ndarray, closed: bool, limit: float,
-                   found: Callable[[tuple[int, ...]], None]) -> None:
-    """Pass to ``found``, in lexicographic order, every canonical order each
-    of whose prefixes costs at most ``limit`` with the table's bound for the
-    rest."""
+def _search_orders(dk: np.ndarray, g: np.ndarray, closed: bool,
+                   limit: float) -> Iterator[tuple[int, ...]]:
+    """Yield, in lexicographic order, every canonical order each of whose
+    prefixes costs at most ``limit`` with the table's bound for the rest."""
     n = len(dk)
     w = dk.tolist()
     w.append([0.0] * n)  # paths start from a free virtual vertex n
     earlier = _earlier_copies(dk)
     order = [0] if closed else []
 
-    def extend(last: int, first: int, left: int, cost: float) -> None:
+    def extend(last: int, first: int, left: int, cost: float) -> Iterator[tuple[int, ...]]:
         if not left:
-            found(tuple(order))
+            yield tuple(order)
             return
         for v in range(n):
             b = 1 << v
@@ -132,14 +136,14 @@ def _search_orders(dk: np.ndarray, g: np.ndarray, closed: bool, limit: float,
             step = cost + w[last][v]
             if step + g[rest, v] <= limit:
                 order.append(v)
-                extend(v, f, rest, step)
+                yield from extend(v, f, rest, step)
                 order.pop()
 
     full = (1 << n) - 1
     if closed:
-        extend(0, -1, full ^ 1, 0.0)
+        yield from extend(0, -1, full ^ 1, 0.0)
     else:
-        extend(n, -1, full, 0.0)
+        yield from extend(n, -1, full, 0.0)
 
 
 def _first_best_order(dk: np.ndarray, closed: bool) -> tuple[int, ...]:
@@ -147,7 +151,8 @@ def _first_best_order(dk: np.ndarray, closed: bool) -> tuple[int, ...]:
 
     Candidates are re-costed in blocks, so memory stays bounded when many
     orders tie: a 12-point subset of the 5-bit even-weight code has about
-    two million optimal paths.
+    two million optimal paths.  More than ``MAX_CANDIDATES`` candidates
+    raise SizeError.
     """
     n = len(dk)
     g = _suffix_table(dk, closed)
@@ -157,14 +162,16 @@ def _first_best_order(dk: np.ndarray, closed: bool) -> tuple[int, ...]:
     else:
         ends = np.arange(n)
         opt = g[full ^ (1 << ends), ends].min()
+    orders = _search_orders(dk, g, closed, _limit(opt))
     best_cost = math.inf
     best_order: tuple[int, ...] = ()
-    block: list[tuple[int, ...]] = []
-
-    def recost() -> None:
-        nonlocal best_cost, best_order
+    seen = 0
+    while block := list(islice(orders, _BLOCK)):
+        seen += len(block)
+        if seen > MAX_CANDIDATES:
+            raise SizeError(f"more than {MAX_CANDIDATES} near-optimal orders at n = {n}; "
+                            "the input is too symmetric for the exact oracle")
         arr = np.array(block, dtype=np.intp)
-        block.clear()
         costs = dk[arr[:, :-1], arr[:, 1:]].sum(axis=1)
         if closed:
             costs += dk[arr[:, -1], 0]
@@ -172,15 +179,6 @@ def _first_best_order(dk: np.ndarray, closed: bool) -> tuple[int, ...]:
         if costs[i] < best_cost:  # strict, so an earlier block keeps a tie
             best_cost = float(costs[i])
             best_order = tuple(int(x) for x in arr[i])
-
-    def found(order: tuple[int, ...]) -> None:
-        block.append(order)
-        if len(block) == _BLOCK:
-            recost()
-
-    _search_orders(dk, g, closed, _limit(opt), found)
-    if block:
-        recost()
     return best_order
 
 
@@ -235,7 +233,8 @@ def _first_best_pairs(dk: np.ndarray) -> list[tuple[int, int]]:
 
 
 def exact_min_tour(points: PointSet, k: int) -> tuple[Tour, PowerCost]:
-    """Globally minimal power-k tour (n <= 16)."""
+    """Globally minimal power-k tour (n <= 16, at most MAX_CANDIDATES
+    near-optimal orders)."""
     n = points.n
     if n < 2:
         raise InputError("need at least 2 points")
@@ -250,7 +249,8 @@ def exact_min_tour(points: PointSet, k: int) -> tuple[Tour, PowerCost]:
 
 
 def exact_min_path(points: PointSet, k: int) -> tuple[HamPath, PowerCost]:
-    """Globally minimal power-k Hamiltonian path (n <= 16)."""
+    """Globally minimal power-k Hamiltonian path (n <= 16, at most
+    MAX_CANDIDATES near-optimal orders)."""
     n = points.n
     if n < 2:
         raise InputError("need at least 2 points")

@@ -5,6 +5,7 @@ import pytest
 
 import powertour.geometry
 import powertour.mst
+import powertour.oracle
 from powertour.cli import main
 from powertour.constructions import k3_code4, load_point_set, save_point_set, uniform_cube
 
@@ -148,6 +149,14 @@ def test_tour_oracle_size_guard(tmp_path):
     src = tmp_path / "u.json"
     run_cli("gen", "uniform", "--k", "2", "--n", "17", "--seed", "0", "-o", str(src))
     assert run_cli("tour", str(src), "--algo", "oracle") == 1
+
+
+def test_tour_oracle_candidate_guard(tmp_path, monkeypatch, capsys):
+    src = tmp_path / "code.json"
+    run_cli("gen", "even-weight", "--k", "5", "-o", str(src))
+    monkeypatch.setattr(powertour.oracle, "MAX_CANDIDATES", 25_000)
+    assert run_cli("tour", str(src), "--algo", "oracle", "--k", "5") == 1
+    assert "more than 25000 near-optimal orders at n = 16" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("algo", ["mst-sekanina", "two-phase", "greedy"])

@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import powertour.oracle
-from powertour.constructions import (cube_vertex_subset, diagonal_pair, k3_code4,
-                                     k4_even_weight_code, square_tight_sets, uniform_cube)
+from powertour.constructions import (cube_vertex_subset, diagonal_pair, even_weight_code,
+                                     k3_code4, k4_even_weight_code, square_tight_sets, uniform_cube)
 from powertour.errors import InputError, SizeError
 from powertour.geometry import make_edge, point_set, power_cost
 from powertour.oracle import (closest_pair_bound_check, exact_min_matching,
@@ -260,6 +260,16 @@ def test_tour_size_limits():
         exact_min_path(uniform_cube(2, 17, 0), 2)
     with pytest.raises(InputError):
         exact_min_tour(point_set([[0.5, 0.5]]), 2)
+
+
+def test_too_many_near_optimal_orders_raise_size_error(monkeypatch):
+    """The 16 words of the 5-bit even-weight code tie in millions of tours
+    and paths, and no two words are copies; the search must stop."""
+    monkeypatch.setattr(powertour.oracle, "MAX_CANDIDATES", 25_000)
+    points = even_weight_code(5)
+    for oracle in (exact_min_tour, exact_min_path):
+        with pytest.raises(SizeError, match="more than 25000 near-optimal orders at n = 16"):
+            oracle(points, 5)
 
 
 @pytest.mark.parametrize("groups", [1, 2])
