@@ -243,13 +243,14 @@ def cmd_bench(args) -> int:
                 points = constructions.uniform_cube(k, n, args.seed + trial)
                 for algo in algos:
                     start = time.perf_counter()
-                    tour, _phase, _report = _run_algo(algo, points, k, None, "main")
+                    tour, _phase, report = _run_algo(algo, points, k, None, "main")
                     elapsed = time.perf_counter() - start
-                    cost = power_cost(tour.edges, k)
+                    cost = (report.algorithms[algo] if report is not None
+                            else power_cost(tour.edges, k).to_dict())
                     writer.writerow([
                         k, n, algo,
-                        "" if cost.overflow else repr(cost.unscaled),
-                        repr(cost.scaled),
+                        "" if cost["S_k"] is None else repr(cost["S_k"]),
+                        repr(cost["s_k"]),
                         "0" if args.no_timestamp else f"{elapsed:.6f}",
                     ])
     _emit(buf.getvalue(), args.output)

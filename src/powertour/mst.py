@@ -22,6 +22,10 @@ O(n^2) per round plus the sort of the pairs the rounds reach, a small
 fraction of all pairs on uniform and clustered inputs.  Inputs of at
 most ``_ROUND_FLOOR`` pairs (n <= 91) sort in one round, as a full sort
 does.
+
+The union-find is ``structures.DSU``, which ``PathSystem`` uses too.  The
+caller owns it and hands it to the scan, which makes every union; the
+forest then reads its components and roots from that same DSU.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ import numpy as np
 
 from .errors import InputError
 from .geometry import Edge, PointSet, check_dense_size, pairwise_sq
-from .structures import SpanningTree
+from .structures import DSU, SpanningTree
 
 
 #: Pairs sorted per filter round: this many per point, and at least
@@ -41,16 +45,18 @@ _ROUND_PER_POINT = 4
 _ROUND_FLOOR = 4096
 
 
-def _kruskal(points: PointSet, cut2: float = math.inf):
+def _kruskal(points: PointSet, dsu: DSU, cut2: float = math.inf):
     """Yield each pair (u, v, d^2), u < v, that Kruskal accepts over the
-    pairs of squared length <= ``cut2``, in (d^2, u, v) order."""
+    pairs of squared length <= ``cut2``, in (d^2, u, v) order.
+
+    ``dsu`` starts with every point alone; the pair is joined in it before
+    it is yielded."""
     n = points.n
     iu, iv = np.triu_indices(n, k=1)
     w = pairwise_sq(points.coords)[iu, iv]
     if cut2 < math.inf:
         keep = w <= cut2
         iu, iv, w = iu[keep], iv[keep], w[keep]
-    dsu = _DSU(n)
     m = max(_ROUND_PER_POINT * n, _ROUND_FLOOR)
     unions = 0
     while len(w):
@@ -74,34 +80,11 @@ def _kruskal(points: PointSet, cut2: float = math.inf):
         iu, iv, w = iu[keep], iv[keep], w[keep]
 
 
-class _DSU:
-    __slots__ = ("parent",)
-
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, x: int) -> int:
-        p = self.parent
-        root = x
-        while p[root] != root:
-            root = p[root]
-        while p[x] != root:
-            p[x], x = root, p[x]
-        return root
-
-    def union(self, a: int, b: int) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        self.parent[ra] = rb
-        return True
-
-
 def build_mst(points: PointSet) -> SpanningTree:
     """Minimum spanning tree of the whole point set under Euclidean weights."""
     n = points.n
     check_dense_size(n)
-    edges = tuple(Edge(u, v, math.sqrt(dd)) for u, v, dd in _kruskal(points))
+    edges = tuple(Edge(u, v, math.sqrt(dd)) for u, v, dd in _kruskal(points, DSU(n)))
     return SpanningTree(tuple(range(n)), edges)
 
 
@@ -119,10 +102,9 @@ def build_threshold_forest(points: PointSet, cutoff: float) -> list[SpanningTree
         raise InputError("cutoff must be nonnegative")
     n = points.n
     check_dense_size(n)
-    dsu = _DSU(n)
+    dsu = DSU(n)
     comp_edges: dict[int, list[Edge]] = {}
-    for u, v, dd in _kruskal(points, cutoff * cutoff):
-        dsu.union(u, v)
+    for u, v, dd in _kruskal(points, dsu, cutoff * cutoff):
         comp_edges.setdefault(dsu.find(u), []).append(Edge(u, v, math.sqrt(dd)))
     groups: dict[int, list[int]] = {}
     for v in range(n):

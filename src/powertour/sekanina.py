@@ -159,33 +159,40 @@ def _root_tree(adj: dict[int, tuple[int, ...]], anchor: int):
     return children, size
 
 
-def _cube_cycle(adj: dict[int, tuple[int, ...]], anchor: int):
+def _cube_cycle(t: SpanningTree, anchor: int):
     """Core worklist machine over global vertex ids.
 
     Returns (cycle_adjacency, hops) where hops maps normalized cycle-edge
-    pairs to tuples of normalized tree-edge pairs (the tree path used).
+    pairs to the tree path used, as a tuple of indices into ``t.edges``.
     Requires the component of ``anchor`` to have >= 3 vertices.
     """
+    adj = t.adjacency
+    if anchor not in adj:
+        raise InputError(f"anchor {anchor} not a tree vertex")
     children, size = _root_tree(adj, anchor)
     n = size[anchor]
     if n < 3:
         raise InputError(f"tree-cube cycles need >= 3 vertices, got {n}")
 
+    edge_id = {e.key(): i for i, e in enumerate(t.edges)}
     cyc: dict[int, list[int]] = {v: [] for v in children}
-    hops: dict[tuple[int, int], tuple[tuple[int, int], ...]] = {}
+    hops: dict[tuple[int, int], tuple[int, ...]] = {}
 
-    def te(a: int, b: int) -> tuple[int, int]:
+    def pair(a: int, b: int) -> tuple[int, int]:
         return (a, b) if a < b else (b, a)
 
-    def add(a: int, b: int, path: tuple[tuple[int, int], ...]):
+    def te(a: int, b: int) -> int:
+        return edge_id[pair(a, b)]
+
+    def add(a: int, b: int, path: tuple[int, ...]):
         cyc[a].append(b)
         cyc[b].append(a)
-        hops[te(a, b)] = path
+        hops[pair(a, b)] = path
 
     def remove(a: int, b: int):
         cyc[a].remove(b)
         cyc[b].remove(a)
-        del hops[te(a, b)]
+        del hops[pair(a, b)]
 
     ptr = {v: 0 for v in children}
     # frames: ("B", v, c, comp_size) build the cycle for v's current
@@ -282,14 +289,7 @@ def tree_cube_cycle(t: SpanningTree, points: PointSet, anchor: int = 0
         raise InputError(f"tree vertex {bad[0]} out of range for {points.n} points")
     if t.n < 3:
         raise InputError(f"need at least 3 vertices, got {t.n}")
-    adj = t.adjacency
-    if anchor not in adj:
-        raise InputError(f"anchor {anchor} not a tree vertex")
-    cyc, pair_hops = _cube_cycle(adj, anchor)
-    edge_id = {}
-    for i, e in enumerate(t.edges):
-        edge_id[e.key()] = i
-    hops = {ce: tuple(edge_id[p] for p in path) for ce, path in pair_hops.items()}
+    cyc, hops = _cube_cycle(t, anchor)
     cert = UsageCertificate(hops, _usage_counts(hops, len(t.edges)), anchor)
     problems = cert.validate(t)
     if problems:

@@ -1,8 +1,9 @@
 """Combinatorial structures over point indices.
 
 Spanning trees, tours, Hamiltonian paths, disjoint path systems and
-matchings, plus the cycle -> matching decomposition and a uniform
-``validate`` entry point that reports every violated invariant.
+matchings, the ``DSU`` union-find, plus the cycle -> matching
+decomposition and a uniform ``validate`` entry point that reports every
+violated invariant.
 """
 
 from __future__ import annotations
@@ -85,6 +86,36 @@ class Matching:
         return 2 * len(self.edges) == n
 
 
+class DSU:
+    """Union-find over 0..n-1 with path compression.
+
+    ``union(a, b)`` hangs a's root under b's, so the roots depend only on
+    the sequence of unions, never on which ``find`` calls came between.
+    """
+
+    __slots__ = ("parent",)
+
+    def __init__(self, n: int):
+        self.parent = list(range(n))
+
+    def find(self, x: int) -> int:
+        p = self.parent
+        root = x
+        while p[root] != root:
+            root = p[root]
+        while p[x] != root:
+            p[x], x = root, p[x]
+        return root
+
+    def union(self, a: int, b: int) -> bool:
+        """Join the sets of a and b; False when they were one set already."""
+        ra, rb = self.find(a), self.find(b)
+        if ra == rb:
+            return False
+        self.parent[ra] = rb
+        return True
+
+
 def tree_from_pairs(points: PointSet, pairs, vertices=None) -> SpanningTree:
     verts = tuple(sorted(vertices)) if vertices is not None else tuple(range(points.n))
     edges = tuple(make_edge(points, u, v) for u, v in pairs)
@@ -145,10 +176,10 @@ def cycle_to_matchings(t: Tour, k: int = 2) -> tuple[Matching, Matching]:
 class PathSystem:
     """A vertex-disjoint union of simple paths over n vertices.
 
-    Maintains per-vertex neighbor lists (degree <= 2), a disjoint-set
-    structure over vertices, and an endpoint registry mapping each path's
-    component root to its two current endpoints.  An isolated vertex is a
-    path whose two endpoints coincide.
+    Maintains per-vertex neighbor lists (degree <= 2), a ``DSU`` over the
+    vertices that it owns (every union is one inserted edge), and an
+    endpoint registry mapping each path's DSU root to its two current
+    endpoints.  An isolated vertex is a path whose two endpoints coincide.
     """
 
     def __init__(self, n: int):
@@ -157,7 +188,7 @@ class PathSystem:
         self.n = n
         self.neighbors: list[list[int]] = [[] for _ in range(n)]
         self.edge_pairs: list[tuple[int, int]] = []
-        self._parent = list(range(n))
+        self._dsu = DSU(n)
         self._ends: dict[int, tuple[int, int]] = {v: (v, v) for v in range(n)}
 
     @classmethod
@@ -166,14 +197,6 @@ class PathSystem:
         for u, v in pairs:
             ps.add_path_edge(int(u), int(v))
         return ps
-
-    def find(self, v: int) -> int:
-        root = v
-        while self._parent[root] != root:
-            root = self._parent[root]
-        while self._parent[v] != root:
-            self._parent[v], v = root, self._parent[v]
-        return root
 
     def degree(self, v: int) -> int:
         return len(self.neighbors[v])
@@ -196,7 +219,7 @@ class PathSystem:
     def can_join(self, u: int, v: int) -> bool:
         if u == v or self.degree(u) >= 2 or self.degree(v) >= 2:
             return False
-        return self.find(u) != self.find(v)
+        return self._dsu.find(u) != self._dsu.find(v)
 
     def add_path_edge(self, u: int, v: int) -> None:
         """Insert edge (u, v); both must be endpoints of distinct paths."""
@@ -204,7 +227,7 @@ class PathSystem:
             raise InputError(f"vertex out of range: ({u}, {v})")
         if u == v:
             raise InputError(f"degenerate edge at vertex {u}")
-        ru, rv = self.find(u), self.find(v)
+        ru, rv = self._dsu.find(u), self._dsu.find(v)
         if ru == rv:
             raise InputError(f"edge ({u}, {v}) would close a cycle")
         if self.degree(u) >= 2 or self.degree(v) >= 2:
@@ -213,11 +236,11 @@ class PathSystem:
         ends_v = self._ends.pop(rv)
         new_u = ends_u[0] if ends_u[1] == u else ends_u[1]
         new_v = ends_v[0] if ends_v[1] == v else ends_v[1]
-        self._parent[ru] = rv
+        self._dsu.union(ru, rv)  # rv stays the root
         self.neighbors[u].append(v)
         self.neighbors[v].append(u)
         self.edge_pairs.append((u, v))
-        self._ends[self.find(rv)] = (new_u, new_v)
+        self._ends[rv] = (new_u, new_v)
 
     def paths(self) -> list[list[int]]:
         """Each component as an ordered vertex walk, smaller endpoint first."""

@@ -2,18 +2,13 @@
 
 Each suite returns a JSON-serializable summary dict with a ``failures``
 count; 0 means the suite passed.  Suites are deterministic under a seed.
-Trials are spread over a thread pool sized by the POWERTOUR_THREADS
-environment variable (default 1); results merge in seed order, so the
-thread count never changes the output.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -35,22 +30,6 @@ from .verifiers import MIDBALL_COEFF, midball_reach, midball_reach_batch
 DEFAULT_TRIALS = 1000
 DEFAULT_TOL = 1e-9
 DEFAULT_SEED = 0
-
-
-def thread_count() -> int:
-    try:
-        return max(1, int(os.environ.get("POWERTOUR_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def _pmap(fn, items):
-    """Map preserving order; parallel only when POWERTOUR_THREADS > 1."""
-    workers = thread_count()
-    if workers == 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 def random_tree_pairs(n: int, rng: np.random.Generator) -> list[tuple[int, int]]:
@@ -90,7 +69,7 @@ def suite_lemma1(trials: int = DEFAULT_TRIALS, seed: int = DEFAULT_SEED,
         tree = build_mst(pts)
         return len(mst_ball_packing_check(tree, pts, rel_tol=tol))
 
-    failures = sum(_pmap(one, range(trials)))
+    failures = sum(map(one, range(trials)))
     return {"suite": "lemma1", "trials": trials, "failures": failures,
             "ok": failures == 0}
 
@@ -154,7 +133,7 @@ def suite_lemma9(trials: int = DEFAULT_TRIALS, seed: int = DEFAULT_SEED,
             boxed, min(n, 5), box=(delta, 1.0, k1, k - k1), rel_tol=tol)
         return bad + (0 if ok else 1)
 
-    failures = sum(_pmap(one, range(trials)))
+    failures = sum(map(one, range(trials)))
     return {"suite": "lemma9", "trials": trials, "failures": failures,
             "ok": failures == 0}
 
@@ -180,7 +159,7 @@ def suite_bincode(trials: int = 200, seed: int = DEFAULT_SEED,
                 bad += 1
         return bad
 
-    failures = sum(_pmap(one, range(trials)))
+    failures = sum(map(one, range(trials)))
     return {"suite": "bincode", "trials": trials, "failures": failures,
             "ok": failures == 0}
 
@@ -216,7 +195,7 @@ def suite_bounds_sweep(trials: int = 50, seed: int = DEFAULT_SEED,
                     bad += 1
             return bad, s_mst, s_two
 
-        results = _pmap(one, range(trials))
+        results = [one(t) for t in range(trials)]
         bad_k = sum(r[0] for r in results)
         failures += bad_k
         rows.append({"k": k, "bound": bound, "failures": bad_k,
@@ -270,7 +249,7 @@ def newman_random_sweep(instances: int, n_max: int = 500, seed: int = DEFAULT_SE
         s2 = sum(e.weight ** 2 for e in tour.edges)
         return (0 if s2 <= 4.0 * (1 + tol) else 1), s2
 
-    results = _pmap(one, range(instances))
+    results = [one(t) for t in range(instances)]
     failures = sum(r[0] for r in results)
     return {"suite": "newman-sweep", "instances": instances, "failures": failures,
             "worst_S2": max(r[1] for r in results), "ok": failures == 0}
@@ -300,7 +279,7 @@ def sekanina_certificate_sweep(trees: int, n_max: int = 500, seed: int = DEFAULT
             bad += 1
         return bad
 
-    failures = sum(_pmap(one, range(trees)))
+    failures = sum(map(one, range(trees)))
     return {"suite": "sekanina-sweep", "trees": trees, "failures": failures,
             "ok": failures == 0}
 

@@ -260,8 +260,9 @@ def test_certificate_failure_exit_code(tmp_path, monkeypatch):
     assert run_cli("tour", str(src), "--algo", "mst-sekanina") == 3
 
 
-def test_tour_costs_and_bounds_once(tmp_path, monkeypatch):
-    """mst-sekanina's own bound report is the one printed, not rebuilt."""
+def count_cost_and_bound_calls(monkeypatch):
+    """Calls to ``power_cost`` from the CLI and the MST pipeline, and to
+    ``named_bounds``, counted in the returned dict."""
     import powertour.cli as cli
     import powertour.sekanina as sekanina
     import powertour.verifiers as verifiers
@@ -279,6 +280,12 @@ def test_tour_costs_and_bounds_once(tmp_path, monkeypatch):
     count(cli, "power_cost")
     count(sekanina, "power_cost")
     count(verifiers, "named_bounds")
+    return calls
+
+
+def test_tour_costs_and_bounds_once(tmp_path, monkeypatch):
+    """mst-sekanina's own bound report is the one printed, not rebuilt."""
+    calls = count_cost_and_bound_calls(monkeypatch)
     src = tmp_path / "u.json"
     run_cli("gen", "uniform", "--k", "3", "--n", "60", "--seed", "0", "-o", str(src))
     for algo in ("mst-sekanina", "greedy"):
@@ -286,3 +293,12 @@ def test_tour_costs_and_bounds_once(tmp_path, monkeypatch):
         assert run_cli("tour", str(src), "--algo", algo, "--no-timestamp",
                        "-o", str(tmp_path / "out.json")) == 0
         assert calls == {"power_cost": 1, "named_bounds": 1}
+
+
+def test_bench_costs_each_row_once(monkeypatch, capsys):
+    """An mst-sekanina row takes S_k and s_k from the pipeline's report."""
+    calls = count_cost_and_bound_calls(monkeypatch)
+    assert run_cli("bench", "--k", "3", "--n", "20", "--algos", "mst-sekanina,greedy",
+                   "--trials", "2", "--no-timestamp") == 0
+    assert len(capsys.readouterr().out.splitlines()) == 1 + 4
+    assert calls == {"power_cost": 4, "named_bounds": 2}

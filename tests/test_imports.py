@@ -1,4 +1,5 @@
-"""Package modules use only the public names of their siblings."""
+"""Package-wide source guards: modules use only the public names of their
+siblings, leave the recursion limit alone and share one union-find."""
 
 import ast
 from pathlib import Path
@@ -48,6 +49,29 @@ def test_recursion_limit_detector_flags_both_forms():
 
 
 def test_no_module_changes_the_recursion_limit():
-    """The limit is process-wide, and suites run on threads."""
+    """The limit is process-wide: one module's change reaches every caller."""
     found = {p.name: recursion_limit_calls(p.read_text()) for p in sorted(PACKAGE.glob("*.py"))}
     assert {name: n for name, n in found.items() if n} == {}
+
+
+def union_find_classes(source: str) -> list[str]:
+    """Every class that defines a ``union`` or ``find`` method.  Functions
+    nested in functions (``validate``'s own re-check) are not methods."""
+    return [node.name for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ClassDef)
+            and any(isinstance(f, ast.FunctionDef) and f.name in ("union", "find")
+                    for f in node.body)]
+
+
+def test_union_find_detector_flags_methods_only():
+    assert union_find_classes("class A:\n    def find(self, x): pass\n"
+                              "class B:\n    def union(self, a, b): pass\n"
+                              "class C:\n    def other(self): pass\n"
+                              "def find(x): pass\n"
+                              "def validate():\n    def find(x): pass\n") == ["A", "B"]
+
+
+def test_one_union_find_class():
+    found = [f"{p.stem}.{name}" for p in sorted(PACKAGE.glob("*.py"))
+             for name in union_find_classes(p.read_text())]
+    assert found == ["structures.DSU"]

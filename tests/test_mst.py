@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from powertour import mst
 from powertour.constructions import clustered, cube_vertex_subset, uniform_cube
 from powertour.geometry import Edge, pairwise_sq, point_set
-from powertour.mst import _DSU, build_mst, build_threshold_forest, mst_ball_packing_check
-from powertour.structures import SpanningTree, tree_from_pairs, validate
+from powertour.mst import build_mst, build_threshold_forest, mst_ball_packing_check
+from powertour.structures import DSU, SpanningTree, tree_from_pairs, validate
 
 from conftest import random_points
 
@@ -110,7 +110,7 @@ def sorted_pairs(points, cutoff=math.inf):
 def full_scan_mst(points):
     """Reference MST: Kruskal over the full sort of every pair."""
     n = points.n
-    dsu = _DSU(n)
+    dsu = DSU(n)
     edges = []
     for u, v, dd in sorted_pairs(points):
         if len(edges) == n - 1:
@@ -124,7 +124,7 @@ def full_scan_forest(points, cutoff):
     """Reference forest: Kruskal over every pair of weight <= cutoff, with
     no early stop, edges regrouped per final root by a scan over roots."""
     n = points.n
-    dsu = _DSU(n)
+    dsu = DSU(n)
     comp_edges = {}
     for u, v, dd in sorted_pairs(points, cutoff):
         if dsu.union(u, v):
@@ -274,7 +274,7 @@ def test_each_round_sorts_only_joinable_pairs_heavier_than_the_last(monkeypatch,
     calls = []
     watch_sorts(monkeypatch, calls)
     accepted, seen = [], []
-    kruskal = mst._kruskal(points, cut * cut)
+    kruskal = mst._kruskal(points, DSU(points.n), cut * cut)
     while True:
         before = len(calls)
         pair = next(kruskal, None)
@@ -285,7 +285,7 @@ def test_each_round_sorts_only_joinable_pairs_heavier_than_the_last(monkeypatch,
         accepted.append(pair)
     monkeypatch.undo()
     assert calls, "nothing was sorted"
-    dsu = _DSU(points.n)
+    dsu = DSU(points.n)
     done, heaviest = 0, -math.inf
     for (us, vs, d2s), joined in zip(calls, seen):
         for u, v, _ in accepted[done:joined]:
@@ -294,6 +294,26 @@ def test_each_round_sorts_only_joinable_pairs_heavier_than_the_last(monkeypatch,
         assert min(d2s) > heaviest
         heaviest = max(d2s)
         assert all(dsu.find(u) != dsu.find(v) for u, v in zip(us, vs))
+
+
+@pytest.mark.parametrize("name, cutoff", [("clustered-k8-seed1", 8 ** -0.25),
+                                          ("cube-vertex-k12-seed1", 1.0)],
+                         ids=["clustered-k8", "cube-vertex-k12"])
+def test_forest_makes_each_union_once(monkeypatch, rounds, name, cutoff):
+    """The forest reads its components from the scan's own DSU: one
+    successful union per forest edge, none replayed."""
+    points = TOUR_LARGE[name]()
+    union = DSU.union
+    results = []
+
+    def counted(self, a, b):
+        results.append(union(self, a, b))
+        return results[-1]
+
+    monkeypatch.setattr(DSU, "union", counted)
+    edges = sum(len(t.edges) for t in build_threshold_forest(points, cutoff))
+    assert edges > 0
+    assert results.count(True) == edges
 
 
 def sorted_pair_count(monkeypatch, build):

@@ -32,10 +32,3 @@ def test_run_suite_unknown_name():
     with pytest.raises(InputError):
         run_suite("nonsense")
 
-
-def test_thread_pool_does_not_change_results(monkeypatch):
-    base = run_suite("lemma1", trials=30, seed=7)
-    monkeypatch.setenv("POWERTOUR_THREADS", "4")
-    threaded = run_suite("lemma1", trials=30, seed=7)
-    assert threaded["failures"] == base["failures"]
-    assert threaded["trials"] == base["trials"]
