@@ -114,7 +114,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--seed", type=int, default=0)
     v.add_argument("--tol", type=float, default=1e-9)
     v.add_argument("--k", default=None,
-                   help="dimension range for lemma5/bounds-sweep, e.g. 3..8")
+                   help="dimensions for lemma5/bounds-sweep, e.g. 3..8 or 3,5")
     v.add_argument("--n", default=None,
                    help="instance-size range for bounds-sweep, e.g. 2..200")
     v.add_argument("--no-timestamp", action="store_true")
@@ -200,8 +200,7 @@ def cmd_tour(args) -> int:
 def cmd_verify(args) -> int:
     ks = None
     if args.k is not None:
-        vals = _parse_int_list(args.k)
-        ks = range(min(vals), max(vals) + 1)
+        ks = sorted(set(_parse_int_list(args.k)))
     n_range = None
     if args.n is not None:
         vals = _parse_int_list(args.n)

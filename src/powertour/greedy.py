@@ -6,13 +6,15 @@ cheapest edge joining endpoints of two distinct paths until a single
 Hamiltonian path remains.  Ties break by (distance, min index, max index).
 
 The engine keeps a lazy heap with one entry per path endpoint u: u's
-nearest joinable partner v, keyed by (d^2, min(u, v), max(u, v)).  A
-popped entry whose u is no longer an endpoint is dropped; one whose
-partner is no longer joinable is recomputed from u's row and pushed
-back; otherwise the pair is inserted.  This is exact because a pair, once
-invalid (an endpoint became interior, or the paths merged), never becomes
-valid again: degrees only grow and paths only merge.  So every stored key
-is a lower bound on its endpoint's current best key, and the first valid
+nearest joinable partner v, keyed by (d^2, min(u, v), max(u, v)).  It
+reads endpoints and far ends from the system's own endpoint map,
+``PathSystem.other_end``, and keeps no copy of it.  A popped entry whose
+u is no longer an endpoint is dropped; one whose partner is no longer
+joinable is recomputed from u's row and pushed back; otherwise the pair
+is inserted.  This is exact because a pair, once invalid (an endpoint
+became interior, or the paths merged), never becomes valid again:
+degrees only grow and paths only merge.  So every stored key is a lower
+bound on its endpoint's current best key, and the first valid
 pop is the global minimum - the same sequence as recomputing the minimum
 per step, which ``minimum_join_edge`` below implements as the replay
 oracle for tests.  Within one row, ``argmin`` returns the first minimum,
@@ -107,39 +109,33 @@ def greedy_ham_path(points: PointSet, warm_start: PathSystem | None = None
         d2 = pairwise_sq(points.coords)
         _mirror_upper(d2)
         np.fill_diagonal(d2, np.inf)
-        deg = [system.degree(v) for v in range(n)]
-        other_end = list(range(n))
-        for a, b in system.endpoints().values():
-            other_end[a], other_end[b] = b, a
+        far = system.other_end
         # added to a row: inf masks the interior vertices
-        blocked = np.array([0.0 if d < 2 else np.inf for d in deg])
+        blocked = np.array([0.0 if f >= 0 else np.inf for f in far])
 
         def nearest(u: int) -> tuple[float, int, int, int, int]:
             """Heap entry (d^2, min, max, u, v) for u's nearest joinable v."""
             row = d2[u] + blocked
-            row[other_end[u]] = np.inf
+            row[far[u]] = np.inf
             v = int(row.argmin())
             return (float(d2[u, v]), *((u, v) if u < v else (v, u)), u, v)
 
-        heap = [nearest(v) for v in range(n) if deg[v] < 2]
+        heap = [nearest(v) for v in range(n) if far[v] >= 0]
         heapq.heapify(heap)
         while needed > 0:
             dd, a, b, u, v = heapq.heappop(heap)
-            if deg[u] == 2:
+            if far[u] < 0:
                 continue
-            if deg[v] == 2 or other_end[u] == v:
+            if far[v] < 0 or far[u] == v:
                 heapq.heappush(heap, nearest(u))
                 continue
             system.add_path_edge(a, b)
             trace.append(Edge(a, b, math.sqrt(dd)))
             needed -= 1
-            ou, ov = other_end[u], other_end[v]
-            other_end[ou], other_end[ov] = ov, ou
             for w in (u, v):
-                deg[w] += 1
-                if deg[w] == 2:
+                if far[w] < 0:
                     blocked[w] = np.inf
-            if deg[u] < 2 and needed > 0:
+            if far[u] >= 0 and needed > 0:
                 heapq.heappush(heap, nearest(u))
 
     walk = system.paths()

@@ -23,8 +23,8 @@ fraction of all pairs on uniform and clustered inputs.  Inputs of at
 most ``_ROUND_FLOOR`` pairs (n <= 91) sort in one round, as a full sort
 does.
 
-The union-find is ``structures.DSU``, which ``PathSystem`` uses too.  The
-caller owns it and hands it to the scan, which makes every union; the
+The union-find is ``structures.DSU``, and this module is its only user.
+The caller owns it and hands it to the scan, which makes every union; the
 forest then reads its components and roots from that same DSU.
 """
 

@@ -162,9 +162,10 @@ def _root_tree(adj: dict[int, tuple[int, ...]], anchor: int):
 def _cube_cycle(t: SpanningTree, anchor: int):
     """Core worklist machine over global vertex ids.
 
-    Returns (cycle_adjacency, hops) where hops maps normalized cycle-edge
-    pairs to the tree path used, as a tuple of indices into ``t.edges``.
-    Requires the component of ``anchor`` to have >= 3 vertices.
+    Returns ``hops``, which maps each normalized cycle-edge pair to the
+    tree path it uses, as a tuple of indices into ``t.edges``; its keys are
+    the cycle itself.  Requires the component of ``anchor`` to have >= 3
+    vertices.
     """
     adj = t.adjacency
     if anchor not in adj:
@@ -175,7 +176,6 @@ def _cube_cycle(t: SpanningTree, anchor: int):
         raise InputError(f"tree-cube cycles need >= 3 vertices, got {n}")
 
     edge_id = {e.key(): i for i, e in enumerate(t.edges)}
-    cyc: dict[int, list[int]] = {v: [] for v in children}
     hops: dict[tuple[int, int], tuple[int, ...]] = {}
 
     def pair(a: int, b: int) -> tuple[int, int]:
@@ -185,14 +185,7 @@ def _cube_cycle(t: SpanningTree, anchor: int):
         return edge_id[pair(a, b)]
 
     def add(a: int, b: int, path: tuple[int, ...]):
-        cyc[a].append(b)
-        cyc[b].append(a)
         hops[pair(a, b)] = path
-
-    def remove(a: int, b: int):
-        cyc[a].remove(b)
-        cyc[b].remove(a)
-        del hops[pair(a, b)]
 
     ptr = {v: 0 for v in children}
     # frames: ("B", v, c, comp_size) build the cycle for v's current
@@ -237,39 +230,43 @@ def _cube_cycle(t: SpanningTree, anchor: int):
         elif op == "LX":
             # v is alone on its side: thread it between c and c's child.
             _, v, c, cp = frame
-            remove(c, cp)
+            del hops[pair(c, cp)]
             add(v, c, (te(v, c),))
             add(v, cp, (te(v, c), te(c, cp)))
         elif op == "LY":
             # c is a leaf: thread it between v and v's next child.
             _, v, c, c2 = frame
-            remove(v, c2)
+            del hops[pair(v, c2)]
             add(v, c, (te(v, c),))
             add(c, c2, (te(c, v), te(v, c2)))
         else:  # "SP"
             _, v, c, c2, cp, sx, sy = frame
             if sx >= 3:
-                remove(v, c2)  # opens the v-side cycle into a path v..c2
+                del hops[pair(v, c2)]  # opens the v-side cycle into a path v..c2
             else:
                 add(v, c2, (te(v, c2),))  # the 2-vertex side is a bare edge
             if sy >= 3:
-                remove(c, cp)
+                del hops[pair(c, cp)]
             else:
                 add(c, cp, (te(c, cp),))
             add(v, c, (te(v, c),))
             add(cp, c2, (te(cp, c), te(c, v), te(v, c2)))
-    return cyc, hops
+    return hops
 
 
-def _cycle_order(cyc: dict[int, list[int]], anchor: int) -> list[int]:
+def _cycle_order(hops: dict[tuple[int, int], tuple[int, ...]], anchor: int) -> list[int]:
+    """The cycle whose edges are the keys of ``hops``, walked from ``anchor``
+    towards its smaller neighbour."""
+    cyc: dict[int, list[int]] = {}
+    for a, b in hops:
+        cyc.setdefault(a, []).append(b)
+        cyc.setdefault(b, []).append(a)
     order = [anchor]
-    prev, cur = None, anchor
-    nxt = min(cyc[anchor])
-    while nxt != anchor:
-        order.append(nxt)
-        prev, cur = cur, nxt
-        cand = [w for w in cyc[cur] if w != prev]
-        nxt = cand[0]
+    prev, cur = anchor, min(cyc[anchor])
+    while cur != anchor:
+        order.append(cur)
+        x, y = cyc[cur]
+        prev, cur = cur, y if x == prev else x
     return order
 
 
@@ -289,12 +286,13 @@ def tree_cube_cycle(t: SpanningTree, points: PointSet, anchor: int = 0
         raise InputError(f"tree vertex {bad[0]} out of range for {points.n} points")
     if t.n < 3:
         raise InputError(f"need at least 3 vertices, got {t.n}")
-    cyc, hops = _cube_cycle(t, anchor)
+    hops = _cube_cycle(t, anchor)
     cert = UsageCertificate(hops, _usage_counts(hops, len(t.edges)), anchor)
     problems = cert.validate(t)
     if problems:
         raise CertificateError("; ".join(problems))
-    tour = tour_from_order(points, _cycle_order(cyc, anchor))
+    # the tour walks exactly the hop keys the check above accepted
+    tour = tour_from_order(points, _cycle_order(hops, anchor))
     # triangle inequality per hop: each cycle edge is at most its tree path
     for e in tour.edges:
         path = hops[e.key()]

@@ -1,9 +1,9 @@
 """Combinatorial structures over point indices.
 
-Spanning trees, tours, Hamiltonian paths, disjoint path systems and
-matchings, the ``DSU`` union-find, plus the cycle -> matching
-decomposition and a uniform ``validate`` entry point that reports every
-violated invariant.
+Spanning trees, tours, Hamiltonian paths, disjoint path systems (which
+track each path's endpoints in one map) and matchings, the ``DSU``
+union-find of the MST scan, plus the cycle -> matching decomposition and
+a uniform ``validate`` entry point that reports every violated invariant.
 """
 
 from __future__ import annotations
@@ -176,10 +176,11 @@ def cycle_to_matchings(t: Tour, k: int = 2) -> tuple[Matching, Matching]:
 class PathSystem:
     """A vertex-disjoint union of simple paths over n vertices.
 
-    Maintains per-vertex neighbor lists (degree <= 2), a ``DSU`` over the
-    vertices that it owns (every union is one inserted edge), and an
-    endpoint registry mapping each path's DSU root to its two current
-    endpoints.  An isolated vertex is a path whose two endpoints coincide.
+    Maintains per-vertex neighbor lists (degree <= 2) and one endpoint map,
+    ``other_end``: for a vertex of degree < 2 it holds the far endpoint of
+    that vertex's path (the vertex itself for a singleton), and -1 once the
+    vertex is interior.  Every edge joins two path endpoints, so u and v lie
+    on one path exactly when each is the other's far end.
     """
 
     def __init__(self, n: int):
@@ -188,8 +189,7 @@ class PathSystem:
         self.n = n
         self.neighbors: list[list[int]] = [[] for _ in range(n)]
         self.edge_pairs: list[tuple[int, int]] = []
-        self._dsu = DSU(n)
-        self._ends: dict[int, tuple[int, int]] = {v: (v, v) for v in range(n)}
+        self.other_end: list[int] = list(range(n))
 
     @classmethod
     def from_pairs(cls, n: int, pairs) -> "PathSystem":
@@ -205,21 +205,15 @@ class PathSystem:
         return self.n - len(self.edge_pairs)
 
     def endpoints(self) -> dict[int, tuple[int, int]]:
-        """Component root -> its two path endpoints (equal for singletons)."""
-        return dict(self._ends)
+        """Smaller endpoint -> its two path endpoints (equal for singletons)."""
+        return {a: (a, b) for a, b in enumerate(self.other_end) if a <= b}
 
     def endpoint_vertices(self) -> list[int]:
-        out: list[int] = []
-        for a, b in self._ends.values():
-            out.append(a)
-            if b != a:
-                out.append(b)
-        return out
+        return [v for v, far in enumerate(self.other_end) if far >= 0]
 
     def can_join(self, u: int, v: int) -> bool:
-        if u == v or self.degree(u) >= 2 or self.degree(v) >= 2:
-            return False
-        return self._dsu.find(u) != self._dsu.find(v)
+        far = self.other_end
+        return u != v and far[u] >= 0 and far[v] >= 0 and far[u] != v
 
     def add_path_edge(self, u: int, v: int) -> None:
         """Insert edge (u, v); both must be endpoints of distinct paths."""
@@ -227,34 +221,31 @@ class PathSystem:
             raise InputError(f"vertex out of range: ({u}, {v})")
         if u == v:
             raise InputError(f"degenerate edge at vertex {u}")
-        ru, rv = self._dsu.find(u), self._dsu.find(v)
-        if ru == rv:
-            raise InputError(f"edge ({u}, {v}) would close a cycle")
-        if self.degree(u) >= 2 or self.degree(v) >= 2:
+        far = self.other_end
+        fu, fv = far[u], far[v]
+        if fu < 0 or fv < 0:
             raise InputError(f"edge ({u}, {v}) would exceed degree 2")
-        ends_u = self._ends.pop(ru)
-        ends_v = self._ends.pop(rv)
-        new_u = ends_u[0] if ends_u[1] == u else ends_u[1]
-        new_v = ends_v[0] if ends_v[1] == v else ends_v[1]
-        self._dsu.union(ru, rv)  # rv stays the root
-        self.neighbors[u].append(v)
-        self.neighbors[v].append(u)
+        if fu == v:
+            raise InputError(f"edge ({u}, {v}) would close a cycle")
+        far[fu], far[fv] = fv, fu
+        for x, y in ((u, v), (v, u)):
+            if self.neighbors[x]:
+                far[x] = -1  # x had degree 1 and is now interior
+            self.neighbors[x].append(y)
         self.edge_pairs.append((u, v))
-        self._ends[rv] = (new_u, new_v)
 
     def paths(self) -> list[list[int]]:
-        """Each component as an ordered vertex walk, smaller endpoint first."""
+        """Each component as an ordered vertex walk, smaller endpoint first,
+        ordered by that endpoint."""
         out = []
-        for a, b in sorted(self._ends.values()):
-            start = min(a, b)
+        for start, far in enumerate(self.other_end):
+            if far < start:
+                continue  # interior, or the larger endpoint of its path
             walk = [start]
-            prev = -1
-            cur = start
-            while True:
-                nxt = [w for w in self.neighbors[cur] if w != prev]
-                if not nxt:
-                    break
-                prev, cur = cur, nxt[0]
+            prev, cur = -1, start
+            while cur != far:
+                ns = self.neighbors[cur]
+                prev, cur = cur, ns[1] if ns[0] == prev else ns[0]
                 walk.append(cur)
             out.append(walk)
         return out
@@ -292,25 +283,14 @@ def validate(structure, points: PointSet) -> list[str]:
     """
     v: list[str] = []
     n = points.n
-    if isinstance(structure, Tour):
+    if isinstance(structure, (Tour, HamPath)):
+        kind, m = ("tour", n) if isinstance(structure, Tour) else ("path", n - 1)
         if _check_permutation(structure.order, n, v):
-            if len(structure.edges) != n:
-                v.append(f"tour has {len(structure.edges)} edges, expected {n}")
+            if len(structure.edges) != m:
+                v.append(f"{kind} has {len(structure.edges)} edges, expected {m}")
             else:
-                for i in range(n):
-                    a = structure.order[i]
-                    b = structure.order[(i + 1) % n]
-                    e = structure.edges[i]
-                    if {e.u, e.v} != {a, b}:
-                        v.append(f"edge {i} is ({e.u}, {e.v}), expected ({a}, {b})")
-        _check_edge_weights(structure, points, v)
-    elif isinstance(structure, HamPath):
-        if _check_permutation(structure.order, n, v):
-            if len(structure.edges) != n - 1:
-                v.append(f"path has {len(structure.edges)} edges, expected {n - 1}")
-            else:
-                for i in range(n - 1):
-                    a, b = structure.order[i], structure.order[i + 1]
+                for i in range(m):
+                    a, b = structure.order[i], structure.order[(i + 1) % n]
                     e = structure.edges[i]
                     if {e.u, e.v} != {a, b}:
                         v.append(f"edge {i} is ({e.u}, {e.v}), expected ({a}, {b})")

@@ -9,6 +9,7 @@ from __future__ import annotations
 import heapq
 import math
 import time
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -25,7 +26,7 @@ from .planar import newman_square_tour
 from .sekanina import mst_sekanina_tour, tree_cube_cycle
 from .structures import tree_from_pairs
 from .two_phase import two_phase_tour
-from .verifiers import MIDBALL_COEFF, midball_reach, midball_reach_batch
+from .verifiers import MIDBALL_COEFF, check_trials, midball_reach, midball_reach_batch
 
 DEFAULT_TRIALS = 1000
 DEFAULT_TOL = 1e-9
@@ -75,9 +76,11 @@ def suite_lemma1(trials: int = DEFAULT_TRIALS, seed: int = DEFAULT_SEED,
 
 
 def suite_lemma5(trials: int = DEFAULT_TRIALS, seed: int = DEFAULT_SEED,
-                 tol: float = DEFAULT_TOL, ks: range = range(2, 21)) -> dict:
+                 tol: float = DEFAULT_TOL, ks: Sequence[int] = range(2, 21)) -> dict:
     """Half-cube midball reach bound, batched per dimension, plus exact
     equality of the extremal pairs."""
+    if min(ks, default=1) < 1:
+        raise InputError(f"dimensions must be >= 1, got {min(ks)}")
     failures = 0
     worst = -math.inf
     for k in ks:
@@ -165,11 +168,16 @@ def suite_bincode(trials: int = 200, seed: int = DEFAULT_SEED,
 
 
 def suite_bounds_sweep(trials: int = 50, seed: int = DEFAULT_SEED,
-                       tol: float = DEFAULT_TOL, ks: range = range(3, 9),
+                       tol: float = DEFAULT_TOL, ks: Sequence[int] = range(3, 9),
                        n_lo: int = 2, n_hi: int = 200) -> dict:
     """Certified-bound sweep: the MST tour and the two-phase tour stay
     below 3*sqrt(5)*(2/3)^(1/k)*sqrt(k); greedy trace edges except the
     last stay below sqrt(2k/3)."""
+    check_trials(trials)
+    if min(ks, default=2) < 2:
+        raise InputError(f"dimensions must be >= 2, got {min(ks)}")
+    if n_lo < 2:
+        raise InputError(f"instance sizes must be >= 2, got {n_lo}")
     rows = []
     failures = 0
     for k in ks:
@@ -180,12 +188,12 @@ def suite_bounds_sweep(trials: int = 50, seed: int = DEFAULT_SEED,
             n = int(rng.integers(n_lo, n_hi + 1))
             pts = point_set(rng.uniform(size=(n, k)))
             bad = 0
-            tour, _rep = mst_sekanina_tour(pts, k)
-            s_mst = power_cost(tour.edges, k).scaled
+            _tour, rep = mst_sekanina_tour(pts, k)
+            s_mst = rep.algorithms["mst-sekanina"]["s_k"]
             if s_mst > bound * (1 + tol):
                 bad += 1
-            tour2, _rep2 = two_phase_tour(pts, k)
-            s_two = power_cost(tour2.edges, k).scaled
+            _tour2, phase = two_phase_tour(pts, k)
+            s_two = phase.tour_cost.scaled
             if s_two > bound * (1 + tol):
                 bad += 1
             if n >= 3:
@@ -240,6 +248,7 @@ def suite_tight_examples(trials: int = 0, seed: int = DEFAULT_SEED,
 def newman_random_sweep(instances: int, n_max: int = 500, seed: int = DEFAULT_SEED,
                         tol: float = DEFAULT_TOL) -> dict:
     """Random unit-square tours; S_2 must stay at most 4 on every instance."""
+    check_trials(instances, "instances")
 
     def one(t: int) -> tuple[int, float]:
         rng = np.random.default_rng(np.random.SeedSequence([seed, t, 2]))
@@ -260,6 +269,7 @@ def sekanina_certificate_sweep(trees: int, n_max: int = 500, seed: int = DEFAULT
     """Random spanning trees (not necessarily minimal): the cycle
     certificate must validate, every hop span at most 3, every tree edge
     be used exactly twice, and S_k(H) <= (2/3)*3^k*S_k(T)."""
+    check_trials(trees, "trees")
 
     def one(t: int) -> int:
         rng = np.random.default_rng(np.random.SeedSequence([seed, t, 3]))
@@ -296,7 +306,7 @@ SUITES = {
 
 
 def run_suite(name: str, trials: int | None = None, seed: int = DEFAULT_SEED,
-              tol: float = DEFAULT_TOL, ks: range | None = None,
+              tol: float = DEFAULT_TOL, ks: Sequence[int] | None = None,
               n_range: tuple[int, int] | None = None) -> dict:
     """Dispatch a named suite.  ``ks`` narrows the dimension sweep for the
     per-dimension suites (lemma5, bounds-sweep); ``n_range`` narrows the
@@ -307,6 +317,7 @@ def run_suite(name: str, trials: int | None = None, seed: int = DEFAULT_SEED,
     start = time.perf_counter()
     kwargs = {"seed": seed, "tol": tol}
     if trials is not None:
+        check_trials(trials)
         kwargs["trials"] = trials
     if ks is not None:
         if name not in ("lemma5", "bounds-sweep"):

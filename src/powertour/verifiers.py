@@ -53,12 +53,21 @@ def midball_reach_check(u, v, rel_tol: float = 1e-9) -> tuple[float, float, bool
     return lhs, rhs, lhs <= rhs + rel_tol
 
 
+def check_trials(count: int, what: str = "trials") -> None:
+    """Reject a trial count below 1 before any trial runs."""
+    if count < 1:
+        raise InputError(f"{what} must be >= 1, got {count}")
+
+
 def midball_reach_batch(k: int, trials: int, seed: int = 0,
                         rel_tol: float = 1e-9) -> tuple[int, float]:
     """Vectorized random verification over ``trials`` half-cube pairs.
 
     Returns (violations, worst_margin) where worst_margin = max(lhs - rhs).
     """
+    if k < 1:
+        raise InputError(f"dimension must be >= 1, got {k}")
+    check_trials(trials)
     rng = np.random.default_rng(np.random.SeedSequence([seed, k]))
     u = rng.uniform(-0.5, 0.5, size=(trials, k))
     v = rng.uniform(-0.5, 0.5, size=(trials, k))

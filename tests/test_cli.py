@@ -7,7 +7,9 @@ import powertour.geometry
 import powertour.mst
 import powertour.oracle
 from powertour.cli import main
-from powertour.constructions import k3_code4, load_point_set, save_point_set, uniform_cube
+from powertour.constructions import (cube_vertex_subset, k3_code4, load_point_set,
+                                     save_point_set, uniform_cube)
+from powertour.geometry import point_set
 
 
 def run_cli(*args):
@@ -244,6 +246,115 @@ def test_verify_bounds_sweep_with_ranges(capsys):
 
 def test_verify_range_flag_rejected_where_meaningless():
     assert run_cli("verify", "lemma7", "--k", "3..4") == 1
+
+
+def fail_before_work(monkeypatch):
+    """Make every trial body of lemma5 and bounds-sweep raise, so a rejected
+    argument must be caught before the first trial."""
+    import powertour.suites as suites
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a trial ran before the arguments were checked")
+
+    monkeypatch.setattr(suites, "midball_reach_batch", unreachable)
+    monkeypatch.setattr(suites, "mst_sekanina_tour", unreachable)
+
+
+@pytest.mark.parametrize("args", [
+    ("lemma5", "--trials", "0"),
+    ("bounds-sweep", "--trials", "0"),
+    ("lemma1", "--trials", "-3"),
+    ("lemma7", "--trials", "0"),
+    ("lemma5", "--k", "0..2"),
+    ("bounds-sweep", "--k", "1..3"),
+    ("bounds-sweep", "--k", "3", "--n", "1..5"),
+], ids=["lemma5-trials-0", "bounds-sweep-trials-0", "lemma1-trials-negative",
+        "lemma7-trials-0", "lemma5-k-0", "bounds-sweep-k-1", "bounds-sweep-n-1"])
+def test_verify_rejects_bad_arguments_before_work(monkeypatch, capsys, args):
+    fail_before_work(monkeypatch)
+    assert run_cli("verify", *args, "--no-timestamp") == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
+def test_verify_k_list_runs_exactly_those_dimensions(capsys):
+    assert run_cli("verify", "lemma5", "--trials", "50", "--k", "5,3,5",
+                   "--no-timestamp") == 0
+    assert json.loads(capsys.readouterr().out)["ks"] == [3, 5]
+    assert run_cli("verify", "lemma5", "--trials", "50", "--k", "3..5",
+                   "--no-timestamp") == 0
+    assert json.loads(capsys.readouterr().out)["ks"] == [3, 4, 5]
+
+
+def cube6_inputs():
+    """k = 6 cube vertices at n = 60: 60 distinct ones, and 30 distinct
+    ones twice each in a shuffled order."""
+    twice = np.repeat(cube_vertex_subset(6, 30, 1).coords, 2, axis=0)
+    return {"distinct": cube_vertex_subset(6, 60, 1),
+            "duplicated": point_set(twice[np.random.default_rng(7).permutation(60)])}
+
+
+TOUR_RUNS = {"mst-sekanina": ("--algo", "mst-sekanina"), "greedy": ("--algo", "greedy"),
+             "two-phase": ("--algo", "two-phase"),
+             "two-phase-1.5": ("--algo", "two-phase", "--cutoff", "1.5")}
+
+#: ``order`` of ``tour --no-timestamp`` on the two k = 6 cube-vertex inputs of
+#: ``cube6_inputs``; the two-phase rows at the default cutoff see only
+#: singletons (distinct) or 2-vertex trees (duplicated), at 1.5 one tree.
+PINNED_ORDERS = {
+    ("distinct", "mst-sekanina"): [
+        0, 1, 45, 16, 23, 53, 38, 9, 13, 41, 57, 27, 20, 49, 34, 5, 7, 43, 36, 29, 59,
+        51, 22, 11, 55, 25, 18, 47, 32, 3, 2, 31, 46, 17, 24, 54, 39, 10, 14, 42, 58,
+        28, 21, 50, 35, 6, 4, 33, 48, 19, 26, 56, 40, 12, 8, 52, 37, 15, 44, 30
+    ],
+    ("distinct", "greedy"): [
+        55, 43, 59, 29, 51, 47, 45, 44, 46, 50, 48, 49, 57, 56, 40, 42, 35, 36, 32, 31,
+        30, 33, 34, 41, 38, 37, 39, 54, 24, 28, 26, 27, 20, 19, 21, 17, 15, 16, 18, 22,
+        7, 3, 1, 0, 2, 6, 4, 5, 13, 12, 14, 10, 8, 9, 11, 25, 23, 53, 52, 58
+    ],
+    ("distinct", "two-phase"): [
+        55, 43, 59, 29, 51, 47, 45, 44, 46, 50, 48, 49, 57, 56, 40, 42, 35, 36, 32, 31,
+        30, 33, 34, 41, 38, 37, 39, 54, 24, 28, 26, 27, 20, 19, 21, 17, 15, 16, 18, 22,
+        7, 3, 1, 0, 2, 6, 4, 5, 13, 12, 14, 10, 8, 9, 11, 25, 23, 53, 52, 58
+    ],
+    ("distinct", "two-phase-1.5"): [
+        11, 55, 25, 18, 47, 32, 3, 2, 31, 46, 17, 24, 54, 39, 10, 14, 42, 58, 28, 21,
+        50, 35, 6, 4, 33, 48, 19, 26, 56, 40, 12, 8, 52, 37, 15, 44, 30, 0, 1, 45, 16,
+        23, 53, 38, 9, 13, 41, 57, 27, 20, 49, 34, 5, 7, 43, 36, 29, 59, 51, 22
+    ],
+    ("duplicated", "mst-sekanina"): [
+        0, 1, 38, 57, 17, 5, 11, 47, 2, 41, 9, 40, 28, 49, 29, 33, 36, 24, 12, 52, 32,
+        53, 44, 45, 55, 13, 48, 35, 7, 43, 15, 4, 39, 10, 30, 56, 26, 8, 59, 46, 27, 3,
+        54, 31, 23, 14, 20, 34, 6, 18, 50, 42, 25, 19, 22, 58, 21, 51, 16, 37
+    ],
+    ("duplicated", "greedy"): [
+        55, 45, 58, 21, 19, 22, 51, 16, 18, 50, 25, 42, 43, 15, 5, 7, 35, 48, 32, 53,
+        57, 17, 38, 1, 0, 37, 39, 4, 26, 56, 10, 30, 20, 14, 34, 6, 3, 23, 54, 31, 12,
+        52, 47, 11, 44, 13, 2, 41, 36, 33, 40, 9, 24, 29, 28, 49, 46, 27, 8, 59
+    ],
+    ("duplicated", "two-phase"): [
+        55, 45, 58, 21, 19, 22, 51, 16, 18, 50, 25, 42, 43, 15, 5, 7, 35, 48, 32, 53,
+        57, 17, 38, 1, 0, 37, 39, 4, 26, 56, 10, 30, 20, 14, 34, 6, 3, 23, 54, 31, 12,
+        52, 47, 11, 44, 13, 2, 41, 36, 33, 40, 9, 24, 29, 28, 49, 46, 27, 8, 59
+    ],
+    ("duplicated", "two-phase-1.5"): [
+        3, 54, 31, 23, 14, 20, 34, 6, 18, 50, 42, 25, 19, 22, 58, 21, 51, 16, 37, 0, 1,
+        38, 57, 17, 5, 11, 47, 2, 41, 9, 40, 28, 49, 29, 33, 36, 24, 12, 52, 32, 53, 44,
+        45, 55, 13, 48, 35, 7, 43, 15, 4, 39, 10, 30, 56, 26, 8, 59, 46, 27
+    ],
+}
+
+
+@pytest.mark.parametrize("name, run", sorted(PINNED_ORDERS))
+def test_tour_orders_pinned(tmp_path, name, run):
+    """Squared distances between cube vertices are integers, so every tie
+    and every order below is the same on any platform."""
+    src = tmp_path / "pts.json"
+    save_point_set(cube6_inputs()[name], src)
+    out = tmp_path / "tour.json"
+    assert run_cli("tour", str(src), *TOUR_RUNS[run], "--no-timestamp", "-o", str(out)) == 0
+    assert json.loads(out.read_text())["order"] == PINNED_ORDERS[(name, run)]
 
 
 def test_certificate_failure_exit_code(tmp_path, monkeypatch):

@@ -177,6 +177,27 @@ def test_warm_start_respected(rng):
     assert len(warm.edge_pairs) == 3
 
 
+def test_path_system_and_greedy_need_no_union_find(monkeypatch):
+    """``PathSystem`` tracks paths by their endpoint map alone: with the
+    package's union-find disabled, joins, queries and a warm-started greedy
+    run still work."""
+    import powertour.structures as structures
+
+    class NoDSU:
+        def __init__(self, *args, **kwargs):
+            raise AssertionError("PathSystem built a DSU")
+
+    monkeypatch.setattr(structures, "DSU", NoDSU)
+    warm = mixed_warm_start(16, 5)
+    assert not warm.can_join(0, 0)
+    assert len(warm.paths()) == warm.component_count()
+    assert warm.copy().endpoints() == warm.endpoints()
+    pts = random_points(15, 16, 3)
+    path, trace = greedy_ham_path(pts, warm_start=warm)
+    assert validate(path, pts) == []
+    assert len(trace) == warm.component_count() - 1
+
+
 def test_invalid_warm_start_rejected():
     pts = random_points(14, 6, 2)
     warm = PathSystem(5)

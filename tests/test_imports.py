@@ -1,5 +1,6 @@
 """Package-wide source guards: modules use only the public names of their
-siblings, leave the recursion limit alone and share one union-find."""
+siblings, leave the recursion limit alone and share one union-find, which
+only the MST scan builds."""
 
 import ast
 from pathlib import Path
@@ -75,3 +76,23 @@ def test_one_union_find_class():
     found = [f"{p.stem}.{name}" for p in sorted(PACKAGE.glob("*.py"))
              for name in union_find_classes(p.read_text())]
     assert found == ["structures.DSU"]
+
+
+def union_find_constructions(source: str) -> int:
+    """Number of ``DSU(...)`` calls, as a bare or a dotted name."""
+    calls = [n.func for n in ast.walk(ast.parse(source)) if isinstance(n, ast.Call)]
+    return sum((isinstance(f, ast.Name) and f.id == "DSU")
+               or (isinstance(f, ast.Attribute) and f.attr == "DSU") for f in calls)
+
+
+def test_union_find_construction_detector_flags_both_forms():
+    assert union_find_constructions("d = DSU(3)\ne = structures.DSU(n)\n"
+                                    "class DSU: pass\nf = DSU\n") == 2
+
+
+def test_only_the_mst_scan_builds_a_union_find():
+    """Path systems track their paths by an endpoint map; Kruskal alone
+    needs a union-find."""
+    found = {p.stem: n for p in sorted(PACKAGE.glob("*.py"))
+             if (n := union_find_constructions(p.read_text()))}
+    assert set(found) == {"mst"}

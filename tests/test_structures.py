@@ -3,7 +3,7 @@ import pytest
 
 from powertour.errors import InputError
 from powertour.geometry import Edge, point_set, power_cost
-from powertour.structures import (Matching, PathSystem, close_path,
+from powertour.structures import (DSU, Matching, PathSystem, close_path,
                                   cycle_to_matchings, path_from_order, to_json_dict,
                                   tour_from_order, tree_from_pairs, validate)
 
@@ -162,6 +162,121 @@ def test_path_system_endpoints_track_merges():
     assert (1, 3) in ends or (3, 1) in [tuple(reversed(e)) for e in ends]
     singles = [e for e in ends if e[0] == e[1]]
     assert len(singles) == 2  # vertices 0 and 4
+
+
+class ReferencePathSystem:
+    """The endpoint bookkeeping ``PathSystem`` replaced: a ``DSU`` over the
+    vertices plus a registry from each path's root to its two endpoints."""
+
+    def __init__(self, n):
+        self.n = n
+        self.neighbors = [[] for _ in range(n)]
+        self.edge_count = 0
+        self.dsu = DSU(n)
+        self.ends = {v: (v, v) for v in range(n)}
+
+    def can_join(self, u, v):
+        if u == v or len(self.neighbors[u]) >= 2 or len(self.neighbors[v]) >= 2:
+            return False
+        return self.dsu.find(u) != self.dsu.find(v)
+
+    def add_path_edge(self, u, v):
+        if not (0 <= u < self.n and 0 <= v < self.n):
+            raise InputError("out of range")
+        if u == v:
+            raise InputError("self-loop")
+        ru, rv = self.dsu.find(u), self.dsu.find(v)
+        if ru == rv:
+            raise InputError("cycle")
+        if len(self.neighbors[u]) >= 2 or len(self.neighbors[v]) >= 2:
+            raise InputError("degree")
+        ends_u, ends_v = self.ends.pop(ru), self.ends.pop(rv)
+        new_u = ends_u[0] if ends_u[1] == u else ends_u[1]
+        new_v = ends_v[0] if ends_v[1] == v else ends_v[1]
+        self.dsu.union(ru, rv)
+        self.neighbors[u].append(v)
+        self.neighbors[v].append(u)
+        self.edge_count += 1
+        self.ends[rv] = (new_u, new_v)
+
+    def paths(self):
+        out = set()
+        for a, b in self.ends.values():
+            walk, prev = [min(a, b)], -1
+            while True:
+                nxt = [w for w in self.neighbors[walk[-1]] if w != prev]
+                if not nxt:
+                    break
+                prev = walk[-1]
+                walk.append(nxt[0])
+            out.add(tuple(walk))
+        return out
+
+
+def join_attempts(n, gen):
+    """Mostly joins between current endpoints, plus same-path, interior,
+    self-loop and out-of-range attempts."""
+    for _ in range(4 * n):
+        kind = gen.random()
+        if kind < 0.1:
+            u = int(gen.integers(0, n))
+            yield u, u
+        elif kind < 0.2:
+            yield int(gen.integers(-2, n + 2)), int(gen.choice([-1, n, n + 1]))
+        else:
+            yield int(gen.integers(0, n)), int(gen.integers(0, n))
+
+
+def unordered_endpoints(system):
+    return sorted(tuple(sorted(pair)) for pair in system.endpoints().values())
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_path_system_matches_the_union_find_reference(seed):
+    gen = np.random.default_rng(seed)
+    n = int(gen.integers(1, 13))
+    ps, ref = PathSystem(n), ReferencePathSystem(n)
+    pts = point_set(np.zeros((n, 2)), "unconstrained")
+    rejected = 0
+    for u, v in join_attempts(n, gen):
+        outcomes = []
+        for system in (ps, ref):
+            try:
+                system.add_path_edge(u, v)
+                outcomes.append(True)
+            except InputError:
+                outcomes.append(False)
+        assert outcomes[0] == outcomes[1], (u, v)
+        rejected += not outcomes[0]
+        assert [[ps.can_join(a, b) for b in range(n)] for a in range(n)] == \
+               [[ref.can_join(a, b) for b in range(n)] for a in range(n)]
+        assert unordered_endpoints(ps) == \
+               sorted(tuple(sorted(pair)) for pair in ref.ends.values())
+        assert ps.component_count() == n - ref.edge_count
+        assert {tuple(w) for w in ps.paths()} == ref.paths()
+        assert validate(ps, pts) == []
+    assert rejected > 0
+
+
+def test_path_system_reports_interior_before_cycle():
+    """Edge (1, 2) touches interior vertex 1 and joins a path to itself:
+    the degree violation is the one reported."""
+    ps = PathSystem.from_pairs(4, [(0, 1), (1, 2)])
+    with pytest.raises(InputError, match="degree 2"):
+        ps.add_path_edge(1, 2)
+    with pytest.raises(InputError, match="close a cycle"):
+        ps.add_path_edge(0, 2)
+    assert ps.paths() == [[0, 1, 2], [3]]
+    assert ps.other_end == [2, -1, 0, 3]
+
+
+def test_validate_path_edge_count_and_edges(square_corners):
+    p = path_from_order(square_corners, (0, 1, 2, 3))
+    short = type(p)(order=p.order, edges=p.edges[:2])
+    assert validate(short, square_corners) == ["path has 2 edges, expected 3"]
+    swapped = type(p)(order=p.order, edges=(p.edges[0], p.edges[2], p.edges[1]))
+    assert validate(swapped, square_corners) == [
+        "edge 1 is (2, 3), expected (1, 2)", "edge 2 is (1, 2), expected (2, 3)"]
 
 
 def test_serialization_shapes(square_corners):

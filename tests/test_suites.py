@@ -1,8 +1,10 @@
 import pytest
 
 from powertour.errors import InputError
-from powertour.suites import (SUITES, run_suite, suite_bincode, suite_bounds_sweep,
-                              suite_lemma9)
+from powertour.suites import (SUITES, newman_random_sweep, run_suite,
+                              sekanina_certificate_sweep, suite_bincode, suite_bounds_sweep,
+                              suite_lemma5, suite_lemma9)
+from powertour.verifiers import midball_reach_batch
 
 
 def test_suite_registry_complete():
@@ -32,3 +34,40 @@ def test_run_suite_unknown_name():
     with pytest.raises(InputError):
         run_suite("nonsense")
 
+
+
+@pytest.mark.parametrize("call", [
+    lambda: run_suite("lemma1", trials=0),
+    lambda: run_suite("tight-examples", trials=-1),
+    lambda: midball_reach_batch(3, 0),
+    lambda: midball_reach_batch(0, 10),
+    lambda: suite_bounds_sweep(trials=0),
+    lambda: suite_bounds_sweep(trials=1, ks=[3, 1]),
+    lambda: suite_bounds_sweep(trials=1, n_lo=1),
+    lambda: suite_lemma5(trials=10, ks=[4, 0]),
+    lambda: newman_random_sweep(0),
+    lambda: sekanina_certificate_sweep(0),
+], ids=["run-suite", "run-suite-ignored-trials", "midball-trials", "midball-k",
+        "bounds-sweep-trials", "bounds-sweep-k", "bounds-sweep-n", "lemma5-k",
+        "newman-sweep", "sekanina-sweep"])
+def test_counts_and_dimensions_below_range_are_input_errors(call):
+    with pytest.raises(InputError):
+        call()
+
+
+def test_bounds_sweep_reads_costs_from_the_pipelines(monkeypatch):
+    """The MST and two-phase pipelines already cost their tours; the sweep
+    takes s_k from their reports instead of costing each tour again."""
+    import powertour.suites as suites
+
+    calls = {"power_cost": 0}
+    real = suites.power_cost
+
+    def counted(*args, **kwargs):
+        calls["power_cost"] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(suites, "power_cost", counted)
+    result = suite_bounds_sweep(trials=3, seed=4, ks=[3, 4], n_hi=40)
+    assert result["failures"] == 0
+    assert calls == {"power_cost": 0}
