@@ -34,7 +34,7 @@ from .sekanina import mst_sekanina_tour
 from .structures import Tour, close_path
 from .suites import SUITES, run_suite
 from .two_phase import two_phase_tour
-from .verifiers import SCHEMA_VERSION, BoundReport, bound_report
+from .verifiers import SCHEMA_VERSION, BoundReport, bound_report, check_trials
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -224,6 +224,11 @@ def cmd_bench(args) -> int:
         if a not in ALGORITHMS:
             raise InputError(f"unknown algorithm {a!r}")
     # check every row before computing any, so a bad grid writes no rows
+    check_trials(args.trials)
+    if min(ks) < 1:
+        raise InputError(f"bench dimensions must be >= 1, got k = {min(ks)}")
+    if min(ns) < 2:
+        raise InputError(f"bench rows need at least 2 points, got n = {min(ns)}")
     for k, n, algo in itertools.product(ks, ns, algos):
         if algo == "mst-sekanina" and k < 2:
             raise InputError("mst-sekanina rows require k >= 2")

@@ -1,9 +1,10 @@
 """Greedy minimum-edge path merging.
 
 Starting from a collection of vertex-disjoint paths (by default: all
-singletons; optionally a warm-start PathSystem), repeatedly insert the
-cheapest edge joining endpoints of two distinct paths until a single
-Hamiltonian path remains.  Ties break by (distance, min index, max index).
+singletons; optionally warm-start paths given as a list of edge pairs),
+repeatedly insert the cheapest edge joining endpoints of two distinct
+paths until a single Hamiltonian path remains.  Ties break by (distance,
+min index, max index).
 
 The engine keeps a lazy heap with one entry per path endpoint u: u's
 nearest joinable partner v, keyed by (d^2, min(u, v), max(u, v)).  It
@@ -31,12 +32,13 @@ from __future__ import annotations
 
 import heapq
 import math
+from collections.abc import Iterable
 
 import numpy as np
 
 from .errors import InputError
 from .geometry import Edge, PointSet, check_dense_size, pairwise_sq
-from .structures import HamPath, PathSystem, path_from_order, validate
+from .structures import HamPath, PathSystem, path_from_order
 
 
 def minimum_join_edge(points: PointSet, system: PathSystem) -> tuple[int, int, float] | None:
@@ -80,10 +82,14 @@ def _mirror_upper(d2: np.ndarray) -> None:
         d2[j:, i:j] = d2[i:j, j:].T
 
 
-def greedy_ham_path(points: PointSet, warm_start: PathSystem | None = None
+def greedy_ham_path(points: PointSet, warm_start: Iterable[tuple[int, int]] = ()
                     ) -> tuple[HamPath, list[Edge]]:
     """Run the greedy path-merging construction to a Hamiltonian path.
 
+    ``warm_start`` is a list of (u, v) edge pairs that form vertex-disjoint
+    paths; the greedy joins those paths and the remaining singletons.  A
+    pair out of range, a self-loop, or one that would give a vertex degree 3
+    or close a cycle raises ``InputError`` before any distance is computed.
     Returns the path and the trace of inserted edges in insertion order
     (warm-start edges are not part of the trace).  Each trace edge was
     minimal among all edges joining endpoints of distinct paths at its
@@ -93,15 +99,7 @@ def greedy_ham_path(points: PointSet, warm_start: PathSystem | None = None
     if n < 2:
         raise InputError("need at least 2 points")
     check_dense_size(n)
-    if warm_start is None:
-        system = PathSystem(n)
-    else:
-        if warm_start.n != n:
-            raise InputError(f"warm start covers {warm_start.n} vertices, expected {n}")
-        problems = validate(warm_start, points)
-        if problems:
-            raise InputError("invalid warm start: " + "; ".join(problems))
-        system = warm_start.copy()
+    system = PathSystem.from_pairs(n, warm_start)
 
     trace: list[Edge] = []
     needed = system.component_count() - 1
@@ -138,10 +136,8 @@ def greedy_ham_path(points: PointSet, warm_start: PathSystem | None = None
             if far[u] >= 0 and needed > 0:
                 heapq.heappush(heap, nearest(u))
 
-    walk = system.paths()
-    if len(walk) != 1:
-        raise InputError("warm start prevented completion")  # unreachable for valid input
-    return path_from_order(points, walk[0]), trace
+    (walk,) = system.paths()
+    return path_from_order(points, walk), trace
 
 
 def trace_to_json(trace: list[Edge]) -> list[dict]:

@@ -198,9 +198,6 @@ class PathSystem:
             ps.add_path_edge(int(u), int(v))
         return ps
 
-    def degree(self, v: int) -> int:
-        return len(self.neighbors[v])
-
     def component_count(self) -> int:
         return self.n - len(self.edge_pairs)
 
@@ -249,9 +246,6 @@ class PathSystem:
                 walk.append(cur)
             out.append(walk)
         return out
-
-    def copy(self) -> "PathSystem":
-        return PathSystem.from_pairs(self.n, self.edge_pairs)
 
 
 def _check_edge_weights(structure, points: PointSet, violations: list[str]) -> None:
@@ -342,12 +336,12 @@ def validate(structure, points: PointSet) -> list[str]:
                 v.append(f"cycle through edge ({a}, {b})")
             else:
                 parent[ra] = rb
-        for root, (a, b) in structure.endpoints().items():
-            if pfind(a) != pfind(root) or pfind(b) != pfind(root):
-                v.append(f"endpoint registry inconsistent at root {root}")
+        for a, b in structure.endpoints().values():
+            if pfind(a) != pfind(b):
+                v.append(f"endpoint map pairs {a} and {b} from different paths")
             for x in {a, b}:
                 if deg[x] > 1:
-                    v.append(f"registered endpoint {x} has degree {deg[x]}")
+                    v.append(f"endpoint map lists {x}, which has degree {deg[x]}")
     elif isinstance(structure, Matching):
         seen: set[int] = set()
         for e in structure.edges:

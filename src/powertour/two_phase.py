@@ -4,9 +4,10 @@ Phase 1 builds a forest with Kruskal restricted to edges of weight at most
 ``cutoff`` (default k^(-1/4)), converts each tree with >= 3 vertices into
 a certified cube-of-tree cycle, removes the maximum-weight edge of each
 cycle, and collects the resulting open paths (2-vertex trees contribute
-their single edge, singletons stay isolated) into a path system F0.
-Phase 2 completes F0 with the greedy minimum-edge merging and closes the
-final path into a tour.
+their single edge, singletons stay isolated) into a path system F0, kept
+as a list of weighted edges.  Phase 2 hands F0's edge pairs to the greedy
+minimum-edge merging as its warm start and closes the final path into a
+tour.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from .geometry import PointSet, PowerCost, power_cost, power_cost_from_weights
 from .greedy import greedy_ham_path
 from .mst import build_threshold_forest
 from .sekanina import tree_cube_cycle
-from .structures import PathSystem, Tour, close_path
+from .structures import Tour, close_path
 
 
 @dataclass(frozen=True)
@@ -66,37 +67,34 @@ def two_phase_tour(points: PointSet, k: int, cutoff: float | None = None
     start = time.perf_counter()
     coords = points.coords
 
+    def weighed(a: int, b: int) -> tuple[float, int, int]:
+        return float(math.dist(coords[a], coords[b])), a, b
+
     trees = build_threshold_forest(points, cutoff)
-    path_pairs: list[tuple[int, int]] = []
+    path_edges: list[tuple[float, int, int]] = []  # F0 as (weight, a, b)
     for tree in trees:
         if tree.n <= 1:
             continue
         if tree.n == 2:
-            path_pairs.append((tree.vertices[0], tree.vertices[1]))
+            path_edges.append(weighed(*tree.vertices))
             continue
         _cycle, cert = tree_cube_cycle(tree, points, anchor=tree.vertices[0])
-        cycle_edges = []
-        for (a, b) in cert.hops:
-            w = float(math.dist(coords[a], coords[b]))
-            cycle_edges.append((w, a, b))
+        cycle_edges = [weighed(a, b) for a, b in cert.hops]
         # drop the heaviest cycle edge (ties: lexicographically smallest pair)
         drop = max(cycle_edges, key=lambda t: (t[0], (-t[1], -t[2])))
-        for w, a, b in cycle_edges:
-            if (w, a, b) != drop:
-                path_pairs.append((a, b))
+        path_edges.extend(e for e in cycle_edges if e != drop)
 
-    system = PathSystem.from_pairs(points.n, path_pairs)
-    fo_weights = [float(math.dist(coords[a], coords[b])) for a, b in path_pairs]
     forest_cost = power_cost_from_weights(
         [e.weight for t in trees for e in t.edges], k)
-    path_system_cost = power_cost_from_weights(fo_weights, k)
+    path_system_cost = power_cost_from_weights([w for w, _a, _b in path_edges], k)
 
     # the per-tree conversion guarantees S_k(F0) <= 3^k * sum_i S_k(T_i)
     log_budget = k * math.log(3.0) + forest_cost.log_unscaled
     if path_system_cost.log_unscaled > log_budget + 1e-9:
         raise CertificateError("path system cost exceeds the per-tree cycle budget")
 
-    ham_path, trace = greedy_ham_path(points, warm_start=system)
+    ham_path, trace = greedy_ham_path(
+        points, warm_start=[(a, b) for _w, a, b in path_edges])
     tour = close_path(ham_path, points)
     path_cost = power_cost(ham_path.edges, k)
     tour_cost = power_cost(tour.edges, k)

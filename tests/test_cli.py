@@ -236,6 +236,23 @@ def test_bench_checks_whole_grid_before_any_row(monkeypatch, capsys):
         assert capsys.readouterr().out == ""
 
 
+def test_bench_rejects_bad_trials_and_grid_values_before_any_row(monkeypatch, capsys):
+    import powertour.cli as cli
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a row was computed before the arguments were checked")
+
+    monkeypatch.setattr(cli, "_run_algo", unreachable)
+    for args in (("--k", "3", "--n", "10", "--trials", "-2"),
+                 ("--k", "3", "--n", "10", "--trials", "0"),
+                 ("--k", "3", "--n", "20,1", "--algos", "mst-sekanina"),
+                 ("--k", "3,0", "--n", "10", "--algos", "greedy")):
+        assert run_cli("bench", *args, "--no-timestamp") == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error:" in captured.err
+
+
 def test_verify_bounds_sweep_with_ranges(capsys):
     assert run_cli("verify", "bounds-sweep", "--k", "3..4", "--n", "2..40",
                    "--trials", "5", "--no-timestamp") == 0

@@ -15,14 +15,14 @@ from powertour.structures import PathSystem, validate
 from conftest import random_points
 
 
-def sorted_scan_greedy(points, warm_start=None):
+def sorted_scan_greedy(points, warm_start=()):
     """Reference engine: sort all pairs once by (d^2, min, max) and scan.
 
     Returns the vertex walk and the trace; ``greedy_ham_path`` must match
     both exactly, weights bit for bit.
     """
     n = points.n
-    system = PathSystem(n) if warm_start is None else warm_start.copy()
+    system = PathSystem.from_pairs(n, warm_start)
     trace = []
     needed = system.component_count() - 1
     if needed > 0:
@@ -58,7 +58,7 @@ def mixed_warm_start(n, seed):
     return warm
 
 
-def assert_matches_sorted_scan(points, warm_start=None):
+def assert_matches_sorted_scan(points, warm_start=()):
     path, trace = greedy_ham_path(points, warm_start=warm_start)
     ref_walk, ref_trace = sorted_scan_greedy(points, warm_start)
     assert trace == ref_trace
@@ -96,7 +96,8 @@ EQUALITY_INPUTS = [
 @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
 def test_heap_engine_matches_sorted_scan(make, warm):
     points = make()
-    assert_matches_sorted_scan(points, mixed_warm_start(points.n, points.n) if warm else None)
+    assert_matches_sorted_scan(points,
+                               mixed_warm_start(points.n, points.n).edge_pairs if warm else ())
 
 
 @settings(max_examples=60, deadline=None)
@@ -106,7 +107,7 @@ def test_heap_engine_matches_sorted_scan_on_ties(k, n, seed, warm):
     """Coordinates on a 3-level lattice: many equal distances and repeats."""
     gen = np.random.default_rng(seed)
     points = point_set(gen.integers(0, 3, size=(n, k)) / 2.0)
-    assert_matches_sorted_scan(points, mixed_warm_start(n, seed) if warm else None)
+    assert_matches_sorted_scan(points, mixed_warm_start(n, seed).edge_pairs if warm else ())
 
 
 def test_square_corners_path(square_corners):
@@ -153,8 +154,8 @@ def test_replay_with_warm_start(rng):
         warm = PathSystem(n)
         warm.add_path_edge(0, 1)
         warm.add_path_edge(3, 4)
-        _path, trace = greedy_ham_path(pts, warm_start=warm)
-        system = warm.copy()
+        _path, trace = greedy_ham_path(pts, warm_start=warm.edge_pairs)
+        system = PathSystem.from_pairs(n, warm.edge_pairs)
         for e in trace:
             best = minimum_join_edge(pts, system)
             assert best is not None and (best[1], best[2]) == e.key()
@@ -167,7 +168,7 @@ def test_warm_start_respected(rng):
     warm.add_path_edge(0, 5)
     warm.add_path_edge(5, 7)
     warm.add_path_edge(2, 3)
-    path, trace = greedy_ham_path(pts, warm_start=warm)
+    path, trace = greedy_ham_path(pts, warm_start=warm.edge_pairs)
     assert validate(path, pts) == []
     assert len(trace) == 12 - 1 - 3
     path_keys = {e.key() for e in path.edges}
@@ -191,18 +192,17 @@ def test_path_system_and_greedy_need_no_union_find(monkeypatch):
     warm = mixed_warm_start(16, 5)
     assert not warm.can_join(0, 0)
     assert len(warm.paths()) == warm.component_count()
-    assert warm.copy().endpoints() == warm.endpoints()
+    assert PathSystem.from_pairs(16, warm.edge_pairs).endpoints() == warm.endpoints()
     pts = random_points(15, 16, 3)
-    path, trace = greedy_ham_path(pts, warm_start=warm)
+    path, trace = greedy_ham_path(pts, warm_start=warm.edge_pairs)
     assert validate(path, pts) == []
     assert len(trace) == warm.component_count() - 1
 
 
 def test_invalid_warm_start_rejected():
     pts = random_points(14, 6, 2)
-    warm = PathSystem(5)
     with pytest.raises(InputError):
-        greedy_ham_path(pts, warm_start=warm)
+        greedy_ham_path(pts, warm_start=[(4, 6)])
     bad = PathSystem(6)
     bad.add_path_edge(0, 1)
     bad.edge_pairs.append((0, 2))
@@ -212,7 +212,23 @@ def test_invalid_warm_start_rejected():
     bad.neighbors[0].append(3)
     bad.neighbors[3].append(0)
     with pytest.raises(InputError):
-        greedy_ham_path(pts, warm_start=bad)
+        greedy_ham_path(pts, warm_start=bad.edge_pairs)
+
+
+@pytest.mark.parametrize("pairs", [[(0, 6)], [(0, 1), (0, 2), (0, 3)],
+                                   [(0, 1), (1, 2), (2, 0)]],
+                         ids=["out-of-range", "degree-3-star", "3-cycle"])
+def test_invalid_warm_pairs_rejected_before_distances(monkeypatch, pairs):
+    """Building the path system from the pairs is the warm start's only
+    check, and it runs before the d^2 matrix is computed."""
+    import powertour.greedy
+
+    def no_distances(coords):
+        raise AssertionError("pairwise_sq called before the warm start was checked")
+
+    monkeypatch.setattr(powertour.greedy, "pairwise_sq", no_distances)
+    with pytest.raises(InputError):
+        greedy_ham_path(random_points(17, 6, 2), warm_start=pairs)
 
 
 def test_trace_edges_below_two_thirds_threshold(rng):

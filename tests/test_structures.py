@@ -107,6 +107,14 @@ def test_validate_degree_three():
     assert any("degree > 2 at vertex 7" in m for m in msgs)
 
 
+def test_validate_endpoint_map_pairs_one_path():
+    ps = PathSystem.from_pairs(6, [(0, 1), (1, 2)])
+    assert validate(ps, point_set(np.zeros((6, 2)), "unconstrained")) == []
+    ps.other_end[3], ps.other_end[4] = 4, 3  # two singletons paired, past the guard
+    msgs = validate(ps, point_set(np.zeros((6, 2)), "unconstrained"))
+    assert msgs == ["endpoint map pairs 3 and 4 from different paths"]
+
+
 def test_validate_matching_duplicate(square_corners):
     m = Matching((Edge(0, 1, 1.0), Edge(1, 2, 1.0)))
     msgs = validate(m, square_corners)

@@ -1,9 +1,11 @@
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
 
+from powertour import constructions, structures
 from powertour.geometry import point_set, power_cost
 from powertour.greedy import greedy_ham_path
 from powertour.mst import build_mst
@@ -82,3 +84,34 @@ def test_default_cutoff_and_report_shape(rng):
     json.dumps(body)  # serializable
     assert body["tree_count"] == len(report.tree_sizes)
     assert body["tour"]["s_k"] == pytest.approx(power_cost(tour.edges, 4).scaled)
+
+
+@pytest.mark.parametrize("make, trees", [
+    (lambda: constructions.uniform_cube(3, 300, 0), 1),
+    (lambda: constructions.clustered(8, 300, 8, 0.05, 0), 7),
+], ids=["uniform-k3-one-tree", "clustered-k8"])
+def test_warm_edges_inserted_once_and_never_validated(monkeypatch, make, trees):
+    """Each warm edge and each greedy join is inserted into the one path
+    system exactly once, n - 1 insertions in all, and no module re-checks
+    the warm start with ``validate``."""
+    calls = {"add": 0, "validate": 0}
+    add, check = structures.PathSystem.add_path_edge, structures.validate
+
+    def counted_add(self, u, v):
+        calls["add"] += 1
+        return add(self, u, v)
+
+    def counted_validate(*args):
+        calls["validate"] += 1
+        return check(*args)
+
+    monkeypatch.setattr(structures.PathSystem, "add_path_edge", counted_add)
+    binders = [m for name, m in sys.modules.items()
+               if name.split(".")[0] == "powertour" and getattr(m, "validate", None) is check]
+    for module in binders:
+        monkeypatch.setattr(module, "validate", counted_validate)
+    pts = make()
+    _tour, report = two_phase_tour(pts, pts.k)
+    assert len(report.tree_sizes) == trees
+    assert report.greedy_added == trees - 1
+    assert calls == {"add": pts.n - 1, "validate": 0}
