@@ -148,27 +148,70 @@ def make_edge(points: PointSet, u: int, v: int) -> Edge:
 
 
 #: Most points the dense paths accept (``build_mst``, ``build_threshold_forest``,
-#: ``greedy_ham_path``): each holds an n x n float matrix, and the Kruskal
-#: scans 24 bytes per pair besides, about 2 GB at the cap.
+#: ``greedy_ham_path``): each holds an n x n float matrix, 0.8 GB at the cap.
+#: Filter-Kruskal's pair arrays take 24 bytes per pair besides, but only up
+#: to ``mst._PRIM_ABOVE`` points; above it the MST and the forest run Prim,
+#: which needs O(n) beside the matrix.
 MAX_DENSE_POINTS = 10_000
 
 
 def check_dense_size(n: int) -> None:
     """Raise SizeError, before anything is allocated, when n points exceed
-    ``MAX_DENSE_POINTS``.  The estimate is the Kruskal scans' need: 8 n^2
-    bytes of matrix and 24 bytes per pair (the greedy needs the matrix)."""
+    ``MAX_DENSE_POINTS``.  The estimate is the Filter-Kruskal path's need:
+    8 n^2 bytes of matrix and 24 bytes per pair, so above
+    ``mst._PRIM_ABOVE`` points, where Prim runs and no pair array is
+    made, it is an overestimate (the greedy needs the matrix)."""
     if n > MAX_DENSE_POINTS:
         need = 8 * n * n + 24 * (n * (n - 1) // 2)
         raise SizeError(f"dense paths capped at n = {MAX_DENSE_POINTS}, got n = {n} "
                         f"(up to about {need:,} bytes)")
 
 
+#: Rows per strip in ``pairwise_sq`` and ``symmetric_sq``; a strip of
+#: n = 2000 rows fits in cache.
+_STRIP = 256
+_STRICT_LOWER = np.tri(_STRIP, k=-1, dtype=bool)
+
+
 def pairwise_sq(coords: np.ndarray) -> np.ndarray:
-    """Dense matrix of squared Euclidean distances (clipped at 0)."""
+    """Dense matrix of squared Euclidean distances (clipped at 0).
+
+    Entry (i, j) is max((|x_i|^2 + |x_j|^2) - 2 (x_i . x_j), 0), with the
+    dot products from one full gemm.  The rest is elementwise and runs in
+    place one strip of rows at a time, so the gemm's output is the only
+    n x n array: with whole-matrix temporaries it took 1.6-1.8 times as
+    long at n = 2000.
+    """
     coords = np.asarray(coords, dtype=np.float64)
     sq = np.einsum("ij,ij->i", coords, coords)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * (coords @ coords.T)
+    d2 = coords @ coords.T
+    for i in range(0, len(d2), _STRIP):
+        strip = d2[i:i + _STRIP]
+        np.multiply(strip, 2.0, out=strip)
+        np.subtract(sq[i:i + _STRIP, None] + sq[None, :], strip, out=strip)
     np.maximum(d2, 0.0, out=d2)
+    return d2
+
+
+def symmetric_sq(coords: np.ndarray) -> np.ndarray:
+    """Read-only ``pairwise_sq`` matrix, exactly symmetric, +inf on the diagonal.
+
+    The upper triangle is copied onto the lower one, so row u holds
+    d2[min(u, v), max(u, v)] for every v, bit for bit, whatever the BLAS
+    gives below the diagonal.  The copy runs one strip of rows at a time:
+    a whole-matrix transpose runs at memory speed, several times slower
+    at n = 2000.
+    """
+    d2 = pairwise_sq(coords)
+    n = len(d2)
+    for i in range(0, n, _STRIP):
+        j = i + _STRIP
+        block = d2[i:j, i:j]
+        m = len(block)
+        np.copyto(block, block.T, where=_STRICT_LOWER[:m, :m])
+        d2[j:, i:j] = d2[i:j, j:].T
+    np.fill_diagonal(d2, np.inf)
+    d2.flags.writeable = False
     return d2
 
 

@@ -21,11 +21,13 @@ per step, which ``minimum_join_edge`` below implements as the replay
 oracle for tests.  Within one row, ``argmin`` returns the first minimum,
 the smallest partner index, which is also the smallest (min, max) pair.
 
-Cost: one dense d^2 matrix from ``pairwise_sq``, with its upper triangle
-mirrored onto the lower one so that row u holds d2[min(u, v), max(u, v)]
-for every v - every key, weight and tie then matches a scan of the
-sorted upper triangle bit for bit.  No triangle-index or sort arrays;
-each recomputed entry costs one O(n) row and an ``argmin``.
+Cost: one dense d^2 matrix, ``geometry.symmetric_sq``: ``pairwise_sq``
+with its upper triangle mirrored onto the lower one, so that row u holds
+d2[min(u, v), max(u, v)] for every v - every key, weight and tie then
+matches a scan of the sorted upper triangle bit for bit.  The greedy only
+reads it, so ``two_phase_tour`` hands it the matrix its threshold forest
+read.  No triangle-index or sort arrays; each recomputed entry costs one
+O(n) row and an ``argmin``.
 """
 
 from __future__ import annotations
@@ -37,7 +39,8 @@ from collections.abc import Iterable
 import numpy as np
 
 from .errors import InputError
-from .geometry import Edge, PointSet, check_dense_size, pairwise_sq
+# pairwise_sq stays bound here: the benchmark's tracer test reads greedy.pairwise_sq
+from .geometry import Edge, PointSet, check_dense_size, pairwise_sq, symmetric_sq  # noqa: F401
 from .structures import HamPath, PathSystem, path_from_order
 
 
@@ -62,26 +65,6 @@ def minimum_join_edge(points: PointSet, system: PathSystem) -> tuple[int, int, f
     return best
 
 
-#: Rows per strip in ``_mirror_upper``; a strip of n = 2000 rows fits in cache.
-_STRIP = 256
-_STRICT_LOWER = np.tri(_STRIP, k=-1, dtype=bool)
-
-
-def _mirror_upper(d2: np.ndarray) -> None:
-    """Copy the upper triangle of square ``d2`` onto its lower one, in place.
-
-    Works one strip of rows at a time: a whole-matrix transpose runs at
-    memory speed, several times slower at n = 2000.
-    """
-    n = len(d2)
-    for i in range(0, n, _STRIP):
-        j = i + _STRIP
-        block = d2[i:j, i:j]
-        m = len(block)
-        np.copyto(block, block.T, where=_STRICT_LOWER[:m, :m])
-        d2[j:, i:j] = d2[i:j, j:].T
-
-
 def greedy_ham_path(points: PointSet, warm_start: Iterable[tuple[int, int]] = ()
                     ) -> tuple[HamPath, list[Edge]]:
     """Run the greedy path-merging construction to a Hamiltonian path.
@@ -100,13 +83,19 @@ def greedy_ham_path(points: PointSet, warm_start: Iterable[tuple[int, int]] = ()
         raise InputError("need at least 2 points")
     check_dense_size(n)
     system = PathSystem.from_pairs(n, warm_start)
+    d2 = symmetric_sq(points.coords) if system.component_count() > 1 else None
+    return join_paths(points, system, d2)
 
+
+def join_paths(points: PointSet, system: PathSystem, d2: np.ndarray | None
+               ) -> tuple[HamPath, list[Edge]]:
+    """``greedy_ham_path`` from the paths of ``system``, which it joins in
+    place.  ``d2`` is the points' ``symmetric_sq`` matrix, read only while
+    two or more paths remain (None when one does), so a caller that read it
+    first (``two_phase_tour``) hands it over."""
     trace: list[Edge] = []
     needed = system.component_count() - 1
     if needed > 0:
-        d2 = pairwise_sq(points.coords)
-        _mirror_upper(d2)
-        np.fill_diagonal(d2, np.inf)
         far = system.other_end
         # added to a row: inf masks the interior vertices
         blocked = np.array([0.0 if f >= 0 else np.inf for f in far])
@@ -118,7 +107,7 @@ def greedy_ham_path(points: PointSet, warm_start: Iterable[tuple[int, int]] = ()
             v = int(row.argmin())
             return (float(d2[u, v]), *((u, v) if u < v else (v, u)), u, v)
 
-        heap = [nearest(v) for v in range(n) if far[v] >= 0]
+        heap = [nearest(v) for v in range(len(far)) if far[v] >= 0]
         heapq.heapify(heap)
         while needed > 0:
             dd, a, b, u, v = heapq.heappop(heap)

@@ -26,7 +26,8 @@ from .planar import newman_square_tour
 from .sekanina import mst_sekanina_tour, tree_cube_cycle
 from .structures import tree_from_pairs
 from .two_phase import two_phase_tour
-from .verifiers import MIDBALL_COEFF, check_trials, midball_reach, midball_reach_batch
+from .verifiers import (MIDBALL_COEFF, check_tol, check_trials, midball_reach,
+                        midball_reach_batch)
 
 DEFAULT_TRIALS = 1000
 DEFAULT_TOL = 1e-9
@@ -315,6 +316,7 @@ def run_suite(name: str, trials: int | None = None, seed: int = DEFAULT_SEED,
         raise InputError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
     fn = SUITES[name]
     start = time.perf_counter()
+    check_tol(tol)
     kwargs = {"seed": seed, "tol": tol}
     if trials is not None:
         check_trials(trials)

@@ -7,7 +7,8 @@ cycle, and collects the resulting open paths (2-vertex trees contribute
 their single edge, singletons stay isolated) into a path system F0, kept
 as a list of weighted edges.  Phase 2 hands F0's edge pairs to the greedy
 minimum-edge merging as its warm start and closes the final path into a
-tour.
+tour.  Both phases read one d^2 matrix, ``geometry.symmetric_sq``, built
+once per run.
 """
 
 from __future__ import annotations
@@ -17,11 +18,12 @@ import time
 from dataclasses import dataclass
 
 from .errors import CertificateError, InputError
-from .geometry import PointSet, PowerCost, power_cost, power_cost_from_weights
-from .greedy import greedy_ham_path
-from .mst import build_threshold_forest
+from .geometry import (PointSet, PowerCost, check_dense_size, power_cost,
+                       power_cost_from_weights, symmetric_sq)
+from .greedy import join_paths
+from .mst import check_cutoff, forest_from_sq
 from .sekanina import tree_cube_cycle
-from .structures import Tour, close_path
+from .structures import PathSystem, Tour, close_path
 
 
 @dataclass(frozen=True)
@@ -64,13 +66,17 @@ def two_phase_tour(points: PointSet, k: int, cutoff: float | None = None
         raise InputError("exponent must be positive")
     if cutoff is None:
         cutoff = float(k) ** -0.25
+    check_cutoff(cutoff)
+    check_dense_size(points.n)
     start = time.perf_counter()
     coords = points.coords
 
     def weighed(a: int, b: int) -> tuple[float, int, int]:
         return float(math.dist(coords[a], coords[b])), a, b
 
-    trees = build_threshold_forest(points, cutoff)
+    # one d^2 matrix, read by the forest and by the greedy
+    d2 = symmetric_sq(coords)
+    trees = forest_from_sq(d2, cutoff)
     path_edges: list[tuple[float, int, int]] = []  # F0 as (weight, a, b)
     for tree in trees:
         if tree.n <= 1:
@@ -93,8 +99,8 @@ def two_phase_tour(points: PointSet, k: int, cutoff: float | None = None
     if path_system_cost.log_unscaled > log_budget + 1e-9:
         raise CertificateError("path system cost exceeds the per-tree cycle budget")
 
-    ham_path, trace = greedy_ham_path(
-        points, warm_start=[(a, b) for _w, a, b in path_edges])
+    system = PathSystem.from_pairs(points.n, [(a, b) for _w, a, b in path_edges])
+    ham_path, trace = join_paths(points, system, d2)
     tour = close_path(ham_path, points)
     path_cost = power_cost(ham_path.edges, k)
     tour_cost = power_cost(tour.edges, k)

@@ -59,6 +59,14 @@ def check_trials(count: int, what: str = "trials") -> None:
         raise InputError(f"{what} must be >= 1, got {count}")
 
 
+def check_tol(tol: float) -> None:
+    """Reject a tolerance that is negative, NaN or infinite before any trial
+    runs: every comparison with NaN is false, inf passes every bound, and a
+    negative tolerance fails results that meet their bound exactly."""
+    if not math.isfinite(tol) or tol < 0:
+        raise InputError(f"tol must be finite and >= 0, got {tol}")
+
+
 def midball_reach_batch(k: int, trials: int, seed: int = 0,
                         rel_tol: float = 1e-9) -> tuple[int, float]:
     """Vectorized random verification over ``trials`` half-cube pairs.

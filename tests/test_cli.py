@@ -120,6 +120,27 @@ def test_tour_two_phase_cutoff_flag(tmp_path):
     assert body["phase_report"]["cutoff"] == pytest.approx(0.33)
 
 
+@pytest.mark.parametrize("cutoff", ["nan", "inf", "-inf", "-0.1"])
+def test_tour_two_phase_rejects_bad_cutoff_before_work(monkeypatch, capsys, tmp_path,
+                                                       cutoff):
+    """A NaN or infinite cutoff would be written as NaN or Infinity, which
+    is not JSON; it is refused with nothing written and no distance
+    computed."""
+    src = tmp_path / "u.json"
+    run_cli("gen", "uniform", "--k", "3", "--n", "30", "--seed", "2", "-o", str(src))
+    capsys.readouterr()
+
+    def no_matrix(coords):
+        raise AssertionError("distances computed before the cutoff was checked")
+
+    monkeypatch.setattr(powertour.geometry, "pairwise_sq", no_matrix)
+    assert run_cli("tour", str(src), "--algo", "two-phase", f"--cutoff={cutoff}",
+                   "--no-timestamp") == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: cutoff must be finite")
+
+
 def test_bench_newman_rows(tmp_path):
     out = tmp_path / "b.csv"
     assert run_cli("bench", "--k", "2", "--n", "10,40", "--algos", "newman2d",
@@ -266,13 +287,14 @@ def test_verify_range_flag_rejected_where_meaningless():
 
 
 def fail_before_work(monkeypatch):
-    """Make every trial body of lemma5 and bounds-sweep raise, so a rejected
-    argument must be caught before the first trial."""
+    """Make every trial body of lemma1, lemma5 and bounds-sweep raise, so a
+    rejected argument must be caught before the first trial."""
     import powertour.suites as suites
 
     def unreachable(*args, **kwargs):
         raise AssertionError("a trial ran before the arguments were checked")
 
+    monkeypatch.setattr(suites, "build_mst", unreachable)
     monkeypatch.setattr(suites, "midball_reach_batch", unreachable)
     monkeypatch.setattr(suites, "mst_sekanina_tour", unreachable)
 
@@ -285,8 +307,14 @@ def fail_before_work(monkeypatch):
     ("lemma5", "--k", "0..2"),
     ("bounds-sweep", "--k", "1..3"),
     ("bounds-sweep", "--k", "3", "--n", "1..5"),
+    ("lemma1", "--tol", "nan"),
+    ("lemma1", "--tol=-1"),
+    ("lemma5", "--tol", "inf"),
+    ("bounds-sweep", "--tol=-1e-9"),
 ], ids=["lemma5-trials-0", "bounds-sweep-trials-0", "lemma1-trials-negative",
-        "lemma7-trials-0", "lemma5-k-0", "bounds-sweep-k-1", "bounds-sweep-n-1"])
+        "lemma7-trials-0", "lemma5-k-0", "bounds-sweep-k-1", "bounds-sweep-n-1",
+        "lemma1-tol-nan", "lemma1-tol-negative", "lemma5-tol-inf",
+        "bounds-sweep-tol-negative"])
 def test_verify_rejects_bad_arguments_before_work(monkeypatch, capsys, args):
     fail_before_work(monkeypatch)
     assert run_cli("verify", *args, "--no-timestamp") == 1

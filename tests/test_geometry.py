@@ -8,10 +8,11 @@ from hypothesis import strategies as st
 import powertour.geometry
 import powertour.greedy
 import powertour.mst
+from powertour.constructions import clustered, cube_vertex_subset, uniform_cube
 from powertour.errors import InputError, SizeError
 from powertour.geometry import (MAX_DENSE_POINTS, Container, Edge, euclidean_distance,
-                                named_bounds,
-                                point_set, power_cost_from_weights)
+                                named_bounds, pairwise_sq,
+                                point_set, power_cost_from_weights, symmetric_sq)
 
 # extended-precision evaluation of 3*sqrt(5)*(2/3)^(1/3)*sqrt(3)
 IMPROVED_BOUND_K3 = 10.150087774487463
@@ -184,8 +185,7 @@ def test_dense_paths_refuse_points_beyond_the_cap_before_allocating(monkeypatch,
         raise AssertionError("the dense matrix was built")
 
     monkeypatch.setattr(powertour.geometry, "MAX_DENSE_POINTS", 10)
-    monkeypatch.setattr(powertour.mst, "pairwise_sq", no_matrix)
-    monkeypatch.setattr(powertour.greedy, "pairwise_sq", no_matrix)
+    monkeypatch.setattr(powertour.geometry, "pairwise_sq", no_matrix)
     pts = point_set(np.random.default_rng(0).uniform(size=(11, 3)))
     with pytest.raises(SizeError) as info:
         build(pts)
@@ -194,3 +194,35 @@ def test_dense_paths_refuse_points_beyond_the_cap_before_allocating(monkeypatch,
     monkeypatch.undo()
     monkeypatch.setattr(powertour.geometry, "MAX_DENSE_POINTS", 11)
     build(pts)
+
+
+SQ_INPUTS = pytest.mark.parametrize("make", [
+    lambda: point_set([[0.25, 0.5]]),
+    lambda: uniform_cube(3, 300, 0),
+    lambda: clustered(8, 600, 8, 0.05, 1),
+    lambda: cube_vertex_subset(12, 520, 2),
+], ids=["one-point", "uniform-k3", "clustered-k8", "cube-vertex-k12"])
+
+
+@SQ_INPUTS
+def test_pairwise_sq_matches_whole_matrix_expression(make):
+    """The strip-wise build gives the bits of the whole-matrix formula."""
+    coords = make().coords
+    sq = np.einsum("ij,ij->i", coords, coords)
+    want = np.maximum(sq[:, None] + sq[None, :] - 2.0 * (coords @ coords.T), 0.0)
+    assert np.array_equal(pairwise_sq(coords).view(np.int64), want.view(np.int64))
+
+
+@SQ_INPUTS
+def test_symmetric_sq_mirrors_the_upper_triangle(make):
+    """Every row holds the upper-triangle entries bit for bit, whatever the
+    BLAS gives below the diagonal; the diagonal is +inf and the matrix is
+    read-only, so its readers cannot change it for one another."""
+    coords = make().coords
+    d2 = symmetric_sq(coords)
+    iu, iv = np.triu_indices(len(coords), k=1)
+    assert np.array_equal(d2[iu, iv], pairwise_sq(coords)[iu, iv])
+    assert np.array_equal(d2, d2.T)
+    assert np.all(np.diagonal(d2) == np.inf)
+    with pytest.raises(ValueError):
+        d2[0, 0] = 0.0

@@ -221,12 +221,12 @@ def test_invalid_warm_start_rejected():
 def test_invalid_warm_pairs_rejected_before_distances(monkeypatch, pairs):
     """Building the path system from the pairs is the warm start's only
     check, and it runs before the d^2 matrix is computed."""
-    import powertour.greedy
+    import powertour.geometry
 
     def no_distances(coords):
         raise AssertionError("pairwise_sq called before the warm start was checked")
 
-    monkeypatch.setattr(powertour.greedy, "pairwise_sq", no_distances)
+    monkeypatch.setattr(powertour.geometry, "pairwise_sq", no_distances)
     with pytest.raises(InputError):
         greedy_ham_path(random_points(17, 6, 2), warm_start=pairs)
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from powertour import mst
 from powertour.constructions import clustered, cube_vertex_subset, uniform_cube
-from powertour.geometry import Edge, pairwise_sq, point_set
+from powertour.geometry import Edge, pairwise_sq, point_set, symmetric_sq
 from powertour.mst import build_mst, build_threshold_forest, mst_ball_packing_check
 from powertour.structures import DSU, SpanningTree, tree_from_pairs, validate
 
@@ -184,11 +184,23 @@ def use_many_rounds(monkeypatch):
     monkeypatch.setattr(mst, "_ROUND_FLOOR", 0)
 
 
-@pytest.fixture(params=["default", "many"])
-def rounds(request, monkeypatch):
-    """The filter rounds as shipped, or ``use_many_rounds``."""
-    if request.param == "many":
+#: The scan's paths: Filter-Kruskal with its rounds as shipped ("default")
+#: or with ``use_many_rounds`` ("many"), and Prim.
+ENGINES = ("default", "many", "prim")
+
+
+def use_engine(monkeypatch, engine):
+    """Run ``engine`` at every n, by patching ``mst._PRIM_ABOVE``, the size
+    above which the shipped scan runs Prim."""
+    monkeypatch.setattr(mst, "_PRIM_ABOVE", 0 if engine == "prim" else math.inf)
+    if engine == "many":
         use_many_rounds(monkeypatch)
+
+
+@pytest.fixture(params=ENGINES)
+def engine(request, monkeypatch):
+    """Each of ``ENGINES``, with ``watch_sorts``."""
+    use_engine(monkeypatch, request.param)
     watch_sorts(monkeypatch)
     return request.param
 
@@ -225,17 +237,34 @@ def tour_large_reference(name):
 
 
 @pytest.mark.parametrize("name", TIED_INPUTS)
-def test_mst_matches_full_sort_on_tied_inputs(name, rounds):
+def test_mst_matches_full_sort_on_tied_inputs(name, engine):
     points = TIED_INPUTS[name]()
     assert tree_key(build_mst(points)) == tree_key(full_scan_mst(points))
 
 
 @pytest.mark.parametrize("name", TOUR_LARGE)
-def test_mst_and_forest_match_full_sort_on_tour_large_inputs(name, rounds):
+def test_mst_and_forest_match_full_sort_on_tour_large_inputs(name, engine):
     points, cutoff, ref_mst, ref_forest = tour_large_reference(name)
     assert tree_key(build_mst(points)) == tree_key(ref_mst)
     assert [tree_key(t) for t in build_threshold_forest(points, cutoff)] == \
         [tree_key(t) for t in ref_forest]
+
+
+def test_scan_runs_prim_above_the_size_constant(monkeypatch):
+    """The path depends on n alone: Filter-Kruskal up to ``_PRIM_ABOVE``
+    points, Prim above."""
+    calls = []
+    prim = mst._prim
+
+    def watched(d2, cut2):
+        calls.append(len(d2))
+        return prim(d2, cut2)
+
+    monkeypatch.setattr(mst, "_prim", watched)
+    for n in (mst._PRIM_ABOVE, mst._PRIM_ABOVE + 1):
+        build_mst(uniform_cube(3, n, 7))
+        build_threshold_forest(uniform_cube(3, n, 7), 0.1)
+    assert calls == [mst._PRIM_ABOVE + 1] * 2
 
 
 lattices_with_repeats = st.tuples(st.integers(1, 3), st.integers(1, 5)).flatmap(
@@ -243,7 +272,7 @@ lattices_with_repeats = st.tuples(st.integers(1, 3), st.integers(1, 5)).flatmap(
         st.lists(st.tuples(*[st.integers(0, km[1])] * km[0]), min_size=1, max_size=40)
         .map(lambda cells: point_set(np.array(cells, dtype=float) / km[1])),
         st.integers(0, km[0] * km[1] ** 2).map(lambda j: math.sqrt(j) / km[1]),
-        st.booleans()))
+        st.sampled_from(ENGINES)))
 
 
 @settings(max_examples=80, deadline=None)
@@ -251,12 +280,11 @@ lattices_with_repeats = st.tuples(st.integers(1, 3), st.integers(1, 5)).flatmap(
 def test_mst_and_forest_match_full_sort_on_lattice_property(case):
     """Lattice points with repeats tie everywhere; the cutoff lands on a
     lattice distance."""
-    points, cutoff, many = case
+    points, cutoff, engine = case
     want_mst = tree_key(full_scan_mst(points))
     want_forest = [tree_key(t) for t in full_scan_forest(points, cutoff)]
     with pytest.MonkeyPatch.context() as mp:
-        if many:
-            use_many_rounds(mp)
+        use_engine(mp, engine)
         watch_sorts(mp)
         assert tree_key(build_mst(points)) == want_mst
         assert [tree_key(t) for t in build_threshold_forest(points, cutoff)] == want_forest
@@ -270,11 +298,11 @@ def test_each_round_sorts_only_joinable_pairs_heavier_than_the_last(monkeypatch,
     joins two components that earlier rounds left apart (the filter used
     the roots after the last scan)."""
     points = TIED_INPUTS[name]() if name in TIED_INPUTS else TOUR_LARGE[name]()
-    use_many_rounds(monkeypatch)
+    use_engine(monkeypatch, "many")
     calls = []
     watch_sorts(monkeypatch, calls)
     accepted, seen = [], []
-    kruskal = mst._kruskal(points, DSU(points.n), cut * cut)
+    kruskal = mst._kruskal(symmetric_sq(points.coords), DSU(points.n), cut * cut)
     while True:
         before = len(calls)
         pair = next(kruskal, None)
@@ -299,7 +327,7 @@ def test_each_round_sorts_only_joinable_pairs_heavier_than_the_last(monkeypatch,
 @pytest.mark.parametrize("name, cutoff", [("clustered-k8-seed1", 8 ** -0.25),
                                           ("cube-vertex-k12-seed1", 1.0)],
                          ids=["clustered-k8", "cube-vertex-k12"])
-def test_forest_makes_each_union_once(monkeypatch, rounds, name, cutoff):
+def test_forest_makes_each_union_once(monkeypatch, engine, name, cutoff):
     """The forest reads its components from the scan's own DSU: one
     successful union per forest edge, none replayed."""
     points = TOUR_LARGE[name]()
@@ -328,6 +356,7 @@ def sorted_pair_count(monkeypatch, build):
 def test_mst_sorts_under_a_tenth_of_the_pairs(monkeypatch, name):
     """A fall-back to one full sort of all pairs fails here."""
     points = TOUR_LARGE[name]()
+    use_engine(monkeypatch, "default")
     pairs = points.n * (points.n - 1) // 2
     assert sorted_pair_count(monkeypatch, lambda: build_mst(points)) < 0.1 * pairs
 
@@ -336,6 +365,7 @@ def test_forest_on_cube_vertices_below_unit_distance_sorts_nothing(monkeypatch):
     """Cube vertices lie at distance >= 1; the two-phase cutoff 12^(-1/4) < 1
     drops every pair before the first round."""
     points = TOUR_LARGE["cube-vertex-k12-seed1"]()
+    use_engine(monkeypatch, "default")
     trees = []
     assert sorted_pair_count(
         monkeypatch, lambda: trees.extend(build_threshold_forest(points, 12 ** -0.25))) == 0
@@ -365,14 +395,19 @@ def assert_forest_matches_full_scan(points, cutoff):
 @forest_cutoffs
 def test_threshold_forest_matches_full_scan(make, cutoff):
     """Early stop and one-pass regrouping keep the trees, their order and
-    each tree's edge order; the forest is the MST restricted to the cutoff."""
-    assert_forest_matches_full_scan(make(), cutoff)
+    each tree's edge order; the forest is the MST restricted to the cutoff.
+    Both paths, Filter-Kruskal and Prim."""
+    points = make()
+    for engine in ("default", "prim"):
+        with pytest.MonkeyPatch.context() as mp:
+            use_engine(mp, engine)
+            assert_forest_matches_full_scan(points, cutoff)
 
 
 @forest_inputs
 @forest_cutoffs
 def test_threshold_forest_matches_full_scan_in_many_rounds(monkeypatch, make, cutoff):
-    use_many_rounds(monkeypatch)
+    use_engine(monkeypatch, "many")
     watch_sorts(monkeypatch)
     assert_forest_matches_full_scan(make(), cutoff)
 

@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from powertour import constructions, structures
+from powertour import constructions, geometry, mst, structures
 from powertour.geometry import point_set, power_cost
 from powertour.greedy import greedy_ham_path
 from powertour.mst import build_mst
@@ -115,3 +115,37 @@ def test_warm_edges_inserted_once_and_never_validated(monkeypatch, make, trees):
     assert len(report.tree_sizes) == trees
     assert report.greedy_added == trees - 1
     assert calls == {"add": pts.n - 1, "validate": 0}
+
+
+def count_pairwise_sq(monkeypatch):
+    """Count ``pairwise_sq`` calls through every module that binds it;
+    returns the list of each call's point count."""
+    calls = []
+    original = geometry.pairwise_sq
+
+    def counted(coords):
+        calls.append(len(coords))
+        return original(coords)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "powertour" and getattr(module, "pairwise_sq", None) is original:
+            monkeypatch.setattr(module, "pairwise_sq", counted)
+    return calls
+
+
+@pytest.mark.parametrize("n", [200, mst._PRIM_ABOVE + 200],
+                         ids=["filter-kruskal", "prim"])
+def test_one_distance_matrix_per_run(monkeypatch, n):
+    """Two-phase builds one d^2 matrix for its forest and its greedy; the
+    MST and the greedy alone build one each."""
+    pts = constructions.clustered(8, n, 8, 0.05, 3)
+    calls = count_pairwise_sq(monkeypatch)
+    _tour, report = two_phase_tour(pts, pts.k)
+    assert report.greedy_added > 0
+    assert calls == [n]
+    calls.clear()
+    build_mst(pts)
+    assert calls == [n]
+    calls.clear()
+    greedy_ham_path(pts)
+    assert calls == [n]
