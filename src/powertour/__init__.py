@@ -17,7 +17,7 @@ from .mst import build_mst, build_threshold_forest, mst_ball_packing_check
 from .sekanina import (UsageCertificate, mst_sekanina_tour, tree_cube_cycle,
                        tree_to_cycle_cost_bound, verify_double_cover)
 from .greedy import (classify_edges, greedy_edge_count_by_length, greedy_ham_path,
-                     minimum_join_edge, trace_from_json, trace_to_json)
+                     minimum_join_edge)
 from .two_phase import PhaseReport, two_phase_tour
 from .planar import (ExtendedPath, RightTriangle, envelope_path, newman_square_tour,
                      non_obtuse_cycle, non_obtuse_path, right_triangle_path,
@@ -52,8 +52,7 @@ __all__ = [
     "non_obtuse_path", "path_from_order", "point_set", "power_cost",
     "power_cost_from_weights", "right_triangle_path", "save_point_set",
     "shortcut_ok", "singleton_check", "square_tight_sets", "to_json_dict",
-    "tour_from_order", "trace_from_json", "trace_to_json", "tree_cube_cycle",
-    "tree_from_pairs",
+    "tour_from_order", "tree_cube_cycle", "tree_from_pairs",
     "tree_to_cycle_cost_bound", "two_phase_tour", "uniform_cube", "validate",
     "verify_double_cover",
 ]

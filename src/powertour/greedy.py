@@ -129,20 +129,6 @@ def join_paths(points: PointSet, system: PathSystem, d2: np.ndarray | None
     return path_from_order(points, walk), trace
 
 
-def trace_to_json(trace: list[Edge]) -> list[dict]:
-    """Insertion trace as JSON rows, one per step, for replay tooling."""
-    return [{"step": i, "u": e.u, "v": e.v, "weight": e.weight}
-            for i, e in enumerate(trace)]
-
-
-def trace_from_json(rows: list[dict]) -> list[Edge]:
-    try:
-        ordered = sorted(rows, key=lambda r: r["step"])
-        return [Edge(int(r["u"]), int(r["v"]), float(r["weight"])) for r in ordered]
-    except (KeyError, TypeError, ValueError) as ex:
-        raise InputError(f"malformed trace row: {ex}") from ex
-
-
 def greedy_edge_count_by_length(trace: list[Edge], j: float) -> int:
     """Number of trace edges with squared length >= j.
 

@@ -12,15 +12,29 @@ UsageCertificate, and derives the cost guarantee
 realized by any cycle with those properties (each cycle hop is at most the
 sum of <= 3 tree edges, and each tree edge is charged exactly twice).
 
-Construction: root the tree at the anchor and induct over a designated
-edge (v, c) from a vertex to an unprocessed child.  Splitting the current
-component on (v, c) leaves v's remaining component and c's subtree; each
-side is solved for a designated edge of its own and the two open paths are
-spliced across (v, c).  All splice shapes touch O(1) cycle edges, so the
-whole construction runs on an explicit worklist in O(n) time and never
-grows the machine stack (safe for n up to 1e5).  The certificate is
-re-verified from scratch after every construction; a failure raises
-CertificateError and signals a bug, never bad input.
+Construction (Sekanina 1960): one depth-first walk from the anchor, on
+an explicit stack, so deep trees never grow the machine stack.  An
+even-depth vertex is listed when the walk enters it and visits its
+children in descending index order; an odd-depth vertex is listed when the
+walk leaves it and visits its children in ascending order.  The list is
+the cycle:
+
+- the walk crosses every tree edge exactly twice, once down and once up,
+  and consecutive listings cut those crossings into stretches, one per
+  cycle hop, so every tree edge lies on exactly two hops;
+- each stretch spans at most 3 tree edges: after an even vertex the next
+  listing is at most 2 edges away, and after an odd vertex the walk climbs
+  to its (listed) parent and then passes at most one unlisted vertex;
+- the anchor visits its smallest child last, and that child, listed on
+  leaving, ends the list, so the closing hop is a tree edge at the anchor.
+
+If the list's second entry exceeds its last, everything after the anchor
+is reversed, so the cycle leaves the anchor towards its smaller neighbour.
+The same pass records each vertex's parent, depth and parent edge, and
+each hop's tree path is read by climbing out of its deeper end.  The walk
+raises InputError on an edge set that is not a tree over the vertex set.
+The certificate is re-verified from scratch after every construction; a
+failure raises CertificateError and signals a bug, never bad input.
 """
 
 from __future__ import annotations
@@ -38,7 +52,8 @@ from .verifiers import BoundReport, bound_report
 class UsageCertificate:
     """Maps each cycle edge to the tree path it uses (as tree-edge ids).
 
-    ``hops`` is keyed by the normalized cycle-edge pair; ``usage`` counts,
+    ``hops`` is keyed by the normalized cycle-edge pair, in cycle order, and
+    a hop's ids may run in either direction; ``usage`` counts,
     per tree edge id, how many cycle hops traverse it (every count must be
     exactly 2).  ``anchor`` is the vertex at which a cycle edge must
     coincide with a tree edge.
@@ -138,136 +153,68 @@ def verify_double_cover(tree: SpanningTree,
     return out
 
 
-def _root_tree(adj: dict[int, tuple[int, ...]], anchor: int):
-    """Children lists (sorted ascending) and subtree sizes, iteratively."""
-    children: dict[int, list[int]] = {}
-    parent = {anchor: None}
-    order = [anchor]
-    stack = [anchor]
-    while stack:
-        v = stack.pop()
-        kids = sorted(w for w in adj[v] if w != parent[v])
-        children[v] = kids
-        for w in kids:
-            parent[w] = v
-            order.append(w)
-            stack.append(w)
-    size = {v: 1 for v in order}
-    for v in reversed(order):
-        for w in children[v]:
-            size[v] += size[w]
-    return children, size
+def _parity_walk(t: SpanningTree, anchor: int):
+    """The cycle order, its hops and the tree-edge usage, from one walk.
 
-
-def _cube_cycle(t: SpanningTree, anchor: int):
-    """Core worklist machine over global vertex ids.
-
-    Returns ``hops``, which maps each normalized cycle-edge pair to the
-    tree path it uses, as a tuple of indices into ``t.edges``; its keys are
-    the cycle itself.  Requires the component of ``anchor`` to have >= 3
-    vertices.
+    ``hops`` maps each normalized cycle-edge pair, in cycle order, to its
+    tree path as indices into ``t.edges``; ``usage`` counts the hops on
+    each tree edge.  Raises InputError unless ``t.edges`` is a tree over
+    exactly ``t.vertices``: no edge may leave the vertex set, no vertex may
+    be reached twice (a cycle or a repeated edge) and none may be missed.
     """
-    adj = t.adjacency
+    adj: dict[int, list[tuple[int, int]]] = {v: [] for v in t.vertices}
+    for i, e in enumerate(t.edges):
+        if e.u not in adj or e.v not in adj:
+            raise InputError(f"tree edge ({e.u}, {e.v}) leaves the vertex set")
+        adj[e.u].append((e.v, i))
+        adj[e.v].append((e.u, i))
     if anchor not in adj:
         raise InputError(f"anchor {anchor} not a tree vertex")
-    children, size = _root_tree(adj, anchor)
-    n = size[anchor]
-    if n < 3:
-        raise InputError(f"tree-cube cycles need >= 3 vertices, got {n}")
+    up = {anchor: (anchor, -1)}  # vertex -> (parent, parent-edge id)
+    depth = {anchor: 0}
+    order: list[int] = []
+    stack = [(anchor, False)]  # (vertex, leaving)
+    while stack:
+        v, leaving = stack.pop()
+        if leaving:  # only odd-depth vertices wait to be left
+            order.append(v)
+            continue
+        odd = depth[v] % 2
+        if odd:
+            stack.append((v, True))
+        else:
+            order.append(v)
+        kids = sorted((w, i) for w, i in adj[v] if i != up[v][1])
+        # the stack pops the last push first: odd depths visit ascending
+        for w, i in (reversed(kids) if odd else kids):
+            if w in depth:
+                raise InputError(f"tree vertex {w} reached twice from anchor {anchor}: "
+                                 "the edges hold a cycle or a repeated edge")
+            up[w] = (v, i)
+            depth[w] = depth[v] + 1
+            stack.append((w, False))
+    if len(order) != t.n:
+        raise InputError(f"tree is disconnected: the walk from anchor {anchor} "
+                         f"reaches {len(order)} of {t.n} vertices")
+    if order[1] > order[-1]:
+        order[1:] = order[:0:-1]  # leave the anchor towards its smaller neighbour
 
-    edge_id = {e.key(): i for i, e in enumerate(t.edges)}
     hops: dict[tuple[int, int], tuple[int, ...]] = {}
-
-    def pair(a: int, b: int) -> tuple[int, int]:
-        return (a, b) if a < b else (b, a)
-
-    def te(a: int, b: int) -> int:
-        return edge_id[pair(a, b)]
-
-    def add(a: int, b: int, path: tuple[int, ...]):
-        hops[pair(a, b)] = path
-
-    ptr = {v: 0 for v in children}
-    # frames: ("B", v, c, comp_size) build the cycle for v's current
-    # component with designated edge (v, c); "LX"/"LY" re-insert a leaf
-    # after the child build; "SP" splices the two side paths.
-    work: list[tuple] = [("B", anchor, children[anchor][0], n)]
-    while work:
-        frame = work.pop()
-        op = frame[0]
-        if op == "B":
-            _, v, c, comp = frame
-            sy = size[c]
-            sx = comp - sy
-            if sx == 1:
-                cp = children[c][0]
-                if sy == 2:
-                    add(v, c, (te(v, c),))
-                    add(c, cp, (te(c, cp),))
-                    add(cp, v, (te(cp, c), te(c, v)))
-                else:
-                    work.append(("LX", v, c, cp))
-                    work.append(("B", c, cp, sy))
-            elif sy == 1:
-                ptr[v] += 1
-                c2 = children[v][ptr[v]]
-                if sx == 2:
-                    add(v, c, (te(v, c),))
-                    add(v, c2, (te(v, c2),))
-                    add(c2, c, (te(c2, v), te(v, c)))
-                else:
-                    work.append(("LY", v, c, c2))
-                    work.append(("B", v, c2, sx))
+    usage = [0] * len(t.edges)
+    for a, b in zip(order, order[1:] + order[:1]):
+        x, y, rise, fall = a, b, [], []
+        while x != y:  # climb out of the deeper end until the ends meet
+            if depth[x] >= depth[y]:
+                x, i = up[x]
+                rise.append(i)
             else:
-                ptr[v] += 1
-                c2 = children[v][ptr[v]]
-                cp = children[c][0]
-                work.append(("SP", v, c, c2, cp, sx, sy))
-                if sy >= 3:
-                    work.append(("B", c, cp, sy))
-                if sx >= 3:
-                    work.append(("B", v, c2, sx))
-        elif op == "LX":
-            # v is alone on its side: thread it between c and c's child.
-            _, v, c, cp = frame
-            del hops[pair(c, cp)]
-            add(v, c, (te(v, c),))
-            add(v, cp, (te(v, c), te(c, cp)))
-        elif op == "LY":
-            # c is a leaf: thread it between v and v's next child.
-            _, v, c, c2 = frame
-            del hops[pair(v, c2)]
-            add(v, c, (te(v, c),))
-            add(c, c2, (te(c, v), te(v, c2)))
-        else:  # "SP"
-            _, v, c, c2, cp, sx, sy = frame
-            if sx >= 3:
-                del hops[pair(v, c2)]  # opens the v-side cycle into a path v..c2
-            else:
-                add(v, c2, (te(v, c2),))  # the 2-vertex side is a bare edge
-            if sy >= 3:
-                del hops[pair(c, cp)]
-            else:
-                add(c, cp, (te(c, cp),))
-            add(v, c, (te(v, c),))
-            add(cp, c2, (te(cp, c), te(c, v), te(v, c2)))
-    return hops
-
-
-def _cycle_order(hops: dict[tuple[int, int], tuple[int, ...]], anchor: int) -> list[int]:
-    """The cycle whose edges are the keys of ``hops``, walked from ``anchor``
-    towards its smaller neighbour."""
-    cyc: dict[int, list[int]] = {}
-    for a, b in hops:
-        cyc.setdefault(a, []).append(b)
-        cyc.setdefault(b, []).append(a)
-    order = [anchor]
-    prev, cur = anchor, min(cyc[anchor])
-    while cur != anchor:
-        order.append(cur)
-        x, y = cyc[cur]
-        prev, cur = cur, y if x == prev else x
-    return order
+                y, i = up[y]
+                fall.append(i)
+        path = tuple(rise + fall[::-1])
+        for i in path:
+            usage[i] += 1
+        hops[(a, b) if a < b else (b, a)] = path
+    return order, hops, tuple(usage)
 
 
 def tree_cube_cycle(t: SpanningTree, points: PointSet, anchor: int = 0
@@ -277,8 +224,12 @@ def tree_cube_cycle(t: SpanningTree, points: PointSet, anchor: int = 0
     ``t`` may be any tree whose vertices index ``points``, such as one tree
     of a threshold forest; the returned tour visits exactly ``t.vertices``.
     ``anchor`` selects the vertex guaranteed to meet a cycle edge that is
-    itself a tree edge.  The returned certificate has been re-verified, as
-    has every hop's triangle inequality; any internal inconsistency raises
+    itself a tree edge; the tour starts there and steps to its smaller
+    cycle neighbour, and the certificate's hops come in tour order.  An edge
+    set that is not a tree over ``t.vertices`` (an edge leaving it, a cycle,
+    a repeated edge or a disconnected part) raises InputError before any hop
+    is built.  The returned certificate has been re-verified, as has every
+    hop's triangle inequality; any internal inconsistency raises
     CertificateError.
     """
     bad = [v for v in t.vertices if not 0 <= v < points.n]
@@ -286,13 +237,13 @@ def tree_cube_cycle(t: SpanningTree, points: PointSet, anchor: int = 0
         raise InputError(f"tree vertex {bad[0]} out of range for {points.n} points")
     if t.n < 3:
         raise InputError(f"need at least 3 vertices, got {t.n}")
-    hops = _cube_cycle(t, anchor)
-    cert = UsageCertificate(hops, _usage_counts(hops, len(t.edges)), anchor)
+    order, hops, usage = _parity_walk(t, anchor)
+    cert = UsageCertificate(hops, usage, anchor)
     problems = cert.validate(t)
     if problems:
         raise CertificateError("; ".join(problems))
-    # the tour walks exactly the hop keys the check above accepted
-    tour = tour_from_order(points, _cycle_order(hops, anchor))
+    # the hop keys are the order's consecutive pairs, accepted above as one cycle
+    tour = tour_from_order(points, order)
     # triangle inequality per hop: each cycle edge is at most its tree path
     for e in tour.edges:
         path = hops[e.key()]
@@ -301,14 +252,6 @@ def tree_cube_cycle(t: SpanningTree, points: PointSet, anchor: int = 0
             raise CertificateError(
                 f"cycle edge ({e.u}, {e.v}) longer than its tree path")
     return tour, cert
-
-
-def _usage_counts(hops: dict[tuple[int, int], tuple[int, ...]], m: int) -> tuple[int, ...]:
-    usage = [0] * m
-    for path in hops.values():
-        for eid in path:
-            usage[eid] += 1
-    return tuple(usage)
 
 
 def tree_to_cycle_cost_bound(t: SpanningTree, points: PointSet, k: int

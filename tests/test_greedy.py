@@ -283,19 +283,6 @@ def test_classify_diagonal_very_long():
     assert counts["very_long"] == 1
 
 
-def test_trace_json_roundtrip(rng):
-    import json
-
-    from powertour.greedy import trace_from_json, trace_to_json
-
-    pts = random_points(16, 11, 3)
-    _, trace = greedy_ham_path(pts)
-    rows = json.loads(json.dumps(trace_to_json(trace)))
-    back = trace_from_json(rows)
-    assert [(e.u, e.v, e.weight) for e in back] == \
-        [(e.u, e.v, e.weight) for e in trace]
-
-
 def test_at_most_one_very_long_edge_on_cube_vertices(rng):
     for seed in range(25):
         k = int(rng.integers(3, 12))

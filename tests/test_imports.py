@@ -96,3 +96,18 @@ def test_only_the_mst_scan_builds_a_union_find():
     found = {p.stem: n for p in sorted(PACKAGE.glob("*.py"))
              if (n := union_find_constructions(p.read_text()))}
     assert set(found) == {"mst"}
+
+
+def test_retired_names_stay_gone():
+    """The trace JSON pair had no caller outside one round-trip test, and
+    the parity walk replaced the worklist construction with its rooting and
+    cycle-order passes."""
+    import powertour
+    import powertour.greedy
+    import powertour.sekanina
+
+    for name in ("trace_to_json", "trace_from_json"):
+        assert not hasattr(powertour, name) and name not in powertour.__all__
+        assert not hasattr(powertour.greedy, name)
+    for name in ("_root_tree", "_cube_cycle", "_cycle_order", "_usage_counts"):
+        assert not hasattr(powertour.sekanina, name)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import powertour.mst
+import powertour.sekanina
 from powertour.constructions import clustered
 from powertour.errors import InputError
 from powertour.geometry import point_set, power_cost
@@ -282,3 +283,227 @@ def test_adversarial_tree_shapes(shape):
             assert cert.validate(t) == []
             for e in tour.edges:
                 assert tree_distance(pairs, n, e.u, e.v) <= 3
+
+
+# Reference: the designated-edge worklist construction the parity walk
+# replaced.  Root the tree at the anchor and induct over a designated edge
+# (v, c) from a vertex to an unprocessed child; each side of the split is
+# solved for a designated edge of its own and the two open paths are
+# spliced across (v, c).
+
+
+def worklist_root_tree(adj, anchor):
+    """Children lists (sorted ascending) and subtree sizes, iteratively."""
+    children = {}
+    parent = {anchor: None}
+    order = [anchor]
+    stack = [anchor]
+    while stack:
+        v = stack.pop()
+        kids = sorted(w for w in adj[v] if w != parent[v])
+        children[v] = kids
+        for w in kids:
+            parent[w] = v
+            order.append(w)
+            stack.append(w)
+    size = {v: 1 for v in order}
+    for v in reversed(order):
+        for w in children[v]:
+            size[v] += size[w]
+    return children, size
+
+
+def worklist_cube_cycle(t, anchor):
+    """Hops of the worklist construction: normalized cycle-edge pair ->
+    tree path as indices into ``t.edges``."""
+    children, size = worklist_root_tree(t.adjacency, anchor)
+    n = size[anchor]
+    edge_id = {e.key(): i for i, e in enumerate(t.edges)}
+    hops = {}
+
+    def pair(a, b):
+        return (a, b) if a < b else (b, a)
+
+    def te(a, b):
+        return edge_id[pair(a, b)]
+
+    def add(a, b, path):
+        hops[pair(a, b)] = path
+
+    ptr = {v: 0 for v in children}
+    # frames: ("B", v, c, comp_size) build the cycle for v's current
+    # component with designated edge (v, c); "LX"/"LY" re-insert a leaf
+    # after the child build; "SP" splices the two side paths.
+    work = [("B", anchor, children[anchor][0], n)]
+    while work:
+        frame = work.pop()
+        op = frame[0]
+        if op == "B":
+            _, v, c, comp = frame
+            sy = size[c]
+            sx = comp - sy
+            if sx == 1:
+                cp = children[c][0]
+                if sy == 2:
+                    add(v, c, (te(v, c),))
+                    add(c, cp, (te(c, cp),))
+                    add(cp, v, (te(cp, c), te(c, v)))
+                else:
+                    work.append(("LX", v, c, cp))
+                    work.append(("B", c, cp, sy))
+            elif sy == 1:
+                ptr[v] += 1
+                c2 = children[v][ptr[v]]
+                if sx == 2:
+                    add(v, c, (te(v, c),))
+                    add(v, c2, (te(v, c2),))
+                    add(c2, c, (te(c2, v), te(v, c)))
+                else:
+                    work.append(("LY", v, c, c2))
+                    work.append(("B", v, c2, sx))
+            else:
+                ptr[v] += 1
+                c2 = children[v][ptr[v]]
+                cp = children[c][0]
+                work.append(("SP", v, c, c2, cp, sx, sy))
+                if sy >= 3:
+                    work.append(("B", c, cp, sy))
+                if sx >= 3:
+                    work.append(("B", v, c2, sx))
+        elif op == "LX":
+            # v is alone on its side: thread it between c and c's child.
+            _, v, c, cp = frame
+            del hops[pair(c, cp)]
+            add(v, c, (te(v, c),))
+            add(v, cp, (te(v, c), te(c, cp)))
+        elif op == "LY":
+            # c is a leaf: thread it between v and v's next child.
+            _, v, c, c2 = frame
+            del hops[pair(v, c2)]
+            add(v, c, (te(v, c),))
+            add(c, c2, (te(c, v), te(v, c2)))
+        else:  # "SP"
+            _, v, c, c2, cp, sx, sy = frame
+            if sx >= 3:
+                del hops[pair(v, c2)]  # opens the v-side cycle into a path v..c2
+            else:
+                add(v, c2, (te(v, c2),))  # the 2-vertex side is a bare edge
+            if sy >= 3:
+                del hops[pair(c, cp)]
+            else:
+                add(c, cp, (te(c, cp),))
+            add(v, c, (te(v, c),))
+            add(cp, c2, (te(cp, c), te(c, v), te(v, c2)))
+    return hops
+
+
+def worklist_cycle_order(hops, anchor):
+    """The cycle whose edges are the keys of ``hops``, walked from ``anchor``
+    towards its smaller neighbour."""
+    cyc = {}
+    for a, b in hops:
+        cyc.setdefault(a, []).append(b)
+        cyc.setdefault(b, []).append(a)
+    order = [anchor]
+    prev, cur = anchor, min(cyc[anchor])
+    while cur != anchor:
+        order.append(cur)
+        x, y = cyc[cur]
+        prev, cur = cur, y if x == prev else x
+    return order
+
+
+def assert_matches_worklist(t, pts, anchor):
+    """The walk's order, hop keys, id tuples (up to direction) and usage
+    equal the worklist construction's; its hops come in cycle order."""
+    tour, cert = tree_cube_cycle(t, pts, anchor=anchor)
+    ref = worklist_cube_cycle(t, anchor)
+    assert list(tour.order) == worklist_cycle_order(ref, anchor)
+    assert set(cert.hops) == set(ref)
+    assert all(cert.hops[key] in (path, path[::-1]) for key, path in ref.items())
+    usage = [0] * len(t.edges)
+    for path in ref.values():
+        for eid in path:
+            usage[eid] += 1
+    assert cert.usage == tuple(usage)
+    assert list(cert.hops) == [e.key() for e in tour.edges]
+
+
+@pytest.mark.parametrize("shape", ["path", "star", "caterpillar", "broom", "binary"])
+def test_walk_matches_worklist_on_adversarial_shapes_at_every_anchor(shape):
+    for n in (3, 4, 5, 6, 7, 12, 33, 64):
+        pts = random_points(n, n, 3)
+        t = tree_from_pairs(pts, adversarial_trees(n)[shape])
+        for anchor in range(n):
+            assert_matches_worklist(t, pts, anchor)
+
+
+def test_walk_matches_worklist_on_random_trees():
+    gen = np.random.default_rng(2024)
+    for trial in range(300):
+        n = int(gen.integers(3, 81))
+        pts = random_points(trial + 900, n, 2)
+        t = tree_from_pairs(pts, random_tree_pairs(n, gen))
+        for anchor in (0, n // 2, n - 1):
+            assert_matches_worklist(t, pts, anchor)
+
+
+def test_walk_matches_worklist_over_non_contiguous_vertex_ids():
+    pts = clustered(3, 60, 4, 0.05, 11)
+    trees = [t for t in build_threshold_forest(pts, 0.3) if t.n >= 3]
+    assert any(t.vertices != tuple(range(t.vertices[0], t.vertices[0] + t.n))
+               for t in trees)
+    for t in trees:
+        for anchor in t.vertices:
+            assert_matches_worklist(t, pts, anchor)
+    sparse = tree_from_pairs(pts, [(41, 7), (7, 19), (19, 3), (7, 58), (58, 30)],
+                             vertices=[3, 7, 19, 30, 41, 58])
+    for anchor in sparse.vertices:
+        assert_matches_worklist(sparse, pts, anchor)
+
+
+@pytest.mark.parametrize("shape", ["path", "caterpillar"])
+def test_walk_does_not_recurse_on_deep_trees(shape):
+    """20 000 vertices deep, far past the interpreter's recursion limit."""
+    n = 20_000
+    pts = random_points(5, n, 2)
+    t = tree_from_pairs(pts, adversarial_trees(n)[shape])
+    assert_matches_worklist(t, pts, 0)
+
+
+def refuse_certificate(monkeypatch):
+    """Fail the test if a construction reaches its certificate or its tour."""
+    def fail(*_args, **_kwargs):
+        raise AssertionError("a malformed tree reached the certificate")
+
+    monkeypatch.setattr(powertour.sekanina, "verify_double_cover", fail)
+    monkeypatch.setattr(powertour.sekanina, "tour_from_order", fail)
+
+
+def test_edge_leaving_the_vertex_set_is_an_input_error(monkeypatch):
+    pts = random_points(31, 4, 2)
+    t = tree_from_pairs(pts, [(0, 1), (1, 2), (2, 3)], vertices=[0, 1, 2])
+    refuse_certificate(monkeypatch)
+    with pytest.raises(InputError, match=r"edge \(2, 3\) leaves the vertex set"):
+        tree_cube_cycle(t, pts)
+
+
+@pytest.mark.parametrize("pairs", [
+    [(0, 1), (1, 2), (2, 0)],  # a cycle, with n - 1 edges over 4 vertices
+    [(0, 1), (1, 2), (1, 2)],  # a repeated edge
+], ids=["cycle", "repeated-edge"])
+def test_vertex_reached_twice_is_an_input_error(monkeypatch, pairs):
+    pts = random_points(32, 4, 2)
+    t = tree_from_pairs(pts, pairs)
+    refuse_certificate(monkeypatch)
+    with pytest.raises(InputError, match="reached twice"):
+        tree_cube_cycle(t, pts)
+
+
+def test_disconnected_tree_is_an_input_error(monkeypatch):
+    pts = random_points(33, 5, 2)
+    t = tree_from_pairs(pts, [(0, 1), (2, 3), (3, 4)])
+    refuse_certificate(monkeypatch)
+    for anchor, reached in ((0, 2), (3, 3)):
+        with pytest.raises(InputError, match=f"disconnected.* reaches {reached} of 5"):
+            tree_cube_cycle(t, pts, anchor=anchor)
