@@ -2,12 +2,16 @@
 
 Method.  A Held-Karp table ``g[S, v]`` holds the cheapest way to start at
 v, visit every vertex of the bitmask S and, for tours, close back to the
-pivot 0.  It is filled one popcount layer of S at a time, O(n^2 2^n) work.
-A depth-first search then walks the canonical orders in lexicographic
-order and keeps a prefix only while its cost plus the table's bound for
-the rest stays within OPT * (1 + 1e-9).  The orders it reaches are the
-near-optimal candidates.  Matchings use a table ``h[S]`` over the free
-vertices, pairing the lowest free vertex first, and the same search.
+pivot 0.  It is filled one popcount layer of S at a time:
+``g[S, v] = min over u in S of dk[v, u] + g[S - u, u]``, taken over the
+members u of S only, O(n^2 2^n) work.  Each layer's masks, members and
+``S - u`` indices depend on n alone, so they are built once per n and
+kept, read-only, in a small cache.  A depth-first search then walks the
+canonical orders in lexicographic order and keeps a prefix only while its
+cost plus the table's bound for the rest stays within OPT * (1 + 1e-9).
+The orders it reaches are the near-optimal candidates.  Matchings use a
+table ``h[S]`` over the free vertices, pairing the lowest free vertex with
+each other member, from its own cache of layers, and the same search.
 
 Tie contract.  The result is the first minimum, in lexicographic order,
 over the canonical orders: tours put the pivot 0 first and permute
@@ -42,6 +46,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterator
+from functools import lru_cache
 from itertools import islice
 
 import numpy as np
@@ -65,11 +70,46 @@ def _power_matrix(points: PointSet, k: int) -> np.ndarray:
     return d2 ** (k / 2.0)
 
 
-def _subsets(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Every bitmask over n vertices, its membership rows and its size."""
-    masks = np.arange(1 << n)
-    member = (masks[:, None] >> np.arange(n)) & 1 == 1
-    return masks, member, member.sum(axis=1)
+def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The arrays, made read-only, as cached values are shared by all calls."""
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+def _by_size(n: int, low: int, sizes: range) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Per c in ``sizes``: the subsets S of low..n-1 of size c as bitmasks,
+    and their members in increasing order as a (c, L) array, one column per
+    S.  Each S of size c grows from one of size c - 1 by a member above its
+    largest."""
+    u = np.arange(low, n)[None]
+    for c in range(1, sizes.stop):
+        if c > 1:
+            top = u[-1]
+            more = n - 1 - top
+            parent = np.repeat(np.arange(len(top)), more)
+            above = np.arange(len(parent)) - np.repeat(np.cumsum(more) - more, more)
+            u = np.vstack([u[:, parent], top[parent] + 1 + above])
+        if c in sizes:
+            yield (1 << u).sum(axis=0), u
+
+
+@lru_cache(maxsize=8)
+def _walk_layers(n: int, closed: bool) -> tuple[tuple[np.ndarray, ...], ...]:
+    """Per size c = 1..n-1 of S, read-only: the masks S (tours leave the
+    pivot 0 out), their members u (c, L) and the flat index
+    (S - u) * n + u of g[S - u, u]."""
+    return tuple(_frozen(masks, u, (masks ^ (1 << u)) * n + u)
+                 for masks, u in _by_size(n, int(closed), range(1, n)))
+
+
+@lru_cache(maxsize=8)
+def _pair_layers(n: int) -> tuple[tuple[np.ndarray, ...], ...]:
+    """Per even size c of S, read-only: the masks S, the flat index
+    low * n + p of dk[low, p] for the lowest member low and each partner p
+    (c - 1, L), and the rest masks S - low - p."""
+    return tuple(_frozen(masks, u[:1] * n + u[1:], masks ^ (1 << u[:1]) ^ (1 << u[1:]))
+                 for masks, u in _by_size(n, 0, range(2, n + 1, 2)))
 
 
 def _limit(opt: float) -> float:
@@ -81,33 +121,36 @@ def _limit(opt: float) -> float:
 
 def _suffix_table(dk: np.ndarray, closed: bool) -> np.ndarray:
     """g[S, v] for v outside S: the cheapest walk from v through all of S,
-    then back to the pivot 0 for tours.  Tours never put the pivot in S."""
+    then back to the pivot 0 for tours.  Tours never put the pivot in S.
+    Entries with v in S are filled too but never read."""
     n = len(dk)
-    masks, member, size = _subsets(n)
-    bit = 1 << np.arange(n)
-    pivot = 1 if closed else 0
+    dk_t = np.ascontiguousarray(dk.T)
     g = np.full((1 << n, n), np.inf)
     g[0] = dk[:, 0] if closed else 0.0
-    for c in range(1, n):
-        layer = masks[(size == c) & ((masks & pivot) == 0)]
-        # after[s, u]: the rest of the walk once it steps to u in S
-        after = np.where(member[layer], g[layer[:, None] ^ bit, np.arange(n)], np.inf)
-        g[layer] = (dk + after[:, None, :]).min(axis=2)
+    g_flat = g.reshape(-1)
+    for masks, u, after in _walk_layers(n, closed):
+        # dk[v, u] + g[S - u, u] as a (c, L, n) block, least over the members u
+        walks = dk_t.take(u, axis=0)
+        walks += g_flat.take(after)[:, :, None]
+        g[masks] = walks.min(axis=0)
     return g
 
 
 def _earlier_copies(dk: np.ndarray) -> list[int]:
-    """Bit of the nearest lower-index copy of each vertex, or 0."""
+    """Bit of the nearest lower-index copy of each vertex, or 0.
+
+    Exchanging u and v leaves dk unchanged exactly when rows u and v agree
+    and columns u and v agree off positions u and v, dk[u, u] == dk[v, v]
+    and dk[u, v] == dk[v, u]; all pairs are compared at once."""
     n = len(dk)
-    earlier = [0] * n
-    for v in range(n):
-        for u in range(v - 1, -1, -1):
-            swap = np.arange(n)
-            swap[[u, v]] = v, u
-            if np.array_equal(dk[swap][:, swap], dk):
-                earlier[v] = 1 << u
-                break
-    return earlier
+    index = np.arange(n)
+    lines = np.concatenate([dk, dk.T], axis=1)  # row x, then column x
+    own = np.concatenate([index[:, None] == index] * 2, axis=1)  # position x in line x
+    same = ((lines[:, None] == lines) | own[:, None] | own).all(axis=2)
+    diagonal = dk.diagonal()
+    same &= (diagonal[:, None] == diagonal) & (dk == dk.T)
+    nearest = np.where(same & (index[:, None] < index), index[:, None], -1).max(axis=0)
+    return [1 << int(u) if u >= 0 else 0 for u in nearest]
 
 
 def _search_orders(dk: np.ndarray, g: np.ndarray, closed: bool,
@@ -117,24 +160,25 @@ def _search_orders(dk: np.ndarray, g: np.ndarray, closed: bool,
     n = len(dk)
     w = dk.tolist()
     w.append([0.0] * n)  # paths start from a free virtual vertex n
-    earlier = _earlier_copies(dk)
+    bound = memoryview(g.reshape(-1))  # g[S, v] as a Python float at S * n + v
+    vertices = list(zip(range(n), [1 << v for v in range(n)], _earlier_copies(dk)))
     order = [0] if closed else []
 
     def extend(last: int, first: int, left: int, cost: float) -> Iterator[tuple[int, ...]]:
         if not left:
             yield tuple(order)
             return
-        for v in range(n):
-            b = 1 << v
-            if not left & b or left & earlier[v]:
+        row = w[last]
+        for v, b, earlier in vertices:
+            if not left & b or left & earlier:
                 continue
             rest = left ^ b
             f = v if first < 0 else first
             # one order per reversal pair: the last entry exceeds the first permuted one
             if (rest >> (f + 1) == 0) if rest else v <= f:
                 continue
-            step = cost + w[last][v]
-            if step + g[rest, v] <= limit:
+            step = cost + row[v]
+            if step + bound[rest * n + v] <= limit:
                 order.append(v)
                 yield from extend(v, f, rest, step)
                 order.pop()
@@ -185,16 +229,11 @@ def _first_best_order(dk: np.ndarray, closed: bool) -> tuple[int, ...]:
 def _matching_table(dk: np.ndarray) -> np.ndarray:
     """h[S]: the cheapest perfect matching of the vertices in S (even size)."""
     n = len(dk)
-    masks, member, size = _subsets(n)
-    bit = 1 << np.arange(n)
     h = np.full(1 << n, np.inf)
     h[0] = 0.0
-    for c in range(2, n + 1, 2):
-        layer = masks[size == c]
-        low = member[layer].argmax(axis=1)
-        partner = member[layer] & (np.arange(n) != low[:, None])
-        rest = layer[:, None] ^ bit[low][:, None] ^ bit
-        h[layer] = np.where(partner, dk[low] + h[rest], np.inf).min(axis=1)
+    dk_flat = dk.reshape(-1)
+    for masks, pair, rest in _pair_layers(n):
+        h[masks] = (dk_flat.take(pair) + h.take(rest)).min(axis=0)
     return h
 
 
@@ -206,6 +245,7 @@ def _first_best_pairs(dk: np.ndarray) -> list[tuple[int, int]]:
     n = len(dk)
     h = _matching_table(dk)
     limit = _limit(h[-1])
+    bound = memoryview(h)
     w = dk.tolist()
     best_cost = math.inf
     best_pairs: list[tuple[int, int]] = []
@@ -223,7 +263,7 @@ def _first_best_pairs(dk: np.ndarray) -> list[tuple[int, int]]:
             if free >> v & 1:
                 rest = free ^ (1 << u) ^ (1 << v)
                 step = acc + w[u][v]
-                if step + h[rest] <= limit:
+                if step + bound[rest] <= limit:
                     pairs.append((u, v))
                     extend(rest, step)
                     pairs.pop()

@@ -30,14 +30,6 @@ class SpanningTree:
     def n(self) -> int:
         return len(self.vertices)
 
-    @property
-    def adjacency(self) -> dict[int, tuple[int, ...]]:
-        adj: dict[int, list[int]] = {v: [] for v in self.vertices}
-        for e in self.edges:
-            adj[e.u].append(e.v)
-            adj[e.v].append(e.u)
-        return {v: tuple(sorted(ns)) for v, ns in adj.items()}
-
     def total_weight(self) -> float:
         return float(sum(e.weight for e in self.edges))
 

@@ -99,15 +99,17 @@ def test_only_the_mst_scan_builds_a_union_find():
 
 
 def test_retired_names_stay_gone():
-    """The trace JSON pair had no caller outside one round-trip test, and
-    the parity walk replaced the worklist construction with its rooting and
-    cycle-order passes."""
+    """The trace JSON pair had no caller outside one round-trip test, the
+    parity walk replaced the worklist construction with its rooting and
+    cycle-order passes, and with them went the tree adjacency map."""
     import powertour
     import powertour.greedy
     import powertour.sekanina
+    import powertour.structures
 
     for name in ("trace_to_json", "trace_from_json"):
         assert not hasattr(powertour, name) and name not in powertour.__all__
         assert not hasattr(powertour.greedy, name)
     for name in ("_root_tree", "_cube_cycle", "_cycle_order", "_usage_counts"):
         assert not hasattr(powertour.sekanina, name)
+    assert not hasattr(powertour.structures.SpanningTree, "adjacency")

@@ -76,6 +76,59 @@ def recursive_first_best_pairs(dk, n):
     return best_pairs
 
 
+def reference_subsets(n):
+    """Every bitmask over n vertices, its membership rows and its size."""
+    masks = np.arange(1 << n)
+    member = (masks[:, None] >> np.arange(n)) & 1 == 1
+    return masks, member, member.sum(axis=1)
+
+
+def reference_suffix_table(dk, closed):
+    """The Held-Karp table the member-only layers must reproduce: every
+    layer is an (L, n, n) block with inf for the u outside S."""
+    n = len(dk)
+    masks, member, size = reference_subsets(n)
+    bit = 1 << np.arange(n)
+    pivot = 1 if closed else 0
+    g = np.full((1 << n, n), np.inf)
+    g[0] = dk[:, 0] if closed else 0.0
+    for c in range(1, n):
+        layer = masks[(size == c) & ((masks & pivot) == 0)]
+        after = np.where(member[layer], g[layer[:, None] ^ bit, np.arange(n)], np.inf)
+        g[layer] = (dk + after[:, None, :]).min(axis=2)
+    return g
+
+
+def reference_matching_table(dk):
+    """The matching table over every vertex, inf for the non-partners."""
+    n = len(dk)
+    masks, member, size = reference_subsets(n)
+    bit = 1 << np.arange(n)
+    h = np.full(1 << n, np.inf)
+    h[0] = 0.0
+    for c in range(2, n + 1, 2):
+        layer = masks[size == c]
+        low = member[layer].argmax(axis=1)
+        partner = member[layer] & (np.arange(n) != low[:, None])
+        rest = layer[:, None] ^ bit[low][:, None] ^ bit
+        h[layer] = np.where(partner, dk[low] + h[rest], np.inf).min(axis=1)
+    return h
+
+
+def reference_earlier_copies(dk):
+    """The copy rule by definition: try every exchange of two vertices."""
+    n = len(dk)
+    earlier = [0] * n
+    for v in range(n):
+        for u in range(v - 1, -1, -1):
+            swap = np.arange(n)
+            swap[[u, v]] = v, u
+            if np.array_equal(dk[swap][:, swap], dk):
+                earlier[v] = 1 << u
+                break
+    return earlier
+
+
 def assert_matches_references(points, k):
     """Orders and pairs equal to the enumeration's, costs equal bit for bit."""
     n = points.n
@@ -135,6 +188,97 @@ def test_matchings_match_the_recursion_up_to_n_12(name):
         matching, _cost = exact_min_matching(points, k)
         assert [(e.u, e.v) for e in matching.edges] == \
             recursive_first_best_pairs(powertour.oracle._power_matrix(points, k), n)
+
+
+def read_entries(n, closed):
+    """The (S, v) the search reads: v outside S, and S without the pivot
+    for tours."""
+    masks, member, _size = reference_subsets(n)
+    read = ~member
+    if closed:
+        read[masks & 1 == 1] = False
+    return read
+
+
+def assert_tables_equal_bit_for_bit(dk):
+    n = len(dk)
+    for closed in (True, False):
+        read = read_entries(n, closed)
+        got = powertour.oracle._suffix_table(dk, closed)[read]
+        want = reference_suffix_table(dk, closed)[read]
+        assert (got.view(np.uint64) == want.view(np.uint64)).all()
+    if n % 2 == 0:
+        even = reference_subsets(n)[2] % 2 == 0
+        got = powertour.oracle._matching_table(dk)[even]
+        want = reference_matching_table(dk)[even]
+        assert (got.view(np.uint64) == want.view(np.uint64)).all()
+
+
+@pytest.mark.parametrize("name", REFERENCE_INPUTS)
+def test_member_only_tables_equal_the_full_blocks_bit_for_bit(name):
+    make, k = REFERENCE_INPUTS[name]
+    for n in range(2, 13):
+        assert_tables_equal_bit_for_bit(powertour.oracle._power_matrix(make(n, 3), k))
+
+
+def test_member_only_tables_keep_the_direction_of_each_step():
+    """dk[v, u] prices the step from v to u; an unsymmetric matrix shows
+    a table that reads dk[u, v] instead."""
+    for n in range(2, 11):
+        assert_tables_equal_bit_for_bit(np.random.default_rng(n).uniform(size=(n, n)))
+
+
+def copy_inputs():
+    """Repeated points, regular-simplex corners and the n = 16 copy groups."""
+    gen = np.random.default_rng(5)
+    for n in range(2, 12):
+        for distinct in (1, 2, 3):
+            yield few_points_repeated(distinct, n, n), 3
+    for k in range(2, 9):
+        yield point_set(np.eye(k)), 3
+        yield point_set(np.vstack([np.eye(k), np.zeros(k)])), k
+        yield point_set(np.vstack([np.eye(k), np.eye(k)[:2]])), 2
+    for groups in (1, 2, 3, 4):
+        yield point_set(np.repeat(gen.uniform(size=(groups, 3)), 16 // groups, axis=0)), 3
+        yield point_set(gen.uniform(size=(groups, 3))[gen.integers(0, groups, size=16)]), 3
+
+
+def test_copies_match_the_exchange_loop():
+    for points, k in copy_inputs():
+        dk = powertour.oracle._power_matrix(points, k)
+        assert powertour.oracle._earlier_copies(dk) == reference_earlier_copies(dk)
+
+
+def test_copies_match_the_exchange_loop_on_unsymmetric_matrices():
+    """Few distinct values make many exchanges nearly work; one entry off
+    the symmetric pattern, or on the diagonal, must break them."""
+    gen = np.random.default_rng(7)
+    for _ in range(300):
+        n = int(gen.integers(2, 8))
+        dk = gen.integers(0, 2, size=(n, n)).astype(float)
+        if gen.random() < 0.7:
+            dk = np.maximum(dk, dk.T)
+        if gen.random() < 0.5:
+            np.fill_diagonal(dk, 0.0)
+        assert powertour.oracle._earlier_copies(dk) == reference_earlier_copies(dk)
+
+
+def test_layer_caches_are_read_only_and_bounded():
+    caches = (powertour.oracle._walk_layers, powertour.oracle._pair_layers)
+    for n in range(2, 13):
+        for closed in (True, False):
+            layers = powertour.oracle._walk_layers(n, closed)
+            assert len(layers) == n - 1
+            for arrays in layers:
+                for a in arrays:
+                    assert not a.flags.writeable
+                    with pytest.raises(ValueError):
+                        a[...] = 0
+        for arrays in powertour.oracle._pair_layers(n):
+            assert all(not a.flags.writeable for a in arrays)
+    for cache in caches:
+        info = cache.cache_info()
+        assert info.maxsize == 8 and info.currsize <= info.maxsize
 
 
 lattices_with_repeats = st.tuples(st.integers(1, 3), st.integers(1, 3)).flatmap(

@@ -292,6 +292,15 @@ def test_adversarial_tree_shapes(shape):
 # spliced across (v, c).
 
 
+def tree_adjacency(t):
+    """Sorted neighbours of each vertex of a spanning tree."""
+    adj = {v: [] for v in t.vertices}
+    for e in t.edges:
+        adj[e.u].append(e.v)
+        adj[e.v].append(e.u)
+    return {v: tuple(sorted(ns)) for v, ns in adj.items()}
+
+
 def worklist_root_tree(adj, anchor):
     """Children lists (sorted ascending) and subtree sizes, iteratively."""
     children = {}
@@ -316,7 +325,7 @@ def worklist_root_tree(adj, anchor):
 def worklist_cube_cycle(t, anchor):
     """Hops of the worklist construction: normalized cycle-edge pair ->
     tree path as indices into ``t.edges``."""
-    children, size = worklist_root_tree(t.adjacency, anchor)
+    children, size = worklist_root_tree(tree_adjacency(t), anchor)
     n = size[anchor]
     edge_id = {e.key(): i for i, e in enumerate(t.edges)}
     hops = {}
