@@ -21,20 +21,19 @@ import itertools
 import json
 import sys
 import time
-from dataclasses import replace
 from datetime import datetime, timezone
 
 from . import constructions
 from .errors import CertificateError, InputError
-from .geometry import PointSet, check_dense_size, point_set, power_cost
+from .geometry import PointSet, check_dense_size, power_cost
 from .greedy import greedy_ham_path
 from .oracle import MAX_EXACT_TOUR, exact_min_tour
 from .planar import newman_square_tour
-from .sekanina import mst_sekanina_tour
+from .sekanina import mst_sekanina_cycle
 from .structures import Tour, close_path
 from .suites import SUITES, run_suite
 from .two_phase import two_phase_tour
-from .verifiers import SCHEMA_VERSION, BoundReport, bound_report, check_trials
+from .verifiers import SCHEMA_VERSION, bound_report, check_trials
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -70,11 +69,14 @@ def _parse_int_list(text: str) -> list[int]:
     out: list[int] = []
     for part in text.split(","):
         part = part.strip()
-        if ".." in part:
-            lo, hi = part.split("..", 1)
-            out.extend(range(int(lo), int(hi) + 1))
-        elif part:
-            out.append(int(part))
+        try:
+            if ".." in part:
+                lo, hi = part.split("..", 1)
+                out.extend(range(int(lo), int(hi) + 1))
+            elif part:
+                out.append(int(part))
+        except ValueError:
+            raise InputError(f"bad integer {part!r} in {text!r}") from None
     if not out:
         raise InputError(f"empty integer list {text!r}")
     return out
@@ -133,24 +135,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _run_algo(algo: str, points: PointSet, k: int, cutoff: float | None,
-              diagonal: str) -> tuple[Tour, dict | None, BoundReport | None]:
-    """The tour, two-phase's phase report, and mst-sekanina's bound report."""
+              diagonal: str) -> tuple[Tour, dict | None]:
+    """The tour and, for two-phase, its phase report."""
     if algo == "mst-sekanina":
-        tour, report = mst_sekanina_tour(points, k)
-        return tour, None, report
+        return mst_sekanina_cycle(points), None
     if algo == "greedy":
         path, _trace = greedy_ham_path(points)
-        return close_path(path, points), None, None
+        return close_path(path, points), None
     if algo == "two-phase":
         tour, phase = two_phase_tour(points, k, cutoff=cutoff)
-        return tour, phase.to_dict(), None
+        return tour, phase.to_dict()
     if algo == "newman2d":
         if points.k != 2:
             raise InputError("newman2d requires 2-dimensional input")
-        return newman_square_tour(points, diagonal=diagonal), None, None
+        return newman_square_tour(points, diagonal=diagonal), None
     if algo == "oracle":
         tour, _cost = exact_min_tour(points, k)
-        return tour, None, None
+        return tour, None
     raise InputError(f"unknown algorithm {algo!r}")
 
 
@@ -174,12 +175,11 @@ def cmd_tour(args) -> int:
     if k < 2:
         raise InputError(f"exponent must be >= 2 for the bound report, got {k}")
     start = time.perf_counter()
-    tour, phase, report = _run_algo(args.algo, points, k, args.cutoff, args.diagonal)
+    tour, phase = _run_algo(args.algo, points, k, args.cutoff, args.diagonal)
     elapsed = time.perf_counter() - start
-    if report is None:
-        report = bound_report(points, k, {args.algo: power_cost(tour.edges, k)})
-    report = replace(report, instance={**report.instance, "source": args.input},
-                     wall_time_s=None if args.no_timestamp else elapsed)
+    report = bound_report(points, k, {args.algo: power_cost(tour.edges, k)},
+                          instance={"source": args.input},
+                          wall_time_s=None if args.no_timestamp else elapsed)
     body = report.to_dict()
     body["order"] = list(tour.order)
     body["edges"] = [[e.u, e.v] for e in tour.edges]
@@ -247,10 +247,9 @@ def cmd_bench(args) -> int:
                 points = constructions.uniform_cube(k, n, args.seed + trial)
                 for algo in algos:
                     start = time.perf_counter()
-                    tour, _phase, report = _run_algo(algo, points, k, None, "main")
+                    tour, _phase = _run_algo(algo, points, k, None, "main")
                     elapsed = time.perf_counter() - start
-                    cost = (report.algorithms[algo] if report is not None
-                            else power_cost(tour.edges, k).to_dict())
+                    cost = power_cost(tour.edges, k).to_dict()
                     writer.writerow([
                         k, n, algo,
                         "" if cost["S_k"] is None else repr(cost["S_k"]),

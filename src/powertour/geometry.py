@@ -54,10 +54,6 @@ class Container(str, Enum):
     UNCONSTRAINED = "unconstrained"
 
 
-# A Point is a length-k float vector; numpy arrays and sequences both work.
-Point = np.ndarray
-
-
 @dataclass(frozen=True)
 class PointSet:
     """An ordered list of n points in R^k plus the declared container."""
@@ -95,9 +91,6 @@ class PointSet:
     @property
     def k(self) -> int:
         return self.coords.shape[1]
-
-    def point(self, i: int) -> Point:
-        return self.coords[i]
 
 
 def _container_box(container: Container):
@@ -157,14 +150,12 @@ MAX_DENSE_POINTS = 10_000
 
 def check_dense_size(n: int) -> None:
     """Raise SizeError, before anything is allocated, when n points exceed
-    ``MAX_DENSE_POINTS``.  The estimate is the Filter-Kruskal path's need:
-    8 n^2 bytes of matrix and 24 bytes per pair, so above
-    ``mst._PRIM_ABOVE`` points, where Prim runs and no pair array is
-    made, it is an overestimate (the greedy needs the matrix)."""
+    ``MAX_DENSE_POINTS``.  The message names the 8 n^2 bytes of the n x n
+    matrix: every refused n is above ``mst._PRIM_ABOVE``, where no pair
+    array is made."""
     if n > MAX_DENSE_POINTS:
-        need = 8 * n * n + 24 * (n * (n - 1) // 2)
         raise SizeError(f"dense paths capped at n = {MAX_DENSE_POINTS}, got n = {n} "
-                        f"(up to about {need:,} bytes)")
+                        f"(an n x n matrix of about {8 * n * n:,} bytes)")
 
 
 #: Rows per strip in ``pairwise_sq`` and ``symmetric_sq``; a strip of

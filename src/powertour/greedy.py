@@ -17,9 +17,10 @@ became interior, or the paths merged), never becomes valid again:
 degrees only grow and paths only merge.  So every stored key is a lower
 bound on its endpoint's current best key, and the first valid
 pop is the global minimum - the same sequence as recomputing the minimum
-per step, which ``minimum_join_edge`` below implements as the replay
-oracle for tests.  Within one row, ``argmin`` returns the first minimum,
-the smallest partner index, which is also the smallest (min, max) pair.
+per step, which ``minimum_join_edge`` in ``tests/test_greedy.py``
+implements as the replay oracle.  Within one row, ``argmin`` returns the
+first minimum, the smallest partner index, which is also the smallest
+(min, max) pair.
 
 Cost: one dense d^2 matrix, ``geometry.symmetric_sq``: ``pairwise_sq``
 with its upper triangle mirrored onto the lower one, so that row u holds
@@ -42,27 +43,6 @@ from .errors import InputError
 # pairwise_sq stays bound here: the benchmark's tracer test reads greedy.pairwise_sq
 from .geometry import Edge, PointSet, check_dense_size, pairwise_sq, symmetric_sq  # noqa: F401
 from .structures import HamPath, PathSystem, path_from_order
-
-
-def minimum_join_edge(points: PointSet, system: PathSystem) -> tuple[int, int, float] | None:
-    """Recompute the minimum joinable edge over current endpoint pairs.
-
-    Tie-break: smallest (weight, min index, max index).  Returns None when
-    a single path remains.  O(p^2) over the path count p; this is the
-    step-by-step reference the fast scan must reproduce.
-    """
-    ends = sorted(system.endpoint_vertices())
-    best = None
-    coords = points.coords
-    for i, u in enumerate(ends):
-        for v in ends[i + 1:]:
-            if not system.can_join(u, v):
-                continue
-            d = float(np.linalg.norm(coords[u] - coords[v]))
-            key = (d, u, v)
-            if best is None or key < best:
-                best = key
-    return best
 
 
 def greedy_ham_path(points: PointSet, warm_start: Iterable[tuple[int, int]] = ()

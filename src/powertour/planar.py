@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CertificateError, InputError
-from .geometry import PointSet, euclidean_distance
+from .geometry import PointSet
 from .structures import Tour, tour_from_order
 
 SHORTCUT_DOT_TOL = 1e-12
@@ -37,21 +37,9 @@ COST_REL_TOL = 1e-9
 COST_ABS_TOL = 1e-12
 
 
-def shortcut_ok(p, q, r) -> bool:
-    """True iff the angle at q in the walk p -> q -> r is at most 90 degrees,
-    certifying |pr|^2 <= |pq|^2 + |qr|^2.  Degenerate (zero) edges count as
-    right angles, hence True."""
-    p = np.asarray(p, dtype=np.float64)
-    q = np.asarray(q, dtype=np.float64)
-    r = np.asarray(r, dtype=np.float64)
-    if p.shape != q.shape or q.shape != r.shape or p.shape[-1] != 2:
-        raise InputError("shortcut test expects 2-dimensional points")
-    return float(np.dot(p - q, r - q)) >= -SHORTCUT_DOT_TOL
-
-
 @dataclass(frozen=True)
 class RightTriangle:
-    """Right triangle with the right angle at C; sides a <= b <= c = |AB|."""
+    """Right triangle with the right angle at C and hypotenuse AB."""
 
     A: np.ndarray
     B: np.ndarray
@@ -71,29 +59,6 @@ class RightTriangle:
         object.__setattr__(self, "A", _frozen(A))
         object.__setattr__(self, "B", _frozen(B))
         object.__setattr__(self, "C", _frozen(C))
-
-    @property
-    def side_a(self) -> float:
-        return min(euclidean_distance(self.B, self.C), euclidean_distance(self.A, self.C))
-
-    @property
-    def side_b(self) -> float:
-        return max(euclidean_distance(self.B, self.C), euclidean_distance(self.A, self.C))
-
-    @property
-    def side_c(self) -> float:
-        return euclidean_distance(self.A, self.B)
-
-    @classmethod
-    def from_vertices(cls, p, q, r) -> "RightTriangle":
-        """Label three vertices so the right angle sits at C."""
-        pts = [np.asarray(x, dtype=np.float64) for x in (p, q, r)]
-        sq = [float(np.dot(pts[(i + 1) % 3] - pts[i], pts[(i + 2) % 3] - pts[i]))
-              for i in range(3)]
-        c_idx = min(range(3), key=lambda i: abs(sq[i]))
-        C = pts[c_idx]
-        A, B = pts[(c_idx + 1) % 3], pts[(c_idx + 2) % 3]
-        return cls(A, B, C)
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:

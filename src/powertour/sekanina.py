@@ -272,24 +272,26 @@ def tree_to_cycle_cost_bound(t: SpanningTree, points: PointSet, k: int
     return tour, cost_h, bound
 
 
-def mst_sekanina_tour(points: PointSet, k: int) -> tuple[Tour, BoundReport]:
-    """Full pipeline: MST, then the certified tree-cube cycle.
-
-    For n = 2 the tour is the doubled edge.  The report compares the scaled
-    cost against the named bounds; the improved cycle bound
-    3*sqrt(5)*(2/3)^(1/k)*sqrt(k) is certified for k >= 3.
-    """
+def mst_sekanina_cycle(points: PointSet) -> Tour:
+    """MST, then the certified tree-cube cycle; for n = 2 the doubled edge."""
     from .mst import build_mst
 
     if points.n < 2:
         raise InputError("need at least 2 points")
+    if points.n == 2:
+        return tour_from_order(points, (0, 1))
+    tour, _cert = tree_cube_cycle(build_mst(points), points, anchor=0)
+    return tour
+
+
+def mst_sekanina_tour(points: PointSet, k: int) -> tuple[Tour, BoundReport]:
+    """``mst_sekanina_cycle`` and its bound report.
+
+    The report compares the scaled cost against the named bounds; the
+    improved cycle bound 3*sqrt(5)*(2/3)^(1/k)*sqrt(k) is certified for
+    k >= 3.
+    """
     if k < 2:
         raise InputError(f"exponent must be >= 2 for the bound report, got {k}")
-    if points.n == 2:
-        tour = tour_from_order(points, (0, 1))
-    else:
-        tree = build_mst(points)
-        tour, _cert = tree_cube_cycle(tree, points, anchor=0)
-    cost = power_cost(tour.edges, k)
-    report = bound_report(points, k, {"mst-sekanina": cost})
-    return tour, report
+    tour = mst_sekanina_cycle(points)
+    return tour, bound_report(points, k, {"mst-sekanina": power_cost(tour.edges, k)})

@@ -13,8 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .geometry import (Edge, PointSet, close, euclidean_distance, make_edge, power_cost,
-                       power_cost_from_weights)
+from .geometry import Edge, PointSet, close, euclidean_distance, make_edge, power_cost
 
 WEIGHT_REL_TOL = 1e-12  # edge weights must match recomputed distances this tightly
 
@@ -66,13 +65,6 @@ class Matching:
     """Vertex-disjoint edges; perfect iff 2*|edges| == n."""
 
     edges: tuple[Edge, ...]
-
-    def vertices(self) -> set[int]:
-        out: set[int] = set()
-        for e in self.edges:
-            out.add(e.u)
-            out.add(e.v)
-        return out
 
     def is_perfect(self, n: int) -> bool:
         return 2 * len(self.edges) == n
@@ -196,9 +188,6 @@ class PathSystem:
     def endpoints(self) -> dict[int, tuple[int, int]]:
         """Smaller endpoint -> its two path endpoints (equal for singletons)."""
         return {a: (a, b) for a, b in enumerate(self.other_end) if a <= b}
-
-    def endpoint_vertices(self) -> list[int]:
-        return [v for v, far in enumerate(self.other_end) if far >= 0]
 
     def can_join(self, u: int, v: int) -> bool:
         far = self.other_end
@@ -346,25 +335,3 @@ def validate(structure, points: PointSet) -> list[str]:
         raise InputError(f"cannot validate object of type {type(structure).__name__}")
     return v
 
-
-def to_json_dict(structure, points: PointSet, k: int) -> dict:
-    """JSON-serializable form of a structure plus its power-k cost block."""
-    if isinstance(structure, (Tour, HamPath)):
-        body: dict = {"type": "tour" if isinstance(structure, Tour) else "path",
-                      "order": list(structure.order)}
-        cost = power_cost(structure.edges, k)
-    elif isinstance(structure, SpanningTree):
-        body = {"type": "tree", "edges": [[e.u, e.v] for e in structure.edges]}
-        cost = power_cost(structure.edges, k)
-    elif isinstance(structure, Matching):
-        body = {"type": "matching", "edges": [[e.u, e.v] for e in structure.edges]}
-        cost = power_cost(structure.edges, k)
-    elif isinstance(structure, PathSystem):
-        body = {"type": "path_system", "edges": [[a, b] for a, b in structure.edge_pairs]}
-        weights = [euclidean_distance(points.coords[a], points.coords[b])
-                   for a, b in structure.edge_pairs]
-        cost = power_cost_from_weights(weights, k)
-    else:
-        raise InputError(f"cannot serialize object of type {type(structure).__name__}")
-    body["cost"] = {"k": cost.exponent, **cost.to_dict()}
-    return body

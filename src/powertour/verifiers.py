@@ -9,14 +9,12 @@ names (see README for the schema).
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InputError
-from .geometry import (PointSet, PowerCost, leq, named_bounds, pairwise_sq)
-from .structures import Tour
+from .geometry import PointSet, PowerCost, leq, named_bounds
 
 SCHEMA_VERSION = 1
 
@@ -129,36 +127,6 @@ def singleton_check(kdim: int, d: int, size: int) -> SingletonCheck:
         kdim, d, size, bound, improved,
         ok=size <= bound,
         ok_improved=(size <= improved) if improved is not None else None,
-    )
-
-
-@dataclass(frozen=True)
-class NearestNeighborCheck:
-    nn_sq_sum: float
-    tour_cost: float
-    ok_vs_tour: bool
-    ok_le_4: bool
-
-
-def nearest_neighbor_sum_check(points: PointSet, tour: Tour,
-                               rel_tol: float = 1e-9) -> NearestNeighborCheck:
-    """Sum of squared nearest-neighbor distances in the plane.
-
-    The sum never exceeds S_2 of any tour (each vertex's nearest neighbor
-    is at most its outgoing tour edge away), and is at most 4 whenever the
-    tour cost is (e.g. the constructive unit-square tour).
-    """
-    if points.k != 2:
-        raise InputError("nearest-neighbor check is for planar point sets")
-    d2 = pairwise_sq(points.coords)
-    np.fill_diagonal(d2, np.inf)
-    nn_sum = float(d2.min(axis=1).sum())
-    s2 = float(sum(e.weight ** 2 for e in tour.edges))
-    return NearestNeighborCheck(
-        nn_sq_sum=nn_sum,
-        tour_cost=s2,
-        ok_vs_tour=leq(nn_sum, s2, rel_tol=rel_tol),
-        ok_le_4=leq(nn_sum, 4.0, rel_tol=rel_tol),
     )
 
 

@@ -274,6 +274,26 @@ def test_bench_rejects_bad_trials_and_grid_values_before_any_row(monkeypatch, ca
         assert "error:" in captured.err
 
 
+@pytest.mark.parametrize("args, part", [
+    (("bench", "--k", "abc", "--n", "10"), "'abc'"),
+    (("bench", "--k", "3", "--n", "10,2..x"), "'2..x'"),
+    (("verify", "lemma5", "--k", "3..x"), "'3..x'"),
+], ids=["bench-k-word", "bench-n-range", "verify-k-range"])
+def test_bad_integer_list_is_an_input_error(monkeypatch, capsys, args, part):
+    """A malformed --k/--n list exits 1 with one error line naming the bad
+    part, before any row or trial."""
+    import powertour.cli as cli
+
+    fail_before_work(monkeypatch)
+    monkeypatch.setattr(cli, "_run_algo", lambda *a, **kw: pytest.fail("a row ran"))
+    assert run_cli(*args, "--no-timestamp") == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [captured.err.strip()]
+    assert captured.err.startswith("error: ") and part in captured.err
+    assert "Traceback" not in captured.err
+
+
 def test_verify_bounds_sweep_with_ranges(capsys):
     assert run_cli("verify", "bounds-sweep", "--k", "3..4", "--n", "2..40",
                    "--trials", "5", "--no-timestamp") == 0
@@ -412,7 +432,7 @@ def test_certificate_failure_exit_code(tmp_path, monkeypatch):
     def boom(*args, **kwargs):
         raise CertificateError("synthetic failure")
 
-    monkeypatch.setattr(cli, "mst_sekanina_tour", boom)
+    monkeypatch.setattr(cli, "mst_sekanina_cycle", boom)
     assert run_cli("tour", str(src), "--algo", "mst-sekanina") == 3
 
 
@@ -440,7 +460,7 @@ def count_cost_and_bound_calls(monkeypatch):
 
 
 def test_tour_costs_and_bounds_once(tmp_path, monkeypatch):
-    """mst-sekanina's own bound report is the one printed, not rebuilt."""
+    """Every algorithm's tour is costed and bounded once, by the CLI."""
     calls = count_cost_and_bound_calls(monkeypatch)
     src = tmp_path / "u.json"
     run_cli("gen", "uniform", "--k", "3", "--n", "60", "--seed", "0", "-o", str(src))
@@ -452,9 +472,9 @@ def test_tour_costs_and_bounds_once(tmp_path, monkeypatch):
 
 
 def test_bench_costs_each_row_once(monkeypatch, capsys):
-    """An mst-sekanina row takes S_k and s_k from the pipeline's report."""
+    """Every row costs its tour once and builds no bound report."""
     calls = count_cost_and_bound_calls(monkeypatch)
     assert run_cli("bench", "--k", "3", "--n", "20", "--algos", "mst-sekanina,greedy",
                    "--trials", "2", "--no-timestamp") == 0
     assert len(capsys.readouterr().out.splitlines()) == 1 + 4
-    assert calls == {"power_cost": 4, "named_bounds": 2}
+    assert calls == {"power_cost": 4, "named_bounds": 0}

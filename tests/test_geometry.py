@@ -10,8 +10,8 @@ import powertour.greedy
 import powertour.mst
 from powertour.constructions import clustered, cube_vertex_subset, uniform_cube
 from powertour.errors import InputError, SizeError
-from powertour.geometry import (MAX_DENSE_POINTS, Container, Edge, euclidean_distance,
-                                named_bounds, pairwise_sq,
+from powertour.geometry import (MAX_DENSE_POINTS, Container, Edge, check_dense_size,
+                                euclidean_distance, named_bounds, pairwise_sq,
                                 point_set, power_cost_from_weights, symmetric_sq)
 
 # extended-precision evaluation of 3*sqrt(5)*(2/3)^(1/3)*sqrt(3)
@@ -190,10 +190,21 @@ def test_dense_paths_refuse_points_beyond_the_cap_before_allocating(monkeypatch,
     with pytest.raises(SizeError) as info:
         build(pts)
     assert "n = 11" in str(info.value)
-    assert f"about {8 * 11 * 11 + 24 * 55:,} bytes" in str(info.value)
+    assert f"about {8 * 11 * 11:,} bytes" in str(info.value)
     monkeypatch.undo()
     monkeypatch.setattr(powertour.geometry, "MAX_DENSE_POINTS", 11)
     build(pts)
+
+
+def test_dense_size_message_names_the_matrix_at_the_cap():
+    """Every refused n runs Prim, which builds no pair array, so the
+    message counts the n x n matrix alone."""
+    assert MAX_DENSE_POINTS > powertour.mst._PRIM_ABOVE
+    check_dense_size(MAX_DENSE_POINTS)
+    with pytest.raises(SizeError) as info:
+        check_dense_size(10_001)
+    assert str(info.value) == ("dense paths capped at n = 10000, got n = 10001 "
+                               "(an n x n matrix of about 800,160,008 bytes)")
 
 
 SQ_INPUTS = pytest.mark.parametrize("make", [

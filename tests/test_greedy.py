@@ -8,11 +8,32 @@ from hypothesis import strategies as st
 from powertour.constructions import cube_vertex_subset, diagonal_pair, k4_even_weight_code
 from powertour.errors import InputError
 from powertour.geometry import Edge, pairwise_sq, point_set, power_cost
-from powertour.greedy import (classify_edges, greedy_edge_count_by_length,
-                              greedy_ham_path, minimum_join_edge)
+from powertour.greedy import classify_edges, greedy_edge_count_by_length, greedy_ham_path
 from powertour.structures import PathSystem, validate
 
 from conftest import random_points
+
+
+def minimum_join_edge(points, system):
+    """Replay oracle: the minimum joinable edge over the current endpoint
+    pairs, recomputed from scratch.
+
+    Tie-break: smallest (weight, min index, max index).  Returns None when
+    a single path remains.  O(p^2) over the path count p; this is the
+    step-by-step reference the fast scan must reproduce.
+    """
+    ends = [v for v, far in enumerate(system.other_end) if far >= 0]
+    best = None
+    coords = points.coords
+    for i, u in enumerate(ends):
+        for v in ends[i + 1:]:
+            if not system.can_join(u, v):
+                continue
+            d = float(np.linalg.norm(coords[u] - coords[v]))
+            key = (d, u, v)
+            if best is None or key < best:
+                best = key
+    return best
 
 
 def sorted_scan_greedy(points, warm_start=()):

@@ -1,11 +1,14 @@
 """Package-wide source guards: modules use only the public names of their
 siblings, leave the recursion limit alone and share one union-find, which
-only the MST scan builds."""
+only the MST scan builds; every exported name has a caller outside the
+tests."""
 
 import ast
+import re
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "powertour"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "powertour"
 
 
 def private_sibling_imports(source: str) -> list[str]:
@@ -98,14 +101,56 @@ def test_only_the_mst_scan_builds_a_union_find():
     assert set(found) == {"mst"}
 
 
+def referenced_names(source: str) -> set[str]:
+    """Every name, attribute and imported name the source uses, plus the
+    last part of each dotted string such as ``"mst.build_mst"``."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.alias):
+            out.add(node.name)
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and re.fullmatch(r"\w+(\.\w+)+", node.value)):
+            out.add(node.value.rsplit(".", 1)[1])
+    return out
+
+
+def test_reference_detector_skips_definitions():
+    assert referenced_names("def f(x): return g(x)\nclass C: pass\n"
+                            "import a.b as c\nfrom d import e\n"
+                            "h.attr\nCOUNT = {'mst.build_mst': 1, 'a b.c': 2}\n") == {
+        "x", "g", "a.b", "e", "h", "attr", "COUNT", "build_mst"}
+
+
+def test_every_export_has_a_caller_outside_the_tests():
+    """Each name in ``__all__`` is used by the package itself, a demo or the
+    benchmark (read only here, never edited for this test)."""
+    import powertour
+
+    callers = ([p for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"]
+               + sorted((ROOT / "demos").glob("*.py"))
+               + sorted((ROOT / "perfbench").glob("*.py")))
+    used = set().union(*(referenced_names(p.read_text()) for p in callers))
+    assert [name for name in powertour.__all__ if name not in used] == []
+
+
 def test_retired_names_stay_gone():
     """The trace JSON pair had no caller outside one round-trip test, the
     parity walk replaced the worklist construction with its rooting and
-    cycle-order passes, and with them went the tree adjacency map."""
+    cycle-order passes, and with them went the tree adjacency map.  The
+    replay oracle, the nearest-neighbor check and the numpy shortcut test
+    moved into the tests; the JSON form, the point accessor, the triangle's
+    side lengths and labeling, and the matching's vertex set had no caller."""
     import powertour
+    import powertour.geometry
     import powertour.greedy
+    import powertour.planar
     import powertour.sekanina
     import powertour.structures
+    import powertour.verifiers
 
     for name in ("trace_to_json", "trace_from_json"):
         assert not hasattr(powertour, name) and name not in powertour.__all__
@@ -113,3 +158,19 @@ def test_retired_names_stay_gone():
     for name in ("_root_tree", "_cube_cycle", "_cycle_order", "_usage_counts"):
         assert not hasattr(powertour.sekanina, name)
     assert not hasattr(powertour.structures.SpanningTree, "adjacency")
+    for module, name in ((powertour.greedy, "minimum_join_edge"),
+                         (powertour.verifiers, "nearest_neighbor_sum_check"),
+                         (powertour.verifiers, "NearestNeighborCheck"),
+                         (powertour.planar, "shortcut_ok"),
+                         (powertour.structures, "to_json_dict"),
+                         (powertour.geometry, "Point")):
+        assert not hasattr(module, name) and not hasattr(powertour, name)
+        assert name not in powertour.__all__
+    for cls, name in ((powertour.planar.RightTriangle, "side_a"),
+                      (powertour.planar.RightTriangle, "side_b"),
+                      (powertour.planar.RightTriangle, "side_c"),
+                      (powertour.planar.RightTriangle, "from_vertices"),
+                      (powertour.geometry.PointSet, "point"),
+                      (powertour.structures.Matching, "vertices"),
+                      (powertour.structures.PathSystem, "endpoint_vertices")):
+        assert not hasattr(cls, name)

@@ -9,8 +9,8 @@ from powertour import planar
 from powertour.errors import CertificateError, InputError
 from powertour.geometry import Container, point_set
 from powertour.planar import (SHORTCUT_DOT_TOL, RightTriangle, _assert_budget,
-                              envelope_path, newman_square_tour, non_obtuse_cycle,
-                              non_obtuse_path, right_triangle_path, shortcut_ok)
+                              _check_shortcut, envelope_path, newman_square_tour,
+                              non_obtuse_cycle, non_obtuse_path, right_triangle_path)
 from powertour.structures import validate
 
 RT = RightTriangle(A=np.array([1.0, 0.0]), B=np.array([0.0, 1.0]), C=np.array([0.0, 0.0]))
@@ -25,36 +25,41 @@ def sample_in_triangle(v0, v1, v2, n, rng):
     return v0 + a * (v1 - v0) + b * (v2 - v0)
 
 
+def shortcut_ok(p, q, r) -> bool:
+    """Whether the junction check certifies the shortcut p -> r past q."""
+    try:
+        _check_shortcut(p, q, r, "a test junction")
+    except CertificateError:
+        return False
+    return True
+
+
 def test_shortcut_right_angle():
-    assert shortcut_ok([0, 0], [1, 0], [1, 1])
+    assert shortcut_ok((0.0, 0.0), (1.0, 0.0), (1.0, 1.0))
 
 
 def test_shortcut_obtuse():
-    assert not shortcut_ok([0, 0], [0.5, 0.1], [1, 0])
+    with pytest.raises(CertificateError, match="at a test junction"):
+        _check_shortcut((0.0, 0.0), (0.5, 0.1), (1.0, 0.0), "a test junction")
 
 
 def test_shortcut_degenerate_vertex():
-    assert shortcut_ok([0.3, 0.7], [0.3, 0.7], [1, 0])
+    assert shortcut_ok((0.3, 0.7), (0.3, 0.7), (1.0, 0.0))
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.floats(min_value=-5, max_value=5), min_size=6, max_size=6))
 def test_shortcut_certifies_chord_bound(vals):
-    p, q, r = np.array(vals[:2]), np.array(vals[2:4]), np.array(vals[4:])
+    p, q, r = tuple(vals[:2]), tuple(vals[2:4]), tuple(vals[4:])
     if shortcut_ok(p, q, r):
-        c2 = float(np.dot(p - r, p - r))
-        a2 = float(np.dot(p - q, p - q))
-        b2 = float(np.dot(q - r, q - r))
+        c2 = (p[0] - r[0]) ** 2 + (p[1] - r[1]) ** 2
+        a2 = (p[0] - q[0]) ** 2 + (p[1] - q[1]) ** 2
+        b2 = (q[0] - r[0]) ** 2 + (q[1] - r[1]) ** 2
         assert c2 <= a2 + b2 + 1e-9
 
 
-def test_right_triangle_labeling():
-    tri = RightTriangle.from_vertices([0, 0], [3, 0], [0, 4])
-    assert np.allclose(tri.C, [0, 0])
-    assert tri.side_a == pytest.approx(3.0)
-    assert tri.side_b == pytest.approx(4.0)
-    assert tri.side_c == pytest.approx(5.0)
-    with pytest.raises(InputError):
+def test_right_triangle_rejects_a_non_right_angle():
+    with pytest.raises(InputError, match="not a right angle at C"):
         RightTriangle(np.array([0.0, 0.0]), np.array([1.0, 0.0]), np.array([0.4, 0.4]))
 
 

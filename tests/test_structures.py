@@ -4,8 +4,8 @@ import pytest
 from powertour.errors import InputError
 from powertour.geometry import Edge, point_set, power_cost
 from powertour.structures import (DSU, Matching, PathSystem, close_path,
-                                  cycle_to_matchings, path_from_order, to_json_dict,
-                                  tour_from_order, tree_from_pairs, validate)
+                                  cycle_to_matchings, path_from_order, tour_from_order,
+                                  tree_from_pairs, validate)
 
 from conftest import random_points
 
@@ -285,18 +285,3 @@ def test_validate_path_edge_count_and_edges(square_corners):
     swapped = type(p)(order=p.order, edges=(p.edges[0], p.edges[2], p.edges[1]))
     assert validate(swapped, square_corners) == [
         "edge 1 is (2, 3), expected (1, 2)", "edge 2 is (1, 2), expected (2, 3)"]
-
-
-def test_serialization_shapes(square_corners):
-    t = tour_from_order(square_corners, (0, 1, 2, 3))
-    d = to_json_dict(t, square_corners, 2)
-    assert d["type"] == "tour"
-    assert d["order"] == [0, 1, 2, 3]
-    assert d["cost"]["k"] == 2
-    assert d["cost"]["S_k"] == pytest.approx(4.0)
-    assert d["cost"]["s_k"] == pytest.approx(2.0)
-
-    tree = tree_from_pairs(square_corners, [(0, 1), (1, 2), (2, 3)])
-    d = to_json_dict(tree, square_corners, 2)
-    assert d["type"] == "tree"
-    assert d["edges"] == [[0, 1], [1, 2], [2, 3]]

@@ -1,4 +1,5 @@
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -7,14 +8,13 @@ from powertour.constructions import (cube_vertex_subset, diagonal_pair, k3_code4
                                      k4_even_weight_code, midball_reach_extremal_pair,
                                      uniform_cube)
 from powertour.errors import InputError
-from powertour.geometry import point_set, power_cost
+from powertour.geometry import leq, pairwise_sq, point_set, power_cost
 from powertour.greedy import greedy_ham_path
 from powertour.planar import newman_square_tour
 from powertour.sekanina import mst_sekanina_tour
 from powertour.structures import close_path
 from powertour.verifiers import (bound_report, hamming_min_distance,
-                                 midball_reach_batch, midball_reach_check,
-                                 nearest_neighbor_sum_check, singleton_check)
+                                 midball_reach_batch, midball_reach_check, singleton_check)
 
 
 def test_midball_tight_pair_equality():
@@ -70,6 +70,35 @@ def test_singleton_on_measured_random_subsets():
         assert sc.ok
         if sc.improved_bound is not None:
             assert sc.ok_improved
+
+
+@dataclass(frozen=True)
+class NearestNeighborCheck:
+    nn_sq_sum: float
+    tour_cost: float
+    ok_vs_tour: bool
+    ok_le_4: bool
+
+
+def nearest_neighbor_sum_check(points, tour, rel_tol: float = 1e-9) -> NearestNeighborCheck:
+    """Sum of squared nearest-neighbor distances in the plane.
+
+    The sum never exceeds S_2 of any tour (each vertex's nearest neighbor
+    is at most its outgoing tour edge away), and is at most 4 whenever the
+    tour cost is (e.g. the constructive unit-square tour).
+    """
+    if points.k != 2:
+        raise InputError("nearest-neighbor check is for planar point sets")
+    d2 = pairwise_sq(points.coords)
+    np.fill_diagonal(d2, np.inf)
+    nn_sum = float(d2.min(axis=1).sum())
+    s2 = float(sum(e.weight ** 2 for e in tour.edges))
+    return NearestNeighborCheck(
+        nn_sq_sum=nn_sum,
+        tour_cost=s2,
+        ok_vs_tour=leq(nn_sum, s2, rel_tol=rel_tol),
+        ok_le_4=leq(nn_sum, 4.0, rel_tol=rel_tol),
+    )
 
 
 def test_nearest_neighbor_square_corners(square_corners):
