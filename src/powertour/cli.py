@@ -65,18 +65,21 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _parse_int_list(text: str) -> list[int]:
-    """Accept '3..8' ranges and '3,5,7' lists (combinable by commas)."""
+    """Accept '3..8' ranges and '3,5,7' lists (combinable by commas); a
+    reversed range such as '5..3' is refused, not read as empty."""
     out: list[int] = []
     for part in text.split(","):
         part = part.strip()
+        if not part:
+            continue
+        ends = part.split("..", 1)
         try:
-            if ".." in part:
-                lo, hi = part.split("..", 1)
-                out.extend(range(int(lo), int(hi) + 1))
-            elif part:
-                out.append(int(part))
+            lo, hi = int(ends[0]), int(ends[-1])
         except ValueError:
             raise InputError(f"bad integer {part!r} in {text!r}") from None
+        if lo > hi:
+            raise InputError(f"empty range {part!r} in {text!r}")
+        out.extend(range(lo, hi + 1))
     if not out:
         raise InputError(f"empty integer list {text!r}")
     return out

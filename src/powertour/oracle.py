@@ -63,6 +63,8 @@ MAX_CANDIDATES = math.factorial(11) // 2
 
 _TOL = 1e-9
 _BLOCK = 10_000
+#: Codes per block in ``max_pairwise_square_sum``.
+_PAIR_SUM_BLOCK = 1024
 
 
 def _power_matrix(points: PointSet, k: int) -> np.ndarray:
@@ -319,7 +321,8 @@ def max_pairwise_square_sum(m: int) -> tuple[int, tuple[int, ...]]:
 
     The objective is convex in each coordinate separately, so the optimum
     sits at a 0/1 extreme assignment; the oracle nevertheless evaluates the
-    pair sum literally over all 2^m extreme assignments.  The maximum is
+    pair sum literally over all 2^m extreme assignments, in blocks of
+    ``_PAIR_SUM_BLOCK`` codes so memory does not grow with 2^m.  The maximum is
     floor(m/2) * ceil(m/2); the returned witness is the first maximizer in
     ascending binary order (most significant bit = q_1).
     """
@@ -327,14 +330,18 @@ def max_pairwise_square_sum(m: int) -> tuple[int, tuple[int, ...]]:
         raise InputError("m must be >= 1")
     if m > MAX_PAIR_SUM:
         raise SizeError(f"pair-sum oracle capped at m = {MAX_PAIR_SUM}, got {m}")
-    codes = np.arange(2 ** m, dtype=np.uint32)
-    bits = ((codes[:, None] >> np.arange(m - 1, -1, -1)[None, :]) & 1).astype(np.int8)
-    # literal evaluation of the pair sum; for 0/1 values (q_i - q_j)^2 = q_i XOR q_j
-    diffs = (bits[:, :, None] != bits[:, None, :])
+    shifts = np.arange(m - 1, -1, -1)
     iu, iv = np.triu_indices(m, k=1)
-    sums = diffs[:, iu, iv].sum(axis=1)
-    best = int(np.argmax(sums))
-    return int(sums[best]), tuple(int(b) for b in bits[best])
+    best_sum, best_bits = -1, None
+    for lo in range(0, 2 ** m, _PAIR_SUM_BLOCK):
+        codes = np.arange(lo, min(lo + _PAIR_SUM_BLOCK, 2 ** m), dtype=np.uint32)
+        bits = ((codes[:, None] >> shifts[None, :]) & 1).astype(np.int8)
+        # literal evaluation of the pair sum; for 0/1 values (q_i - q_j)^2 = q_i XOR q_j
+        sums = (bits[:, iu] != bits[:, iv]).sum(axis=1)
+        top = int(np.argmax(sums))
+        if sums[top] > best_sum:  # strict: the first maximizer wins across blocks
+            best_sum, best_bits = int(sums[top]), bits[top]
+    return best_sum, tuple(int(b) for b in best_bits)
 
 
 def closest_pair_bound_check(points: PointSet, m: int,

@@ -63,9 +63,6 @@ class UsageCertificate:
     usage: tuple[int, ...]
     anchor: int
 
-    def max_hop_length(self) -> int:
-        return max(len(p) for p in self.hops.values())
-
     def validate(self, tree: SpanningTree) -> list[str]:
         return verify_double_cover(tree, self.hops, self.anchor)
 

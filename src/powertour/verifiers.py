@@ -23,6 +23,9 @@ SCHEMA_VERSION = 1
 # half-cube [-1/2, 1/2]^k.
 MIDBALL_COEFF = math.sqrt(5.0) / 4.0
 
+#: Trials per block in ``midball_reach_batch``.
+_MIDBALL_BLOCK = 1024
+
 
 def midball_reach(u, v) -> float:
     """|u+v|/2 + |u-v|/4: how far the open midball of edge uv reaches
@@ -70,17 +73,31 @@ def midball_reach_batch(k: int, trials: int, seed: int = 0,
     """Vectorized random verification over ``trials`` half-cube pairs.
 
     Returns (violations, worst_margin) where worst_margin = max(lhs - rhs).
+    The pairs are those of one draw of u, shape (trials, k), followed by one
+    of v from ``default_rng(SeedSequence([seed, k]))``.  They are checked in
+    blocks of ``_MIDBALL_BLOCK`` rows, so memory does not grow with
+    ``trials``: u and v come from two generators on that seed, v's moved
+    past u's ``trials * k`` draws, and each block reads exactly the numbers
+    of the one-shot draw.
     """
     if k < 1:
         raise InputError(f"dimension must be >= 1, got {k}")
     check_trials(trials)
-    rng = np.random.default_rng(np.random.SeedSequence([seed, k]))
-    u = rng.uniform(-0.5, 0.5, size=(trials, k))
-    v = rng.uniform(-0.5, 0.5, size=(trials, k))
-    lhs = np.linalg.norm(u + v, axis=1) / 2.0 + np.linalg.norm(u - v, axis=1) / 4.0
+    seq = np.random.SeedSequence([seed, k])
+    gen_u = np.random.Generator(np.random.PCG64(seq))
+    gen_v = np.random.Generator(np.random.PCG64(seq))
+    gen_v.bit_generator.advance(trials * k)  # one 64-bit step per double
     rhs = MIDBALL_COEFF * math.sqrt(k)
-    margin = lhs - rhs
-    return int(np.sum(margin > rel_tol)), float(margin.max())
+    bad, worst = 0, -math.inf
+    for lo in range(0, trials, _MIDBALL_BLOCK):
+        rows = min(_MIDBALL_BLOCK, trials - lo)
+        u = gen_u.uniform(-0.5, 0.5, size=(rows, k))
+        v = gen_v.uniform(-0.5, 0.5, size=(rows, k))
+        lhs = np.linalg.norm(u + v, axis=1) / 2.0 + np.linalg.norm(u - v, axis=1) / 4.0
+        margin = lhs - rhs
+        bad += int(np.sum(margin > rel_tol))
+        worst = max(worst, float(margin.max()))
+    return bad, worst
 
 
 def hamming_min_distance(points: PointSet) -> int:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -17,3 +19,14 @@ def square_corners():
 def random_points(seed: int, n: int, k: int):
     gen = np.random.default_rng(np.random.SeedSequence([seed, n, k]))
     return point_set(gen.uniform(size=(n, k)))
+
+
+def traced_peak(fn) -> int:
+    """Peak bytes traced by tracemalloc (numpy arrays included) while
+    ``fn()`` runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

@@ -234,6 +234,19 @@ def test_bench_row_count_and_determinism(tmp_path):
     assert len(lines) == 1 + 2 * 2 * 3 * 2  # header + |k|*|n|*|algos|*trials
 
 
+@pytest.mark.parametrize("args", [
+    ("bench", "--k", "5..3,4", "--n", "10", "--algos", "greedy"),
+    ("verify", "lemma5", "--k", "5..3,4", "--trials", "5"),
+], ids=["bench", "verify"])
+def test_reversed_range_is_refused_and_writes_nothing(tmp_path, capsys, args):
+    out = tmp_path / "out.txt"
+    assert run_cli(*args, "--no-timestamp", "-o", str(out)) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "empty range '5..3'" in captured.err
+    assert not out.exists()
+
+
 def test_bench_oracle_guard():
     assert run_cli("bench", "--k", "2", "--n", "20", "--algos", "oracle") == 1
 
@@ -331,10 +344,11 @@ def fail_before_work(monkeypatch):
     ("lemma1", "--tol=-1"),
     ("lemma5", "--tol", "inf"),
     ("bounds-sweep", "--tol=-1e-9"),
+    ("bounds-sweep", "--k", "3", "--n", "9000..20000", "--trials", "3"),
 ], ids=["lemma5-trials-0", "bounds-sweep-trials-0", "lemma1-trials-negative",
         "lemma7-trials-0", "lemma5-k-0", "bounds-sweep-k-1", "bounds-sweep-n-1",
         "lemma1-tol-nan", "lemma1-tol-negative", "lemma5-tol-inf",
-        "bounds-sweep-tol-negative"])
+        "bounds-sweep-tol-negative", "bounds-sweep-n-oversize"])
 def test_verify_rejects_bad_arguments_before_work(monkeypatch, capsys, args):
     fail_before_work(monkeypatch)
     assert run_cli("verify", *args, "--no-timestamp") == 1

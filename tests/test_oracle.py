@@ -508,6 +508,25 @@ def test_pair_sum_formula_all_m():
         max_pairwise_square_sum(15)
 
 
+def one_shot_max_pairwise_square_sum(m):
+    """The unblocked body over the 2^m x m x m difference cube."""
+    codes = np.arange(2 ** m, dtype=np.uint32)
+    bits = ((codes[:, None] >> np.arange(m - 1, -1, -1)[None, :]) & 1).astype(np.int8)
+    diffs = (bits[:, :, None] != bits[:, None, :])
+    iu, iv = np.triu_indices(m, k=1)
+    sums = diffs[:, iu, iv].sum(axis=1)
+    best = int(np.argmax(sums))
+    return int(sums[best]), tuple(int(b) for b in bits[best])
+
+
+@pytest.mark.parametrize("block", [1, 2, 1024])
+def test_pair_sum_blocks_equal_one_shot(monkeypatch, block):
+    """Blocks keep the first maximizer in ascending binary order."""
+    monkeypatch.setattr(powertour.oracle, "_PAIR_SUM_BLOCK", block)
+    for m in range(1, 15):
+        assert max_pairwise_square_sum(m) == one_shot_max_pairwise_square_sum(m)
+
+
 def test_pair_sum_witness_m4():
     _val, wit = max_pairwise_square_sum(4)
     assert wit == (0, 0, 1, 1)

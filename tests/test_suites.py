@@ -44,11 +44,13 @@ def test_run_suite_unknown_name():
     lambda: suite_bounds_sweep(trials=0),
     lambda: suite_bounds_sweep(trials=1, ks=[3, 1]),
     lambda: suite_bounds_sweep(trials=1, n_lo=1),
+    lambda: suite_bounds_sweep(trials=1, n_lo=60, n_hi=2),
     lambda: suite_lemma5(trials=10, ks=[4, 0]),
     lambda: newman_random_sweep(0),
     lambda: sekanina_certificate_sweep(0),
 ], ids=["run-suite", "run-suite-ignored-trials", "midball-trials", "midball-k",
-        "bounds-sweep-trials", "bounds-sweep-k", "bounds-sweep-n", "lemma5-k",
+        "bounds-sweep-trials", "bounds-sweep-k", "bounds-sweep-n",
+        "bounds-sweep-n-reversed", "lemma5-k",
         "newman-sweep", "sekanina-sweep"])
 def test_counts_and_dimensions_below_range_are_input_errors(call):
     with pytest.raises(InputError):

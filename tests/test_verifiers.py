@@ -13,8 +13,11 @@ from powertour.greedy import greedy_ham_path
 from powertour.planar import newman_square_tour
 from powertour.sekanina import mst_sekanina_tour
 from powertour.structures import close_path
-from powertour.verifiers import (bound_report, hamming_min_distance,
+import powertour.verifiers
+from powertour.verifiers import (MIDBALL_COEFF, bound_report, hamming_min_distance,
                                  midball_reach_batch, midball_reach_check, singleton_check)
+
+from conftest import traced_peak
 
 
 def test_midball_tight_pair_equality():
@@ -36,6 +39,38 @@ def test_midball_batch_clean():
         bad, worst = midball_reach_batch(k, 20000, seed=4)
         assert bad == 0
         assert worst <= 0
+
+
+def one_shot_midball_reach_batch(k, trials, seed=0, rel_tol=1e-9):
+    """The unblocked body: every u, then every v, in one draw each."""
+    rng = np.random.default_rng(np.random.SeedSequence([seed, k]))
+    u = rng.uniform(-0.5, 0.5, size=(trials, k))
+    v = rng.uniform(-0.5, 0.5, size=(trials, k))
+    lhs = np.linalg.norm(u + v, axis=1) / 2.0 + np.linalg.norm(u - v, axis=1) / 4.0
+    margin = lhs - MIDBALL_COEFF * math.sqrt(k)
+    return int(np.sum(margin > rel_tol)), float(margin.max())
+
+
+@pytest.mark.parametrize("block", [None, 1, 3])
+def test_midball_batch_blocks_equal_one_shot(monkeypatch, block):
+    """Blocks draw the one-shot stream: the count and the worst margin are
+    bit-equal for every block size, including ragged last blocks.  A
+    negative tolerance makes the count nonzero, so it is checked too."""
+    if block is not None:
+        monkeypatch.setattr(powertour.verifiers, "_MIDBALL_BLOCK", block)
+    for trials in (1, 1023, 1024, 1025, 3079):
+        for k in (1, 2, 7, 20):
+            for seed in (0, 11):
+                for tol in (1e-9, -0.4):
+                    got = midball_reach_batch(k, trials, seed=seed, rel_tol=tol)
+                    want = one_shot_midball_reach_batch(k, trials, seed=seed, rel_tol=tol)
+                    assert got[0] == want[0]
+                    assert got[1].hex() == want[1].hex()
+
+
+def test_midball_batch_memory_does_not_grow_with_trials():
+    """The one-shot draw traced 127 MB here; blocks of rows stay small."""
+    assert traced_peak(lambda: midball_reach_batch(20, 200_000)) < 4 * 2 ** 20
 
 
 def test_midball_rejects_outside_halfcube():
