@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -56,7 +57,13 @@ class Container(str, Enum):
 
 @dataclass(frozen=True)
 class PointSet:
-    """An ordered list of n points in R^k plus the declared container."""
+    """An ordered list of n points in R^k plus the declared container.
+
+    ``sq`` is the points' one d^2 matrix: every dense reader (the MST, the
+    threshold forest, the greedy) takes it from here, so a point set that
+    several of them read builds it once.  It is built on first read and
+    lives as long as the point set does.
+    """
 
     coords: np.ndarray
     container: Container = Container.UNIT_CUBE
@@ -91,6 +98,14 @@ class PointSet:
     @property
     def k(self) -> int:
         return self.coords.shape[1]
+
+    @cached_property
+    def sq(self) -> np.ndarray:
+        """``symmetric_sq`` of the coordinates, read-only.  A point set over
+        ``MAX_DENSE_POINTS`` raises ``SizeError`` on every read, before any
+        matrix is allocated."""
+        check_dense_size(self.n)
+        return symmetric_sq(self.coords)
 
 
 def _container_box(container: Container):
@@ -140,11 +155,12 @@ def make_edge(points: PointSet, u: int, v: int) -> Edge:
     return Edge(u, v, euclidean_distance(points.coords[u], points.coords[v]))
 
 
-#: Most points the dense paths accept (``build_mst``, ``build_threshold_forest``,
-#: ``greedy_ham_path``): each holds an n x n float matrix, 0.8 GB at the cap.
-#: Filter-Kruskal's pair arrays take 24 bytes per pair besides, but only up
-#: to ``mst._PRIM_ABOVE`` points; above it the MST and the forest run Prim,
-#: which needs O(n) beside the matrix.
+#: Most points ``PointSet.sq`` accepts, and so the dense paths that read it
+#: (``build_mst``, ``build_threshold_forest``, ``greedy_ham_path``): the
+#: n x n float matrix is 0.8 GB at the cap.  Filter-Kruskal's pair arrays
+#: take 24 bytes per pair besides, but only up to ``mst._PRIM_ABOVE``
+#: points; above it the MST and the forest run Prim, which needs O(n)
+#: beside the matrix.
 MAX_DENSE_POINTS = 10_000
 
 
@@ -222,10 +238,6 @@ class PowerCost:
     unscaled: float  # S_k; math.inf with overflow=True when not representable
     scaled: float  # s_k = S_k ** (1/k)
     overflow: bool = False
-
-    @property
-    def edge_count(self) -> int:
-        return len(self.log_terms) + self.zero_edges
 
     def to_dict(self) -> dict:
         """The JSON cost block; S_k is None when it overflows."""

@@ -22,13 +22,13 @@ implements as the replay oracle.  Within one row, ``argmin`` returns the
 first minimum, the smallest partner index, which is also the smallest
 (min, max) pair.
 
-Cost: one dense d^2 matrix, ``geometry.symmetric_sq``: ``pairwise_sq``
+Cost: the points' one dense d^2 matrix, ``PointSet.sq``: ``pairwise_sq``
 with its upper triangle mirrored onto the lower one, so that row u holds
 d2[min(u, v), max(u, v)] for every v - every key, weight and tie then
 matches a scan of the sorted upper triangle bit for bit.  The greedy only
-reads it, so ``two_phase_tour`` hands it the matrix its threshold forest
-read.  No triangle-index or sort arrays; each recomputed entry costs one
-O(n) row and an ``argmin``.
+reads it, and only while two or more paths remain, so in ``two_phase_tour``
+it reads the matrix the threshold forest built.  No triangle-index or sort
+arrays; each recomputed entry costs one O(n) row and an ``argmin``.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ import numpy as np
 
 from .errors import InputError
 # pairwise_sq stays bound here: the benchmark's tracer test reads greedy.pairwise_sq
-from .geometry import Edge, PointSet, check_dense_size, pairwise_sq, symmetric_sq  # noqa: F401
+from .geometry import Edge, PointSet, pairwise_sq  # noqa: F401
 from .structures import HamPath, PathSystem, path_from_order
 
 
@@ -61,21 +61,11 @@ def greedy_ham_path(points: PointSet, warm_start: Iterable[tuple[int, int]] = ()
     n = points.n
     if n < 2:
         raise InputError("need at least 2 points")
-    check_dense_size(n)
     system = PathSystem.from_pairs(n, warm_start)
-    d2 = symmetric_sq(points.coords) if system.component_count() > 1 else None
-    return join_paths(points, system, d2)
-
-
-def join_paths(points: PointSet, system: PathSystem, d2: np.ndarray | None
-               ) -> tuple[HamPath, list[Edge]]:
-    """``greedy_ham_path`` from the paths of ``system``, which it joins in
-    place.  ``d2`` is the points' ``symmetric_sq`` matrix, read only while
-    two or more paths remain (None when one does), so a caller that read it
-    first (``two_phase_tour``) hands it over."""
     trace: list[Edge] = []
     needed = system.component_count() - 1
     if needed > 0:
+        d2 = points.sq
         far = system.other_end
         # added to a row: inf masks the interior vertices
         blocked = np.array([0.0 if f >= 0 else np.inf for f in far])
@@ -87,7 +77,7 @@ def join_paths(points: PointSet, system: PathSystem, d2: np.ndarray | None
             v = int(row.argmin())
             return (float(d2[u, v]), *((u, v) if u < v else (v, u)), u, v)
 
-        heap = [nearest(v) for v in range(len(far)) if far[v] >= 0]
+        heap = [nearest(v) for v in range(n) if far[v] >= 0]
         heapq.heapify(heap)
         while needed > 0:
             dd, a, b, u, v = heapq.heappop(heap)

@@ -1,9 +1,10 @@
 """Euclidean minimum spanning trees and threshold-restricted forests.
 
 Both are Kruskal scans in (weight, min index, max index) order, so trees
-are reproducible under ties.  Both read the points' d^2 matrix from
-``geometry.symmetric_sq`` and never write to it.  The scan has two paths,
-picked on n alone, and both accept the full sort's pairs in its order.
+are reproducible under ties.  Both read the points' own d^2 matrix,
+``PointSet.sq``, which also refuses a point set too large for it, and
+never write to it.  The scan has two paths, picked on n alone, and both
+accept the full sort's pairs in its order.
 
 Up to ``_PRIM_ABOVE`` points the scan is Filter-Kruskal (Osipov, Sanders
 and Singler, ALENEX 2009): it sorts only the pairs Kruskal can still
@@ -45,9 +46,9 @@ and the clustered MST from n = 500, the clustered forest is about even up
 to n = 1500, and Filter-Kruskal stays faster on cube vertices (60 vs
 74 ms for the MST at n = 2000).
 
-Memory: the n x n float64 matrix (8 n^2 bytes) on both paths.
-Filter-Kruskal adds 24 bytes per pair for its index and weight arrays
-(up to 12 MB at n = 1000); Prim adds O(n).
+Memory: the n x n float64 matrix (8 n^2 bytes), which the point set keeps,
+on both paths.  Filter-Kruskal adds 24 bytes per pair for its index and
+weight arrays (up to 12 MB at n = 1000); Prim adds O(n).
 
 The union-find is ``structures.DSU``, and this module is its only user.
 The caller owns it and hands it to the scan, which makes every union; the
@@ -61,7 +62,7 @@ import math
 import numpy as np
 
 from .errors import InputError
-from .geometry import Edge, PointSet, check_dense_size, pairwise_sq, symmetric_sq
+from .geometry import Edge, PointSet, pairwise_sq
 from .structures import DSU, SpanningTree
 
 
@@ -78,7 +79,7 @@ def _kruskal(d2: np.ndarray, dsu: DSU, cut2: float = math.inf):
     """Yield each pair (u, v, d^2), u < v, that Kruskal accepts over the
     pairs of squared length <= ``cut2``, in (d^2, u, v) order.
 
-    ``d2`` is ``symmetric_sq`` of the points and ``dsu`` starts with every
+    ``d2`` is the points' ``PointSet.sq`` and ``dsu`` starts with every
     point alone; the pair is joined in it before it is yielded."""
     n = len(d2)
     rounds = [_prim(d2, cut2)] if n > _PRIM_ABOVE else _filter_rounds(d2, dsu, cut2)
@@ -164,16 +165,8 @@ def _prim(d2: np.ndarray, cut2: float) -> tuple[np.ndarray, np.ndarray, np.ndarr
 def build_mst(points: PointSet) -> SpanningTree:
     """Minimum spanning tree of the whole point set under Euclidean weights."""
     n = points.n
-    check_dense_size(n)
-    d2 = symmetric_sq(points.coords)
-    edges = tuple(Edge(u, v, math.sqrt(dd)) for u, v, dd in _kruskal(d2, DSU(n)))
+    edges = tuple(Edge(u, v, math.sqrt(dd)) for u, v, dd in _kruskal(points.sq, DSU(n)))
     return SpanningTree(tuple(range(n)), edges)
-
-
-def check_cutoff(cutoff: float) -> None:
-    """Raise ``InputError`` for a negative or non-finite forest cutoff."""
-    if not math.isfinite(cutoff) or cutoff < 0:
-        raise InputError(f"cutoff must be finite and nonnegative, got {cutoff}")
 
 
 def build_threshold_forest(points: PointSet, cutoff: float) -> list[SpanningTree]:
@@ -187,19 +180,12 @@ def build_threshold_forest(points: PointSet, cutoff: float) -> list[SpanningTree
     later pair can be accepted.  A negative or non-finite cutoff raises
     ``InputError``.
     """
-    check_cutoff(cutoff)
-    check_dense_size(points.n)
-    return forest_from_sq(symmetric_sq(points.coords), cutoff)
-
-
-def forest_from_sq(d2: np.ndarray, cutoff: float) -> list[SpanningTree]:
-    """``build_threshold_forest`` on ``d2``, the points' ``symmetric_sq``
-    matrix, for a caller that reads the matrix too (``two_phase_tour``).
-    The caller checks the cutoff and the size."""
-    n = len(d2)
+    if not math.isfinite(cutoff) or cutoff < 0:
+        raise InputError(f"cutoff must be finite and nonnegative, got {cutoff}")
+    n = points.n
     dsu = DSU(n)
     comp_edges: dict[int, list[Edge]] = {}
-    for u, v, dd in _kruskal(d2, dsu, cutoff * cutoff):
+    for u, v, dd in _kruskal(points.sq, dsu, cutoff * cutoff):
         comp_edges.setdefault(dsu.find(u), []).append(Edge(u, v, math.sqrt(dd)))
     groups: dict[int, list[int]] = {}
     for v in range(n):

@@ -189,10 +189,6 @@ class PathSystem:
         """Smaller endpoint -> its two path endpoints (equal for singletons)."""
         return {a: (a, b) for a, b in enumerate(self.other_end) if a <= b}
 
-    def can_join(self, u: int, v: int) -> bool:
-        far = self.other_end
-        return u != v and far[u] >= 0 and far[v] >= 0 and far[u] != v
-
     def add_path_edge(self, u: int, v: int) -> None:
         """Insert edge (u, v); both must be endpoints of distinct paths."""
         if not (0 <= u < self.n and 0 <= v < self.n):

@@ -33,6 +33,10 @@ DEFAULT_TRIALS = 1000
 DEFAULT_TOL = 1e-9
 DEFAULT_SEED = 0
 
+#: Largest instance of ``newman_random_sweep`` and ``sekanina_certificate_sweep``;
+#: sizes are drawn skewed towards the small end.
+SWEEP_N_MAX = 500
+
 
 def random_tree_pairs(n: int, rng: np.random.Generator) -> list[tuple[int, int]]:
     """A uniformly random labeled tree (decoded from a random sequence)."""
@@ -249,14 +253,14 @@ def suite_tight_examples(trials: int = 0, seed: int = DEFAULT_SEED,
             "ok": failures == 0}
 
 
-def newman_random_sweep(instances: int, n_max: int = 500, seed: int = DEFAULT_SEED,
+def newman_random_sweep(instances: int, seed: int = DEFAULT_SEED,
                         tol: float = DEFAULT_TOL) -> dict:
     """Random unit-square tours; S_2 must stay at most 4 on every instance."""
     check_trials(instances, "instances")
 
     def one(t: int) -> tuple[int, float]:
         rng = np.random.default_rng(np.random.SeedSequence([seed, t, 2]))
-        n = 2 + int((n_max - 2) * rng.random() ** 2)
+        n = 2 + int((SWEEP_N_MAX - 2) * rng.random() ** 2)
         pts = point_set(rng.uniform(size=(n, 2)))
         tour = newman_square_tour(pts)
         s2 = sum(e.weight ** 2 for e in tour.edges)
@@ -268,7 +272,7 @@ def newman_random_sweep(instances: int, n_max: int = 500, seed: int = DEFAULT_SE
             "worst_S2": max(r[1] for r in results), "ok": failures == 0}
 
 
-def sekanina_certificate_sweep(trees: int, n_max: int = 500, seed: int = DEFAULT_SEED,
+def sekanina_certificate_sweep(trees: int, seed: int = DEFAULT_SEED,
                                tol: float = DEFAULT_TOL) -> dict:
     """Random spanning trees (not necessarily minimal): the cycle
     certificate must validate (``tree_cube_cycle`` raises CertificateError
@@ -278,7 +282,7 @@ def sekanina_certificate_sweep(trees: int, n_max: int = 500, seed: int = DEFAULT
 
     def one(t: int) -> int:
         rng = np.random.default_rng(np.random.SeedSequence([seed, t, 3]))
-        n = 3 + int((n_max - 3) * rng.random() ** 2)
+        n = 3 + int((SWEEP_N_MAX - 3) * rng.random() ** 2)
         k = int(rng.integers(2, 7))
         pts = point_set(rng.uniform(size=(n, k)))
         pairs = random_tree_pairs(n, rng)

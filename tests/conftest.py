@@ -21,6 +21,14 @@ def random_points(seed: int, n: int, k: int):
     return point_set(gen.uniform(size=(n, k)))
 
 
+def joinable(system, u: int, v: int) -> bool:
+    """Whether edge (u, v) joins endpoints of two distinct paths of
+    ``system``, read off its endpoint map: each end has degree < 2, and u
+    is not v's far end."""
+    far = system.other_end
+    return u != v and far[u] >= 0 and far[v] >= 0 and far[u] != v
+
+
 def traced_peak(fn) -> int:
     """Peak bytes traced by tracemalloc (numpy arrays included) while
     ``fn()`` runs."""

