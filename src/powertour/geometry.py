@@ -55,14 +55,15 @@ class Container(str, Enum):
     UNCONSTRAINED = "unconstrained"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PointSet:
     """An ordered list of n points in R^k plus the declared container.
 
     ``sq`` is the points' one d^2 matrix: every dense reader (the MST, the
-    threshold forest, the greedy) takes it from here, so a point set that
-    several of them read builds it once.  It is built on first read and
-    lives as long as the point set does.
+    threshold forest, the greedy, the closest-pair check) takes it from
+    here, so a point set that several of them read builds it once.  It is
+    built on first read and lives as long as the point set does.  Point
+    sets compare and hash by identity, as each owns its own matrix.
     """
 
     coords: np.ndarray
@@ -304,19 +305,6 @@ class NamedBounds:
     square_tour_upper: float | None  # 2, only at k = 2 (S_2 <= 4)
     path_conjectured: float
     matching_upper: float | None  # 3*sqrt(5) * (1/3)^(1/k) * sqrt(k), k >= 3
-
-    def as_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "n": self.n,
-            "cycle_lower_conjectured": self.cycle_lower_conjectured,
-            "cycle_upper_classic": self.cycle_upper_classic,
-            "cycle_upper_improved": self.cycle_upper_improved,
-            "dim3_cycle_lower": self.dim3_cycle_lower,
-            "square_tour_upper": self.square_tour_upper,
-            "path_conjectured": self.path_conjectured,
-            "matching_upper": self.matching_upper,
-        }
 
 
 def cycle_upper_improved(k: int) -> float:

@@ -362,8 +362,7 @@ def closest_pair_bound_check(points: PointSet, m: int,
         delta, gamma, k1, k2 = box
         if k1 + k2 != points.k:
             raise InputError("box split k1 + k2 must equal the dimension")
-    d2 = pairwise_sq(points.coords)
-    np.fill_diagonal(d2, np.inf)
+    d2 = points.sq
     flat = int(np.argmin(d2))
     u, v = divmod(flat, n)
     min_sq = float(d2[u, v])

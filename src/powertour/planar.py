@@ -11,8 +11,11 @@ vertex and the junction is removed by a shortcut, which is valid because
 the angle spanned there never exceeds 90 degrees (so the chord is no
 longer than the two replaced edges, squared).
 
-Stacked on top of it, each splicing two right-triangle paths at a shared
-vertex:
+One function, ``_splice``, chains such paths: a construction lists its
+right-triangle legs and labels each point with its leg, and ``_splice``
+collapses coincident points, runs each leg and shortcuts every shared
+vertex (and a closed chain's start).  The constructions on top of it,
+each two legs spliced at a shared vertex:
 
 * extended paths through non-obtuse triangles with budget a^2 + b^2 and
   cycles with budget a^2 + b^2 + c^2,
@@ -118,9 +121,9 @@ def _rt_seq(coords, A, B, C, idx: list[int]) -> tuple[list[int], float]:
     worklist, since skinny triangles nest splits about 10^5 deep: a split
     pushes its join, then the C-B half, then the A-C half, and the join
     shortcuts the two finished halves at C.  The inductive budget
-    cost <= |AB|^2 is asserted at every join and leaf.  Callers collapse
-    coincident points beforehand (they are threaded consecutively at zero
-    cost when re-expanded).
+    cost <= |AB|^2 is asserted at every join and leaf.  ``_splice``
+    collapses coincident points beforehand (they are threaded
+    consecutively at zero cost when re-expanded).
     """
     order: list[int] = []  # leaves finish left to right
     done: list[tuple[int, int, float]] = []  # order[start:end] and cost per finished triangle
@@ -203,38 +206,66 @@ def _check_shortcut(u, j, w, where: str) -> None:
         raise CertificateError(f"shortcut angle exceeds 90 degrees at {where}")
 
 
-def _splice(coords, A, J, C1, idx1, B, C2, idx2, where: str):
-    """Orders of the extended paths A -> J through ``idx1`` (right angle at
-    C1) and J -> B through ``idx2`` (right angle at C2), with the shortcut
-    at their shared vertex J certified."""
-    seq1, _ = _rt_seq(coords, A, J, C1, idx1)
-    seq2, _ = _rt_seq(coords, J, B, C2, idx2)
-    _check_shortcut(coords[seq1[-1]] if seq1 else A, J,
-                    coords[seq2[0]] if seq2 else B, where)
-    return seq1, seq2
+def _splice(coords, legs, leg_of, where: str | None, closed: bool = False) -> list[int]:
+    """Order through ``coords`` of the chain that runs the right-triangle
+    extended paths ``legs`` one after another.
+
+    Each leg is an (A, B, C) triple of (x, y) pairs, right angle at C, and
+    its B is the next leg's A; ``leg_of`` labels each point with its leg.
+    Coincident points are collapsed to one and threaded back at zero cost.
+    Each shared vertex is shortcut, in chain order, against its nearest
+    points on either side (the chain's own ends where a side has none) and
+    certified as ``where``.  A ``closed`` chain, which must hold a point,
+    ends where it starts; its start is then shortcut against its last and
+    first points.
+    """
+    reps, expand = _collapse_duplicates(coords)
+    pts = list(map(tuple, coords.tolist()))
+    labels = leg_of.tolist()  # Python scalars: numpy ones index lists slowly
+    members: list[list[int]] = [[] for _ in legs]
+    for i in reps:
+        members[labels[i]].append(i)
+    chain: list[int] = []
+    ends = []  # chain length at the end of each leg
+    for (A, B, C), idx in zip(legs, members):
+        chain += _rt_seq(pts, A, B, C, idx)[0]
+        ends.append(len(chain))
+    start, end = legs[0][0], legs[-1][1]
+    for (_A, J, _C), e in zip(legs[:-1], ends):
+        _check_shortcut(pts[chain[e - 1]] if e else start, J,
+                        pts[chain[e]] if e < len(chain) else end, where)
+    if closed:
+        _check_shortcut(pts[chain[-1]], start, pts[chain[0]], where)
+    return [j for i in chain for j in expand[i]]
 
 
-def _point_in_triangle(p, v0, v1, v2, tol: float) -> bool:
-    # barycentric sign test with absolute slack scaled by the triangle
+def _in_triangle(coords, v0, v1, v2, tol: float) -> np.ndarray:
+    """Mask of the rows of ``coords`` inside or on the triangle v0 v1 v2:
+    a barycentric sign test with absolute slack ``tol``, or the distance
+    to its two sides from v0 when the triangle is degenerate."""
     mat = np.array([[v1[0] - v0[0], v2[0] - v0[0]],
                     [v1[1] - v0[1], v2[1] - v0[1]]])
-    det = float(np.linalg.det(mat))
-    if abs(det) < 1e-30:
-        # degenerate triangle: fall back to segment distance
-        return _dist_to_segment(p, v0, v1) <= tol or _dist_to_segment(p, v0, v2) <= tol
-    rhs = np.asarray(p, dtype=np.float64) - v0
-    lam = np.linalg.solve(mat, rhs)
-    l1, l2 = float(lam[0]), float(lam[1])
-    return l1 >= -tol and l2 >= -tol and l1 + l2 <= 1.0 + tol
+    if abs(float(np.linalg.det(mat))) < 1e-30:
+        return ((_dist_to_segment(coords, v0, v1) <= tol)
+                | (_dist_to_segment(coords, v0, v2) <= tol))
+    l1, l2 = np.linalg.solve(mat, (coords - v0).T)
+    return (l1 >= -tol) & (l2 >= -tol) & (l1 + l2 <= 1.0 + tol)
 
 
-def _dist_to_segment(p, a, b) -> float:
+def _dist_to_segment(coords, a, b) -> np.ndarray:
+    """Distance from each row of ``coords`` to the segment ab."""
     ab = b - a
     denom = float(np.dot(ab, ab))
     if denom == 0.0:
-        return float(np.linalg.norm(p - a))
-    t = min(1.0, max(0.0, float(np.dot(p - a, ab)) / denom))
-    return float(np.linalg.norm(p - (a + t * ab)))
+        return np.linalg.norm(coords - a, axis=1)
+    t = np.clip((coords - a) @ ab / denom, 0.0, 1.0)
+    return np.linalg.norm(coords - (a + t[:, None] * ab), axis=1)
+
+
+def _require(inside: np.ndarray, what: str) -> None:
+    """Reject the first point outside the region whose mask is ``inside``."""
+    if not inside.all():
+        raise InputError(f"point {int(np.argmin(inside))} lies {what}")
 
 
 def right_triangle_path(tri: RightTriangle, points) -> ExtendedPath:
@@ -245,19 +276,12 @@ def right_triangle_path(tri: RightTriangle, points) -> ExtendedPath:
     inside or on the triangle (tolerance 1e-9).
     """
     coords = _planar_coords(points)
-    for i in range(coords.shape[0]):
-        if not _point_in_triangle(coords[i], tri.A, tri.B, tri.C, 1e-9):
-            raise InputError(f"point {i} lies outside the triangle")
-    uniq_idx, expand = _collapse_duplicates(coords)
-    pts = _tuples(coords)
-    seq, _cost = _rt_seq(pts, _t2(tri.A), _t2(tri.B), _t2(tri.C), uniq_idx)
-    path = ExtendedPath(tri.A, tri.B, tuple(_expand(seq, expand)))
+    _require(_in_triangle(coords, tri.A, tri.B, tri.C, 1e-9), "outside the triangle")
+    legs = ((_t2(tri.A), _t2(tri.B), _t2(tri.C)),)
+    order = _splice(coords, legs, np.zeros(len(coords), dtype=int), None)
+    path = ExtendedPath(tri.A, tri.B, tuple(order))
     _assert_budget(path.cost_sq(coords), _sq(tri.A, tri.B))
     return path
-
-
-def _tuples(coords: np.ndarray) -> list[tuple[float, float]]:
-    return [(float(x), float(y)) for x, y in coords]
 
 
 def _t2(arr) -> tuple[float, float]:
@@ -278,13 +302,6 @@ def _collapse_duplicates(coords: np.ndarray):
             expand[i] = [i]
             reps.append(i)
     return reps, expand
-
-
-def _expand(seq: list[int], expand: dict[int, list[int]]) -> list[int]:
-    out: list[int] = []
-    for i in seq:
-        out.extend(expand[i])
-    return out
 
 
 def _longest_side_labels(v0, v1, v2):
@@ -318,21 +335,12 @@ def non_obtuse_path(tri, points) -> ExtendedPath:
         raise InputError("triangle must be non-obtuse")
     P, Q, R = _longest_side_labels(v0, v1, v2)
     coords = _planar_coords(points)
-    for i in range(coords.shape[0]):
-        if not _point_in_triangle(coords[i], v0, v1, v2, 1e-9):
-            raise InputError(f"point {i} lies outside the triangle")
+    _require(_in_triangle(coords, v0, v1, v2, 1e-9), "outside the triangle")
     pq = Q - P
-    c2 = _sq(P, Q)
-    t = float(np.dot(R - P, pq)) / c2
-    H = P + t * pq
-    uniq_idx, expand = _collapse_duplicates(coords)
-    side = (coords[uniq_idx] - H) @ pq
-    left = [i for i, s in zip(uniq_idx, side) if s <= 0.0]
-    right = [i for i, s in zip(uniq_idx, side) if s > 0.0]
-    tH = _t2(H)
-    seq_l, seq_r = _splice(_tuples(coords), _t2(P), _t2(R), tH, left,
-                           _t2(Q), tH, right, "the apex")
-    path = ExtendedPath(P, Q, tuple(_expand(seq_l + seq_r, expand)))
+    H = P + float(np.dot(R - P, pq)) / _sq(P, Q) * pq
+    legs = ((_t2(P), _t2(R), _t2(H)), (_t2(R), _t2(Q), _t2(H)))
+    order = _splice(coords, legs, (coords - H) @ pq > 0.0, "the apex")  # ties: P's side
+    path = ExtendedPath(P, Q, tuple(order))
     budget = _sq(P, R) + _sq(R, Q)  # = a^2 + b^2
     _assert_budget(path.cost_sq(coords), budget)
     return path
@@ -398,20 +406,15 @@ def envelope_path(points, side: str = "bottom") -> ExtendedPath:
     c_far = np.array([1.0, 1.0])
     corner = np.array([0.0, 1.0])
     # the closed region is exactly the union of the two right triangles
-    for i in range(coords.shape[0]):
-        if not (_point_in_triangle(coords[i], ca, corner, c_far, tol)
-                or _point_in_triangle(coords[i], c_far, cb, _SQUARE_CENTER, tol)):
-            raise InputError(f"point {i} lies inside the excluded triangle")
-    # split along the diagonal ca -> c_far; the center lies on it
-    side_val = coords[:, 1] - coords[:, 0]  # > 0 above the diagonal
-    uniq_idx, expand = _collapse_duplicates(coords)
+    _require(_in_triangle(coords, ca, corner, c_far, tol)
+             | _in_triangle(coords, c_far, cb, _SQUARE_CENTER, tol),
+             "inside the excluded triangle")
+    # split along the diagonal ca -> c_far, on which the center lies, with
     # the same tol as the membership test: a rotated point on the excluded
     # triangle's boundary may land a rounding error below the diagonal
-    upper = [i for i in uniq_idx if side_val[i] >= -tol]
-    lower = [i for i in uniq_idx if side_val[i] < -tol]
-    seq_l, seq_r = _splice(_tuples(coords), (0.0, 0.0), (1.0, 1.0), (0.0, 1.0), upper,
-                           (1.0, 0.0), (0.5, 0.5), lower, "the far corner")
-    order = tuple(_expand(seq_l + seq_r, expand))
+    legs = (((0.0, 0.0), (1.0, 1.0), (0.0, 1.0)), ((1.0, 1.0), (1.0, 0.0), (0.5, 0.5)))
+    below = coords[:, 1] - coords[:, 0] < -tol
+    order = tuple(_splice(coords, legs, below, "the far corner"))
     path = ExtendedPath(_quarter_turns(ca, -turns), _quarter_turns(cb, -turns), order)
     _assert_budget(path.cost_sq(_planar_coords(points)), 3.0)
     return path
@@ -440,19 +443,9 @@ def newman_square_tour(points: PointSet, diagonal: str = "main") -> Tour:
     else:
         raise InputError(f"unknown diagonal {diagonal!r}")
 
-    j0, j1 = (0.0, 0.0), (1.0, 1.0)
-    uniq_idx, expand = _collapse_duplicates(work)
-    low = [i for i in uniq_idx if work[i, 1] - work[i, 0] <= 0.0]  # ties: lower
-    up = [i for i in uniq_idx if work[i, 1] - work[i, 0] > 0.0]
-    pts = _tuples(work)
-    # cyclic chain J0 -> seq_low -> J1 -> seq_up -> (J0); shortcut the
-    # virtual junctions against their current cyclic neighbors
-    seq_low, seq_up = _splice(pts, j0, j1, (1.0, 0.0), low, j0, (0.0, 1.0), up, "a corner")
-    u0 = pts[seq_up[-1]] if seq_up else (pts[seq_low[-1]] if seq_low else j1)
-    w0 = pts[seq_low[0]] if seq_low else (pts[seq_up[0]] if seq_up else j1)
-    _check_shortcut(u0, j0, w0, "a corner")
-
-    order = _expand(seq_low + seq_up, expand)
-    tour = tour_from_order(points, order)
+    # cyclic chain (0, 0) -> lower triangle -> (1, 1) -> upper triangle -> (0, 0)
+    legs = (((0.0, 0.0), (1.0, 1.0), (1.0, 0.0)), ((1.0, 1.0), (0.0, 0.0), (0.0, 1.0)))
+    above = work[:, 1] > work[:, 0]  # ties: lower
+    tour = tour_from_order(points, _splice(work, legs, above, "a corner", closed=True))
     _assert_budget(sum(e.weight ** 2 for e in tour.edges), 4.0)
     return tour

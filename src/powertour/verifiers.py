@@ -9,7 +9,7 @@ names (see README for the schema).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -23,6 +23,9 @@ SCHEMA_VERSION = 1
 # half-cube [-1/2, 1/2]^k.
 MIDBALL_COEFF = math.sqrt(5.0) / 4.0
 
+#: Relative slack of ``midball_reach_check`` and the rows of ``bound_report``.
+_REL_TOL = 1e-9
+
 #: Trials per block in ``midball_reach_batch``.
 _MIDBALL_BLOCK = 1024
 
@@ -35,7 +38,7 @@ def midball_reach(u, v) -> float:
     return float(np.linalg.norm(u + v) / 2.0 + np.linalg.norm(u - v) / 4.0)
 
 
-def midball_reach_check(u, v, rel_tol: float = 1e-9) -> tuple[float, float, bool]:
+def midball_reach_check(u, v) -> tuple[float, float, bool]:
     """Verify the half-cube midball reach bound for one pair.
 
     Both points must lie in [-1/2, 1/2]^k (tolerance 1e-12).  Returns
@@ -51,7 +54,7 @@ def midball_reach_check(u, v, rel_tol: float = 1e-9) -> tuple[float, float, bool
     k = u.shape[0]
     lhs = midball_reach(u, v)
     rhs = MIDBALL_COEFF * math.sqrt(k)
-    return lhs, rhs, lhs <= rhs + rel_tol
+    return lhs, rhs, lhs <= rhs + _REL_TOL
 
 
 def check_trials(count: int, what: str = "trials") -> None:
@@ -190,8 +193,7 @@ class BoundReport:
 
 
 def bound_report(points: PointSet, k: int, results: dict[str, PowerCost],
-                 instance: dict | None = None, rel_tol: float = 1e-9,
-                 wall_time_s: float | None = None) -> BoundReport:
+                 instance: dict | None = None, wall_time_s: float | None = None) -> BoundReport:
     """Assemble the bound-comparison table for achieved costs.
 
     ``results`` maps an algorithm label to its tour PowerCost.  Upper
@@ -199,8 +201,7 @@ def bound_report(points: PointSet, k: int, results: dict[str, PowerCost],
     bound row is informational (individual instances may beat it) and is
     marked satisfied when s_k >= bound.
     """
-    nb = named_bounds(k, points.n)
-    bounds = nb.as_dict()
+    bounds = asdict(named_bounds(k, points.n))
     algorithms = {}
     # the constructive guarantees assume cost exponent == dimension
     exponent_matches_dim = k == points.k
@@ -213,9 +214,9 @@ def bound_report(points: PointSet, k: int, results: dict[str, PowerCost],
             if value is None:
                 continue
             if name == "cycle_lower_conjectured":
-                satisfied = cost.scaled >= value * (1.0 - rel_tol)
+                satisfied = cost.scaled >= value * (1.0 - _REL_TOL)
             else:
-                satisfied = leq(cost.scaled, value, rel_tol=rel_tol)
+                satisfied = leq(cost.scaled, value, rel_tol=_REL_TOL)
             certified = (name == certified_name) and exponent_matches_dim and (
                 k >= 3 or name == "square_tour_upper")
             rows.append({"name": name, "value": value,

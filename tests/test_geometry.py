@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 import powertour.geometry
 import powertour.greedy
 import powertour.mst
+import powertour.oracle
 from powertour.constructions import clustered, cube_vertex_subset, uniform_cube
 from powertour.errors import InputError, SizeError
 from powertour.geometry import (MAX_DENSE_POINTS, Container, Edge, check_dense_size,
@@ -166,6 +167,16 @@ def test_point_set_is_immutable():
         ps.coords[0, 0] = 0.9
 
 
+def test_point_sets_compare_and_hash_by_identity():
+    """Each point set owns its own d^2 matrix, so two with equal
+    coordinates are two objects."""
+    a = point_set([[0.1, 0.2], [0.3, 0.4]])
+    b = point_set([[0.1, 0.2], [0.3, 0.4]])
+    assert a == a and a != b
+    assert hash(a) == hash(a)
+    assert len({a, b, a}) == 2
+
+
 def test_edge_rejects_loops():
     with pytest.raises(InputError):
         Edge(3, 3, 0.0)
@@ -180,7 +191,8 @@ def test_dense_cap_leaves_room_above_benchmark_sizes():
     powertour.mst.build_mst,
     lambda pts: powertour.mst.build_threshold_forest(pts, 0.5),
     powertour.greedy.greedy_ham_path,
-], ids=["accessor", "mst", "forest", "greedy"])
+    lambda pts: powertour.oracle.closest_pair_bound_check(pts, 2),
+], ids=["accessor", "mst", "forest", "greedy", "closest-pair"])
 def test_dense_paths_refuse_points_beyond_the_cap_before_allocating(monkeypatch, build):
     """The refusal comes from ``PointSet.sq`` before it allocates, and it
     is not cached: a second read raises again."""

@@ -1,7 +1,8 @@
 """Package-wide source guards: modules use only the public names of their
 siblings, leave the recursion limit alone and share one union-find, which
 only the MST scan builds; one accessor builds a point set's d^2 matrix;
-every exported name has a caller outside the tests."""
+one function splices the planar legs; every exported name has a caller
+outside the tests."""
 
 import ast
 import re
@@ -145,6 +146,21 @@ def test_only_the_point_set_builds_its_matrix():
         "cli.cmd_bench", "geometry.PointSet.sq", "suites.suite_bounds_sweep"]
 
 
+def test_one_function_splices_the_planar_legs():
+    """Every planar construction lists its right-triangle legs for
+    ``_splice``, the one place that collapses coincident points and runs
+    the engine."""
+    assert package_call_sites("_rt_seq") == ["planar._splice"]
+    assert package_call_sites("_collapse_duplicates") == ["planar._splice"]
+
+
+def test_dense_pair_matrices_have_three_builders():
+    """Point sets read ``PointSet.sq``; only the midball centers and the
+    oracles' power matrix build a d^2 matrix of their own."""
+    assert package_call_sites("pairwise_sq") == [
+        "geometry.symmetric_sq", "mst.mst_ball_packing_check", "oracle._power_matrix"]
+
+
 def referenced_names(source: str) -> set[str]:
     """Every name, attribute and imported name the source uses, plus the
     last part of each dotted string such as ``"mst.build_mst"``."""
@@ -190,7 +206,8 @@ def test_retired_names_stay_gone():
     side lengths and labeling, and the matching's vertex set had no caller.
     The forest and the greedy read the point set's own matrix, so two-phase
     calls them and their matrix-taking forms went; the path system's join
-    test and the cost's edge count had no caller."""
+    test and the cost's edge count had no caller.  Planar membership is one
+    mask over all points, and the named bounds have ``dataclasses.asdict``."""
     import powertour
     import powertour.geometry
     import powertour.greedy
@@ -214,7 +231,8 @@ def test_retired_names_stay_gone():
                          (powertour.geometry, "Point"),
                          (powertour.mst, "forest_from_sq"),
                          (powertour.mst, "check_cutoff"),
-                         (powertour.greedy, "join_paths")):
+                         (powertour.greedy, "join_paths"),
+                         (powertour.planar, "_point_in_triangle")):
         assert not hasattr(module, name) and not hasattr(powertour, name)
         assert name not in powertour.__all__
     for cls, name in ((powertour.planar.RightTriangle, "side_a"),
@@ -225,5 +243,6 @@ def test_retired_names_stay_gone():
                       (powertour.structures.Matching, "vertices"),
                       (powertour.structures.PathSystem, "endpoint_vertices"),
                       (powertour.structures.PathSystem, "can_join"),
-                      (powertour.geometry.PowerCost, "edge_count")):
+                      (powertour.geometry.PowerCost, "edge_count"),
+                      (powertour.geometry.NamedBounds, "as_dict")):
         assert not hasattr(cls, name)

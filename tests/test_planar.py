@@ -209,6 +209,54 @@ def test_envelope_all_sides():
         assert ep.cost_sq(pts) <= 3.0 + 1e-9
 
 
+DEGENERATE_RT = RightTriangle(A=np.array([0.0, 0.0]), B=np.array([1.0, 0.0]),
+                              C=np.array([0.0, 0.0]))
+
+
+def test_degenerate_right_triangle_is_its_hypotenuse(monkeypatch):
+    """With C = A the membership test falls back to the distance from the
+    sides: points on AB are swept along it, copies threaded, and a point
+    off it is refused."""
+    calls = []
+    dist = planar._dist_to_segment
+    monkeypatch.setattr(planar, "_dist_to_segment", lambda *a: calls.append(a) or dist(*a))
+    X = np.array([[0.3, 0.0], [0.7, 0.0], [0.3, 0.0]])
+    ep = right_triangle_path(DEGENERATE_RT, X)
+    assert ep.order == (0, 2, 1)
+    assert ep.cost_sq(X) == pytest.approx(0.34, rel=1e-12)
+    ends = np.array([[1.0, 0.0], [0.0, 0.0], [0.5, 0.0]])
+    assert right_triangle_path(DEGENERATE_RT, ends).order == (1, 2, 0)
+    with pytest.raises(InputError, match="^point 0 lies outside the triangle$"):
+        right_triangle_path(DEGENERATE_RT, [[0.3, 0.01]])
+    assert calls
+
+
+@pytest.mark.parametrize("build, X, want", [
+    (lambda X: newman_square_tour(point_set(X)), [[0.2, 0.6], [0.4, 0.9]],
+     [((0.0, 0.0), (1.0, 1.0), (0.4, 0.9), "a corner"),
+      ((0.2, 0.6), (0.0, 0.0), (0.4, 0.9), "a corner")]),
+    (lambda X: newman_square_tour(point_set(X)), [[0.6, 0.2], [0.9, 0.4]],
+     [((0.9, 0.4), (1.0, 1.0), (0.0, 0.0), "a corner"),
+      ((0.9, 0.4), (0.0, 0.0), (0.6, 0.2), "a corner")]),
+    (envelope_path, [[0.9, 0.5]], [((0.0, 0.0), (1.0, 1.0), (0.9, 0.5), "the far corner")]),
+    (envelope_path, [[0.1, 0.5]], [((0.1, 0.5), (1.0, 1.0), (1.0, 0.0), "the far corner")]),
+], ids=["square-upper-only", "square-lower-only", "envelope-lower-only", "envelope-upper-only"])
+def test_shared_vertex_shortcuts_reach_past_an_empty_leg(monkeypatch, build, X, want):
+    """A shared vertex whose leg on one side is empty is shortcut against
+    the nearest point beyond it, or the chain's own end."""
+    calls = []
+    check = planar._check_shortcut
+
+    def record(u, j, w, where):
+        if where != "a junction":  # the joins inside one leg
+            calls.append((tuple(u), tuple(j), tuple(w), where))
+        check(u, j, w, where)
+
+    monkeypatch.setattr(planar, "_check_shortcut", record)
+    build(X)
+    assert calls == want
+
+
 def test_square_tour_tight_sets_exact():
     from powertour.constructions import square_tight_sets
     for ps in square_tight_sets():
@@ -351,7 +399,7 @@ EQ = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 0.8]])
 
 
 def _inside(X, tri):
-    return np.array([p for p in X if planar._point_in_triangle(p, *tri, 1e-9)]).reshape(-1, 2)
+    return X[planar._in_triangle(X, *tri, 1e-9)]
 
 
 def _outside_envelope_hole(X, side):
