@@ -6,8 +6,10 @@ twice.  That double-cover accounting is what turns a tree cost bound into
 a cycle cost bound: S_k(H) <= (2/3) * 3^k * S_k(T).
 """
 
-from powertour import (build_mst, mst_sekanina_tour, power_cost,
-                       tree_cube_cycle, tree_to_cycle_cost_bound, uniform_cube)
+from collections import Counter
+
+from powertour import (build_mst, mst_sekanina_tour, power_cost, tree_cube_cycle,
+                       tree_to_cycle_cost_bound, uniform_cube, verify_double_cover)
 
 pts = uniform_cube(k=3, n=12, seed=4)
 tree = build_mst(pts)
@@ -15,10 +17,10 @@ print(f"MST over {pts.n} points in [0,1]^3, total weight {tree.total_weight():.4
 
 tour, cert = tree_cube_cycle(tree, pts, anchor=0)
 print(f"\ncycle order: {tour.order}")
-print("hop lengths (tree edges used per cycle edge):",
-      [len(cert.hops[e.key()]) for e in tour.edges])
-print("usage per tree edge (must all be 2):", cert.usage)
-print("certificate validates:", cert.validate(tree) == [])
+print("hop lengths (tree edges used per cycle edge):", [len(p) for p in cert.hops])
+usage = Counter(eid for path in cert.hops for eid in path)
+print("usage per tree edge (must all be 2):", [usage[i] for i in range(len(tree.edges))])
+print("certificate validates:", verify_double_cover(tree, cert) == [])
 
 k = 3
 tour, cost, bound = tree_to_cycle_cost_bound(tree, pts, k)

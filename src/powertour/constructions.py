@@ -137,21 +137,21 @@ def load_point_set(path: str | Path) -> PointSet:
     """Read a point-set file written by ``save_point_set``."""
     path = Path(path)
     if path.suffix.lower() == ".json":
-        body = json.loads(path.read_text())
         try:
+            body = json.loads(path.read_text())
             coords = np.array(body["points"], dtype=np.float64)
             container = Container(body.get("container", "unit_cube"))
-        except (KeyError, ValueError, TypeError) as ex:
+        except (KeyError, ValueError, TypeError) as ex:  # decode errors are ValueErrors
             raise InputError(f"malformed point-set file {path}: {ex}") from ex
         return PointSet(coords, container)
-    rows = []
-    with path.open(newline="") as fh:
-        for row in csv.reader(fh):
-            if row:
-                rows.append([float(x) for x in row])
+    try:
+        with path.open(newline="") as fh:
+            rows = [[float(x) for x in row] for row in csv.reader(fh) if row]
+        coords = np.array(rows, dtype=np.float64)
+    except ValueError as ex:  # undecodable bytes, a non-numeric cell or a ragged row
+        raise InputError(f"malformed point-set file {path}: {ex}") from ex
     if not rows:
         raise InputError(f"empty point-set file {path}")
-    coords = np.array(rows, dtype=np.float64)
     # CSV carries no container metadata: infer the cube when it fits
     container = (Container.UNIT_CUBE
                  if coords.min() >= -1e-9 and coords.max() <= 1 + 1e-9

@@ -5,7 +5,8 @@ distance is <= 3) contains a Hamiltonian cycle H such that every tree edge
 lies on the tree paths of exactly two cycle edges, and some cycle edge
 incident to a chosen anchor vertex is itself a tree edge.  This module
 constructs such a cycle together with an independently checkable
-UsageCertificate, and derives the cost guarantee
+UsageCertificate (the cycle order and, per cycle edge, its tree path read
+from the edge's first end to its second), and derives the cost guarantee
 
     S_k(H) <= (2/3) * 3^k * S_k(T)
 
@@ -33,7 +34,8 @@ is reversed, so the cycle leaves the anchor towards its smaller neighbour.
 The same pass records each vertex's parent, depth and parent edge, and
 each hop's tree path is read by climbing out of its deeper end.  The walk
 raises InputError on an edge set that is not a tree over the vertex set.
-The certificate is re-verified from scratch after every construction; a
+The certificate is re-verified after every construction, hop by hop in the
+cycle's own order and direction, without walking the cycle again; a
 failure raises CertificateError and signals a bug, never bad input.
 """
 
@@ -50,114 +52,79 @@ from .verifiers import BoundReport, bound_report
 
 @dataclass(frozen=True)
 class UsageCertificate:
-    """Maps each cycle edge to the tree path it uses (as tree-edge ids).
+    """A cycle over a tree and the tree path of each of its hops.
 
-    ``hops`` is keyed by the normalized cycle-edge pair, in cycle order, and
-    a hop's ids may run in either direction; ``usage`` counts,
-    per tree edge id, how many cycle hops traverse it (every count must be
-    exactly 2).  ``anchor`` is the vertex at which a cycle edge must
-    coincide with a tree edge.
+    ``order`` is the cycle, starting at ``anchor``.  ``hops[i]`` holds the
+    tree-edge ids (indices into the tree's edges) on the path from
+    ``order[i]`` to ``order[i + 1]``, cyclically, read in that direction.
+    ``anchor`` is the vertex at which a cycle edge must coincide with a
+    tree edge.
     """
 
-    hops: dict[tuple[int, int], tuple[int, ...]]
-    usage: tuple[int, ...]
+    order: tuple[int, ...]
+    hops: tuple[tuple[int, ...], ...]
     anchor: int
 
-    def validate(self, tree: SpanningTree) -> list[str]:
-        return verify_double_cover(tree, self.hops, self.anchor)
+
+def _walk_end(edges, start: int, path: tuple[int, ...]) -> int | None:
+    """The vertex that the tree-edge ids ``path`` lead to from ``start``;
+    None where an id is out of range or its edge does not continue the walk."""
+    at = start
+    for eid in path:
+        if not 0 <= eid < len(edges) or at not in (edges[eid].u, edges[eid].v):
+            return None
+        at = edges[eid].v if at == edges[eid].u else edges[eid].u
+    return at
 
 
-def verify_double_cover(tree: SpanningTree,
-                        hops: dict[tuple[int, int], tuple[int, ...]],
-                        anchor: int) -> list[str]:
+def verify_double_cover(tree: SpanningTree, cert: UsageCertificate) -> list[str]:
     """Independently re-check a cycle-over-tree certificate.
 
-    Checks: the hop keys form a single Hamiltonian cycle over the tree's
-    vertex set; every hop is a genuine tree path of length <= 3 between its
-    endpoints; every tree edge is used by exactly two hops; some hop of
-    length 1 touches the anchor.
+    Checks: the order visits every tree vertex exactly once; there is one
+    hop per cycle edge, and each is a walk of 1 to 3 distinct tree edges
+    from its cycle edge's first end to its second; every tree edge is used
+    by exactly two hops; some one-edge hop touches the anchor.
     """
+    order, hops, edges = cert.order, cert.hops, tree.edges
+    verts = set(tree.vertices)
+    seen: set[int] = set()
+    for v in order:
+        if v not in verts:
+            return [f"cycle vertex {v} leaves the vertex set"]
+        if v in seen:
+            return [f"cycle revisits vertex {v}"]
+        seen.add(v)
+    if len(seen) != tree.n:
+        return [f"cycle order covers {len(seen)} of {tree.n} vertices"]
+    if len(hops) != tree.n:
+        return [f"cycle has {len(hops)} edges, expected {tree.n}"]
     out: list[str] = []
-    verts = list(tree.vertices)
-    n = len(verts)
-    edge_by_id = {i: e for i, e in enumerate(tree.edges)}
-    # cycle structure
-    deg: dict[int, list[int]] = {v: [] for v in verts}
-    for (a, b) in hops:
-        if a not in deg or b not in deg:
-            out.append(f"cycle edge ({a}, {b}) leaves the vertex set")
-            return out
-        deg[a].append(b)
-        deg[b].append(a)
-    if len(hops) != n:
-        out.append(f"cycle has {len(hops)} edges, expected {n}")
-    bad_deg = [v for v, ns in deg.items() if len(ns) != 2]
-    if bad_deg:
-        out.append(f"cycle degree != 2 at vertices {bad_deg[:5]}")
-    if out:
-        return out
-    start = verts[0]
-    seen = {start}
-    prev, cur = None, start
-    for _ in range(n - 1):
-        nxt = [w for w in deg[cur] if w != prev]
-        if not nxt:
-            break
-        prev, cur = cur, nxt[0]
-        if cur in seen:
-            out.append(f"cycle revisits vertex {cur}")
-            return out
-        seen.add(cur)
-    if len(seen) != n:
-        out.append(f"cycle walk covers {len(seen)} of {n} vertices")
-        return out
-    # hop paths
-    usage = [0] * len(tree.edges)
+    usage = [0] * len(edges)
     anchor_tree_edge = False
-    def walks(path, src, dst) -> bool:
-        at = src
-        used_here = set()
-        for eid in path:
-            if eid in used_here or eid not in edge_by_id:
-                return False
-            used_here.add(eid)
-            e = edge_by_id[eid]
-            if e.u == at:
-                at = e.v
-            elif e.v == at:
-                at = e.u
-            else:
-                return False
-        return at == dst
-
-    for (a, b), path in hops.items():
+    for a, b, path in zip(order, order[1:] + order[:1], hops):
         if not 1 <= len(path) <= 3:
             out.append(f"hop ({a}, {b}) uses {len(path)} tree edges")
             continue
-        if not (walks(path, a, b) or walks(tuple(reversed(path)), a, b)):
+        if _walk_end(edges, a, path) != b or len(set(path)) != len(path):
             out.append(f"hop ({a}, {b}) is not a tree walk to its endpoint")
             continue
         for eid in path:
             usage[eid] += 1
-        if len(path) == 1 and anchor in (a, b):
-            anchor_tree_edge = True
-    for eid, c in enumerate(usage):
+        anchor_tree_edge |= len(path) == 1 and cert.anchor in (a, b)
+    for e, c in zip(edges, usage):
         if c != 2:
-            e = edge_by_id[eid]
             out.append(f"tree edge ({e.u}, {e.v}) used {c} times, expected 2")
     if not anchor_tree_edge:
-        out.append(f"no length-1 cycle edge at anchor {anchor}")
+        out.append(f"no length-1 cycle edge at anchor {cert.anchor}")
     return out
 
 
-def _parity_walk(t: SpanningTree, anchor: int):
-    """The cycle order, its hops and the tree-edge usage, from one walk.
+def _parity_walk(t: SpanningTree, anchor: int) -> UsageCertificate:
+    """The cycle order and its oriented hops, from one walk.
 
-    ``hops`` maps each normalized cycle-edge pair, in cycle order, to its
-    tree path as indices into ``t.edges``; ``usage`` counts the hops on
-    each tree edge.  Raises InputError unless ``t.edges`` is a tree over
-    exactly ``t.vertices``: no edge may leave the vertex set, no vertex may
-    be reached twice (a cycle or a repeated edge) and none may be missed.
+    Raises InputError unless ``t.edges`` is a tree over exactly
+    ``t.vertices``: no edge may leave the vertex set, no vertex may be
+    reached twice (a cycle or a repeated edge) and none may be missed.
     """
     adj: dict[int, list[tuple[int, int]]] = {v: [] for v in t.vertices}
     for i, e in enumerate(t.edges):
@@ -196,8 +163,7 @@ def _parity_walk(t: SpanningTree, anchor: int):
     if order[1] > order[-1]:
         order[1:] = order[:0:-1]  # leave the anchor towards its smaller neighbour
 
-    hops: dict[tuple[int, int], tuple[int, ...]] = {}
-    usage = [0] * len(t.edges)
+    hops = []
     for a, b in zip(order, order[1:] + order[:1]):
         x, y, rise, fall = a, b, [], []
         while x != y:  # climb out of the deeper end until the ends meet
@@ -207,11 +173,8 @@ def _parity_walk(t: SpanningTree, anchor: int):
             else:
                 y, i = up[y]
                 fall.append(i)
-        path = tuple(rise + fall[::-1])
-        for i in path:
-            usage[i] += 1
-        hops[(a, b) if a < b else (b, a)] = path
-    return order, hops, tuple(usage)
+        hops.append(tuple(rise + fall[::-1]))
+    return UsageCertificate(tuple(order), tuple(hops), anchor)
 
 
 def tree_cube_cycle(t: SpanningTree, points: PointSet, anchor: int = 0
@@ -222,7 +185,7 @@ def tree_cube_cycle(t: SpanningTree, points: PointSet, anchor: int = 0
     of a threshold forest; the returned tour visits exactly ``t.vertices``.
     ``anchor`` selects the vertex guaranteed to meet a cycle edge that is
     itself a tree edge; the tour starts there and steps to its smaller
-    cycle neighbour, and the certificate's hops come in tour order.  An edge
+    cycle neighbour, and the certificate's hops follow the tour's edges.  An edge
     set that is not a tree over ``t.vertices`` (an edge leaving it, a cycle,
     a repeated edge or a disconnected part) raises InputError before any hop
     is built.  The returned certificate has been re-verified, as has every
@@ -234,16 +197,13 @@ def tree_cube_cycle(t: SpanningTree, points: PointSet, anchor: int = 0
         raise InputError(f"tree vertex {bad[0]} out of range for {points.n} points")
     if t.n < 3:
         raise InputError(f"need at least 3 vertices, got {t.n}")
-    order, hops, usage = _parity_walk(t, anchor)
-    cert = UsageCertificate(hops, usage, anchor)
-    problems = cert.validate(t)
+    cert = _parity_walk(t, anchor)
+    problems = verify_double_cover(t, cert)
     if problems:
         raise CertificateError("; ".join(problems))
-    # the hop keys are the order's consecutive pairs, accepted above as one cycle
-    tour = tour_from_order(points, order)
+    tour = tour_from_order(points, cert.order)
     # triangle inequality per hop: each cycle edge is at most its tree path
-    for e in tour.edges:
-        path = hops[e.key()]
+    for e, path in zip(tour.edges, cert.hops):
         span = sum(t.edges[i].weight for i in path)
         if e.weight > span * (1.0 + 1e-9) + 1e-12:
             raise CertificateError(

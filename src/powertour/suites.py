@@ -66,6 +66,7 @@ def random_tree_pairs(n: int, rng: np.random.Generator) -> list[tuple[int, int]]
 def suite_lemma1(trials: int = DEFAULT_TRIALS, seed: int = DEFAULT_SEED,
                  tol: float = DEFAULT_TOL) -> dict:
     """Midballs of MST edges are pairwise disjoint on random instances."""
+    check_trials(trials)
 
     def one(t: int) -> int:
         rng = np.random.default_rng(np.random.SeedSequence([seed, t]))
@@ -119,6 +120,7 @@ def suite_lemma7(trials: int = 0, seed: int = DEFAULT_SEED,
 def suite_lemma9(trials: int = DEFAULT_TRIALS, seed: int = DEFAULT_SEED,
                  tol: float = DEFAULT_TOL) -> dict:
     """Closest-pair bound on random instances, symmetric and box forms."""
+    check_trials(trials)
 
     def one(t: int) -> int:
         rng = np.random.default_rng(np.random.SeedSequence([seed, t, 9]))
@@ -151,6 +153,7 @@ def suite_bincode(trials: int = 200, seed: int = DEFAULT_SEED,
     """On cube-vertex greedy runs, the count of path edges with squared
     length >= j stays below 2^(k-j+1) (and the sharpened size bound when
     j < 2k/3) for every j in [1, k]."""
+    check_trials(trials)
 
     def one(t: int) -> int:
         rng = np.random.default_rng(np.random.SeedSequence([seed, t, 77]))

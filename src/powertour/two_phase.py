@@ -80,8 +80,8 @@ def two_phase_tour(points: PointSet, k: int, cutoff: float | None = None
         if tree.n == 2:
             path_edges.append(weighed(*tree.vertices))
             continue
-        _cycle, cert = tree_cube_cycle(tree, points, anchor=tree.vertices[0])
-        cycle_edges = [weighed(a, b) for a, b in cert.hops]
+        cycle, _cert = tree_cube_cycle(tree, points, anchor=tree.vertices[0])
+        cycle_edges = [weighed(*e.key()) for e in cycle.edges]
         # drop the heaviest cycle edge (ties: lexicographically smallest pair)
         drop = max(cycle_edges, key=lambda t: (t[0], (-t[1], -t[2])))
         path_edges.extend(e for e in cycle_edges if e != drop)

@@ -195,6 +195,23 @@ def test_tour_missing_file():
     assert run_cli("tour", "/nonexistent/file.json", "--algo", "greedy") == 1
 
 
+@pytest.mark.parametrize("name, body", [
+    ("truncated.json", '{"k": 2, "points": [[0.1, 0.2], [0.3'),
+    ("ragged.csv", "0.1,0.2\n0.3\n"),
+    ("word.csv", "0.1,0.2\n0.3,abc\n"),
+    ("binary.csv", b"\xff\xfe\x00"),
+], ids=["truncated-json", "ragged-csv-row", "non-numeric-csv-cell", "undecodable-csv"])
+def test_malformed_point_set_file_is_an_input_error(tmp_path, capsys, name, body):
+    src = tmp_path / name
+    if isinstance(body, bytes):
+        src.write_bytes(body)
+    else:
+        src.write_text(body)
+    assert run_cli("tour", str(src), "--algo", "greedy") == 1
+    err = capsys.readouterr().err
+    assert f"malformed point-set file {src}" in err
+
+
 def test_usage_error_exit_code():
     assert run_cli("tour", "x.json", "--algo", "does-not-exist") == 1
     assert run_cli("frobnicate") == 1

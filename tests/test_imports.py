@@ -1,10 +1,12 @@
 """Package-wide source guards: modules use only the public names of their
 siblings, leave the recursion limit alone and share one union-find, which
 only the MST scan builds; one accessor builds a point set's d^2 matrix;
-one function splices the planar legs; every exported name has a caller
-outside the tests."""
+one function splices the planar legs; only the cube cycle builds and
+checks its certificate; every exported name has a caller outside the
+tests."""
 
 import ast
+import dataclasses
 import re
 from pathlib import Path
 
@@ -154,6 +156,13 @@ def test_one_function_splices_the_planar_legs():
     assert package_call_sites("_collapse_duplicates") == ["planar._splice"]
 
 
+def test_only_the_cube_cycle_builds_and_checks_its_certificate():
+    """Two-phase reads the cycle's own edges; the walk and the re-check of
+    its certificate run inside ``tree_cube_cycle`` alone."""
+    assert package_call_sites("_parity_walk") == ["sekanina.tree_cube_cycle"]
+    assert package_call_sites("verify_double_cover") == ["sekanina.tree_cube_cycle"]
+
+
 def test_dense_pair_matrices_have_three_builders():
     """Point sets read ``PointSet.sq``; only the midball centers and the
     oracles' power matrix build a d^2 matrix of their own."""
@@ -207,7 +216,9 @@ def test_retired_names_stay_gone():
     The forest and the greedy read the point set's own matrix, so two-phase
     calls them and their matrix-taking forms went; the path system's join
     test and the cost's edge count had no caller.  Planar membership is one
-    mask over all points, and the named bounds have ``dataclasses.asdict``."""
+    mask over all points, and the named bounds have ``dataclasses.asdict``.
+    The cube-cycle certificate carries its order and oriented hops, so the
+    checker counts the usage itself and needs no wrapper method."""
     import powertour
     import powertour.geometry
     import powertour.greedy
@@ -244,5 +255,10 @@ def test_retired_names_stay_gone():
                       (powertour.structures.PathSystem, "endpoint_vertices"),
                       (powertour.structures.PathSystem, "can_join"),
                       (powertour.geometry.PowerCost, "edge_count"),
-                      (powertour.geometry.NamedBounds, "as_dict")):
+                      (powertour.geometry.NamedBounds, "as_dict"),
+                      (powertour.sekanina.UsageCertificate, "validate"),
+                      (powertour.sekanina.UsageCertificate, "usage")):
         assert not hasattr(cls, name)
+    # a field without a default is no class attribute: check the fields too
+    assert [f.name for f in dataclasses.fields(powertour.sekanina.UsageCertificate)] == [
+        "order", "hops", "anchor"]

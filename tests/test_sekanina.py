@@ -1,4 +1,6 @@
+import dataclasses
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -9,7 +11,7 @@ from powertour.constructions import clustered
 from powertour.errors import InputError
 from powertour.geometry import point_set, power_cost
 from powertour.mst import build_mst, build_threshold_forest
-from powertour.sekanina import (mst_sekanina_tour, tree_cube_cycle,
+from powertour.sekanina import (UsageCertificate, mst_sekanina_tour, tree_cube_cycle,
                                 tree_to_cycle_cost_bound, verify_double_cover)
 from powertour.structures import SpanningTree, tree_from_pairs, validate
 from powertour.suites import random_tree_pairs
@@ -35,13 +37,29 @@ def tree_distance(pairs, n, u, v):
     return seen[v]
 
 
+def hop_usage(t, cert):
+    """How many hops of ``cert`` run over each edge of ``t``."""
+    count = Counter(eid for path in cert.hops for eid in path)
+    return tuple(count[i] for i in range(len(t.edges)))
+
+
+def walk_end(t, start, path):
+    """Where the tree-edge ids ``path`` lead from ``start``."""
+    at = start
+    for eid in path:
+        e = t.edges[eid]
+        assert at in (e.u, e.v)
+        at = e.v if at == e.u else e.u
+    return at
+
+
 def test_three_vertex_path_tree():
     pts = point_set([[0.0, 0.0], [0.4, 0.0], [0.8, 0.0]])
     t = tree_from_pairs(pts, [(0, 1), (1, 2)])
     tour, cert = tree_cube_cycle(t, pts, anchor=0)
     assert sorted(tour.order) == [0, 1, 2]
-    assert cert.usage == (2, 2)
-    assert max(len(p) for p in cert.hops.values()) <= 3
+    assert hop_usage(t, cert) == (2, 2)
+    assert max(len(p) for p in cert.hops) <= 3
 
 
 def admits_double_cover(pairs, n, cycle_order):
@@ -80,9 +98,9 @@ def test_star_tree():
     pairs = [(0, 1), (0, 2), (0, 3)]
     t = tree_from_pairs(pts, pairs)
     tour, cert = tree_cube_cycle(t, pts, anchor=0)
-    assert cert.validate(t) == []
-    assert cert.usage == (2, 2, 2)
-    assert sum(len(p) for p in cert.hops.values()) == 2 * 3
+    assert verify_double_cover(t, cert) == []
+    assert hop_usage(t, cert) == (2, 2, 2)
+    assert sum(len(p) for p in cert.hops) == 2 * 3
     # enumeration oracle: among the 3 Hamiltonian cycles of K4 at least
     # one admits a valid double-cover assignment, and ours is one of them
     valid = [order for order in [(0, 1, 2, 3), (0, 1, 3, 2), (0, 2, 1, 3)]
@@ -103,13 +121,13 @@ def test_seven_vertex_branching_tree():
     pairs = [(0, 1), (1, 2), (2, 3), (3, 4), (2, 5), (5, 6)]
     t = tree_from_pairs(pts, pairs)
     tour, cert = tree_cube_cycle(t, pts, anchor=0)
-    assert cert.validate(t) == []
-    assert all(u == 2 for u in cert.usage)
+    assert verify_double_cover(t, cert) == []
+    assert all(u == 2 for u in hop_usage(t, cert))
     # every tree edge is used by two different cycle edges
     users = {i: set() for i in range(len(pairs))}
-    for ce, path in cert.hops.items():
+    for ce, path in zip(tour.edges, cert.hops):
         for eid in path:
-            users[eid].add(ce)
+            users[eid].add(ce.key())
     assert all(len(s) == 2 for s in users.values())
 
 
@@ -130,7 +148,7 @@ def test_forest_subtree_without_vertex_zero():
             tour, cert = tree_cube_cycle(t, pts, anchor=anchor)
             assert sorted(tour.order) == list(t.vertices)
             assert tour.order[0] == anchor
-            assert cert.validate(t) == []
+            assert verify_double_cover(t, cert) == []
 
 
 def test_rejects_tree_vertex_outside_point_set():
@@ -153,14 +171,15 @@ def test_hops_are_tree_paths_of_bounded_span(rng):
         anchor = int(gen.integers(0, n))
         tour, cert = tree_cube_cycle(t, pts, anchor=anchor)
         assert validate(tour, pts) == []
-        assert cert.validate(t) == []
-        assert sum(cert.usage) == 2 * (n - 1)
+        assert verify_double_cover(t, cert) == []
+        assert sum(hop_usage(t, cert)) == 2 * (n - 1)
         # consecutive tour vertices sit at tree distance <= 3
         for e in tour.edges:
             assert tree_distance(pairs, n, e.u, e.v) <= 3
         # anchor meets a tree edge on the cycle
-        anchor_edges = [e for e in tour.edges if anchor in (e.u, e.v)]
-        assert any(len(cert.hops[e.key()]) == 1 for e in anchor_edges)
+        anchor_hops = [path for e, path in zip(tour.edges, cert.hops)
+                       if anchor in (e.u, e.v)]
+        assert any(len(path) == 1 for path in anchor_hops)
 
 
 def test_cycle_edge_at_most_its_tree_path(rng):
@@ -170,8 +189,8 @@ def test_cycle_edge_at_most_its_tree_path(rng):
         gen = np.random.default_rng(seed + 41)
         t = tree_from_pairs(pts, random_tree_pairs(n, gen))
         tour, cert = tree_cube_cycle(t, pts)
-        for e in tour.edges:
-            span = sum(t.edges[i].weight for i in cert.hops[e.key()])
+        for e, path in zip(tour.edges, cert.hops):
+            span = sum(t.edges[i].weight for i in path)
             assert e.weight <= span * (1 + 1e-9) + 1e-12
 
 
@@ -179,13 +198,75 @@ def test_certificate_rejects_tampering():
     pts = random_points(17, 9, 2)
     t = tree_from_pairs(pts, random_tree_pairs(9, np.random.default_rng(2)))
     tour, cert = tree_cube_cycle(t, pts)
-    hops = dict(cert.hops)
-    key = next(iter(hops))
-    hops[key] = hops[key] + hops[key]  # duplicate tree edges in a hop
-    assert verify_double_cover(t, hops, cert.anchor) != []
-    hops2 = dict(cert.hops)
-    hops2.pop(key)
-    assert verify_double_cover(t, hops2, cert.anchor) != []
+    hops = (cert.hops[0] + cert.hops[0],) + cert.hops[1:]  # duplicate tree edges in a hop
+    assert verify_double_cover(t, dataclasses.replace(cert, hops=hops)) != []
+    assert verify_double_cover(t, dataclasses.replace(cert, hops=cert.hops[1:])) != []
+
+
+# The path 0-1-2-3-4 (edge i joins i and i + 1) and its certificate from
+# anchor 0; each case swaps in one field and pins every message it draws.
+PATH_PTS = point_set([[0.1 * i, 0.0] for i in range(5)])
+PATH_TREE = tree_from_pairs(PATH_PTS, [(0, 1), (1, 2), (2, 3), (3, 4)])
+PATH_CERT = UsageCertificate((0, 1, 3, 4, 2), ((0,), (1, 2), (3,), (3, 2), (1, 0)), 0)
+
+
+def with_hop(i, path):
+    hops = list(PATH_CERT.hops)
+    hops[i] = path
+    return tuple(hops)
+
+
+def test_path_certificate_comes_from_the_construction():
+    tour, cert = tree_cube_cycle(PATH_TREE, PATH_PTS, anchor=0)
+    assert cert == PATH_CERT
+    assert verify_double_cover(PATH_TREE, cert) == []
+
+
+@pytest.mark.parametrize("change, problems", [
+    ({"order": (0, 1, 3, 4)}, ["cycle order covers 4 of 5 vertices"]),
+    ({"order": (0, 1, 3, 4, 1)}, ["cycle revisits vertex 1"]),
+    ({"order": (0, 1, 3, 4, 9)}, ["cycle vertex 9 leaves the vertex set"]),
+    ({"hops": PATH_CERT.hops[:-1]}, ["cycle has 4 edges, expected 5"]),
+    ({"hops": with_hop(0, ())}, ["hop (0, 1) uses 0 tree edges",
+                                 "tree edge (0, 1) used 1 times, expected 2",
+                                 "no length-1 cycle edge at anchor 0"]),
+    ({"hops": with_hop(1, (1, 2, 3, 3))}, ["hop (1, 3) uses 4 tree edges",
+                                           "tree edge (1, 2) used 1 times, expected 2",
+                                           "tree edge (2, 3) used 1 times, expected 2"]),
+    ({"hops": with_hop(1, (2, 1))}, ["hop (1, 3) is not a tree walk to its endpoint",
+                                     "tree edge (1, 2) used 1 times, expected 2",
+                                     "tree edge (2, 3) used 1 times, expected 2"]),
+    # 0 -> 1 -> 2 -> 1 ends at the hop's end, over edge 1 twice
+    ({"hops": with_hop(0, (0, 1, 1))}, ["hop (0, 1) is not a tree walk to its endpoint",
+                                        "tree edge (0, 1) used 1 times, expected 2",
+                                        "no length-1 cycle edge at anchor 0"]),
+    # id -1 would index edge 3, this hop's own edge
+    ({"hops": with_hop(2, (-1,))}, ["hop (3, 4) is not a tree walk to its endpoint",
+                                    "tree edge (3, 4) used 1 times, expected 2"]),
+    ({"hops": with_hop(2, (4,))}, ["hop (3, 4) is not a tree walk to its endpoint",
+                                   "tree edge (3, 4) used 1 times, expected 2"]),
+    ({"anchor": 2}, ["no length-1 cycle edge at anchor 2"]),
+], ids=["order-misses-vertex", "order-repeats-vertex", "order-leaves-vertex-set",
+        "hop-count", "hop-of-0-edges", "hop-of-4-edges", "reversed-hop", "repeated-edge-id",
+        "edge-id-minus-1", "edge-id-past-end", "anchor-without-tree-edge"])
+def test_double_cover_rejections(change, problems):
+    cert = dataclasses.replace(PATH_CERT, **change)
+    assert verify_double_cover(PATH_TREE, cert) == problems
+
+
+def test_double_cover_counts_each_edge_exactly_twice():
+    """Every cycle crosses each tree edge an even number of times, so odd
+    counts need an edge listed twice: each copy then carries its own count."""
+    once = tree_from_pairs(PATH_PTS, [(0, 1), (1, 2), (1, 2)], vertices=[0, 1, 2])
+    cert = UsageCertificate((0, 1, 2), ((0,), (1,), (2, 0)), 0)
+    assert verify_double_cover(once, cert) == [
+        "tree edge (1, 2) used 1 times, expected 2"] * 2
+    thrice = tree_from_pairs(PATH_PTS, [(0, 1), (1, 2), (1, 2), (2, 3)],
+                             vertices=[0, 1, 2, 3])
+    cert = UsageCertificate((0, 2, 1, 3), ((0, 1), (1,), (1, 3), (3, 2, 0)), 1)
+    assert verify_double_cover(thrice, cert) == [
+        "tree edge (1, 2) used 3 times, expected 2",
+        "tree edge (1, 2) used 1 times, expected 2"]
 
 
 def test_cost_bound_collinear():
@@ -280,7 +361,7 @@ def test_adversarial_tree_shapes(shape):
         for anchor in {0, n // 2, n - 1}:
             tour, cert = tree_cube_cycle(t, pts, anchor=anchor)
             assert validate(tour, pts) == []
-            assert cert.validate(t) == []
+            assert verify_double_cover(t, cert) == []
             for e in tour.edges:
                 assert tree_distance(pairs, n, e.u, e.v) <= 3
 
@@ -423,19 +504,24 @@ def worklist_cycle_order(hops, anchor):
 
 
 def assert_matches_worklist(t, pts, anchor):
-    """The walk's order, hop keys, id tuples (up to direction) and usage
-    equal the worklist construction's; its hops come in cycle order."""
+    """The walk's order, cycle edges, id tuples and usage equal the
+    worklist construction's; hop i is read from the tour's i-th vertex to
+    the next, one hop per tour edge."""
     tour, cert = tree_cube_cycle(t, pts, anchor=anchor)
     ref = worklist_cube_cycle(t, anchor)
     assert list(tour.order) == worklist_cycle_order(ref, anchor)
-    assert set(cert.hops) == set(ref)
-    assert all(cert.hops[key] in (path, path[::-1]) for key, path in ref.items())
+    assert cert.order == tour.order
+    assert len(cert.hops) == len(tour.edges)
+    assert {e.key() for e in tour.edges} == set(ref)
+    for e, a, b, path in zip(tour.edges, cert.order, cert.order[1:] + cert.order[:1],
+                             cert.hops):
+        assert path in (ref[e.key()], ref[e.key()][::-1])
+        assert walk_end(t, a, path) == b
     usage = [0] * len(t.edges)
     for path in ref.values():
         for eid in path:
             usage[eid] += 1
-    assert cert.usage == tuple(usage)
-    assert list(cert.hops) == [e.key() for e in tour.edges]
+    assert hop_usage(t, cert) == tuple(usage)
 
 
 @pytest.mark.parametrize("shape", ["path", "star", "caterpillar", "broom", "binary"])

@@ -3,7 +3,7 @@ import pytest
 from powertour.errors import InputError
 from powertour.suites import (SUITES, newman_random_sweep, run_suite,
                               sekanina_certificate_sweep, suite_bincode, suite_bounds_sweep,
-                              suite_lemma5, suite_lemma9)
+                              suite_lemma1, suite_lemma5, suite_lemma9)
 from powertour.verifiers import midball_reach_batch
 
 
@@ -48,10 +48,14 @@ def test_run_suite_unknown_name():
     lambda: suite_lemma5(trials=10, ks=[4, 0]),
     lambda: newman_random_sweep(0),
     lambda: sekanina_certificate_sweep(0),
+    lambda: suite_lemma1(trials=0),
+    lambda: suite_lemma9(trials=-1),
+    lambda: suite_bincode(trials=0),
 ], ids=["run-suite", "run-suite-ignored-trials", "midball-trials", "midball-k",
         "bounds-sweep-trials", "bounds-sweep-k", "bounds-sweep-n",
         "bounds-sweep-n-reversed", "lemma5-k",
-        "newman-sweep", "sekanina-sweep"])
+        "newman-sweep", "sekanina-sweep", "lemma1-trials", "lemma9-trials",
+        "bincode-trials"])
 def test_counts_and_dimensions_below_range_are_input_errors(call):
     with pytest.raises(InputError):
         call()
