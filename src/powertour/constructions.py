@@ -134,26 +134,23 @@ def save_point_set(points: PointSet, path: str | Path) -> None:
 
 
 def load_point_set(path: str | Path) -> PointSet:
-    """Read a point-set file written by ``save_point_set``."""
+    """Read a point-set file written by ``save_point_set``.  Every error
+    in its contents, including the point set's own checks, names the file."""
     path = Path(path)
-    if path.suffix.lower() == ".json":
-        try:
+    try:
+        if path.suffix.lower() == ".json":
             body = json.loads(path.read_text())
             coords = np.array(body["points"], dtype=np.float64)
             container = Container(body.get("container", "unit_cube"))
-        except (KeyError, ValueError, TypeError) as ex:  # decode errors are ValueErrors
-            raise InputError(f"malformed point-set file {path}: {ex}") from ex
+        else:
+            with path.open(newline="") as fh:
+                rows = [[float(x) for x in row] for row in csv.reader(fh) if row]
+            coords = np.array(rows, dtype=np.float64)
+            # CSV carries no container metadata: infer the cube when it fits
+            container = (Container.UNIT_CUBE
+                         if ((coords >= -1e-9) & (coords <= 1 + 1e-9)).all()
+                         else Container.UNCONSTRAINED)
         return PointSet(coords, container)
-    try:
-        with path.open(newline="") as fh:
-            rows = [[float(x) for x in row] for row in csv.reader(fh) if row]
-        coords = np.array(rows, dtype=np.float64)
-    except ValueError as ex:  # undecodable bytes, a non-numeric cell or a ragged row
+    # decode errors, undecodable bytes, non-numeric cells and ragged rows are ValueErrors
+    except (KeyError, ValueError, TypeError) as ex:
         raise InputError(f"malformed point-set file {path}: {ex}") from ex
-    if not rows:
-        raise InputError(f"empty point-set file {path}")
-    # CSV carries no container metadata: infer the cube when it fits
-    container = (Container.UNIT_CUBE
-                 if coords.min() >= -1e-9 and coords.max() <= 1 + 1e-9
-                 else Container.UNCONSTRAINED)
-    return PointSet(coords, container)

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -225,16 +225,8 @@ def symmetric_sq(coords: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PowerCost:
-    """Power-k cost of an edge set, kept both in log domain and linear form.
+    """Power-k cost of an edge set, in log domain and linear form."""
 
-    ``log_terms`` holds k*ln|e| per nonzero edge, sorted descending so the
-    fixed-order accumulation below is bit-stable under edge permutations.
-    Zero-length edges contribute exactly 0 and are counted separately.
-    """
-
-    exponent: int
-    log_terms: tuple[float, ...]
-    zero_edges: int
     log_unscaled: float  # ln S_k, -inf for an empty cost
     unscaled: float  # S_k; math.inf with overflow=True when not representable
     scaled: float  # s_k = S_k ** (1/k)
@@ -246,40 +238,31 @@ class PowerCost:
                 "log_S_k": self.log_unscaled, "overflow": self.overflow}
 
 
-def _logsumexp_desc(terms: Sequence[float]) -> float:
-    """Log-sum-exp over terms already sorted descending (fixed order)."""
-    if not terms:
-        return -math.inf
-    m = terms[0]
-    if m == -math.inf:
-        return -math.inf
-    return m + math.log(math.fsum(math.exp(t - m) for t in terms))
-
-
 def power_cost_from_weights(weights: Iterable[float], k: int) -> PowerCost:
-    """PowerCost of a multiset of edge lengths under exponent k."""
+    """PowerCost of a multiset of edge lengths under exponent k.
+
+    ln S_k is the log-sum-exp of the terms k*ln|e| over the nonzero edges;
+    zero-length edges add exactly 0.  ``math.fsum`` is correctly rounded,
+    so the cost has the same bits in any edge order.
+    """
     if k < 1 or int(k) != k:
         raise InputError(f"exponent must be a positive integer, got {k}")
     k = int(k)
-    zero = 0
     terms: list[float] = []
     for w in weights:
         w = float(w)
+        if not math.isfinite(w):
+            raise InputError("edge weight must be finite")
         if w < 0:
             raise InputError("negative edge weight")
-        if w == 0.0:
-            zero += 1
-        else:
+        if w > 0.0:
             terms.append(k * math.log(w))
-    terms.sort(reverse=True)
-    log_s = _logsumexp_desc(terms)
-    if log_s == -math.inf:
-        return PowerCost(k, tuple(terms), zero, log_s, 0.0, 0.0)
+    if not terms:
+        return PowerCost(-math.inf, 0.0, 0.0)
+    m = max(terms)
+    log_s = m + math.log(math.fsum(math.exp(t - m) for t in terms))
     unscaled = math.exp(log_s) if log_s < 709.0 else math.inf
-    overflow = not math.isfinite(unscaled)
-    scaled = math.exp(log_s / k)
-    return PowerCost(k, tuple(terms), zero, log_s, math.inf if overflow else unscaled,
-                     scaled, overflow)
+    return PowerCost(log_s, unscaled, math.exp(log_s / k), unscaled == math.inf)
 
 
 def power_cost(edges: Iterable[Edge], k: int) -> PowerCost:

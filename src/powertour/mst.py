@@ -12,7 +12,7 @@ accept.  The upper-triangle pairs come once from the matrix (the forest
 drops those above its cutoff there); then each round
 
 * finds with ``np.partition`` the pivot weight of the lightest
-  ``max(_ROUND_PER_POINT * n, _ROUND_FLOOR)`` remaining pairs,
+  ``_ROUND_PER_POINT * n`` remaining pairs,
 * takes every remaining pair of weight <= pivot, so a tie is never split
   across two rounds, sorts them by (d^2, min, max) and scans them with
   the DSU,
@@ -24,8 +24,8 @@ and the dropped pairs are exactly rejections, so the accepted sequence is
 the full sort's.  The scan stops after n - 1 unions or when no pair is
 left.  Time is O(n^2) per round plus the sort of the pairs the rounds
 reach, a small fraction of all pairs on uniform and clustered inputs.
-Inputs of at most ``_ROUND_FLOOR`` pairs (n <= 91) sort in one round, as a
-full sort does.
+The round size has no floor: as a round takes every pair up to its pivot,
+a small round splits no tie either.
 
 Above ``_PRIM_ABOVE`` points the scan is Prim (1957) with exact keys.
 Each unreached vertex keeps its lightest pair to the reached set, keyed
@@ -66,10 +66,8 @@ from .geometry import Edge, PointSet, pairwise_sq
 from .structures import DSU, SpanningTree
 
 
-#: Pairs sorted per filter round: this many per point, and at least
-#: ``_ROUND_FLOOR``.
+#: Pairs sorted per filter round: this many per point.
 _ROUND_PER_POINT = 4
-_ROUND_FLOOR = 4096
 
 #: Above this many points the scan runs Prim; at or below it, Filter-Kruskal.
 _PRIM_ABOVE = 1000
@@ -105,7 +103,7 @@ def _filter_rounds(d2: np.ndarray, dsu: DSU, cut2: float):
     if cut2 < math.inf:
         keep = w <= cut2
         iu, iv, w = iu[keep], iv[keep], w[keep]
-    m = max(_ROUND_PER_POINT * n, _ROUND_FLOOR)
+    m = _ROUND_PER_POINT * n
     while len(w):
         if len(w) > m:
             take = w <= np.partition(w, m - 1)[m - 1]

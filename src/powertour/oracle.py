@@ -52,7 +52,7 @@ from itertools import islice
 import numpy as np
 
 from .errors import InputError, SizeError
-from .geometry import PointSet, PowerCost, make_edge, pairwise_sq, power_cost
+from .geometry import PointSet, PowerCost, make_edge, power_cost
 from .structures import HamPath, Matching, Tour, path_from_order, tour_from_order
 
 MAX_EXACT_TOUR = 16
@@ -68,8 +68,9 @@ _PAIR_SUM_BLOCK = 1024
 
 
 def _power_matrix(points: PointSet, k: int) -> np.ndarray:
-    d2 = pairwise_sq(points.coords)
-    return d2 ** (k / 2.0)
+    """|u - v|^k for every pair, from the points' own d^2 matrix; the
+    diagonal is +inf and never read."""
+    return points.sq ** (k / 2.0)
 
 
 def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:

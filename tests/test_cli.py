@@ -212,6 +212,19 @@ def test_malformed_point_set_file_is_an_input_error(tmp_path, capsys, name, body
     assert f"malformed point-set file {src}" in err
 
 
+@pytest.mark.parametrize("name, body, message", [
+    ("empty.json", '{"points": []}', "coords must be a 2-d array, got shape (0,)"),
+    ("flat.json", '{"points": [0.1, 0.2]}', "coords must be a 2-d array, got shape (2,)"),
+    ("nan.csv", "0.1,0.2\n0.3,nan\n", "coordinates must be finite"),
+], ids=["no-points", "one-flat-row", "nan-coordinate"])
+def test_point_set_errors_name_the_file(tmp_path, capsys, name, body, message):
+    """The point set's own checks, reached through the loader, name the file."""
+    src = tmp_path / name
+    src.write_text(body)
+    assert run_cli("tour", str(src), "--algo", "greedy") == 1
+    assert capsys.readouterr().err == f"error: malformed point-set file {src}: {message}\n"
+
+
 def test_usage_error_exit_code():
     assert run_cli("tour", "x.json", "--algo", "does-not-exist") == 1
     assert run_cli("frobnicate") == 1

@@ -1,8 +1,9 @@
 import math
+import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import powertour.geometry
@@ -56,9 +57,14 @@ def test_power_cost_empty():
 
 def test_power_cost_zero_edges_excluded():
     c = power_cost_from_weights([0.0, 2.0, 0.0], 3)
-    assert c.zero_edges == 2
-    assert len(c.log_terms) == 1
+    assert cost_bits(c) == cost_bits(power_cost_from_weights([2.0], 3))
     assert c.unscaled == pytest.approx(8.0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_power_cost_refuses_non_finite_weights(bad):
+    with pytest.raises(InputError, match="edge weight must be finite"):
+        power_cost_from_weights([1.0, bad, 2.0], 2)
 
 
 def test_power_cost_huge_exponent_no_overflow_in_scaled():
@@ -96,9 +102,55 @@ def test_power_cost_permutation_bitstable(weights, k, rand):
     shuffled = list(weights)
     rand.shuffle(shuffled)
     other = power_cost_from_weights(shuffled, k)
-    assert base.log_terms == other.log_terms
-    assert base.unscaled == other.unscaled
-    assert base.scaled == other.scaled
+    assert cost_bits(base) == cost_bits(other)
+
+
+def sorted_power_cost(weights, k):
+    """Reference cost: the log terms sorted descending, each shifted by the
+    first (the largest), exponentiated and added by ``math.fsum`` in that
+    order, then the same overflow rule."""
+    terms = sorted((k * math.log(w) for w in map(float, weights) if w > 0.0), reverse=True)
+    if not terms:
+        return -math.inf, 0.0, 0.0, False
+    m = terms[0]
+    log_s = m + math.log(math.fsum(math.exp(t - m) for t in terms))
+    unscaled = math.exp(log_s) if log_s < 709.0 else math.inf
+    return log_s, unscaled, math.exp(log_s / k), unscaled == math.inf
+
+
+def cost_bits(cost):
+    """(log S_k, S_k, s_k) as hex strings, and the overflow flag."""
+    if not isinstance(cost, tuple):
+        cost = (cost.log_unscaled, cost.unscaled, cost.scaled, cost.overflow)
+    *values, overflow = cost
+    return [float(x).hex() for x in values] + [overflow]
+
+
+weight_lists = st.lists(
+    st.one_of(st.just(0.0), st.just(5e-324), st.just(1e-300),
+              st.floats(min_value=0.0, max_value=1e-300),  # subnormals among them
+              st.floats(min_value=0.0, max_value=10.0),
+              st.sampled_from([0.25, 0.5, 1.0, math.sqrt(2.0), math.sqrt(3.0)]),
+              st.floats(min_value=1e-200, max_value=1e200)),
+    min_size=0, max_size=40)
+
+
+@settings(max_examples=300, deadline=None)
+@given(weight_lists, st.one_of(st.integers(1, 40), st.integers(41, 1000)),
+       st.randoms(use_true_random=False))
+# ln S_k on both sides of 709, where the overflow flag flips
+@example([2.0], 1022, random.Random(0))
+@example([2.0], 1023, random.Random(0))
+@example([0.0, 5e-324, math.sqrt(5.0)], 1000, random.Random(0))
+# terms under half an ulp of the largest, which a plain running sum drops
+@example([1.0] + [1e-16] * 10, 1, random.Random(0))
+def test_power_cost_equals_the_sorted_sum_bit_for_bit(weights, k, rand):
+    """Shuffled or not, the max-then-fsum cost has the bits of the sorted
+    sum, through zeros, subnormals, ties and overflow at large k."""
+    want = cost_bits(sorted_power_cost(weights, k))
+    assert cost_bits(power_cost_from_weights(weights, k)) == want
+    rand.shuffle(weights)
+    assert cost_bits(power_cost_from_weights(weights, k)) == want
 
 
 @settings(max_examples=60, deadline=None)

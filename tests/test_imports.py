@@ -163,11 +163,11 @@ def test_only_the_cube_cycle_builds_and_checks_its_certificate():
     assert package_call_sites("verify_double_cover") == ["sekanina.tree_cube_cycle"]
 
 
-def test_dense_pair_matrices_have_three_builders():
-    """Point sets read ``PointSet.sq``; only the midball centers and the
-    oracles' power matrix build a d^2 matrix of their own."""
+def test_dense_pair_matrices_have_two_builders():
+    """Point sets, the oracles' power matrix included, read ``PointSet.sq``;
+    only the midball centers build a d^2 matrix of their own."""
     assert package_call_sites("pairwise_sq") == [
-        "geometry.symmetric_sq", "mst.mst_ball_packing_check", "oracle._power_matrix"]
+        "geometry.symmetric_sq", "mst.mst_ball_packing_check"]
 
 
 def referenced_names(source: str) -> set[str]:
@@ -218,7 +218,10 @@ def test_retired_names_stay_gone():
     test and the cost's edge count had no caller.  Planar membership is one
     mask over all points, and the named bounds have ``dataclasses.asdict``.
     The cube-cycle certificate carries its order and oriented hops, so the
-    checker counts the usage itself and needs no wrapper method."""
+    checker counts the usage itself and needs no wrapper method.  The cost
+    keeps no exponent, term tuple or zero count, which nothing read, and
+    adds its terms by ``math.fsum`` with no sort; the filter rounds have
+    no floor."""
     import powertour
     import powertour.geometry
     import powertour.greedy
@@ -243,7 +246,9 @@ def test_retired_names_stay_gone():
                          (powertour.mst, "forest_from_sq"),
                          (powertour.mst, "check_cutoff"),
                          (powertour.greedy, "join_paths"),
-                         (powertour.planar, "_point_in_triangle")):
+                         (powertour.planar, "_point_in_triangle"),
+                         (powertour.geometry, "_logsumexp_desc"),
+                         (powertour.mst, "_ROUND_FLOOR")):
         assert not hasattr(module, name) and not hasattr(powertour, name)
         assert name not in powertour.__all__
     for cls, name in ((powertour.planar.RightTriangle, "side_a"),
@@ -262,3 +267,6 @@ def test_retired_names_stay_gone():
     # a field without a default is no class attribute: check the fields too
     assert [f.name for f in dataclasses.fields(powertour.sekanina.UsageCertificate)] == [
         "order", "hops", "anchor"]
+    # the cost dropped "exponent", "log_terms" and "zero_edges"
+    assert [f.name for f in dataclasses.fields(powertour.geometry.PowerCost)] == [
+        "log_unscaled", "unscaled", "scaled", "overflow"]

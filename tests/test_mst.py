@@ -178,10 +178,9 @@ def watch_sorts(monkeypatch, calls=None):
 
 
 def use_many_rounds(monkeypatch):
-    """One pair per point and no floor: many rounds, and ties at the pivot
-    on lattices and cube vertices."""
+    """One pair per point: many rounds, and ties at the pivot on lattices
+    and cube vertices."""
     monkeypatch.setattr(mst, "_ROUND_PER_POINT", 1)
-    monkeypatch.setattr(mst, "_ROUND_FLOOR", 0)
 
 
 #: The scan's paths: Filter-Kruskal with its rounds as shipped ("default")

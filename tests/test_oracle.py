@@ -10,7 +10,7 @@ import powertour.oracle
 from powertour.constructions import (cube_vertex_subset, diagonal_pair, even_weight_code,
                                      k3_code4, k4_even_weight_code, square_tight_sets, uniform_cube)
 from powertour.errors import InputError, SizeError
-from powertour.geometry import make_edge, point_set, power_cost
+from powertour.geometry import make_edge, pairwise_sq, point_set, power_cost
 from powertour.oracle import (closest_pair_bound_check, exact_min_matching,
                               exact_min_path, exact_min_tour, max_pairwise_square_sum)
 from powertour.structures import path_from_order, tour_from_order, validate
@@ -188,6 +188,35 @@ def test_matchings_match_the_recursion_up_to_n_12(name):
         matching, _cost = exact_min_matching(points, k)
         assert [(e.u, e.v) for e in matching.edges] == \
             recursive_first_best_pairs(powertour.oracle._power_matrix(points, k), n)
+
+
+def pairwise_power_matrix(points, k):
+    """A power matrix from ``pairwise_sq`` as it comes: no mirrored lower
+    triangle, and a diagonal near 0."""
+    return pairwise_sq(points.coords) ** (k / 2.0)
+
+
+def oracle_answers(points, k):
+    """Each exact oracle's order or pairs, and the bits of its cost."""
+    n = points.n
+    runs = [exact_min_path] + [exact_min_tour] * (n >= 3) + [exact_min_matching] * (n % 2 == 0)
+    out = []
+    for oracle in runs:
+        structure, cost = oracle(points, k)
+        answer = structure.order if hasattr(structure, "order") else structure.edges
+        out.append((answer, cost.log_unscaled.hex(), cost.unscaled.hex(), cost.scaled.hex()))
+    return out
+
+
+@pytest.mark.parametrize("name", REFERENCE_INPUTS)
+def test_answers_unchanged_by_reading_the_point_sets_matrix(name, monkeypatch):
+    """The mirrored, +inf-diagonal matrix of ``PointSet.sq`` gives every
+    answer, bit for bit, that an unmirrored ``pairwise_sq`` matrix gives."""
+    make, k = REFERENCE_INPUTS[name]
+    cases = [make(n, seed) for n in range(2, 13) for seed in (0, 1, 2)]
+    got = [oracle_answers(points, k) for points in cases]
+    monkeypatch.setattr(powertour.oracle, "_power_matrix", pairwise_power_matrix)
+    assert got == [oracle_answers(points, k) for points in cases]
 
 
 def read_entries(n, closed):

@@ -8,7 +8,7 @@ from powertour.constructions import (cube_vertex_subset, diagonal_pair, k3_code4
                                      k4_even_weight_code, midball_reach_extremal_pair,
                                      uniform_cube)
 from powertour.errors import InputError
-from powertour.geometry import leq, pairwise_sq, point_set, power_cost
+from powertour.geometry import PowerCost, leq, pairwise_sq, point_set, power_cost
 from powertour.greedy import greedy_ham_path
 from powertour.planar import newman_square_tour
 from powertour.sekanina import mst_sekanina_tour
@@ -194,9 +194,7 @@ def test_bound_report_empty_results():
 
 def test_bound_report_flags_certified_failure():
     pts = diagonal_pair(3)
-    fake = power_cost([], 3)
-    too_big = type(fake)(exponent=3, log_terms=(100.0,), zero_edges=0,
-                         log_unscaled=100.0, unscaled=math.exp(100),
-                         scaled=math.exp(100 / 3))
+    too_big = PowerCost(log_unscaled=100.0, unscaled=math.exp(100),
+                        scaled=math.exp(100 / 3))
     report = bound_report(pts, 3, {"mst-sekanina": too_big})
     assert report.certified_failures() == ["mst-sekanina: cycle_upper_improved"]
