@@ -1,8 +1,9 @@
 """Named point sets, random generators, and point-set file I/O.
 
-Random generators are deterministic under a 64-bit seed; the PRNG is
-numpy's default_rng (PCG64), seeded through SeedSequence so results
-replicate across runs and platforms.
+Random generators are deterministic under a 64-bit seed, an integer
+>= 0 (``verifiers.check_seed``); the PRNG is numpy's default_rng (PCG64),
+seeded through SeedSequence so results replicate across runs and
+platforms.
 
 File formats:
   JSON  {"k": int, "container": "unit_cube", "points": [[...], ...]}
@@ -14,12 +15,14 @@ from __future__ import annotations
 import csv
 import itertools
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 
 from .errors import InputError
 from .geometry import Container, PointSet, point_set
+from .verifiers import check_seed
 
 
 def diagonal_pair(k: int) -> PointSet:
@@ -82,6 +85,7 @@ def uniform_cube(k: int, n: int, seed: int) -> PointSet:
     """n points drawn uniformly from the unit cube; seed-deterministic."""
     if k < 1 or n < 1:
         raise InputError("need k >= 1 and n >= 1")
+    check_seed(seed)
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), k, n]))
     return point_set(rng.uniform(size=(n, k)))
 
@@ -92,6 +96,7 @@ def cube_vertex_subset(k: int, n: int, seed: int) -> PointSet:
         raise InputError("need k >= 1 and n >= 1")
     if n > 2 ** k:
         raise InputError(f"cannot draw {n} distinct vertices from a {k}-cube")
+    check_seed(seed)
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), k, n, 1]))
     if 2 ** k <= 4 * n:
         verts = np.array(list(itertools.product((0.0, 1.0), repeat=k)))
@@ -109,9 +114,13 @@ def cube_vertex_subset(k: int, n: int, seed: int) -> PointSet:
 
 def clustered(k: int, n: int, cluster_count: int, radius: float, seed: int) -> PointSet:
     """n points split round-robin over uniformly placed cluster centers,
-    jittered by at most ``radius`` per coordinate and clipped to the cube."""
+    jittered by at most ``radius`` per coordinate and clipped to the cube.
+    A negative or non-finite radius raises InputError."""
     if cluster_count < 1 or n < 1:
         raise InputError("need cluster_count >= 1 and n >= 1")
+    if not math.isfinite(radius) or radius < 0:
+        raise InputError(f"radius must be finite and >= 0, got {radius}")
+    check_seed(seed)
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), k, n, cluster_count]))
     centers = rng.uniform(size=(cluster_count, k))
     assign = np.arange(n) % cluster_count

@@ -51,8 +51,9 @@ def greedy_ham_path(points: PointSet, warm_start: Iterable[tuple[int, int]] = ()
 
     ``warm_start`` is a list of (u, v) edge pairs that form vertex-disjoint
     paths; the greedy joins those paths and the remaining singletons.  A
-    pair out of range, a self-loop, or one that would give a vertex degree 3
-    or close a cycle raises ``InputError`` before any distance is computed.
+    pair with a non-integer id or one out of range, a self-loop, or one that
+    would give a vertex degree 3 or close a cycle raises ``InputError``
+    before any distance is computed.
     Returns the path and the trace of inserted edges in insertion order
     (warm-start edges are not part of the trace).  Each trace edge was
     minimal among all edges joining endpoints of distinct paths at its

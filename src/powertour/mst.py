@@ -1,10 +1,11 @@
 """Euclidean minimum spanning trees and threshold-restricted forests.
 
 Both are Kruskal scans in (weight, min index, max index) order, so trees
-are reproducible under ties.  Both read the points' own d^2 matrix,
-``PointSet.sq``, which also refuses a point set too large for it, and
-never write to it.  The scan has two paths, picked on n alone, and both
-accept the full sort's pairs in its order.
+are reproducible under ties, and every tree lists its edges in that scan
+order.  Both read the points' own d^2 matrix, ``PointSet.sq``, which also
+refuses a point set too large for it, and never write to it.  The scan
+has two paths, picked on n alone, and both accept the full sort's pairs
+in its order.
 
 Up to ``_PRIM_ABOVE`` points the scan is Filter-Kruskal (Osipov, Sanders
 and Singler, ALENEX 2009): it sorts only the pairs Kruskal can still
@@ -171,9 +172,11 @@ def build_threshold_forest(points: PointSet, cutoff: float) -> list[SpanningTree
     """Kruskal restricted to edges of weight <= cutoff.
 
     Returns one SpanningTree per resulting component (ordered by smallest
-    member vertex); every inter-component distance exceeds the cutoff.
-    Component-wise this equals the subgraph of the full MST with edges
-    <= cutoff (standard exchange property).  The scan stops at the cutoff
+    member vertex), each listing its edges in the scan's (d^2, u, v) order;
+    every inter-component distance exceeds the cutoff.  Component-wise this
+    equals the subgraph of the full MST with edges <= cutoff (standard
+    exchange property), so a cutoff of at least the diameter gives exactly
+    ``[build_mst(points)]``.  The scan stops at the cutoff
     or after n - 1 unions, when a single tree spans every point and no
     later pair can be accepted.  A negative or non-finite cutoff raises
     ``InputError``.
@@ -182,19 +185,15 @@ def build_threshold_forest(points: PointSet, cutoff: float) -> list[SpanningTree
         raise InputError(f"cutoff must be finite and nonnegative, got {cutoff}")
     n = points.n
     dsu = DSU(n)
-    comp_edges: dict[int, list[Edge]] = {}
-    for u, v, dd in _kruskal(points.sq, dsu, cutoff * cutoff):
-        comp_edges.setdefault(dsu.find(u), []).append(Edge(u, v, math.sqrt(dd)))
-    groups: dict[int, list[int]] = {}
+    scan = _kruskal(points.sq, dsu, cutoff * cutoff)
+    edges = [Edge(u, v, math.sqrt(dd)) for u, v, dd in scan]
+    # groups open in increasing order of their smallest member
+    groups: dict[int, tuple[list[int], list[Edge]]] = {}
     for v in range(n):
-        groups.setdefault(dsu.find(v), []).append(v)
-    # a tree lists its roots' edge lists in the order those roots got their first edge
-    tree_edges: dict[int, list[Edge]] = {}
-    for r, es in comp_edges.items():
-        tree_edges.setdefault(dsu.find(r), []).extend(es)
-    # groups were opened in increasing order of their smallest member
-    return [SpanningTree(tuple(members), tuple(tree_edges.get(root, ())))
-            for root, members in groups.items()]
+        groups.setdefault(dsu.find(v), ([], []))[0].append(v)
+    for e in edges:
+        groups[dsu.find(e.u)][1].append(e)
+    return [SpanningTree(tuple(members), tuple(es)) for members, es in groups.values()]
 
 
 def mst_ball_packing_check(t: SpanningTree, points: PointSet,

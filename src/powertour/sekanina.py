@@ -29,11 +29,14 @@ the cycle:
 - the anchor visits its smallest child last, and that child, listed on
   leaving, ends the list, so the closing hop is a tree edge at the anchor.
 
-If the list's second entry exceeds its last, everything after the anchor
-is reversed, so the cycle leaves the anchor towards its smaller neighbour.
-The same pass records each vertex's parent, depth and parent edge, and
-each hop's tree path is read by climbing out of its deeper end.  The walk
-raises InputError on an edge set that is not a tree over the vertex set.
+The walk writes each hop as it crosses it: entering and leaving a vertex
+append its parent edge to the open hop, and each listing after the first
+closes it.  A vertex is listed between its down and up crossings, so a hop
+crosses each edge at most once: its crossings are its tree path, and no
+second pass climbs the tree.  If the list's second entry exceeds its last,
+everything after the anchor is reversed, hops included, so the cycle
+leaves the anchor towards its smaller neighbour.  The walk raises
+InputError on an edge set that is not a tree over the vertex set.
 The certificate is re-verified after every construction, hop by hop in the
 cycle's own order and direction, without walking the cycle again; a
 failure raises CertificateError and signals a bug, never bad input.
@@ -46,6 +49,7 @@ from dataclasses import dataclass
 
 from .errors import CertificateError, InputError
 from .geometry import PointSet, PowerCost, power_cost
+from .mst import build_mst
 from .structures import SpanningTree, Tour, tour_from_order
 from .verifiers import BoundReport, bound_report
 
@@ -134,46 +138,39 @@ def _parity_walk(t: SpanningTree, anchor: int) -> UsageCertificate:
         adj[e.v].append((e.u, i))
     if anchor not in adj:
         raise InputError(f"anchor {anchor} not a tree vertex")
-    up = {anchor: (anchor, -1)}  # vertex -> (parent, parent-edge id)
-    depth = {anchor: 0}
+    seen = {anchor}
     order: list[int] = []
-    stack = [(anchor, False)]  # (vertex, leaving)
+    hops: list[tuple[int, ...]] = []
+    hop: list[int] = []  # the open hop: the tree-edge ids crossed since the last listing
+    stack = [(anchor, -1, False, False)]  # (vertex, parent-edge id, odd depth, leaving)
     while stack:
-        v, leaving = stack.pop()
-        if leaving:  # only odd-depth vertices wait to be left
+        v, pe, odd, leaving = stack.pop()
+        if pe >= 0 and not leaving:  # every vertex but the anchor is entered and left
+            hop.append(pe)
+            stack.append((v, pe, odd, True))
+        if leaving == odd:  # even depths are listed on entering, odd on leaving
+            if order:
+                hops.append(tuple(hop))
+                hop = []
             order.append(v)
+        if leaving:
+            hop.append(pe)
             continue
-        odd = depth[v] % 2
-        if odd:
-            stack.append((v, True))
-        else:
-            order.append(v)
-        kids = sorted((w, i) for w, i in adj[v] if i != up[v][1])
+        kids = sorted((w, i) for w, i in adj[v] if i != pe)
         # the stack pops the last push first: odd depths visit ascending
         for w, i in (reversed(kids) if odd else kids):
-            if w in depth:
+            if w in seen:
                 raise InputError(f"tree vertex {w} reached twice from anchor {anchor}: "
                                  "the edges hold a cycle or a repeated edge")
-            up[w] = (v, i)
-            depth[w] = depth[v] + 1
-            stack.append((w, False))
+            seen.add(w)
+            stack.append((w, i, not odd, False))
+    hops.append(tuple(hop))  # the closing hop, back to the anchor
     if len(order) != t.n:
         raise InputError(f"tree is disconnected: the walk from anchor {anchor} "
                          f"reaches {len(order)} of {t.n} vertices")
-    if order[1] > order[-1]:
-        order[1:] = order[:0:-1]  # leave the anchor towards its smaller neighbour
-
-    hops = []
-    for a, b in zip(order, order[1:] + order[:1]):
-        x, y, rise, fall = a, b, [], []
-        while x != y:  # climb out of the deeper end until the ends meet
-            if depth[x] >= depth[y]:
-                x, i = up[x]
-                rise.append(i)
-            else:
-                y, i = up[y]
-                fall.append(i)
-        hops.append(tuple(rise + fall[::-1]))
+    if order[1] > order[-1]:  # leave the anchor towards its smaller neighbour
+        order[1:] = order[:0:-1]
+        hops = [h[::-1] for h in reversed(hops)]
     return UsageCertificate(tuple(order), tuple(hops), anchor)
 
 
@@ -231,8 +228,6 @@ def tree_to_cycle_cost_bound(t: SpanningTree, points: PointSet, k: int
 
 def mst_sekanina_cycle(points: PointSet) -> Tour:
     """MST, then the certified tree-cube cycle; for n = 2 the doubled edge."""
-    from .mst import build_mst
-
     if points.n < 2:
         raise InputError("need at least 2 points")
     if points.n == 2:

@@ -8,6 +8,7 @@ a uniform ``validate`` entry point that reports every violated invariant.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -179,7 +180,11 @@ class PathSystem:
     def from_pairs(cls, n: int, pairs) -> "PathSystem":
         ps = cls(n)
         for u, v in pairs:
-            ps.add_path_edge(int(u), int(v))
+            try:
+                a, b = operator.index(u), operator.index(v)
+            except TypeError:
+                raise InputError(f"path edge ({u!r}, {v!r}) needs integer vertex ids") from None
+            ps.add_path_edge(a, b)
         return ps
 
     def component_count(self) -> int:

@@ -26,7 +26,7 @@ from .planar import newman_square_tour
 from .sekanina import mst_sekanina_tour, tree_cube_cycle
 from .structures import tree_from_pairs
 from .two_phase import two_phase_tour
-from .verifiers import (MIDBALL_COEFF, check_tol, check_trials, midball_reach,
+from .verifiers import (MIDBALL_COEFF, check_seed, check_tol, check_trials, midball_reach,
                         midball_reach_batch)
 
 DEFAULT_TRIALS = 1000
@@ -260,6 +260,7 @@ def newman_random_sweep(instances: int, seed: int = DEFAULT_SEED,
                         tol: float = DEFAULT_TOL) -> dict:
     """Random unit-square tours; S_2 must stay at most 4 on every instance."""
     check_trials(instances, "instances")
+    check_seed(seed)
 
     def one(t: int) -> tuple[int, float]:
         rng = np.random.default_rng(np.random.SeedSequence([seed, t, 2]))
@@ -282,6 +283,7 @@ def sekanina_certificate_sweep(trees: int, seed: int = DEFAULT_SEED,
     unless every hop spans at most 3 tree edges and every tree edge is used
     exactly twice), and S_k(H) <= (2/3)*3^k*S_k(T)."""
     check_trials(trees, "trees")
+    check_seed(seed)
 
     def one(t: int) -> int:
         rng = np.random.default_rng(np.random.SeedSequence([seed, t, 3]))
@@ -322,6 +324,7 @@ def run_suite(name: str, trials: int | None = None, seed: int = DEFAULT_SEED,
         raise InputError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
     fn = SUITES[name]
     start = time.perf_counter()
+    check_seed(seed)
     check_tol(tol)
     kwargs = {"seed": seed, "tol": tol}
     if trials is not None:

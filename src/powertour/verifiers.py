@@ -9,6 +9,7 @@ names (see README for the schema).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -61,6 +62,12 @@ def check_trials(count: int, what: str = "trials") -> None:
     """Reject a trial count below 1 before any trial runs."""
     if count < 1:
         raise InputError(f"{what} must be >= 1, got {count}")
+
+
+def check_seed(seed: int) -> None:
+    """Reject a seed that is not an integer >= 0 before any draw."""
+    if not isinstance(seed, numbers.Integral) or seed < 0:
+        raise InputError(f"seed must be an integer >= 0, got {seed!r}")
 
 
 def check_tol(tol: float) -> None:

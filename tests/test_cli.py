@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 import powertour.geometry
-import powertour.mst
 import powertour.oracle
+import powertour.sekanina
 from powertour.cli import main
 from powertour.constructions import (cube_vertex_subset, k3_code4, load_point_set,
                                      save_point_set, uniform_cube)
@@ -60,7 +60,7 @@ def test_tour_rejects_exponent_below_two_before_work(tmp_path, monkeypatch, caps
     def fail(*_args, **_kwargs):
         raise AssertionError("build_mst called")
 
-    monkeypatch.setattr(powertour.mst, "build_mst", fail)
+    monkeypatch.setattr(powertour.sekanina, "build_mst", fail)
     src = tmp_path / "pts.json"
     save_point_set(uniform_cube(dim, 20, 0), src)
     out = tmp_path / "tour.json"
@@ -335,6 +335,26 @@ def test_bad_integer_list_is_an_input_error(monkeypatch, capsys, args, part):
     assert captured.err.splitlines() == [captured.err.strip()]
     assert captured.err.startswith("error: ") and part in captured.err
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("args, message", [
+    (("gen", "uniform", "--seed", "-1"), "seed must be an integer >= 0, got -1"),
+    (("gen", "cube-vertices", "--k", "12", "--n", "50", "--seed", "-3"),
+     "seed must be an integer >= 0, got -3"),
+    (("gen", "clustered", "--radius", "-0.05"), "radius must be finite and >= 0, got -0.05"),
+    (("gen", "clustered", "--radius", "inf"), "radius must be finite and >= 0, got inf"),
+    (("verify", "lemma1", "--seed", "-1"), "seed must be an integer >= 0, got -1"),
+    (("bench", "--seed", "-1"), "seed must be an integer >= 0, got -1"),
+], ids=["gen-uniform", "gen-cube-vertices", "gen-negative-radius", "gen-infinite-radius",
+        "verify", "bench"])
+def test_negative_seed_and_bad_radius_are_input_errors(tmp_path, capsys, args, message):
+    """Exit 1 with one error line, no traceback and no output file."""
+    out = tmp_path / "out.json"
+    assert run_cli(*args, "-o", str(out)) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+    assert not out.exists()
 
 
 def test_verify_bounds_sweep_with_ranges(capsys):

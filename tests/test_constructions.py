@@ -132,3 +132,25 @@ def test_load_rejects_malformed(tmp_path):
     bad.write_text(json.dumps({"k": 2}))
     with pytest.raises(InputError):
         load_point_set(bad)
+
+
+@pytest.mark.parametrize("make", [
+    lambda seed: uniform_cube(3, 10, seed),
+    lambda seed: cube_vertex_subset(6, 10, seed),
+    lambda seed: clustered(3, 10, 2, 0.05, seed),
+], ids=["uniform", "cube-vertices", "clustered"])
+@pytest.mark.parametrize("seed", [-1, 1.5, "3", None])
+def test_generators_refuse_a_seed_that_is_not_a_nonnegative_integer(make, seed):
+    with pytest.raises(InputError, match=r"seed must be an integer >= 0"):
+        make(seed)
+
+
+def test_generators_take_numpy_integer_seeds():
+    assert np.array_equal(uniform_cube(3, 10, np.int64(7)).coords,
+                          uniform_cube(3, 10, 7).coords)
+
+
+@pytest.mark.parametrize("radius", [-0.05, math.inf, -math.inf, math.nan])
+def test_clustered_refuses_a_negative_or_non_finite_radius(radius):
+    with pytest.raises(InputError, match="radius must be finite and >= 0"):
+        clustered(3, 10, 2, radius, 0)

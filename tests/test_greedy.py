@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -310,3 +311,17 @@ def test_at_most_one_very_long_edge_on_cube_vertices(rng):
         pts = cube_vertex_subset(k, n, seed + 31)
         path, _ = greedy_ham_path(pts)
         assert classify_edges(path, k)["very_long"] <= 1
+
+
+@pytest.mark.parametrize("pair", [(0.5, 1), (1.0, 2), ("1", 2)],
+                         ids=["fraction", "integral-float", "string"])
+def test_warm_start_refuses_non_integer_vertex_ids(pair):
+    """A vertex id is never truncated or parsed: the pair is named."""
+    with pytest.raises(InputError, match=re.escape(f"path edge {pair!r} needs integer")):
+        greedy_ham_path(random_points(35, 6, 2), [pair])
+
+
+def test_warm_start_takes_numpy_integer_ids():
+    points = random_points(35, 6, 2)
+    ids = [(np.int64(0), np.int64(1)), (np.int32(3), np.intp(4))]
+    assert greedy_ham_path(points, ids) == greedy_ham_path(points, [(0, 1), (3, 4)])

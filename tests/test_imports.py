@@ -3,7 +3,7 @@ siblings, leave the recursion limit alone and share one union-find, which
 only the MST scan builds; one accessor builds a point set's d^2 matrix;
 one function splices the planar legs; only the cube cycle builds and
 checks its certificate; every exported name has a caller outside the
-tests."""
+tests; no function imports."""
 
 import ast
 import dataclasses
@@ -59,6 +59,39 @@ def test_no_module_changes_the_recursion_limit():
     """The limit is process-wide: one module's change reaches every caller."""
     found = {p.name: recursion_limit_calls(p.read_text()) for p in sorted(PACKAGE.glob("*.py"))}
     assert {name: n for name, n in found.items() if n} == {}
+
+
+def function_local_imports(source: str) -> list[str]:
+    """The innermost enclosing function of each ``import`` or ``from ...
+    import`` statement that is not at module or class level."""
+    out = []
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if function and isinstance(child, (ast.Import, ast.ImportFrom)):
+                out.append(function)
+            inner = (child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+                     else function)
+            visit(child, inner)
+
+    visit(ast.parse(source), None)
+    return out
+
+
+def test_function_local_import_detector_flags_every_depth():
+    assert function_local_imports("import a\nfrom b import c\n"
+                                  "def f():\n    from .mst import build_mst\n"
+                                  "def g():\n    if x:\n        import h\n"
+                                  "class C:\n    def m(self):\n        def n():\n"
+                                  "            import i\n"
+                                  "def k():\n    return 1\n") == ["f", "g", "n"]
+
+
+def test_no_module_imports_inside_a_function():
+    """Imports run once, at module level, where a cycle between siblings
+    shows at import time rather than on some later call."""
+    found = {p.name: function_local_imports(p.read_text()) for p in sorted(PACKAGE.glob("*.py"))}
+    assert {name: fns for name, fns in found.items() if fns} == {}
 
 
 def union_find_classes(source: str) -> list[str]:

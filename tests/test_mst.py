@@ -122,23 +122,17 @@ def full_scan_mst(points):
 
 def full_scan_forest(points, cutoff):
     """Reference forest: Kruskal over every pair of weight <= cutoff, with
-    no early stop, edges regrouped per final root by a scan over roots."""
+    no early stop; each final component lists its edges in scan order."""
     n = points.n
     dsu = DSU(n)
-    comp_edges = {}
-    for u, v, dd in sorted_pairs(points, cutoff):
-        if dsu.union(u, v):
-            comp_edges.setdefault(dsu.find(u), []).append(Edge(u, v, math.sqrt(dd)))
+    edges = [Edge(u, v, math.sqrt(dd)) for u, v, dd in sorted_pairs(points, cutoff)
+             if dsu.union(u, v)]
     groups = {}
     for v in range(n):
         groups.setdefault(dsu.find(v), []).append(v)
-    trees = []
-    for root, members in groups.items():
-        edges = []
-        for r, es in comp_edges.items():
-            if dsu.find(r) == root:
-                edges.extend(es)
-        trees.append(SpanningTree(tuple(sorted(members)), tuple(edges)))
+    trees = [SpanningTree(tuple(sorted(members)),
+                          tuple(e for e in edges if dsu.find(e.u) == root))
+             for root, members in groups.items()]
     trees.sort(key=lambda t: t.vertices[0])
     return trees
 
@@ -418,12 +412,16 @@ def test_threshold_forest_zero_cutoff(rng):
     assert all(t.n == 1 for t in trees)
 
 
-def test_threshold_forest_full_cutoff_equals_mst(rng):
-    pts = random_points(5, 20, 4)
-    trees = build_threshold_forest(pts, math.sqrt(4))
-    assert len(trees) == 1
-    mst_keys = sorted(e.key() for e in build_mst(pts).edges)
-    assert sorted(e.key() for e in trees[0].edges) == mst_keys
+def test_threshold_forest_full_cutoff_equals_mst():
+    """At a cutoff of at least the diameter the forest is the MST itself,
+    edge order included: both list their edges in the scan's order.  Both
+    paths, Filter-Kruskal and Prim."""
+    inputs = [random_points(5, 20, 4)] + [uniform_cube(3, 200, seed) for seed in range(5)]
+    for engine in ("default", "prim"):
+        with pytest.MonkeyPatch.context() as mp:
+            use_engine(mp, engine)
+            for pts in inputs:
+                assert build_threshold_forest(pts, math.sqrt(pts.k)) == [build_mst(pts)]
 
 
 def test_threshold_forest_two_clusters():

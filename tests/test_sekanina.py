@@ -5,9 +5,8 @@ from collections import Counter
 import numpy as np
 import pytest
 
-import powertour.mst
 import powertour.sekanina
-from powertour.constructions import clustered
+from powertour.constructions import clustered, cube_vertex_subset, uniform_cube
 from powertour.errors import InputError
 from powertour.geometry import point_set, power_cost
 from powertour.mst import build_mst, build_threshold_forest
@@ -329,7 +328,7 @@ def test_mst_tour_rejects_exponent_below_two_before_work(monkeypatch, k):
     def fail(*_args, **_kwargs):
         raise AssertionError("build_mst called")
 
-    monkeypatch.setattr(powertour.mst, "build_mst", fail)
+    monkeypatch.setattr(powertour.sekanina, "build_mst", fail)
     with pytest.raises(InputError, match="exponent"):
         mst_sekanina_tour(random_points(9, 20, 3), k)
 
@@ -503,11 +502,68 @@ def worklist_cycle_order(hops, anchor):
     return order
 
 
+# Reference: the climbing walk the one-pass walk replaced.  The same parity
+# walk records each vertex's parent, depth and parent edge; a second pass
+# then rebuilds every hop by climbing out of its deeper end.
+
+
+def reference_parity_walk(t, anchor):
+    adj = {v: [] for v in t.vertices}
+    for i, e in enumerate(t.edges):
+        if e.u not in adj or e.v not in adj:
+            raise InputError(f"tree edge ({e.u}, {e.v}) leaves the vertex set")
+        adj[e.u].append((e.v, i))
+        adj[e.v].append((e.u, i))
+    if anchor not in adj:
+        raise InputError(f"anchor {anchor} not a tree vertex")
+    up = {anchor: (anchor, -1)}  # vertex -> (parent, parent-edge id)
+    depth = {anchor: 0}
+    order = []
+    stack = [(anchor, False)]  # (vertex, leaving)
+    while stack:
+        v, leaving = stack.pop()
+        if leaving:
+            order.append(v)
+            continue
+        odd = depth[v] % 2
+        if odd:
+            stack.append((v, True))
+        else:
+            order.append(v)
+        kids = sorted((w, i) for w, i in adj[v] if i != up[v][1])
+        for w, i in (reversed(kids) if odd else kids):
+            if w in depth:
+                raise InputError(f"tree vertex {w} reached twice from anchor {anchor}: "
+                                 "the edges hold a cycle or a repeated edge")
+            up[w] = (v, i)
+            depth[w] = depth[v] + 1
+            stack.append((w, False))
+    if len(order) != t.n:
+        raise InputError(f"tree is disconnected: the walk from anchor {anchor} "
+                         f"reaches {len(order)} of {t.n} vertices")
+    if order[1] > order[-1]:
+        order[1:] = order[:0:-1]
+    hops = []
+    for a, b in zip(order, order[1:] + order[:1]):
+        x, y, rise, fall = a, b, [], []
+        while x != y:
+            if depth[x] >= depth[y]:
+                x, i = up[x]
+                rise.append(i)
+            else:
+                y, i = up[y]
+                fall.append(i)
+        hops.append(tuple(rise + fall[::-1]))
+    return UsageCertificate(tuple(order), tuple(hops), anchor)
+
+
 def assert_matches_worklist(t, pts, anchor):
-    """The walk's order, cycle edges, id tuples and usage equal the
-    worklist construction's; hop i is read from the tour's i-th vertex to
-    the next, one hop per tour edge."""
+    """The walk's certificate equals the climbing walk's, and its order,
+    cycle edges, id tuples and usage equal the worklist construction's;
+    hop i is read from the tour's i-th vertex to the next, one hop per tour
+    edge."""
     tour, cert = tree_cube_cycle(t, pts, anchor=anchor)
+    assert cert == reference_parity_walk(t, anchor)
     ref = worklist_cube_cycle(t, anchor)
     assert list(tour.order) == worklist_cycle_order(ref, anchor)
     assert cert.order == tour.order
@@ -564,6 +620,49 @@ def test_walk_does_not_recurse_on_deep_trees(shape):
     pts = random_points(5, n, 2)
     t = tree_from_pairs(pts, adversarial_trees(n)[shape])
     assert_matches_worklist(t, pts, 0)
+
+
+def test_walk_matches_references_on_random_labelled_trees():
+    gen = np.random.default_rng(2025)
+    for trial in range(120):
+        n = int(gen.integers(3, 400))
+        pts = random_points(trial + 1200, n, 2)
+        t = tree_from_pairs(pts, random_tree_pairs(n, gen))
+        for anchor in gen.integers(0, n, size=3).tolist():
+            assert_matches_worklist(t, pts, anchor)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: uniform_cube(3, 2000, 0),
+    lambda: clustered(8, 2000, 8, 0.05, 0),
+    lambda: cube_vertex_subset(12, 2000, 0),
+], ids=["uniform-k3", "clustered-k8", "cube-vertex-k12"])
+def test_walk_matches_references_on_tour_large_msts(make):
+    pts = make()
+    t = build_mst(pts)
+    for anchor in (0, 1999):
+        assert_matches_worklist(t, pts, anchor)
+
+
+@pytest.mark.parametrize("pairs, vertices, anchor", [
+    ([(0, 1), (1, 2), (1, 2)], None, 0),
+    ([(0, 1), (0, 1), (1, 2)], None, 2),
+    ([(0, 1), (1, 2), (2, 0)], None, 3),
+    ([(0, 1), (1, 2), (2, 3), (3, 1)], None, 0),
+    ([(0, 1), (2, 3), (3, 4)], None, 0),
+    ([(0, 1), (2, 3), (3, 4)], None, 4),
+    ([(0, 1), (1, 2), (2, 3)], [0, 1, 2], 0),
+    ([(0, 1), (1, 2), (2, 3), (3, 4)], None, 7),
+], ids=["repeated-edge", "repeated-edge-at-anchor", "cycle", "cycle-off-anchor",
+        "disconnected", "disconnected-far-part", "edge-out-of-set", "missing-anchor"])
+def test_walk_refuses_malformed_trees_as_the_reference_does(pairs, vertices, anchor):
+    pts = random_points(34, 5, 2)
+    t = tree_from_pairs(pts, pairs, vertices=vertices)
+    with pytest.raises(InputError) as want:
+        reference_parity_walk(t, anchor)
+    with pytest.raises(InputError) as got:
+        tree_cube_cycle(t, pts, anchor=anchor)
+    assert str(got.value) == str(want.value)
 
 
 def refuse_certificate(monkeypatch):

@@ -77,3 +77,14 @@ def test_bounds_sweep_reads_costs_from_the_pipelines(monkeypatch):
     result = suite_bounds_sweep(trials=3, seed=4, ks=[3, 4], n_hi=40)
     assert result["failures"] == 0
     assert calls == {"power_cost": 0}
+
+
+@pytest.mark.parametrize("run", [
+    lambda: run_suite("lemma1", trials=1, seed=-1),
+    lambda: run_suite("tight-examples", seed=-2),
+    lambda: newman_random_sweep(1, seed=-1),
+    lambda: sekanina_certificate_sweep(1, seed=-1),
+], ids=["run-suite", "run-suite-seedless", "newman-sweep", "sekanina-sweep"])
+def test_negative_seed_is_an_input_error(run):
+    with pytest.raises(InputError, match=r"seed must be an integer >= 0, got -\d"):
+        run()
