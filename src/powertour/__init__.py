@@ -8,7 +8,7 @@ checkable bound against exact oracles.
 
 from .errors import CertificateError, InputError, SizeError
 from .geometry import (Container, Edge, NamedBounds, PointSet, PowerCost,
-                       cycle_upper_improved, euclidean_distance, make_edge,
+                       cycle_upper_improved, edge_lengths, make_edge,
                        named_bounds, point_set, power_cost, power_cost_from_weights)
 from .structures import (HamPath, Matching, PathSystem, SpanningTree, Tour,
                          close_path, cycle_to_matchings, path_from_order,
@@ -38,7 +38,7 @@ __all__ = [
     "UsageCertificate", "bound_report", "build_mst", "build_threshold_forest",
     "classify_edges", "close_path", "closest_pair_bound_check", "clustered",
     "cube_vertex_subset", "cycle_to_matchings", "cycle_upper_improved", "diagonal_pair",
-    "envelope_path", "euclidean_distance", "even_weight_code", "exact_min_matching",
+    "edge_lengths", "envelope_path", "even_weight_code", "exact_min_matching",
     "exact_min_path", "exact_min_tour", "greedy_edge_count_by_length",
     "greedy_ham_path", "hamming_min_distance", "k3_code4", "k4_even_weight_code",
     "load_point_set", "make_edge", "max_pairwise_square_sum", "midball_reach_check",

@@ -9,6 +9,11 @@ where |e| is the Euclidean length of the edge.  Accumulation is routed
 through the log domain so that exponents up to ~1000 and edge lengths up
 to sqrt(k) never overflow; when S_k exceeds the float range the scaled
 cost is still exact and the unscaled value is flagged as overflowed.
+
+d^2 orders pairs; ``edge_lengths`` measures them.  ``PointSet.sq`` (the
+Gram form, fast but noisy for close pairs) picks trees, paths and ties;
+every edge weight, and so every cost and certificate check, comes from
+``edge_lengths``, one coordinate-difference formula.
 """
 
 from __future__ import annotations
@@ -60,8 +65,9 @@ class PointSet:
     """An ordered list of n points in R^k plus the declared container.
 
     ``sq`` is the points' one d^2 matrix: every dense reader (the MST, the
-    threshold forest, the greedy, the closest-pair check) takes it from
-    here, so a point set that several of them read builds it once.  It is
+    threshold forest, the greedy, the oracle tables, the closest-pair
+    check) takes it from here, so a point set that several of them read
+    builds it once.  It orders pairs; ``edge_lengths`` weighs them.  It is
     built on first read and lives as long as the point set does.  Point
     sets compare and hash by identity, as each owns its own matrix.
     """
@@ -143,17 +149,35 @@ class Edge:
         return (self.u, self.v) if self.u < self.v else (self.v, self.u)
 
 
-def euclidean_distance(a, b) -> float:
-    """Euclidean norm of a - b."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape:
-        raise InputError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    return float(np.linalg.norm(a - b))
+def edge_lengths(points: PointSet, u, v) -> np.ndarray:
+    """Euclidean lengths |x_u - x_v| of the pairs (u[i], v[i]): the square
+    root of sum_c (x_uc - x_vc)^2, the columns added left to right.
+
+    Every step is elementwise IEEE arithmetic, so a pair gets the same bits
+    in any call and on any BLAS, the result is symmetric in (u, v), and a
+    duplicate pair is exactly 0.  ``u`` and ``v`` are equal-length index
+    lists or arrays, or two single indices; memory is O(len(u) k).  Every
+    edge weight in the package comes from here: d^2 (``PointSet.sq``)
+    orders pairs, ``edge_lengths`` measures them.
+    """
+    cols = points.coords.T
+    sq = cols[:, u] - cols[:, v]
+    sq *= sq
+    acc = sq[0]
+    for term in sq[1:]:
+        acc += term
+    return np.sqrt(acc)
 
 
 def make_edge(points: PointSet, u: int, v: int) -> Edge:
-    return Edge(u, v, euclidean_distance(points.coords[u], points.coords[v]))
+    return Edge(u, v, float(edge_lengths(points, u, v)))
+
+
+def make_edges(points: PointSet, pairs) -> list[Edge]:
+    """One Edge per (u, v) pair, weighed in one ``edge_lengths`` call."""
+    us = [u for u, _v in pairs]
+    vs = [v for _u, v in pairs]
+    return list(map(Edge, us, vs, edge_lengths(points, us, vs).tolist()))
 
 
 #: Most points ``PointSet.sq`` accepts, and so the dense paths that read it
@@ -233,9 +257,12 @@ class PowerCost:
     overflow: bool = False
 
     def to_dict(self) -> dict:
-        """The JSON cost block; S_k is None when it overflows."""
+        """The JSON cost block; S_k is None when it overflows and ln S_k is
+        None for an empty or all-zero cost (ln 0), as JSON has no
+        infinities."""
         return {"S_k": None if self.overflow else self.unscaled, "s_k": self.scaled,
-                "log_S_k": self.log_unscaled, "overflow": self.overflow}
+                "log_S_k": None if self.log_unscaled == -math.inf else self.log_unscaled,
+                "overflow": self.overflow}
 
 
 def power_cost_from_weights(weights: Iterable[float], k: int) -> PowerCost:

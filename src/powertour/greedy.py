@@ -24,24 +24,25 @@ first minimum, the smallest partner index, which is also the smallest
 
 Cost: the points' one dense d^2 matrix, ``PointSet.sq``: ``pairwise_sq``
 with its upper triangle mirrored onto the lower one, so that row u holds
-d2[min(u, v), max(u, v)] for every v - every key, weight and tie then
-matches a scan of the sorted upper triangle bit for bit.  The greedy only
-reads it, and only while two or more paths remain, so in ``two_phase_tour``
-it reads the matrix the threshold forest built.  No triangle-index or sort
-arrays; each recomputed entry costs one O(n) row and an ``argmin``.
+d2[min(u, v), max(u, v)] for every v - every key and tie then matches a
+scan of the sorted upper triangle bit for bit.  The greedy only reads it,
+and only while two or more paths remain, so in ``two_phase_tour`` it reads
+the matrix the threshold forest built.  No triangle-index or sort arrays;
+each recomputed entry costs one O(n) row and an ``argmin``.  d^2 orders
+pairs; ``edge_lengths`` measures them: the trace's weights come from one
+call over the inserted pairs.
 """
 
 from __future__ import annotations
 
 import heapq
-import math
 from collections.abc import Iterable
 
 import numpy as np
 
 from .errors import InputError
 # pairwise_sq stays bound here: the benchmark's tracer test reads greedy.pairwise_sq
-from .geometry import Edge, PointSet, pairwise_sq  # noqa: F401
+from .geometry import Edge, PointSet, make_edges, pairwise_sq  # noqa: F401
 from .structures import HamPath, PathSystem, path_from_order
 
 
@@ -63,7 +64,7 @@ def greedy_ham_path(points: PointSet, warm_start: Iterable[tuple[int, int]] = ()
     if n < 2:
         raise InputError("need at least 2 points")
     system = PathSystem.from_pairs(n, warm_start)
-    trace: list[Edge] = []
+    warm = len(system.edge_pairs)
     needed = system.component_count() - 1
     if needed > 0:
         d2 = points.sq
@@ -81,14 +82,13 @@ def greedy_ham_path(points: PointSet, warm_start: Iterable[tuple[int, int]] = ()
         heap = [nearest(v) for v in range(n) if far[v] >= 0]
         heapq.heapify(heap)
         while needed > 0:
-            dd, a, b, u, v = heapq.heappop(heap)
+            _dd, a, b, u, v = heapq.heappop(heap)
             if far[u] < 0:
                 continue
             if far[v] < 0 or far[u] == v:
                 heapq.heappush(heap, nearest(u))
                 continue
             system.add_path_edge(a, b)
-            trace.append(Edge(a, b, math.sqrt(dd)))
             needed -= 1
             for w in (u, v):
                 if far[w] < 0:
@@ -97,7 +97,7 @@ def greedy_ham_path(points: PointSet, warm_start: Iterable[tuple[int, int]] = ()
                 heapq.heappush(heap, nearest(u))
 
     (walk,) = system.paths()
-    return path_from_order(points, walk), trace
+    return path_from_order(points, walk), make_edges(points, system.edge_pairs[warm:])
 
 
 def greedy_edge_count_by_length(trace: list[Edge], j: float) -> int:

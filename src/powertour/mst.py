@@ -5,7 +5,8 @@ are reproducible under ties, and every tree lists its edges in that scan
 order.  Both read the points' own d^2 matrix, ``PointSet.sq``, which also
 refuses a point set too large for it, and never write to it.  The scan
 has two paths, picked on n alone, and both accept the full sort's pairs
-in its order.
+in its order.  d^2 orders pairs; ``edge_lengths`` measures them: each
+tree's weights come from one call over its accepted pairs.
 
 Up to ``_PRIM_ABOVE`` points the scan is Filter-Kruskal (Osipov, Sanders
 and Singler, ALENEX 2009): it sorts only the pairs Kruskal can still
@@ -63,8 +64,8 @@ import math
 import numpy as np
 
 from .errors import InputError
-from .geometry import Edge, PointSet, pairwise_sq
-from .structures import DSU, SpanningTree
+from .geometry import Edge, PointSet, make_edges, pairwise_sq
+from .structures import DSU, SpanningTree, tree_from_pairs
 
 
 #: Pairs sorted per filter round: this many per point.
@@ -163,9 +164,8 @@ def _prim(d2: np.ndarray, cut2: float) -> tuple[np.ndarray, np.ndarray, np.ndarr
 
 def build_mst(points: PointSet) -> SpanningTree:
     """Minimum spanning tree of the whole point set under Euclidean weights."""
-    n = points.n
-    edges = tuple(Edge(u, v, math.sqrt(dd)) for u, v, dd in _kruskal(points.sq, DSU(n)))
-    return SpanningTree(tuple(range(n)), edges)
+    pairs = [(u, v) for u, v, _dd in _kruskal(points.sq, DSU(points.n))]
+    return tree_from_pairs(points, pairs)
 
 
 def build_threshold_forest(points: PointSet, cutoff: float) -> list[SpanningTree]:
@@ -186,7 +186,7 @@ def build_threshold_forest(points: PointSet, cutoff: float) -> list[SpanningTree
     n = points.n
     dsu = DSU(n)
     scan = _kruskal(points.sq, dsu, cutoff * cutoff)
-    edges = [Edge(u, v, math.sqrt(dd)) for u, v, dd in scan]
+    edges = make_edges(points, [(u, v) for u, v, _dd in scan])
     # groups open in increasing order of their smallest member
     groups: dict[int, tuple[list[int], list[Edge]]] = {}
     for v in range(n):

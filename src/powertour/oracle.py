@@ -52,7 +52,7 @@ from itertools import islice
 import numpy as np
 
 from .errors import InputError, SizeError
-from .geometry import PointSet, PowerCost, make_edge, power_cost
+from .geometry import PointSet, PowerCost, make_edges, power_cost
 from .structures import HamPath, Matching, Tour, path_from_order, tour_from_order
 
 MAX_EXACT_TOUR = 16
@@ -312,7 +312,7 @@ def exact_min_matching(points: PointSet, k: int) -> tuple[Matching, PowerCost]:
     if n > MAX_EXACT_MATCHING:
         raise SizeError(f"exact matchings capped at n = {MAX_EXACT_MATCHING}, got {n}")
     best_pairs = _first_best_pairs(_power_matrix(points, k))
-    edges = tuple(make_edge(points, u, v) for u, v in best_pairs)
+    edges = tuple(make_edges(points, best_pairs))
     matching = Matching(edges)
     return matching, power_cost(edges, k)
 

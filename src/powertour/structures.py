@@ -11,10 +11,9 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import InputError
-from .geometry import Edge, PointSet, close, euclidean_distance, make_edge, power_cost
+from .geometry import (Edge, PointSet, close, edge_lengths, make_edge, make_edges,
+                       power_cost)
 
 WEIGHT_REL_TOL = 1e-12  # edge weights must match recomputed distances this tightly
 
@@ -103,17 +102,12 @@ class DSU:
 
 def tree_from_pairs(points: PointSet, pairs, vertices=None) -> SpanningTree:
     verts = tuple(sorted(vertices)) if vertices is not None else tuple(range(points.n))
-    edges = tuple(make_edge(points, u, v) for u, v in pairs)
-    return SpanningTree(verts, edges)
+    return SpanningTree(verts, tuple(make_edges(points, pairs)))
 
 
 def _consecutive_edges(points: PointSet, order: tuple[int, ...], closed: bool):
-    idx = list(order) + ([order[0]] if closed else [])
-    chain = points.coords[idx]
-    diffs = np.diff(chain, axis=0)
-    weights = np.sqrt(np.einsum("ij,ij->i", diffs, diffs))
-    return tuple(Edge(idx[i], idx[i + 1], float(weights[i]))
-                 for i in range(len(idx) - 1))
+    idx = order + order[:1] if closed else order
+    return tuple(make_edges(points, list(zip(idx, idx[1:]))))
 
 
 def path_from_order(points: PointSet, order) -> HamPath:
@@ -231,8 +225,9 @@ class PathSystem:
 
 
 def _check_edge_weights(structure, points: PointSet, violations: list[str]) -> None:
-    for e in structure.edges:
-        d = euclidean_distance(points.coords[e.u], points.coords[e.v])
+    edges = structure.edges
+    lengths = edge_lengths(points, [e.u for e in edges], [e.v for e in edges])
+    for e, d in zip(edges, lengths.tolist()):
         if not close(e.weight, d, rel_tol=WEIGHT_REL_TOL, abs_tol=1e-12):
             violations.append(f"edge ({e.u}, {e.v}) weight {e.weight} != distance {d}")
 

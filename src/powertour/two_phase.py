@@ -9,7 +9,9 @@ as a list of weighted edges.  Phase 2 hands F0's edge pairs to the greedy
 minimum-edge merging as its warm start and closes the final path into a
 tour.  The phases are the public steps ``build_threshold_forest``,
 ``tree_cube_cycle`` and ``greedy_ham_path``; the forest and the greedy
-both read the points' one d^2 matrix, ``PointSet.sq``.
+both read the points' one d^2 matrix, ``PointSet.sq``.  d^2 orders pairs;
+``edge_lengths`` measures them: F0's weights are read off the forest's and
+the cycles' own edges.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import time
 from dataclasses import dataclass
 
 from .errors import CertificateError, InputError
-from .geometry import PointSet, PowerCost, power_cost, power_cost_from_weights
+from .geometry import Edge, PointSet, PowerCost, power_cost
 from .greedy import greedy_ham_path
 from .mst import build_threshold_forest
 from .sekanina import tree_cube_cycle
@@ -67,35 +69,26 @@ def two_phase_tour(points: PointSet, k: int, cutoff: float | None = None
     if cutoff is None:
         cutoff = float(k) ** -0.25
     start = time.perf_counter()
-    coords = points.coords
-
-    def weighed(a: int, b: int) -> tuple[float, int, int]:
-        return float(math.dist(coords[a], coords[b])), a, b
-
     trees = build_threshold_forest(points, cutoff)
-    path_edges: list[tuple[float, int, int]] = []  # F0 as (weight, a, b)
+    path_edges: list[Edge] = []  # F0
     for tree in trees:
-        if tree.n <= 1:
-            continue
         if tree.n == 2:
-            path_edges.append(weighed(*tree.vertices))
-            continue
-        cycle, _cert = tree_cube_cycle(tree, points, anchor=tree.vertices[0])
-        cycle_edges = [weighed(*e.key()) for e in cycle.edges]
-        # drop the heaviest cycle edge (ties: lexicographically smallest pair)
-        drop = max(cycle_edges, key=lambda t: (t[0], (-t[1], -t[2])))
-        path_edges.extend(e for e in cycle_edges if e != drop)
+            path_edges += tree.edges
+        elif tree.n >= 3:
+            cycle, _cert = tree_cube_cycle(tree, points, anchor=tree.vertices[0])
+            # drop the heaviest cycle edge (ties: lexicographically smallest pair)
+            drop = min(cycle.edges, key=lambda e: (-e.weight, e.key()))
+            path_edges += (e for e in cycle.edges if e is not drop)
 
-    forest_cost = power_cost_from_weights(
-        [e.weight for t in trees for e in t.edges], k)
-    path_system_cost = power_cost_from_weights([w for w, _a, _b in path_edges], k)
+    forest_cost = power_cost([e for t in trees for e in t.edges], k)
+    path_system_cost = power_cost(path_edges, k)
 
     # the per-tree conversion guarantees S_k(F0) <= 3^k * sum_i S_k(T_i)
     log_budget = k * math.log(3.0) + forest_cost.log_unscaled
     if path_system_cost.log_unscaled > log_budget + 1e-9:
         raise CertificateError("path system cost exceeds the per-tree cycle budget")
 
-    ham_path, trace = greedy_ham_path(points, [(a, b) for _w, a, b in path_edges])
+    ham_path, trace = greedy_ham_path(points, [e.key() for e in path_edges])
     tour = close_path(ham_path, points)
     path_cost = power_cost(ham_path.edges, k)
     tour_cost = power_cost(tour.edges, k)

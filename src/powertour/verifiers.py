@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import InputError
-from .geometry import PointSet, PowerCost, leq, named_bounds
+from .geometry import CONTAINMENT_TOL, PointSet, PowerCost, leq, named_bounds
 
 SCHEMA_VERSION = 1
 
@@ -206,12 +206,15 @@ def bound_report(points: PointSet, k: int, results: dict[str, PowerCost],
     ``results`` maps an algorithm label to its tour PowerCost.  Upper
     bounds are marked satisfied when s_k <= bound; the conjectured lower
     bound row is informational (individual instances may beat it) and is
-    marked satisfied when s_k >= bound.
+    marked satisfied when s_k >= bound.  A row is certified only when k is
+    the dimension and every coordinate's extent (max - min) is at most 1,
+    up to ``CONTAINMENT_TOL``: the guarantees hold for points in a unit
+    cube, and a set that fits in one fits in a translate of ``[0, 1]^k``.
     """
     bounds = asdict(named_bounds(k, points.n))
     algorithms = {}
-    # the constructive guarantees assume cost exponent == dimension
-    exponent_matches_dim = k == points.k
+    applies = k == points.k and float(np.ptp(points.coords, axis=0).max()) <= (
+        1.0 + CONTAINMENT_TOL)
     for algo, cost in results.items():
         certified_name = CERTIFIED_UPPER.get(algo)
         rows = []
@@ -224,7 +227,7 @@ def bound_report(points: PointSet, k: int, results: dict[str, PowerCost],
                 satisfied = cost.scaled >= value * (1.0 - _REL_TOL)
             else:
                 satisfied = leq(cost.scaled, value, rel_tol=_REL_TOL)
-            certified = (name == certified_name) and exponent_matches_dim and (
+            certified = (name == certified_name) and applies and (
                 k >= 3 or name == "square_tour_upper")
             rows.append({"name": name, "value": value,
                          "certified": certified, "satisfied": bool(satisfied)})

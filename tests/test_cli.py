@@ -559,3 +559,73 @@ def test_bench_builds_one_matrix_per_instance(monkeypatch, capsys):
                    "mst-sekanina,greedy,two-phase", "--trials", "2", "--no-timestamp") == 0
     assert len(capsys.readouterr().out.splitlines()) == 1 + 2 * 3 * 2
     assert calls == [10, 10, 30, 30]
+
+
+def strict_json(text):
+    """``json.loads`` that refuses the non-JSON constants NaN and +-Infinity."""
+    def refuse(name):
+        raise ValueError(f"non-JSON constant {name}")
+    return json.loads(text, parse_constant=refuse)
+
+
+def cost_blocks(body):
+    """Every cost block of a tour report, the phase report's included."""
+    blocks = list(body["algorithms"].values())
+    phase = body.get("phase_report", {})
+    return blocks + [phase[key] for key in ("forest", "path_system", "final_path", "tour")
+                     if key in phase]
+
+
+@pytest.mark.parametrize("algo", ["mst-sekanina", "two-phase", "greedy", "oracle"])
+def test_zero_cost_blocks_are_json(tmp_path, algo):
+    """Five copies of one point cost 0: ln S_k is null, like an overflowed
+    S_k, not -Infinity."""
+    src = tmp_path / "same.json"
+    src.write_text(json.dumps({"points": [[0.3, 0.4, 0.5]] * 5}))
+    out = tmp_path / "tour.json"
+    assert run_cli("tour", str(src), "--algo", algo, "--no-timestamp", "-o", str(out)) == 0
+    blocks = cost_blocks(strict_json(out.read_text()))
+    assert blocks and all(b["log_S_k"] is None and b["S_k"] == 0.0 for b in blocks)
+
+
+def test_singleton_forest_cost_blocks_are_json(tmp_path):
+    """Cube vertices lie at least 1 apart, so at the default cutoff 6^(-1/4)
+    every forest tree is a singleton and phase 1 costs 0."""
+    src = tmp_path / "cube.json"
+    save_point_set(cube6_inputs()["distinct"], src)
+    out = tmp_path / "tour.json"
+    assert run_cli("tour", str(src), "--algo", "two-phase", "--no-timestamp",
+                   "-o", str(out)) == 0
+    phase = strict_json(out.read_text())["phase_report"]
+    assert phase["forest"]["log_S_k"] is None and phase["path_system"]["log_S_k"] is None
+    assert phase["tour"]["log_S_k"] > 0
+
+
+def spread_points():
+    """40 points in [0, 10]^3: too wide for any unit cube."""
+    return np.random.default_rng(11).uniform(0.0, 10.0, size=(40, 3))
+
+
+def write_points(path, coords):
+    if path.suffix == ".json":
+        path.write_text(json.dumps({"container": "unconstrained", "points": coords.tolist()}))
+    else:
+        path.write_text("".join(",".join(repr(float(x)) for x in row) + "\n"
+                                for row in coords))
+
+
+@pytest.mark.parametrize("suffix", [".csv", ".json"])
+@pytest.mark.parametrize("algo", ["mst-sekanina", "two-phase"])
+def test_rows_certified_only_for_points_that_fit_a_unit_cube(tmp_path, capsys, suffix, algo):
+    """The guarantees are for a unit cube: a wider set reports its bound
+    rows uncertified and exits 0; the same set scaled into [0, 1]^3 stays
+    certified."""
+    for scale, certified in ((1.0, False), (0.1, True)):
+        src = tmp_path / f"spread-{scale}{suffix}"
+        write_points(src, spread_points() * scale)
+        out = tmp_path / "tour.json"
+        assert run_cli("tour", str(src), "--algo", algo, "--no-timestamp",
+                       "-o", str(out)) == 0
+        rows = json.loads(out.read_text())["algorithms"][algo]["bounds"]
+        assert any(r["certified"] for r in rows) == certified
+        assert capsys.readouterr().err == ""

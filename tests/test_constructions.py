@@ -10,16 +10,16 @@ from powertour.constructions import (clustered, cube_vertex_subset, diagonal_pai
                                      load_point_set, midball_reach_extremal_pair,
                                      save_point_set, square_tight_sets, uniform_cube)
 from powertour.errors import InputError
-from powertour.geometry import Container, euclidean_distance
+from powertour.geometry import Container, edge_lengths
 from powertour.verifiers import hamming_min_distance
 
 
 def test_diagonal_pair_basic():
     ps = diagonal_pair(3)
     assert ps.n == 2 and ps.k == 3
-    assert euclidean_distance(ps.coords[0], ps.coords[1]) == pytest.approx(math.sqrt(3))
+    assert edge_lengths(ps, 0, 1) == pytest.approx(math.sqrt(3))
     one_d = diagonal_pair(1)
-    assert euclidean_distance(one_d.coords[0], one_d.coords[1]) == pytest.approx(1.0)
+    assert edge_lengths(one_d, 0, 1) == pytest.approx(1.0)
 
 
 def test_diagonal_pair_one_dimension_tour_cost():
@@ -32,7 +32,7 @@ def test_diagonal_pair_one_dimension_tour_cost():
 def test_k3_code_pairwise_distances():
     ps = k3_code4()
     for i, j in itertools.combinations(range(4), 2):
-        assert euclidean_distance(ps.coords[i], ps.coords[j]) == pytest.approx(math.sqrt(2))
+        assert edge_lengths(ps, i, j) == pytest.approx(math.sqrt(2))
 
 
 def test_k4_code_pairwise_squares():
@@ -40,7 +40,7 @@ def test_k4_code_pairwise_squares():
     assert ps.n == 8
     squares = set()
     for i, j in itertools.combinations(range(8), 2):
-        squares.add(round(euclidean_distance(ps.coords[i], ps.coords[j]) ** 2))
+        squares.add(round(edge_lengths(ps, i, j) ** 2))
     assert squares == {2, 4}
     assert ps.n <= 2 ** (4 - 2 + 1)  # size vs distance-2 code bound
 

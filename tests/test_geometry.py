@@ -13,7 +13,7 @@ import powertour.oracle
 from powertour.constructions import clustered, cube_vertex_subset, uniform_cube
 from powertour.errors import InputError, SizeError
 from powertour.geometry import (MAX_DENSE_POINTS, Container, Edge, check_dense_size,
-                                euclidean_distance, named_bounds, pairwise_sq,
+                                edge_lengths, named_bounds, pairwise_sq,
                                 point_set, power_cost_from_weights, symmetric_sq)
 
 # extended-precision evaluation of 3*sqrt(5)*(2/3)^(1/3)*sqrt(3)
@@ -21,20 +21,15 @@ IMPROVED_BOUND_K3 = 10.150087774487463
 
 
 def test_distance_cube_diagonal():
-    assert euclidean_distance([0, 0, 0], [1, 1, 1]) == pytest.approx(math.sqrt(3))
+    assert edge_lengths(point_set([[0, 0, 0], [1, 1, 1]]), 0, 1) == math.sqrt(3)
 
 
 def test_distance_code_pair():
-    assert euclidean_distance([0, 0, 0], [0, 1, 1]) == pytest.approx(math.sqrt(2))
+    assert edge_lengths(point_set([[0, 0, 0], [0, 1, 1]]), 0, 1) == math.sqrt(2)
 
 
 def test_distance_identical_points():
-    assert euclidean_distance([0.3, 0.7], [0.3, 0.7]) == 0.0
-
-
-def test_distance_dimension_mismatch():
-    with pytest.raises(InputError):
-        euclidean_distance([0, 0], [0, 0, 0])
+    assert edge_lengths(point_set([[0.3, 0.7], [0.3, 0.7]]), 0, 1) == 0.0
 
 
 def test_power_cost_unit_square_sides():

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from powertour.constructions import cube_vertex_subset, diagonal_pair, k4_even_weight_code
 from powertour.errors import InputError
-from powertour.geometry import Edge, pairwise_sq, point_set, power_cost
+from powertour.geometry import make_edge, pairwise_sq, point_set, power_cost
 from powertour.greedy import classify_edges, greedy_edge_count_by_length, greedy_ham_path
 from powertour.structures import PathSystem, validate
 
@@ -40,8 +40,9 @@ def minimum_join_edge(points, system):
 def sorted_scan_greedy(points, warm_start=()):
     """Reference engine: sort all pairs once by (d^2, min, max) and scan.
 
-    Returns the vertex walk and the trace; ``greedy_ham_path`` must match
-    both exactly, weights bit for bit.
+    Returns the vertex walk and the trace, each trace pair weighed by
+    ``make_edge``; ``greedy_ham_path`` must match both exactly, weights bit
+    for bit.
     """
     n = points.n
     system = PathSystem.from_pairs(n, warm_start)
@@ -56,7 +57,7 @@ def sorted_scan_greedy(points, warm_start=()):
             if not joinable(system, u, v):
                 continue
             system.add_path_edge(u, v)
-            trace.append(Edge(u, v, math.sqrt(float(flat[idx]))))
+            trace.append(make_edge(points, u, v))
             needed -= 1
             if needed == 0:
                 break

@@ -2,8 +2,8 @@
 siblings, leave the recursion limit alone and share one union-find, which
 only the MST scan builds; one accessor builds a point set's d^2 matrix;
 one function splices the planar legs; only the cube cycle builds and
-checks its certificate; every exported name has a caller outside the
-tests; no function imports."""
+checks its certificate; one formula measures every edge; every exported
+name has a caller outside the tests; no function imports."""
 
 import ast
 import dataclasses
@@ -137,10 +137,10 @@ def test_only_the_mst_scan_builds_a_union_find():
     assert set(found) == {"mst"}
 
 
-def call_sites(source: str, name: str, module: str) -> list[str]:
-    """The scope of each call to ``name``, as a bare or a dotted name:
-    ``module``, then the top-level function or the class and its method.
-    A function nested in a function counts as its outer one."""
+def scoped_calls(source: str, module: str, wanted) -> list[str]:
+    """The scope of each call for which ``wanted(call)`` holds: ``module``,
+    then the top-level function or the class and its method.  A function
+    nested in a function counts as its outer one."""
     out = []
 
     def visit(node, scope):
@@ -149,15 +149,22 @@ def call_sites(source: str, name: str, module: str) -> list[str]:
             if (isinstance(node, (ast.Module, ast.ClassDef))
                     and isinstance(child, (ast.FunctionDef, ast.ClassDef))):
                 inner = f"{scope}.{child.name}"
-            if isinstance(child, ast.Call):
-                f = child.func
-                if ((isinstance(f, ast.Name) and f.id == name)
-                        or (isinstance(f, ast.Attribute) and f.attr == name)):
-                    out.append(scope)
+            if isinstance(child, ast.Call) and wanted(child):
+                out.append(scope)
             visit(child, inner)
 
     visit(ast.parse(source), module)
     return out
+
+
+def call_sites(source: str, name: str, module: str) -> list[str]:
+    """The scope of each call to ``name``, as a bare or a dotted name."""
+    def named(call):
+        f = call.func
+        return ((isinstance(f, ast.Name) and f.id == name)
+                or (isinstance(f, ast.Attribute) and f.attr == name))
+
+    return scoped_calls(source, module, named)
 
 
 def test_call_site_detector_names_functions_and_methods():
@@ -201,6 +208,50 @@ def test_dense_pair_matrices_have_two_builders():
     only the midball centers build a d^2 matrix of their own."""
     assert package_call_sites("pairwise_sq") == [
         "geometry.symmetric_sq", "mst.mst_ball_packing_check"]
+
+
+def dotted_name(node) -> str:
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if isinstance(node, ast.Name):
+        parts.append(node.id)
+    return ".".join(reversed(parts))
+
+
+def measures_length(call) -> bool:
+    """A call of ``np.linalg.norm``, ``math.dist`` or ``einsum``, or a
+    ``math.sqrt`` of anything but constants and the dimension ``k``: the
+    square root of an expression in k alone is a bound, not a length."""
+    name = dotted_name(call.func)
+    if name.rsplit(".", 1)[-1] in ("norm", "dist", "einsum"):
+        return True
+    if name not in ("math.sqrt", "sqrt"):
+        return False
+    names = {n.id for arg in call.args for n in ast.walk(arg) if isinstance(n, ast.Name)}
+    return not names <= {"k"}
+
+
+def test_length_detector_flags_norms_dists_einsums_and_square_roots_of_data():
+    source = ("import math\nimport numpy as np\n"
+              "def f(a, b, dd):\n    np.linalg.norm(a - b)\n    math.dist(a, b)\n"
+              "    np.einsum('ij,ij->i', a, a)\n    math.sqrt(dd)\n    np.sqrt(dd)\n"
+              "def g(k):\n    return math.sqrt(5.0) * math.sqrt(2.0 * k / 3.0)\n"
+              "class C:\n    def m(self):\n        return math.sqrt(self.x[0])\n")
+    assert scoped_calls(source, "mod", measures_length) == ["mod.f"] * 4 + ["mod.C.m"]
+
+
+def test_one_length_formula():
+    """Every edge weight is ``geometry.edge_lengths`` of its pair.  Outside
+    ``geometry`` only two places measure a length, and neither measures an
+    input pair: the midball reach of ``verifiers`` (midpoints and radii of
+    sampled half-cube pairs) and the anchor arithmetic of ``planar``
+    (chains through virtual triangle corners, distances to a segment)."""
+    found = sorted({site for p in sorted(PACKAGE.glob("*.py")) if p.stem != "geometry"
+                    for site in scoped_calls(p.read_text(), p.stem, measures_length)})
+    assert found == ["planar.ExtendedPath.cost_sq", "planar._dist_to_segment",
+                     "verifiers.midball_reach", "verifiers.midball_reach_batch"]
 
 
 def referenced_names(source: str) -> set[str]:
@@ -254,7 +305,8 @@ def test_retired_names_stay_gone():
     checker counts the usage itself and needs no wrapper method.  The cost
     keeps no exponent, term tuple or zero count, which nothing read, and
     adds its terms by ``math.fsum`` with no sort; the filter rounds have
-    no floor."""
+    no floor.  Every edge weight comes from ``edge_lengths``, so the
+    vector-pair distance went."""
     import powertour
     import powertour.geometry
     import powertour.greedy
@@ -281,7 +333,8 @@ def test_retired_names_stay_gone():
                          (powertour.greedy, "join_paths"),
                          (powertour.planar, "_point_in_triangle"),
                          (powertour.geometry, "_logsumexp_desc"),
-                         (powertour.mst, "_ROUND_FLOOR")):
+                         (powertour.mst, "_ROUND_FLOOR"),
+                         (powertour.geometry, "euclidean_distance")):
         assert not hasattr(module, name) and not hasattr(powertour, name)
         assert name not in powertour.__all__
     for cls, name in ((powertour.planar.RightTriangle, "side_a"),

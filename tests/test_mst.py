@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from powertour import mst
 from powertour.constructions import clustered, cube_vertex_subset, uniform_cube
-from powertour.geometry import Edge, pairwise_sq, point_set, symmetric_sq
+from powertour.geometry import make_edge, pairwise_sq, point_set, symmetric_sq
 from powertour.mst import build_mst, build_threshold_forest, mst_ball_packing_check
 from powertour.structures import DSU, SpanningTree, tree_from_pairs, validate
 
@@ -108,24 +108,26 @@ def sorted_pairs(points, cutoff=math.inf):
 
 
 def full_scan_mst(points):
-    """Reference MST: Kruskal over the full sort of every pair."""
+    """Reference MST: Kruskal over the full sort of every pair, each
+    accepted pair weighed by ``make_edge``."""
     n = points.n
     dsu = DSU(n)
     edges = []
-    for u, v, dd in sorted_pairs(points):
+    for u, v, _dd in sorted_pairs(points):
         if len(edges) == n - 1:
             break
         if dsu.union(u, v):
-            edges.append(Edge(u, v, math.sqrt(dd)))
+            edges.append(make_edge(points, u, v))
     return SpanningTree(tuple(range(n)), tuple(edges))
 
 
 def full_scan_forest(points, cutoff):
     """Reference forest: Kruskal over every pair of weight <= cutoff, with
-    no early stop; each final component lists its edges in scan order."""
+    no early stop; each final component lists its edges in scan order,
+    each weighed by ``make_edge``."""
     n = points.n
     dsu = DSU(n)
-    edges = [Edge(u, v, math.sqrt(dd)) for u, v, dd in sorted_pairs(points, cutoff)
+    edges = [make_edge(points, u, v) for u, v, _dd in sorted_pairs(points, cutoff)
              if dsu.union(u, v)]
     groups = {}
     for v in range(n):
@@ -380,7 +382,9 @@ def assert_forest_matches_full_scan(points, cutoff):
         cutoff = math.sqrt(points.k)
     trees = build_threshold_forest(points, cutoff)
     assert trees == full_scan_forest(points, cutoff)
-    kept = sorted(e.key() for e in build_mst(points).edges if e.weight <= cutoff)
+    # the cut is on the scan's key, d^2, not on the measured weight
+    kept = sorted(e.key() for e in build_mst(points).edges
+                  if points.sq[e.u, e.v] <= cutoff * cutoff)
     assert sorted(e.key() for t in trees for e in t.edges) == kept
 
 
