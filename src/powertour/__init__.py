@@ -8,8 +8,8 @@ checkable bound against exact oracles.
 
 from .errors import CertificateError, InputError, SizeError
 from .geometry import (Container, Edge, NamedBounds, PointSet, PowerCost,
-                       cycle_upper_improved, edge_lengths, make_edge,
-                       named_bounds, point_set, power_cost, power_cost_from_weights)
+                       cycle_upper_improved, edge_lengths, named_bounds, point_set,
+                       power_cost, power_cost_from_weights)
 from .structures import (HamPath, Matching, PathSystem, SpanningTree, Tour,
                          close_path, cycle_to_matchings, path_from_order,
                          tour_from_order, tree_from_pairs, validate)
@@ -41,7 +41,7 @@ __all__ = [
     "edge_lengths", "envelope_path", "even_weight_code", "exact_min_matching",
     "exact_min_path", "exact_min_tour", "greedy_edge_count_by_length",
     "greedy_ham_path", "hamming_min_distance", "k3_code4", "k4_even_weight_code",
-    "load_point_set", "make_edge", "max_pairwise_square_sum", "midball_reach_check",
+    "load_point_set", "max_pairwise_square_sum", "midball_reach_check",
     "midball_reach_extremal_pair", "mst_ball_packing_check", "mst_sekanina_tour",
     "named_bounds", "newman_square_tour", "non_obtuse_cycle", "non_obtuse_path",
     "path_from_order", "point_set", "power_cost", "power_cost_from_weights",

@@ -180,12 +180,12 @@ def cmd_tour(args) -> int:
     start = time.perf_counter()
     tour, phase = _run_algo(args.algo, points, k, args.cutoff, args.diagonal)
     elapsed = time.perf_counter() - start
-    report = bound_report(points, k, {args.algo: power_cost(tour.edges, k)},
+    report = bound_report(points, k, {args.algo: power_cost(tour, k)},
                           instance={"source": args.input},
                           wall_time_s=None if args.no_timestamp else elapsed)
     body = report.to_dict()
     body["order"] = list(tour.order)
-    body["edges"] = [[e.u, e.v] for e in tour.edges]
+    body["edges"] = [list(e) for e in zip(tour.u.tolist(), tour.v.tolist())]
     if phase is not None:
         if args.no_timestamp:
             phase.pop("elapsed_s", None)
@@ -252,7 +252,7 @@ def cmd_bench(args) -> int:
                     start = time.perf_counter()
                     tour, _phase = _run_algo(algo, points, k, None, "main")
                     elapsed = time.perf_counter() - start
-                    cost = power_cost(tour.edges, k).to_dict()
+                    cost = power_cost(tour, k).to_dict()
                     writer.writerow([
                         k, n, algo,
                         "" if cost["S_k"] is None else repr(cost["S_k"]),

@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Iterable
 
 import numpy as np
 
@@ -169,17 +168,6 @@ def edge_lengths(points: PointSet, u, v) -> np.ndarray:
     return np.sqrt(acc)
 
 
-def make_edge(points: PointSet, u: int, v: int) -> Edge:
-    return Edge(u, v, float(edge_lengths(points, u, v)))
-
-
-def make_edges(points: PointSet, pairs) -> list[Edge]:
-    """One Edge per (u, v) pair, weighed in one ``edge_lengths`` call."""
-    us = [u for u, _v in pairs]
-    vs = [v for _u, v in pairs]
-    return list(map(Edge, us, vs, edge_lengths(points, us, vs).tolist()))
-
-
 #: Most points ``PointSet.sq`` accepts, and so the dense paths that read it
 #: (``build_mst``, ``build_threshold_forest``, ``greedy_ham_path``): the
 #: n x n float matrix is 0.8 GB at the cap.  Filter-Kruskal's pair arrays
@@ -265,25 +253,26 @@ class PowerCost:
                 "overflow": self.overflow}
 
 
-def power_cost_from_weights(weights: Iterable[float], k: int) -> PowerCost:
-    """PowerCost of a multiset of edge lengths under exponent k.
+def power_cost_from_weights(weights, k: int) -> PowerCost:
+    """PowerCost of a multiset of edge lengths, an array or any iterable of
+    floats, under exponent k.
 
     ln S_k is the log-sum-exp of the terms k*ln|e| over the nonzero edges;
-    zero-length edges add exactly 0.  ``math.fsum`` is correctly rounded,
-    so the cost has the same bits in any edge order.
+    zero-length edges add exactly 0.  Each term takes ``math.log`` of one
+    weight, and ``math.fsum`` is correctly rounded, so the cost has the same
+    bits in any edge order.  An exponent that is not a positive integer
+    (nan and inf included) raises ``InputError``, as does a weight that is
+    negative or not finite.
     """
-    if k < 1 or int(k) != k:
+    if not (k >= 1 and float(k).is_integer()):
         raise InputError(f"exponent must be a positive integer, got {k}")
     k = int(k)
-    terms: list[float] = []
-    for w in weights:
-        w = float(w)
-        if not math.isfinite(w):
-            raise InputError("edge weight must be finite")
-        if w < 0:
-            raise InputError("negative edge weight")
-        if w > 0.0:
-            terms.append(k * math.log(w))
+    w = weights.tolist() if isinstance(weights, np.ndarray) else [float(x) for x in weights]
+    bad = [x for x in w if not 0 <= x < math.inf]  # nan fails too
+    if bad:
+        raise InputError("negative edge weight" if -math.inf < bad[0] < 0
+                         else "edge weight must be finite")
+    terms = [k * math.log(x) for x in w if x > 0]
     if not terms:
         return PowerCost(-math.inf, 0.0, 0.0)
     m = max(terms)
@@ -292,9 +281,11 @@ def power_cost_from_weights(weights: Iterable[float], k: int) -> PowerCost:
     return PowerCost(log_s, unscaled, math.exp(log_s / k), unscaled == math.inf)
 
 
-def power_cost(edges: Iterable[Edge], k: int) -> PowerCost:
-    """PowerCost of an edge list under exponent k (routed via log domain)."""
-    return power_cost_from_weights((e.weight for e in edges), k)
+def power_cost(edges, k: int) -> PowerCost:
+    """PowerCost under exponent k of a structure's ``weights`` (a tree,
+    tour, path, matching or trace), or of an iterable of ``Edge`` values."""
+    weights = getattr(edges, "weights", None)
+    return power_cost_from_weights([e.weight for e in edges] if weights is None else weights, k)
 
 
 @dataclass(frozen=True)

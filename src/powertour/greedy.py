@@ -42,12 +42,12 @@ import numpy as np
 
 from .errors import InputError
 # pairwise_sq stays bound here: the benchmark's tracer test reads greedy.pairwise_sq
-from .geometry import Edge, PointSet, make_edges, pairwise_sq  # noqa: F401
-from .structures import HamPath, PathSystem, path_from_order
+from .geometry import Edge, PointSet, edge_lengths, pairwise_sq  # noqa: F401
+from .structures import EdgeList, HamPath, PathSystem, path_from_order
 
 
 def greedy_ham_path(points: PointSet, warm_start: Iterable[tuple[int, int]] = ()
-                    ) -> tuple[HamPath, list[Edge]]:
+                    ) -> tuple[HamPath, EdgeList]:
     """Run the greedy path-merging construction to a Hamiltonian path.
 
     ``warm_start`` is a list of (u, v) edge pairs that form vertex-disjoint
@@ -55,8 +55,8 @@ def greedy_ham_path(points: PointSet, warm_start: Iterable[tuple[int, int]] = ()
     pair with a non-integer id or one out of range, a self-loop, or one that
     would give a vertex degree 3 or close a cycle raises ``InputError``
     before any distance is computed.
-    Returns the path and the trace of inserted edges in insertion order
-    (warm-start edges are not part of the trace).  Each trace edge was
+    Returns the path and the trace of inserted edges in insertion order, an
+    ``EdgeList`` (warm-start edges are not part of the trace).  Each trace edge was
     minimal among all edges joining endpoints of distinct paths at its
     step.
     """
@@ -97,10 +97,11 @@ def greedy_ham_path(points: PointSet, warm_start: Iterable[tuple[int, int]] = ()
                 heapq.heappush(heap, nearest(u))
 
     (walk,) = system.paths()
-    return path_from_order(points, walk), make_edges(points, system.edge_pairs[warm:])
+    u, v = np.array(system.edge_pairs[warm:], dtype=np.intp).reshape(-1, 2).T
+    return path_from_order(points, walk), EdgeList(u=u, v=v, weights=edge_lengths(points, u, v))
 
 
-def greedy_edge_count_by_length(trace: list[Edge], j: float) -> int:
+def greedy_edge_count_by_length(trace: Iterable[Edge], j: float) -> int:
     """Number of trace edges with squared length >= j.
 
     On cube-vertex inputs squared lengths are integers, so the comparison

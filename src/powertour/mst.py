@@ -64,8 +64,8 @@ import math
 import numpy as np
 
 from .errors import InputError
-from .geometry import Edge, PointSet, make_edges, pairwise_sq
-from .structures import DSU, SpanningTree, tree_from_pairs
+from .geometry import PointSet, edge_lengths, pairwise_sq
+from .structures import DSU, SpanningTree
 
 
 #: Pairs sorted per filter round: this many per point.
@@ -75,18 +75,36 @@ _ROUND_PER_POINT = 4
 _PRIM_ABOVE = 1000
 
 
+def _scan(d2: np.ndarray, cut2: float = math.inf):
+    """The pairs (u, v), u < v, that Kruskal accepts over the pairs of
+    squared length <= ``cut2``, as two arrays in (d^2, u, v) order, and a
+    function naming each point's tree: equal names, one tree.
+
+    ``d2`` is the points' ``PointSet.sq``.  Prim's pairs are lexsorted
+    straight into that order and its trees are named as it grows them;
+    the Filter-Kruskal scan names a point by its DSU root."""
+    n = len(d2)
+    if n > _PRIM_ABOVE:
+        u, v, d, tree = _prim(d2, cut2)
+        if len(d):
+            order = np.lexsort((v, u, d))
+            u, v = u[order], v[order]
+        return u, v, tree.tolist().__getitem__
+    dsu = DSU(n)
+    pairs = [(a, b) for a, b, _dd in _kruskal(d2, dsu, cut2)]
+    u, v = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
+    return u, v, dsu.find
+
+
 def _kruskal(d2: np.ndarray, dsu: DSU, cut2: float = math.inf):
-    """Yield each pair (u, v, d^2), u < v, that Kruskal accepts over the
-    pairs of squared length <= ``cut2``, in (d^2, u, v) order.
+    """Yield each pair (u, v, d^2), u < v, that Filter-Kruskal accepts over
+    the pairs of squared length <= ``cut2``, in (d^2, u, v) order.
 
     ``d2`` is the points' ``PointSet.sq`` and ``dsu`` starts with every
     point alone; the pair is joined in it before it is yielded."""
     n = len(d2)
-    rounds = [_prim(d2, cut2)] if n > _PRIM_ABOVE else _filter_rounds(d2, dsu, cut2)
     unions = 0
-    for u, v, d in rounds:
-        if not len(d):
-            return
+    for u, v, d in _filter_rounds(d2, dsu, cut2):
         order = np.lexsort((v, u, d))
         for a, b, dd in zip(u[order].tolist(), v[order].tolist(), d[order].tolist()):
             if dsu.union(a, b):
@@ -98,7 +116,7 @@ def _kruskal(d2: np.ndarray, dsu: DSU, cut2: float = math.inf):
 
 def _filter_rounds(d2: np.ndarray, dsu: DSU, cut2: float):
     """Filter-Kruskal's rounds of pairs (u, v, d^2), unsorted; each round is
-    drawn after ``_kruskal`` has scanned the one before into ``dsu``."""
+    drawn after ``_scan`` has scanned the one before into ``dsu``."""
     n = len(d2)
     iu, iv = np.triu_indices(n, k=1)
     w = d2[iu, iv]
@@ -121,9 +139,11 @@ def _filter_rounds(d2: np.ndarray, dsu: DSU, cut2: float):
         iu, iv, w = iu[keep], iv[keep], w[keep]
 
 
-def _prim(d2: np.ndarray, cut2: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _prim(d2: np.ndarray, cut2: float
+          ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The MST pairs of squared length <= ``cut2`` as arrays (u, v, d^2),
-    u < v, in the order Prim reaches them.
+    u < v, in the order Prim reaches them, and each point's tree, numbered
+    in the order Prim starts them.
 
     Each unreached vertex w keeps its lightest pair to the reached set,
     keyed (d^2, min, max): for one w, a tie on d^2 goes to the smaller
@@ -135,37 +155,43 @@ def _prim(d2: np.ndarray, cut2: float) -> tuple[np.ndarray, np.ndarray, np.ndarr
     ids = np.arange(1, n)  # ids[:m] are the m unreached vertices
     key = d2[0, 1:].copy()  # their lightest pair's d^2 ...
     par = np.zeros(n - 1, dtype=np.intp)  # ... and its other end
+    tree = np.zeros(n, dtype=np.intp)
+    trees = 0
     us, vs, ds = [], [], []
     for m in range(n - 1, 0, -1):
         live = key[:m]
-        i = int(live.argmin())
-        dd = float(live[i])
+        i = live.argmin()
+        dd = live[i]
         if dd <= cut2:
-            tie = np.flatnonzero(live == dd)
+            tie = (live == dd).nonzero()[0]
             if len(tie) > 1:
                 a, b = ids[tie], par[tie]
-                i = int(tie[(np.minimum(a, b) * n + np.maximum(a, b)).argmin()])
+                i = tie[(np.minimum(a, b) * n + np.maximum(a, b)).argmin()]
             w, p = int(ids[i]), int(par[i])
             us.append(min(w, p))
             vs.append(max(w, p))
             ds.append(dd)
         else:
             w = int(ids[i])
+            trees += 1
+        tree[w] = trees
         # fill w's slot with the last unreached vertex
         last = m - 1
-        ids[i], key[i], par[i] = ids[last], key[last], par[last]
+        ids[i] = ids[last]
+        key[i] = key[last]
+        par[i] = par[last]
         row = d2[w].take(ids[:last])
         live, near = key[:last], par[:last]
-        closer = (row < live) | ((row == live) & (near > w))
-        np.copyto(live, row, where=closer)
-        np.copyto(near, w, where=closer)
-    return np.array(us, dtype=np.intp), np.array(vs, dtype=np.intp), np.array(ds)
+        near[(row < live) | ((row == live) & (near > w))] = w
+        np.minimum(live, row, out=live)
+    return (np.array(us, dtype=np.intp), np.array(vs, dtype=np.intp),
+            np.array(ds, dtype=np.float64), tree)
 
 
 def build_mst(points: PointSet) -> SpanningTree:
     """Minimum spanning tree of the whole point set under Euclidean weights."""
-    pairs = [(u, v) for u, v, _dd in _kruskal(points.sq, DSU(points.n))]
-    return tree_from_pairs(points, pairs)
+    u, v, _label = _scan(points.sq)
+    return SpanningTree(range(points.n), u=u, v=v, weights=edge_lengths(points, u, v))
 
 
 def build_threshold_forest(points: PointSet, cutoff: float) -> list[SpanningTree]:
@@ -176,24 +202,26 @@ def build_threshold_forest(points: PointSet, cutoff: float) -> list[SpanningTree
     every inter-component distance exceeds the cutoff.  Component-wise this
     equals the subgraph of the full MST with edges <= cutoff (standard
     exchange property), so a cutoff of at least the diameter gives exactly
-    ``[build_mst(points)]``.  The scan stops at the cutoff
-    or after n - 1 unions, when a single tree spans every point and no
-    later pair can be accepted.  A negative or non-finite cutoff raises
-    ``InputError``.
+    ``[build_mst(points)]``.  When no pair lies within the cutoff (cube
+    vertices below unit distance) one pass over d^2 finds that, and the n
+    singletons come back without a scan.  A negative or non-finite cutoff
+    raises ``InputError``.
     """
     if not math.isfinite(cutoff) or cutoff < 0:
         raise InputError(f"cutoff must be finite and nonnegative, got {cutoff}")
-    n = points.n
-    dsu = DSU(n)
-    scan = _kruskal(points.sq, dsu, cutoff * cutoff)
-    edges = make_edges(points, [(u, v) for u, v, _dd in scan])
+    d2 = points.sq
+    if d2.min() > cutoff * cutoff:
+        return [SpanningTree((x,)) for x in range(points.n)]
+    u, v, tree_of = _scan(d2, cutoff * cutoff)
     # groups open in increasing order of their smallest member
-    groups: dict[int, tuple[list[int], list[Edge]]] = {}
-    for v in range(n):
-        groups.setdefault(dsu.find(v), ([], []))[0].append(v)
-    for e in edges:
-        groups[dsu.find(e.u)][1].append(e)
-    return [SpanningTree(tuple(members), tuple(es)) for members, es in groups.values()]
+    groups: dict[int, tuple[list[int], list[int]]] = {}  # members, edge indices
+    for x in range(points.n):
+        groups.setdefault(tree_of(x), ([], []))[0].append(x)
+    for i, a in enumerate(u.tolist()):
+        groups[tree_of(a)][1].append(i)
+    w = edge_lengths(points, u, v)
+    return [SpanningTree(members, u=u[es], v=v[es], weights=w[es]) if es else
+            SpanningTree(members) for members, es in groups.values()]
 
 
 def mst_ball_packing_check(t: SpanningTree, points: PointSet,
@@ -205,15 +233,11 @@ def mst_ball_packing_check(t: SpanningTree, points: PointSet,
     index pairs: (i, j) with |center_i - center_j| < (|e_i| + |e_j|) / 4.
     Tangent balls (equality) are disjoint because the balls are open.
     """
-    m = len(t.edges)
-    if m < 2:
+    if len(t.u) < 2:
         return []
     coords = points.coords
-    centers = np.empty((m, points.k))
-    radii = np.empty(m)
-    for i, e in enumerate(t.edges):
-        centers[i] = 0.5 * (coords[e.u] + coords[e.v])
-        radii[i] = 0.25 * e.weight
+    centers = 0.5 * (coords[t.u] + coords[t.v])
+    radii = 0.25 * t.weights
     dist = np.sqrt(pairwise_sq(centers))
     need = radii[:, None] + radii[None, :]
     slack = rel_tol * np.maximum(dist, need) + 1e-15

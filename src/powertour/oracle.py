@@ -52,7 +52,7 @@ from itertools import islice
 import numpy as np
 
 from .errors import InputError, SizeError
-from .geometry import PointSet, PowerCost, make_edges, power_cost
+from .geometry import PointSet, PowerCost, edge_lengths, power_cost
 from .structures import HamPath, Matching, Tour, path_from_order, tour_from_order
 
 MAX_EXACT_TOUR = 16
@@ -285,10 +285,10 @@ def exact_min_tour(points: PointSet, k: int) -> tuple[Tour, PowerCost]:
         raise SizeError(f"exact tours capped at n = {MAX_EXACT_TOUR}, got {n}")
     if n == 2:
         tour = tour_from_order(points, (0, 1))
-        return tour, power_cost(tour.edges, k)
+        return tour, power_cost(tour, k)
     best_order = _first_best_order(_power_matrix(points, k), closed=True)
     tour = tour_from_order(points, best_order)
-    return tour, power_cost(tour.edges, k)
+    return tour, power_cost(tour, k)
 
 
 def exact_min_path(points: PointSet, k: int) -> tuple[HamPath, PowerCost]:
@@ -301,7 +301,7 @@ def exact_min_path(points: PointSet, k: int) -> tuple[HamPath, PowerCost]:
         raise SizeError(f"exact paths capped at n = {MAX_EXACT_PATH}, got {n}")
     best_order = _first_best_order(_power_matrix(points, k), closed=False)
     path = path_from_order(points, best_order)
-    return path, power_cost(path.edges, k)
+    return path, power_cost(path, k)
 
 
 def exact_min_matching(points: PointSet, k: int) -> tuple[Matching, PowerCost]:
@@ -312,9 +312,9 @@ def exact_min_matching(points: PointSet, k: int) -> tuple[Matching, PowerCost]:
     if n > MAX_EXACT_MATCHING:
         raise SizeError(f"exact matchings capped at n = {MAX_EXACT_MATCHING}, got {n}")
     best_pairs = _first_best_pairs(_power_matrix(points, k))
-    edges = tuple(make_edges(points, best_pairs))
-    matching = Matching(edges)
-    return matching, power_cost(edges, k)
+    u, v = np.array(best_pairs, dtype=np.intp).T
+    matching = Matching(u=u, v=v, weights=edge_lengths(points, u, v))
+    return matching, power_cost(matching, k)
 
 
 def max_pairwise_square_sum(m: int) -> tuple[int, tuple[int, ...]]:

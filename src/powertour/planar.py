@@ -355,7 +355,7 @@ def non_obtuse_cycle(tri, points: PointSet) -> Tour:
     tour = tour_from_order(points, path.order)
     v0, v1, v2 = _triangle_vertices(tri)
     budget = _sq(v0, v1) + _sq(v1, v2) + _sq(v2, v0)
-    _assert_budget(sum(e.weight ** 2 for e in tour.edges), budget)
+    _assert_budget(sum(w ** 2 for w in tour.weights.tolist()), budget)
     return tour
 
 
@@ -447,5 +447,5 @@ def newman_square_tour(points: PointSet, diagonal: str = "main") -> Tour:
     legs = (((0.0, 0.0), (1.0, 1.0), (1.0, 0.0)), ((1.0, 1.0), (0.0, 0.0), (0.0, 1.0)))
     above = work[:, 1] > work[:, 0]  # ties: lower
     tour = tour_from_order(points, _splice(work, legs, above, "a corner", closed=True))
-    _assert_budget(sum(e.weight ** 2 for e in tour.edges), 4.0)
+    _assert_budget(sum(w ** 2 for w in tour.weights.tolist()), 4.0)
     return tour

@@ -70,26 +70,16 @@ class UsageCertificate:
     anchor: int
 
 
-def _walk_end(edges, start: int, path: tuple[int, ...]) -> int | None:
-    """The vertex that the tree-edge ids ``path`` lead to from ``start``;
-    None where an id is out of range or its edge does not continue the walk."""
-    at = start
-    for eid in path:
-        if not 0 <= eid < len(edges) or at not in (edges[eid].u, edges[eid].v):
-            return None
-        at = edges[eid].v if at == edges[eid].u else edges[eid].u
-    return at
-
-
 def verify_double_cover(tree: SpanningTree, cert: UsageCertificate) -> list[str]:
     """Independently re-check a cycle-over-tree certificate.
 
     Checks: the order visits every tree vertex exactly once; there is one
     hop per cycle edge, and each is a walk of 1 to 3 distinct tree edges
     from its cycle edge's first end to its second; every tree edge is used
-    by exactly two hops; some one-edge hop touches the anchor.
+    by exactly two hops; some one-edge hop touches the anchor.  A hop that
+    fails its own check counts towards no edge's usage.
     """
-    order, hops, edges = cert.order, cert.hops, tree.edges
+    order, hops = cert.order, cert.hops
     verts = set(tree.vertices)
     seen: set[int] = set()
     for v in order:
@@ -102,22 +92,28 @@ def verify_double_cover(tree: SpanningTree, cert: UsageCertificate) -> list[str]
         return [f"cycle order covers {len(seen)} of {tree.n} vertices"]
     if len(hops) != tree.n:
         return [f"cycle has {len(hops)} edges, expected {tree.n}"]
+    ends = list(zip(tree.u.tolist(), tree.v.tolist()))
+    m = len(ends)
     out: list[str] = []
-    usage = [0] * len(edges)
+    usage = [0] * m
     anchor_tree_edge = False
     for a, b, path in zip(order, order[1:] + order[:1], hops):
         if not 1 <= len(path) <= 3:
             out.append(f"hop ({a}, {b}) uses {len(path)} tree edges")
             continue
-        if _walk_end(edges, a, path) != b or len(set(path)) != len(path):
+        at = a  # None once an id is out of range or its edge does not continue the walk
+        for eid in path:
+            x, y = ends[eid] if 0 <= eid < m else (None, None)
+            at = y if at == x else x if at == y else None
+        if at != b or len(set(path)) != len(path):
             out.append(f"hop ({a}, {b}) is not a tree walk to its endpoint")
             continue
         for eid in path:
             usage[eid] += 1
         anchor_tree_edge |= len(path) == 1 and cert.anchor in (a, b)
-    for e, c in zip(edges, usage):
+    for (x, y), c in zip(ends, usage):
         if c != 2:
-            out.append(f"tree edge ({e.u}, {e.v}) used {c} times, expected 2")
+            out.append(f"tree edge ({x}, {y}) used {c} times, expected 2")
     if not anchor_tree_edge:
         out.append(f"no length-1 cycle edge at anchor {cert.anchor}")
     return out
@@ -131,11 +127,11 @@ def _parity_walk(t: SpanningTree, anchor: int) -> UsageCertificate:
     reached twice (a cycle or a repeated edge) and none may be missed.
     """
     adj: dict[int, list[tuple[int, int]]] = {v: [] for v in t.vertices}
-    for i, e in enumerate(t.edges):
-        if e.u not in adj or e.v not in adj:
-            raise InputError(f"tree edge ({e.u}, {e.v}) leaves the vertex set")
-        adj[e.u].append((e.v, i))
-        adj[e.v].append((e.u, i))
+    for i, (a, b) in enumerate(zip(t.u.tolist(), t.v.tolist())):
+        if a not in adj or b not in adj:
+            raise InputError(f"tree edge ({a}, {b}) leaves the vertex set")
+        adj[a].append((b, i))
+        adj[b].append((a, i))
     if anchor not in adj:
         raise InputError(f"anchor {anchor} not a tree vertex")
     seen = {anchor}
@@ -189,9 +185,9 @@ def tree_cube_cycle(t: SpanningTree, points: PointSet, anchor: int = 0
     hop's triangle inequality; any internal inconsistency raises
     CertificateError.
     """
-    bad = [v for v in t.vertices if not 0 <= v < points.n]
-    if bad:
-        raise InputError(f"tree vertex {bad[0]} out of range for {points.n} points")
+    if t.vertices and not 0 <= min(t.vertices) <= max(t.vertices) < points.n:
+        bad = next(v for v in t.vertices if not 0 <= v < points.n)
+        raise InputError(f"tree vertex {bad} out of range for {points.n} points")
     if t.n < 3:
         raise InputError(f"need at least 3 vertices, got {t.n}")
     cert = _parity_walk(t, anchor)
@@ -200,11 +196,11 @@ def tree_cube_cycle(t: SpanningTree, points: PointSet, anchor: int = 0
         raise CertificateError("; ".join(problems))
     tour = tour_from_order(points, cert.order)
     # triangle inequality per hop: each cycle edge is at most its tree path
-    for e, path in zip(tour.edges, cert.hops):
-        span = sum(t.edges[i].weight for i in path)
-        if e.weight > span * (1.0 + 1e-9) + 1e-12:
+    w = t.weights.tolist()
+    for i, (x, path) in enumerate(zip(tour.weights.tolist(), cert.hops)):
+        if x > sum([w[j] for j in path]) * (1.0 + 1e-9) + 1e-12:
             raise CertificateError(
-                f"cycle edge ({e.u}, {e.v}) longer than its tree path")
+                f"cycle edge ({tour.u[i]}, {tour.v[i]}) longer than its tree path")
     return tour, cert
 
 
@@ -216,8 +212,8 @@ def tree_to_cycle_cost_bound(t: SpanningTree, points: PointSet, k: int
     linear form overflows; the comparison itself is done in log domain).
     """
     tour, _cert = tree_cube_cycle(t, points, anchor=0)
-    cost_h = power_cost(tour.edges, k)
-    cost_t = power_cost(t.edges, k)
+    cost_h = power_cost(tour, k)
+    cost_t = power_cost(t, k)
     log_bound = math.log(2.0 / 3.0) + k * math.log(3.0) + cost_t.log_unscaled
     if cost_h.log_unscaled > log_bound + 1e-9:
         raise CertificateError(
@@ -246,4 +242,4 @@ def mst_sekanina_tour(points: PointSet, k: int) -> tuple[Tour, BoundReport]:
     if k < 2:
         raise InputError(f"exponent must be >= 2 for the bound report, got {k}")
     tour = mst_sekanina_cycle(points)
-    return tour, bound_report(points, k, {"mst-sekanina": power_cost(tour.edges, k)})
+    return tour, bound_report(points, k, {"mst-sekanina": power_cost(tour, k)})

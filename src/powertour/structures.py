@@ -9,65 +9,120 @@ a uniform ``validate`` entry point that reports every violated invariant.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from collections.abc import Sequence
+from functools import cached_property
+
+import numpy as np
 
 from .errors import InputError
-from .geometry import (Edge, PointSet, close, edge_lengths, make_edge, make_edges,
-                       power_cost)
+from .geometry import Edge, PointSet, close, edge_lengths, power_cost
 
 WEIGHT_REL_TOL = 1e-12  # edge weights must match recomputed distances this tightly
 
 
-@dataclass(frozen=True)
-class SpanningTree:
+class _EdgeArrays:
+    """Edges held as arrays: ends ``u`` and ``v`` and ``weights``, one entry
+    per edge.
+
+    ``edges`` holds the same values as ``Edge`` objects.  It is built on
+    first read, so a pipeline that passes only the arrays on builds none.  A
+    structure made from ``Edge`` values keeps them and reads its arrays off
+    them.  Structures compare and hash by ``_key()``, which ends in
+    ``edges``.
+    """
+
+    u = v = np.empty(0, dtype=np.intp)  # no edges: shared, never written
+    weights = np.empty(0)
+
+    def __init__(self, edges=None, *, u=None, v=None, weights=None):
+        if edges is not None:
+            self.edges = edges = tuple(edges)
+            u, v, weights = ([getattr(e, f) for e in edges] for f in ("u", "v", "weight"))
+        if u is not None:
+            self.u = np.asarray(u, dtype=np.intp)
+            self.v = np.asarray(v, dtype=np.intp)
+            self.weights = np.asarray(weights, dtype=np.float64)
+
+    @cached_property
+    def edges(self) -> tuple[Edge, ...]:
+        return tuple(map(Edge, self.u.tolist(), self.v.tolist(), self.weights.tolist()))
+
+    def _key(self) -> tuple:
+        return (self.edges,)
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+
+class SpanningTree(_EdgeArrays):
     """A tree spanning ``vertices`` (a sorted subset of point indices)."""
 
-    vertices: tuple[int, ...]
-    edges: tuple[Edge, ...]
+    def __init__(self, vertices, edges=None, **arrays):
+        self.vertices = tuple(vertices)
+        super().__init__(edges, **arrays)
+
+    def _key(self) -> tuple:
+        return self.vertices, self.edges
 
     @property
     def n(self) -> int:
         return len(self.vertices)
 
     def total_weight(self) -> float:
-        return float(sum(e.weight for e in self.edges))
+        return float(sum(self.weights.tolist()))
 
 
-@dataclass(frozen=True)
-class Tour:
+class _Walk(_EdgeArrays):
+    """A visiting ``order`` and the edges between consecutive entries."""
+
+    def __init__(self, order, edges=None, **arrays):
+        self.order = tuple(order)
+        super().__init__(edges, **arrays)
+
+    def _key(self) -> tuple:
+        return self.order, self.edges
+
+    @property
+    def n(self) -> int:
+        return len(self.order)
+
+
+class Tour(_Walk):
     """A closed visiting order: edges include the wrap-around closure."""
 
-    order: tuple[int, ...]
-    edges: tuple[Edge, ...]
 
-    @property
-    def n(self) -> int:
-        return len(self.order)
-
-
-@dataclass(frozen=True)
-class HamPath:
+class HamPath(_Walk):
     """An open visiting order with n-1 consecutive edges."""
-
-    order: tuple[int, ...]
-    edges: tuple[Edge, ...]
-
-    @property
-    def n(self) -> int:
-        return len(self.order)
 
     def endpoints(self) -> tuple[int, int]:
         return self.order[0], self.order[-1]
 
 
-@dataclass(frozen=True)
-class Matching:
+class Matching(_EdgeArrays):
     """Vertex-disjoint edges; perfect iff 2*|edges| == n."""
 
-    edges: tuple[Edge, ...]
-
     def is_perfect(self, n: int) -> bool:
-        return 2 * len(self.edges) == n
+        return 2 * len(self.u) == n
+
+
+class EdgeList(_EdgeArrays, Sequence):
+    """Edges in a given order, such as the greedy's trace.  It reads as the
+    sequence of its ``edges`` and equals any sequence of the same ``Edge``
+    values."""
+
+    def __len__(self) -> int:
+        return len(self.u)
+
+    def __getitem__(self, i):
+        return self.edges[i]
+
+    def __eq__(self, other):
+        return isinstance(other, Sequence) and self.edges == tuple(other)
+
+    __hash__ = _EdgeArrays.__hash__
 
 
 class DSU:
@@ -101,25 +156,33 @@ class DSU:
 
 
 def tree_from_pairs(points: PointSet, pairs, vertices=None) -> SpanningTree:
-    verts = tuple(sorted(vertices)) if vertices is not None else tuple(range(points.n))
-    return SpanningTree(verts, tuple(make_edges(points, pairs)))
+    verts = sorted(vertices) if vertices is not None else range(points.n)
+    u, v = np.array(list(pairs), dtype=np.intp).reshape(-1, 2).T
+    return SpanningTree(verts, u=u, v=v, weights=edge_lengths(points, u, v))
 
 
-def _consecutive_edges(points: PointSet, order: tuple[int, ...], closed: bool):
-    idx = order + order[:1] if closed else order
-    return tuple(make_edges(points, list(zip(idx, idx[1:]))))
+def _walk_arrays(points: PointSet, order, closed: bool) -> tuple[tuple[int, ...], dict]:
+    """``order`` as a tuple of ints, and the arrays of its consecutive
+    pairs.  An id outside 0..n-1 raises InputError."""
+    order = tuple(int(x) for x in order)
+    if order and not 0 <= min(order) <= max(order) < points.n:
+        bad = next(x for x in order if not 0 <= x < points.n)
+        raise InputError(f"vertex {bad} out of range for {points.n} points")
+    ids = np.array(order, dtype=np.intp)
+    u, v = (ids, np.concatenate((ids[1:], ids[:1]))) if closed else (ids[:-1], ids[1:])
+    return order, {"u": u, "v": v, "weights": edge_lengths(points, u, v)}
 
 
 def path_from_order(points: PointSet, order) -> HamPath:
-    order = tuple(int(v) for v in order)
-    return HamPath(order, _consecutive_edges(points, order, closed=False))
+    order, arrays = _walk_arrays(points, order, closed=False)
+    return HamPath(order, **arrays)
 
 
 def tour_from_order(points: PointSet, order) -> Tour:
-    order = tuple(int(v) for v in order)
+    order, arrays = _walk_arrays(points, order, closed=True)
     if len(order) < 2:
         raise InputError("a tour needs at least 2 points")
-    return Tour(order, _consecutive_edges(points, order, closed=True))
+    return Tour(order, **arrays)
 
 
 def close_path(p: HamPath, points: PointSet) -> Tour:
@@ -130,7 +193,8 @@ def close_path(p: HamPath, points: PointSet) -> Tour:
     if p.n < 2:
         raise InputError("cannot close a path on fewer than 2 points")
     a, b = p.endpoints()
-    return Tour(p.order, p.edges + (make_edge(points, b, a),))
+    return Tour(p.order, u=np.append(p.u, b), v=np.append(p.v, a),
+                weights=np.append(p.weights, edge_lengths(points, b, a)))
 
 
 def cycle_to_matchings(t: Tour, k: int = 2) -> tuple[Matching, Matching]:
@@ -145,10 +209,9 @@ def cycle_to_matchings(t: Tour, k: int = 2) -> tuple[Matching, Matching]:
         raise InputError(f"cycle of odd length {n} has no perfect matching split")
     if n < 2:
         raise InputError("need at least 2 vertices")
-    m1 = Matching(t.edges[0::2])
-    m2 = Matching(t.edges[1::2])
-    c1 = power_cost(m1.edges, k).log_unscaled
-    c2 = power_cost(m2.edges, k).log_unscaled
+    m1, m2 = (Matching(u=t.u[i::2], v=t.v[i::2], weights=t.weights[i::2]) for i in (0, 1))
+    c1 = power_cost(m1, k).log_unscaled
+    c2 = power_cost(m2, k).log_unscaled
     return (m1, m2) if c1 <= c2 else (m2, m1)
 
 

@@ -240,7 +240,7 @@ def suite_tight_examples(trials: int = 0, seed: int = DEFAULT_SEED,
         check(f"oracle_{name}_S2", c.unscaled, 4.0)
         tour = newman_square_tour(ps)
         check(f"square_tour_{name}_S2",
-              sum(e.weight ** 2 for e in tour.edges), 4.0)
+              sum(w ** 2 for w in tour.weights.tolist()), 4.0)
     _t, c = exact_min_tour(k3_code4(), 3)
     check("oracle_k3_code_S3", c.unscaled, 4.0 * 2.0 ** 1.5)
     check("oracle_k3_code_s3", c.scaled, 2.0 ** (7.0 / 6.0))
@@ -267,7 +267,7 @@ def newman_random_sweep(instances: int, seed: int = DEFAULT_SEED,
         n = 2 + int((SWEEP_N_MAX - 2) * rng.random() ** 2)
         pts = point_set(rng.uniform(size=(n, 2)))
         tour = newman_square_tour(pts)
-        s2 = sum(e.weight ** 2 for e in tour.edges)
+        s2 = sum(w ** 2 for w in tour.weights.tolist())
         return (0 if s2 <= 4.0 * (1 + tol) else 1), s2
 
     results = [one(t) for t in range(instances)]
@@ -294,8 +294,8 @@ def sekanina_certificate_sweep(trees: int, seed: int = DEFAULT_SEED,
         tree = tree_from_pairs(pts, pairs)
         anchor = int(rng.integers(0, n))
         tour, _cert = tree_cube_cycle(tree, pts, anchor=anchor)
-        log_h = power_cost(tour.edges, k).log_unscaled
-        log_bound = math.log(2.0 / 3.0) + k * math.log(3.0) + power_cost(tree.edges, k).log_unscaled
+        log_h = power_cost(tour, k).log_unscaled
+        log_bound = math.log(2.0 / 3.0) + k * math.log(3.0) + power_cost(tree, k).log_unscaled
         return 1 if log_h > log_bound + tol else 0
 
     failures = sum(map(one, range(trees)))

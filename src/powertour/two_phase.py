@@ -20,8 +20,10 @@ import math
 import time
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import CertificateError, InputError
-from .geometry import Edge, PointSet, PowerCost, power_cost
+from .geometry import PointSet, PowerCost, power_cost, power_cost_from_weights
 from .greedy import greedy_ham_path
 from .mst import build_threshold_forest
 from .sekanina import tree_cube_cycle
@@ -70,28 +72,35 @@ def two_phase_tour(points: PointSet, k: int, cutoff: float | None = None
         cutoff = float(k) ** -0.25
     start = time.perf_counter()
     trees = build_threshold_forest(points, cutoff)
-    path_edges: list[Edge] = []  # F0
+    pairs: list[tuple[int, int]] = []  # F0's edges as (min, max) pairs ...
+    weights: list[float] = []  # ... and their weights
     for tree in trees:
         if tree.n == 2:
-            path_edges += tree.edges
+            pairs += zip(tree.u.tolist(), tree.v.tolist())  # a scan pair has u < v
+            weights += tree.weights.tolist()
         elif tree.n >= 3:
             cycle, _cert = tree_cube_cycle(tree, points, anchor=tree.vertices[0])
+            lo, hi = np.minimum(cycle.u, cycle.v).tolist(), np.maximum(cycle.u, cycle.v).tolist()
+            w = cycle.weights.tolist()
             # drop the heaviest cycle edge (ties: lexicographically smallest pair)
-            drop = min(cycle.edges, key=lambda e: (-e.weight, e.key()))
-            path_edges += (e for e in cycle.edges if e is not drop)
+            top = max(w)
+            drop = min((lo[i], hi[i], i) for i, x in enumerate(w) if x == top)[2]
+            del lo[drop], hi[drop], w[drop]
+            pairs += zip(lo, hi)
+            weights += w
 
-    forest_cost = power_cost([e for t in trees for e in t.edges], k)
-    path_system_cost = power_cost(path_edges, k)
+    forest_cost = power_cost_from_weights(np.concatenate([t.weights for t in trees]), k)
+    path_system_cost = power_cost_from_weights(weights, k)
 
     # the per-tree conversion guarantees S_k(F0) <= 3^k * sum_i S_k(T_i)
     log_budget = k * math.log(3.0) + forest_cost.log_unscaled
     if path_system_cost.log_unscaled > log_budget + 1e-9:
         raise CertificateError("path system cost exceeds the per-tree cycle budget")
 
-    ham_path, trace = greedy_ham_path(points, [e.key() for e in path_edges])
+    ham_path, trace = greedy_ham_path(points, pairs)
     tour = close_path(ham_path, points)
-    path_cost = power_cost(ham_path.edges, k)
-    tour_cost = power_cost(tour.edges, k)
+    path_cost = power_cost(ham_path, k)
+    tour_cost = power_cost(tour, k)
     report = PhaseReport(
         k=k,
         cutoff=cutoff,
@@ -100,7 +109,7 @@ def two_phase_tour(points: PointSet, k: int, cutoff: float | None = None
         path_system_cost=path_system_cost,
         greedy_added=len(trace),
         path_cost=path_cost,
-        closing_weight=tour.edges[-1].weight,
+        closing_weight=float(tour.weights[-1]),
         tour_cost=tour_cost,
         elapsed_s=time.perf_counter() - start,
     )

@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from powertour.geometry import point_set
+from powertour.geometry import Edge, edge_lengths, point_set
 
 
 @pytest.fixture
@@ -38,3 +38,9 @@ def traced_peak(fn) -> int:
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def make_edge(points, u: int, v: int) -> Edge:
+    """One ``Edge`` weighed by ``edge_lengths``: the eager build that the
+    structures' lazy ``edges`` must equal."""
+    return Edge(u, v, float(edge_lengths(points, u, v)))

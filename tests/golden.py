@@ -18,6 +18,7 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import os
 import platform
 import sys
 import tempfile
@@ -117,13 +118,24 @@ def environment() -> dict:
             "blas": blas, "libc": " ".join(platform.libc_ver())}
 
 
+@contextlib.contextmanager
+def inside(directory):
+    """Run the body in ``directory`` (``contextlib.chdir`` before 3.11)."""
+    previous = os.getcwd()
+    os.chdir(directory)
+    try:
+        yield
+    finally:
+        os.chdir(previous)
+
+
 def write_inputs(directory: Path) -> None:
     """Write every input file into ``directory`` with the CLI's own ``gen``."""
     from powertour import cli
 
     for name, args in WRITTEN.items():
         (directory / name).write_text(json.dumps({"k": len(args[0]), "points": args}) + "\n")
-    with contextlib.chdir(directory):
+    with inside(directory):
         for name, args in GENERATED:
             code = cli.main(["gen", *args, "-o", name])
             if code != 0:
@@ -148,7 +160,7 @@ def regenerate() -> None:
     manifest = {"environment": environment(), "cases": {}}
     with tempfile.TemporaryDirectory() as tmp:
         write_inputs(Path(tmp))
-        with contextlib.chdir(tmp):
+        with inside(tmp):
             for name, argv in CASES.items():
                 code, out, err = run_case(argv)
                 (HERE / f"{name}.stdout").write_text(out)

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from powertour.cli import main
 from powertour.constructions import clustered, cube_vertex_subset, save_point_set, uniform_cube
-from powertour.geometry import edge_lengths, make_edge, point_set
+from powertour.geometry import edge_lengths, point_set
 from powertour.greedy import greedy_ham_path
 from powertour.mst import build_mst, build_threshold_forest
 from powertour.oracle import exact_min_matching
@@ -21,7 +21,7 @@ from powertour.structures import (close_path, path_from_order, tour_from_order,
                                   tree_from_pairs, validate)
 from powertour.two_phase import two_phase_tour
 
-from conftest import random_points
+from conftest import make_edge, random_points
 
 
 def reference_length(x, y) -> float:

@@ -62,6 +62,38 @@ def test_power_cost_refuses_non_finite_weights(bad):
         power_cost_from_weights([1.0, bad, 2.0], 2)
 
 
+@pytest.mark.parametrize("k", [2.5, math.nan, math.inf, -math.inf, 0, -3])
+@pytest.mark.parametrize("weights", [[1.0, 2.0], np.array([1.0, 2.0])], ids=["list", "array"])
+def test_power_cost_refuses_an_exponent_that_is_not_a_positive_integer(weights, k):
+    with pytest.raises(InputError, match=f"exponent must be a positive integer, got {k}"):
+        power_cost_from_weights(weights, k)
+
+
+@pytest.mark.parametrize("weights, message", [
+    ([1.0, -2.0, math.nan], "negative edge weight"),
+    ([1.0, -math.inf, -2.0], "edge weight must be finite"),
+    ([math.nan, -2.0], "edge weight must be finite"),
+])
+def test_power_cost_names_the_first_bad_weight(weights, message):
+    for form in (weights, np.array(weights), iter(weights)):
+        with pytest.raises(InputError, match=message):
+            power_cost_from_weights(form, 2)
+
+
+def test_power_cost_of_an_array_has_the_bits_of_its_list():
+    """The array form keeps ``math.log`` per term and the max-shifted
+    ``math.fsum``, so it reproduces the per-edge loop bit for bit."""
+    gen = np.random.default_rng(8)
+    for k in (2, 3, 7, 40):
+        w = gen.uniform(0.0, 2.0, size=300)
+        w[::17] = 0.0
+        terms = [k * math.log(x) for x in w.tolist() if x > 0]
+        m = max(terms)
+        log_s = m + math.log(math.fsum(math.exp(t - m) for t in terms))
+        for form in (w, w.tolist(), (x for x in w.tolist())):
+            assert power_cost_from_weights(form, k).log_unscaled.hex() == log_s.hex()
+
+
 def test_power_cost_huge_exponent_no_overflow_in_scaled():
     k = 1000
     c = power_cost_from_weights([math.sqrt(k)] * 5, k)

@@ -8,11 +8,11 @@ from hypothesis import strategies as st
 
 from powertour.constructions import cube_vertex_subset, diagonal_pair, k4_even_weight_code
 from powertour.errors import InputError
-from powertour.geometry import make_edge, pairwise_sq, point_set, power_cost
+from powertour.geometry import pairwise_sq, point_set, power_cost
 from powertour.greedy import classify_edges, greedy_edge_count_by_length, greedy_ham_path
 from powertour.structures import PathSystem, validate
 
-from conftest import joinable, random_points
+from conftest import joinable, make_edge, random_points
 
 
 def minimum_join_edge(points, system):

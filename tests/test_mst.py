@@ -9,11 +9,11 @@ from hypothesis import strategies as st
 
 from powertour import mst
 from powertour.constructions import clustered, cube_vertex_subset, uniform_cube
-from powertour.geometry import make_edge, pairwise_sq, point_set, symmetric_sq
+from powertour.geometry import pairwise_sq, point_set, symmetric_sq
 from powertour.mst import build_mst, build_threshold_forest, mst_ball_packing_check
 from powertour.structures import DSU, SpanningTree, tree_from_pairs, validate
 
-from conftest import random_points
+from conftest import make_edge, random_points
 
 
 def brute_force_min_tree_weight(points):
@@ -323,8 +323,9 @@ def test_each_round_sorts_only_joinable_pairs_heavier_than_the_last(monkeypatch,
                                           ("cube-vertex-k12-seed1", 1.0)],
                          ids=["clustered-k8", "cube-vertex-k12"])
 def test_forest_makes_each_union_once(monkeypatch, engine, name, cutoff):
-    """The forest reads its components from the scan's own DSU: one
-    successful union per forest edge, none replayed."""
+    """The Filter-Kruskal forest reads its components from the scan's own
+    DSU: one successful union per forest edge, none replayed.  Prim labels
+    its trees as it grows them and makes no union at all."""
     points = TOUR_LARGE[name]()
     union = DSU.union
     results = []
@@ -336,7 +337,7 @@ def test_forest_makes_each_union_once(monkeypatch, engine, name, cutoff):
     monkeypatch.setattr(DSU, "union", counted)
     edges = sum(len(t.edges) for t in build_threshold_forest(points, cutoff))
     assert edges > 0
-    assert results.count(True) == edges
+    assert results.count(True) == (0 if engine == "prim" else edges)
 
 
 def sorted_pair_count(monkeypatch, build):
@@ -365,6 +366,20 @@ def test_forest_on_cube_vertices_below_unit_distance_sorts_nothing(monkeypatch):
     assert sorted_pair_count(
         monkeypatch, lambda: trees.extend(build_threshold_forest(points, 12 ** -0.25))) == 0
     assert len(trees) == points.n
+
+
+def test_forest_with_no_pair_within_the_cutoff_runs_no_scan(monkeypatch):
+    """Cube vertices lie at distance >= 1, above two-phase's cutoff
+    12^(-1/4): one pass over d^2 finds that, and the n singletons come back
+    with no Prim step and no sort."""
+    points = cube_vertex_subset(12, 1200, 5)
+    assert points.n > mst._PRIM_ABOVE
+    calls = []
+    monkeypatch.setattr(mst, "_prim", lambda *args: calls.append(args))
+    watch_sorts(monkeypatch, calls)
+    trees = build_threshold_forest(points, 12 ** -0.25)
+    assert calls == []
+    assert [(t.vertices, t.edges) for t in trees] == [((v,), ()) for v in range(points.n)]
 
 
 forest_inputs = pytest.mark.parametrize("make", [

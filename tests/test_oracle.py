@@ -10,12 +10,12 @@ import powertour.oracle
 from powertour.constructions import (cube_vertex_subset, diagonal_pair, even_weight_code,
                                      k3_code4, k4_even_weight_code, square_tight_sets, uniform_cube)
 from powertour.errors import InputError, SizeError
-from powertour.geometry import make_edge, pairwise_sq, point_set, power_cost
+from powertour.geometry import pairwise_sq, point_set, power_cost
 from powertour.oracle import (closest_pair_bound_check, exact_min_matching,
                               exact_min_path, exact_min_tour, max_pairwise_square_sum)
 from powertour.structures import path_from_order, tour_from_order, validate
 
-from conftest import random_points
+from conftest import make_edge, random_points
 
 
 def brute_first_best_order(dk, n, closed):

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 from collections import Counter
 
@@ -7,7 +8,7 @@ import pytest
 
 import powertour.sekanina
 from powertour.constructions import clustered, cube_vertex_subset, uniform_cube
-from powertour.errors import InputError
+from powertour.errors import CertificateError, InputError
 from powertour.geometry import point_set, power_cost
 from powertour.mst import build_mst, build_threshold_forest
 from powertour.sekanina import (UsageCertificate, mst_sekanina_tour, tree_cube_cycle,
@@ -701,3 +702,184 @@ def test_disconnected_tree_is_an_input_error(monkeypatch):
     for anchor, reached in ((0, 2), (3, 3)):
         with pytest.raises(InputError, match=f"disconnected.* reaches {reached} of 5"):
             tree_cube_cycle(t, pts, anchor=anchor)
+
+
+# The tuple walk and checker that the array forms replaced, kept as the
+# slow-path oracle: they read the tree's ``Edge`` values one by one.
+
+def tuple_parity_walk(t, anchor):
+    """The parity walk over adjacency lists built from ``t.edges``."""
+    adj = {v: [] for v in t.vertices}
+    for i, e in enumerate(t.edges):
+        if e.u not in adj or e.v not in adj:
+            raise InputError(f"tree edge ({e.u}, {e.v}) leaves the vertex set")
+        adj[e.u].append((e.v, i))
+        adj[e.v].append((e.u, i))
+    if anchor not in adj:
+        raise InputError(f"anchor {anchor} not a tree vertex")
+    seen = {anchor}
+    order, hops, hop = [], [], []
+    stack = [(anchor, -1, False, False)]
+    while stack:
+        v, pe, odd, leaving = stack.pop()
+        if pe >= 0 and not leaving:
+            hop.append(pe)
+            stack.append((v, pe, odd, True))
+        if leaving == odd:
+            if order:
+                hops.append(tuple(hop))
+                hop = []
+            order.append(v)
+        if leaving:
+            hop.append(pe)
+            continue
+        kids = sorted((w, i) for w, i in adj[v] if i != pe)
+        for w, i in (reversed(kids) if odd else kids):
+            if w in seen:
+                raise InputError(f"tree vertex {w} reached twice from anchor {anchor}: "
+                                 "the edges hold a cycle or a repeated edge")
+            seen.add(w)
+            stack.append((w, i, not odd, False))
+    hops.append(tuple(hop))
+    if len(order) != t.n:
+        raise InputError(f"tree is disconnected: the walk from anchor {anchor} "
+                         f"reaches {len(order)} of {t.n} vertices")
+    if order[1] > order[-1]:
+        order[1:] = order[:0:-1]
+        hops = [h[::-1] for h in reversed(hops)]
+    return UsageCertificate(tuple(order), tuple(hops), anchor)
+
+
+def tuple_verify_double_cover(tree, cert):
+    """The hop-by-hop checker: each hop walked alone over ``tree.edges``."""
+    order, hops, edges = cert.order, cert.hops, tree.edges
+    verts = set(tree.vertices)
+    seen = set()
+    for v in order:
+        if v not in verts:
+            return [f"cycle vertex {v} leaves the vertex set"]
+        if v in seen:
+            return [f"cycle revisits vertex {v}"]
+        seen.add(v)
+    if len(seen) != tree.n:
+        return [f"cycle order covers {len(seen)} of {tree.n} vertices"]
+    if len(hops) != tree.n:
+        return [f"cycle has {len(hops)} edges, expected {tree.n}"]
+
+    def end(start, path):
+        at = start
+        for eid in path:
+            if not 0 <= eid < len(edges) or at not in (edges[eid].u, edges[eid].v):
+                return None
+            at = edges[eid].v if at == edges[eid].u else edges[eid].u
+        return at
+
+    out, usage, anchor_tree_edge = [], [0] * len(edges), False
+    for a, b, path in zip(order, order[1:] + order[:1], hops):
+        if not 1 <= len(path) <= 3:
+            out.append(f"hop ({a}, {b}) uses {len(path)} tree edges")
+            continue
+        if end(a, path) != b or len(set(path)) != len(path):
+            out.append(f"hop ({a}, {b}) is not a tree walk to its endpoint")
+            continue
+        for eid in path:
+            usage[eid] += 1
+        anchor_tree_edge |= len(path) == 1 and cert.anchor in (a, b)
+    for e, c in zip(edges, usage):
+        if c != 2:
+            out.append(f"tree edge ({e.u}, {e.v}) used {c} times, expected 2")
+    if not anchor_tree_edge:
+        out.append(f"no length-1 cycle edge at anchor {cert.anchor}")
+    return out
+
+
+def lattice(k, m, copies, seed):
+    """The m^k lattice of the unit cube, each point ``copies`` times, shuffled."""
+    axis = np.linspace(0.0, 1.0, m)
+    coords = np.repeat(np.array(list(itertools.product(axis, repeat=k))), copies, axis=0)
+    return point_set(coords[np.random.default_rng(seed).permutation(len(coords))])
+
+
+TIE_HEAVY = {
+    "grid-2d": lambda: lattice(2, 6, 1, 1),
+    "grid-3d-duplicates": lambda: lattice(3, 4, 2, 2),
+    "cube-vertex-k6": lambda: cube_vertex_subset(6, 50, 3),
+    "cube-vertex-k12": lambda: cube_vertex_subset(12, 300, 4),
+    "duplicates": lambda: point_set(np.repeat(random_points(5, 30, 3).coords, 3, axis=0)),
+    "clustered": lambda: clustered(4, 200, 6, 0.05, 6),
+}
+
+
+@pytest.mark.parametrize("name", TIE_HEAVY)
+def test_array_walk_equals_the_tuple_walk_on_tie_heavy_inputs(name):
+    """Order and hops equal the tuple walk's on the MST at several anchors,
+    and on every forest tree of 3 or more vertices from its smallest
+    vertex, as two-phase runs them."""
+    pts = TIE_HEAVY[name]()
+    mst = build_mst(pts)
+    cases = [(mst, a) for a in (0, 1, pts.n // 2, pts.n - 1)]
+    for cutoff in (0.1, 0.3, 1.0, float(np.median(mst.weights))):
+        cases += [(t, t.vertices[0]) for t in build_threshold_forest(pts, cutoff) if t.n >= 3]
+    for t, anchor in cases:
+        tour, cert = tree_cube_cycle(t, pts, anchor=anchor)
+        assert cert == tuple_parity_walk(t, anchor)
+        assert tour.order == cert.order
+        assert tuple_verify_double_cover(t, cert) == verify_double_cover(t, cert) == []
+
+
+def tampered(cert, gen, m):
+    """``cert`` with a few random hop edits: ids dropped, repeated, out of
+    range, swapped between hops or reversed, and hops of 0 to 5 ids."""
+    hops = list(cert.hops)
+    for _ in range(int(gen.integers(1, 4))):
+        i = int(gen.integers(len(hops)))
+        kind = int(gen.integers(6))
+        if kind == 0:
+            hops[i] = hops[i][1:]
+        elif kind == 1:
+            hops[i] = hops[i] + hops[i][:1]
+        elif kind == 2:
+            hops[i] = tuple(int(x) for x in gen.integers(-2, m + 2, size=gen.integers(0, 6)))
+        elif kind == 3:
+            j = int(gen.integers(len(hops)))
+            hops[i], hops[j] = hops[j], hops[i]
+        elif kind == 4:
+            hops[i] = hops[i][::-1]
+        else:
+            hops[i] = (int(gen.integers(m)),)
+    return dataclasses.replace(cert, hops=tuple(hops))
+
+
+def test_checker_equals_the_tuple_checker_on_tampered_certificates():
+    """Every message, in order, on 600 randomly tampered certificates."""
+    gen = np.random.default_rng(28)
+    for trial in range(600):
+        n = int(gen.integers(3, 40))
+        pts = random_points(trial + 1000, n, 2)
+        t = tree_from_pairs(pts, random_tree_pairs(n, gen))
+        _tour, cert = tree_cube_cycle(t, pts, anchor=int(gen.integers(n)))
+        bad = tampered(cert, gen, n - 1)
+        if gen.random() < 0.2:
+            bad = dataclasses.replace(bad, anchor=int(gen.integers(n)))
+        assert verify_double_cover(t, bad) == tuple_verify_double_cover(t, bad)
+
+
+def test_a_hop_longer_than_its_tree_path_raises(monkeypatch):
+    """Lengthen one cycle edge just past the triangle check's slack: the
+    certificate check names that edge."""
+    pts = random_points(41, 30, 3)
+    t = build_mst(pts)
+    _tour, cert = tree_cube_cycle(t, pts)
+    j = 7
+    span = sum(t.edges[i].weight for i in cert.hops[j])
+    real = powertour.sekanina.tour_from_order
+
+    def lengthened(points, order):
+        tour = real(points, order)
+        tour.weights[j] = span * (1.0 + 2e-9) + 2e-12
+        return tour
+
+    monkeypatch.setattr(powertour.sekanina, "tour_from_order", lengthened)
+    a, b = cert.order[j], cert.order[j + 1]
+    with pytest.raises(CertificateError, match=rf"cycle edge \({a}, {b}\) longer than its tree path"):
+        tree_cube_cycle(t, pts)

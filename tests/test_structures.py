@@ -285,3 +285,12 @@ def test_validate_path_edge_count_and_edges(square_corners):
     swapped = type(p)(order=p.order, edges=(p.edges[0], p.edges[2], p.edges[1]))
     assert validate(swapped, square_corners) == [
         "edge 1 is (2, 3), expected (1, 2)", "edge 2 is (1, 2), expected (2, 3)"]
+
+
+@pytest.mark.parametrize("bad", [-1, -4, 4, 99])
+@pytest.mark.parametrize("build", [tour_from_order, path_from_order])
+def test_walks_refuse_vertex_ids_out_of_range(square_corners, build, bad):
+    """A negative id is not read from the end, and an id of n or more is
+    named, not left to a bare IndexError."""
+    with pytest.raises(InputError, match=f"vertex {bad} out of range for 4 points"):
+        build(square_corners, (0, bad, 2, 3, 1))
