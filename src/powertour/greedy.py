@@ -42,8 +42,8 @@ import numpy as np
 
 from .errors import InputError
 # pairwise_sq stays bound here: the benchmark's tracer test reads greedy.pairwise_sq
-from .geometry import Edge, PointSet, edge_lengths, pairwise_sq  # noqa: F401
-from .structures import EdgeList, HamPath, PathSystem, path_from_order
+from .geometry import Edge, PointSet, pairwise_sq  # noqa: F401
+from .structures import EdgeList, HamPath, PathSystem, edge_arrays, path_from_order
 
 
 def greedy_ham_path(points: PointSet, warm_start: Iterable[tuple[int, int]] = ()
@@ -97,8 +97,7 @@ def greedy_ham_path(points: PointSet, warm_start: Iterable[tuple[int, int]] = ()
                 heapq.heappush(heap, nearest(u))
 
     (walk,) = system.paths()
-    u, v = np.array(system.edge_pairs[warm:], dtype=np.intp).reshape(-1, 2).T
-    return path_from_order(points, walk), EdgeList(u=u, v=v, weights=edge_lengths(points, u, v))
+    return path_from_order(points, walk), EdgeList(**edge_arrays(points, system.edge_pairs[warm:]))
 
 
 def greedy_edge_count_by_length(trace: Iterable[Edge], j: float) -> int:

@@ -91,9 +91,8 @@ def _scan(d2: np.ndarray, cut2: float = math.inf):
             u, v = u[order], v[order]
         return u, v, tree.tolist().__getitem__
     dsu = DSU(n)
-    pairs = [(a, b) for a, b, _dd in _kruskal(d2, dsu, cut2)]
-    u, v = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
-    return u, v, dsu.find
+    pairs = np.array([(a, b) for a, b, _dd in _kruskal(d2, dsu, cut2)], dtype=np.intp)
+    return *pairs.reshape(-1, 2).T, dsu.find
 
 
 def _kruskal(d2: np.ndarray, dsu: DSU, cut2: float = math.inf):
@@ -116,7 +115,7 @@ def _kruskal(d2: np.ndarray, dsu: DSU, cut2: float = math.inf):
 
 def _filter_rounds(d2: np.ndarray, dsu: DSU, cut2: float):
     """Filter-Kruskal's rounds of pairs (u, v, d^2), unsorted; each round is
-    drawn after ``_scan`` has scanned the one before into ``dsu``."""
+    drawn after ``_kruskal`` has scanned the one before into ``dsu``."""
     n = len(d2)
     iu, iv = np.triu_indices(n, k=1)
     w = d2[iu, iv]
@@ -246,7 +245,4 @@ def mst_ball_packing_check(t: SpanningTree, points: PointSet,
     empty = radii == 0.0
     bad[empty, :] = False
     bad[:, empty] = False
-    out = []
-    for i, j in zip(*np.nonzero(np.triu(bad, k=1))):
-        out.append((int(i), int(j)))
-    return out
+    return list(zip(*(ix.tolist() for ix in np.nonzero(np.triu(bad, k=1)))))

@@ -52,8 +52,9 @@ from itertools import islice
 import numpy as np
 
 from .errors import InputError, SizeError
-from .geometry import PointSet, PowerCost, edge_lengths, power_cost
-from .structures import HamPath, Matching, Tour, path_from_order, tour_from_order
+from .geometry import PointSet, PowerCost, power_cost
+from .structures import (HamPath, Matching, Tour, edge_arrays, path_from_order,
+                         tour_from_order)
 
 MAX_EXACT_TOUR = 16
 MAX_EXACT_PATH = 16
@@ -312,8 +313,7 @@ def exact_min_matching(points: PointSet, k: int) -> tuple[Matching, PowerCost]:
     if n > MAX_EXACT_MATCHING:
         raise SizeError(f"exact matchings capped at n = {MAX_EXACT_MATCHING}, got {n}")
     best_pairs = _first_best_pairs(_power_matrix(points, k))
-    u, v = np.array(best_pairs, dtype=np.intp).T
-    matching = Matching(u=u, v=v, weights=edge_lengths(points, u, v))
+    matching = Matching(**edge_arrays(points, best_pairs))
     return matching, power_cost(matching, k)
 
 

@@ -9,6 +9,7 @@ a uniform ``validate`` entry point that reports every violated invariant.
 from __future__ import annotations
 
 import operator
+from collections import Counter
 from collections.abc import Sequence
 from functools import cached_property
 
@@ -27,8 +28,8 @@ class _EdgeArrays:
     ``edges`` holds the same values as ``Edge`` objects.  It is built on
     first read, so a pipeline that passes only the arrays on builds none.  A
     structure made from ``Edge`` values keeps them and reads its arrays off
-    them.  Structures compare and hash by ``_key()``, which ends in
-    ``edges``.
+    them.  Structures of one type compare by their ``vertices`` or
+    ``order`` and their ``edges``.
     """
 
     u = v = np.empty(0, dtype=np.intp)  # no edges: shared, never written
@@ -47,14 +48,9 @@ class _EdgeArrays:
     def edges(self) -> tuple[Edge, ...]:
         return tuple(map(Edge, self.u.tolist(), self.v.tolist(), self.weights.tolist()))
 
-    def _key(self) -> tuple:
-        return (self.edges,)
-
     def __eq__(self, other):
-        return type(other) is type(self) and self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
+        return type(other) is type(self) and all(getattr(self, f, None) == getattr(other, f, None)
+                                                 for f in ("vertices", "order", "edges"))
 
 
 class SpanningTree(_EdgeArrays):
@@ -63,9 +59,6 @@ class SpanningTree(_EdgeArrays):
     def __init__(self, vertices, edges=None, **arrays):
         self.vertices = tuple(vertices)
         super().__init__(edges, **arrays)
-
-    def _key(self) -> tuple:
-        return self.vertices, self.edges
 
     @property
     def n(self) -> int:
@@ -81,9 +74,6 @@ class _Walk(_EdgeArrays):
     def __init__(self, order, edges=None, **arrays):
         self.order = tuple(order)
         super().__init__(edges, **arrays)
-
-    def _key(self) -> tuple:
-        return self.order, self.edges
 
     @property
     def n(self) -> int:
@@ -122,8 +112,6 @@ class EdgeList(_EdgeArrays, Sequence):
     def __eq__(self, other):
         return isinstance(other, Sequence) and self.edges == tuple(other)
 
-    __hash__ = _EdgeArrays.__hash__
-
 
 class DSU:
     """Union-find over 0..n-1 with path compression.
@@ -155,10 +143,16 @@ class DSU:
         return True
 
 
+def edge_arrays(points: PointSet, pairs) -> dict[str, np.ndarray]:
+    """The arrays ``u``, ``v`` and ``weights`` of (u, v) pairs, the
+    weights from one ``edge_lengths`` call."""
+    u, v = np.array(list(pairs), dtype=np.intp).reshape(-1, 2).T
+    return {"u": u, "v": v, "weights": edge_lengths(points, u, v)}
+
+
 def tree_from_pairs(points: PointSet, pairs, vertices=None) -> SpanningTree:
     verts = sorted(vertices) if vertices is not None else range(points.n)
-    u, v = np.array(list(pairs), dtype=np.intp).reshape(-1, 2).T
-    return SpanningTree(verts, u=u, v=v, weights=edge_lengths(points, u, v))
+    return SpanningTree(verts, **edge_arrays(points, pairs))
 
 
 def _walk_arrays(points: PointSet, order, closed: bool) -> tuple[tuple[int, ...], dict]:
@@ -296,18 +290,22 @@ def _check_edge_weights(structure, points: PointSet, violations: list[str]) -> N
 
 
 def _check_permutation(order, n: int, violations: list[str]) -> bool:
-    seen: dict[int, int] = {}
-    ok = True
-    for v in order:
-        seen[v] = seen.get(v, 0) + 1
-    for v, c in sorted(seen.items()):
-        if c > 1:
-            violations.append(f"order not a permutation: vertex {v} appears {c} times")
-            ok = False
+    seen = Counter(order)
+    found = [f"order not a permutation: vertex {v} appears {c} times"
+             for v, c in sorted(seen.items()) if c > 1]
     if len(order) != n or set(seen) != set(range(n)):
-        violations.append(f"order visits {len(order)} of {n} vertices")
-        ok = False
-    return ok
+        found.append(f"order visits {len(order)} of {n} vertices")
+    violations += found
+    return not found
+
+
+def _root(parent, x: int) -> int:
+    """x's root under ``parent`` (a list or a dict), halving the path; the
+    independent union-find of ``validate``."""
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
 
 
 def validate(structure, points: PointSet) -> list[str]:
@@ -334,50 +332,31 @@ def validate(structure, points: PointSet) -> list[str]:
         if len(structure.edges) != len(verts) - 1:
             v.append(f"tree has {len(structure.edges)} edges for {len(verts)} vertices")
         parent = {x: x for x in verts}
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
         for e in structure.edges:
             if e.u not in verts or e.v not in verts:
                 v.append(f"edge ({e.u}, {e.v}) leaves the vertex set")
                 continue
-            ru, rv = find(e.u), find(e.v)
+            ru, rv = _root(parent, e.u), _root(parent, e.v)
             if ru == rv:
                 v.append(f"edge ({e.u}, {e.v}) closes a cycle")
             else:
                 parent[ru] = rv
-        roots = {find(x) for x in verts}
+        roots = {_root(parent, x) for x in verts}
         if len(roots) > 1:
             v.append(f"tree is disconnected: {len(roots)} components")
         _check_edge_weights(structure, points, v)
     elif isinstance(structure, PathSystem):
-        deg = [0] * structure.n
-        for (a, b) in structure.edge_pairs:
-            deg[a] += 1
-            deg[b] += 1
-        for x, d in enumerate(deg):
-            if d > 2:
-                v.append(f"degree > 2 at vertex {x}")
+        deg = Counter(x for pair in structure.edge_pairs for x in pair)
+        v += [f"degree > 2 at vertex {x}" for x, d in sorted(deg.items()) if d > 2]
         parent = list(range(structure.n))
-
-        def pfind(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
         for (a, b) in structure.edge_pairs:
-            ra, rb = pfind(a), pfind(b)
+            ra, rb = _root(parent, a), _root(parent, b)
             if ra == rb:
                 v.append(f"cycle through edge ({a}, {b})")
             else:
                 parent[ra] = rb
         for a, b in structure.endpoints().values():
-            if pfind(a) != pfind(b):
+            if _root(parent, a) != _root(parent, b):
                 v.append(f"endpoint map pairs {a} and {b} from different paths")
             for x in {a, b}:
                 if deg[x] > 1:

@@ -72,32 +72,26 @@ def two_phase_tour(points: PointSet, k: int, cutoff: float | None = None
         cutoff = float(k) ** -0.25
     start = time.perf_counter()
     trees = build_threshold_forest(points, cutoff)
-    pairs: list[tuple[int, int]] = []  # F0's edges as (min, max) pairs ...
-    weights: list[float] = []  # ... and their weights
+    f0: list[tuple[float, int, int]] = []  # F0's edges as (weight, min, max)
     for tree in trees:
-        if tree.n == 2:
-            pairs += zip(tree.u.tolist(), tree.v.tolist())  # a scan pair has u < v
-            weights += tree.weights.tolist()
-        elif tree.n >= 3:
-            cycle, _cert = tree_cube_cycle(tree, points, anchor=tree.vertices[0])
-            lo, hi = np.minimum(cycle.u, cycle.v).tolist(), np.maximum(cycle.u, cycle.v).tolist()
-            w = cycle.weights.tolist()
-            # drop the heaviest cycle edge (ties: lexicographically smallest pair)
-            top = max(w)
-            drop = min((lo[i], hi[i], i) for i, x in enumerate(w) if x == top)[2]
-            del lo[drop], hi[drop], w[drop]
-            pairs += zip(lo, hi)
-            weights += w
+        if tree.n < 2:
+            continue
+        s = tree if tree.n == 2 else tree_cube_cycle(tree, points, anchor=tree.vertices[0])[0]
+        rows = [(w, min(a, b), max(a, b))
+                for a, b, w in zip(s.u.tolist(), s.v.tolist(), s.weights.tolist())]
+        if tree.n > 2:  # drop the heaviest cycle edge (ties: lexicographically smallest pair)
+            rows.remove(min(rows, key=lambda r: (-r[0], r[1], r[2])))
+        f0 += rows
 
     forest_cost = power_cost_from_weights(np.concatenate([t.weights for t in trees]), k)
-    path_system_cost = power_cost_from_weights(weights, k)
+    path_system_cost = power_cost_from_weights([w for w, _a, _b in f0], k)
 
     # the per-tree conversion guarantees S_k(F0) <= 3^k * sum_i S_k(T_i)
     log_budget = k * math.log(3.0) + forest_cost.log_unscaled
     if path_system_cost.log_unscaled > log_budget + 1e-9:
         raise CertificateError("path system cost exceeds the per-tree cycle budget")
 
-    ham_path, trace = greedy_ham_path(points, pairs)
+    ham_path, trace = greedy_ham_path(points, [(a, b) for _w, a, b in f0])
     tour = close_path(ham_path, points)
     path_cost = power_cost(ham_path, k)
     tour_cost = power_cost(tour, k)

@@ -881,5 +881,6 @@ def test_a_hop_longer_than_its_tree_path_raises(monkeypatch):
 
     monkeypatch.setattr(powertour.sekanina, "tour_from_order", lengthened)
     a, b = cert.order[j], cert.order[j + 1]
-    with pytest.raises(CertificateError, match=rf"cycle edge \({a}, {b}\) longer than its tree path"):
+    with pytest.raises(CertificateError,
+                       match=rf"cycle edge \({a}, {b}\) longer than its tree path"):
         tree_cube_cycle(t, pts)
