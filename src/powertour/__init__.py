@@ -10,7 +10,7 @@ from .errors import CertificateError, InputError, SizeError
 from .geometry import (Container, Edge, NamedBounds, PointSet, PowerCost,
                        cycle_upper_improved, edge_lengths, named_bounds, point_set,
                        power_cost, power_cost_from_weights)
-from .structures import (HamPath, Matching, PathSystem, SpanningTree, Tour,
+from .structures import (EdgeList, HamPath, Matching, PathSystem, SpanningTree, Tour,
                          close_path, cycle_to_matchings, path_from_order,
                          tour_from_order, tree_from_pairs, validate)
 from .mst import build_mst, build_threshold_forest, mst_ball_packing_check
@@ -32,8 +32,8 @@ from .verifiers import (BoundReport, bound_report, hamming_min_distance,
 __version__ = "0.1.0"
 
 __all__ = [
-    "BoundReport", "CertificateError", "Container", "Edge", "ExtendedPath", "HamPath",
-    "InputError", "Matching", "NamedBounds", "PathSystem", "PhaseReport", "PointSet",
+    "BoundReport", "CertificateError", "Container", "Edge", "EdgeList", "ExtendedPath",
+    "HamPath", "InputError", "Matching", "NamedBounds", "PathSystem", "PhaseReport", "PointSet",
     "PowerCost", "RightTriangle", "SizeError", "SpanningTree", "Tour",
     "UsageCertificate", "bound_report", "build_mst", "build_threshold_forest",
     "classify_edges", "close_path", "closest_pair_bound_check", "clustered",

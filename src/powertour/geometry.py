@@ -13,7 +13,9 @@ cost is still exact and the unscaled value is flagged as overflowed.
 d^2 orders pairs; ``edge_lengths`` measures them.  ``PointSet.sq`` (the
 Gram form, fast but noisy for close pairs) picks trees, paths and ties;
 every edge weight, and so every cost and certificate check, comes from
-``edge_lengths``, one coordinate-difference formula.
+``edge_lengths``, one coordinate-difference formula.  Structures hold
+those weights as arrays, and ``power_cost`` reads them there; the cost
+still takes ``math.log`` of one weight at a time.
 """
 
 from __future__ import annotations

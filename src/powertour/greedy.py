@@ -55,10 +55,10 @@ def greedy_ham_path(points: PointSet, warm_start: Iterable[tuple[int, int]] = ()
     pair with a non-integer id or one out of range, a self-loop, or one that
     would give a vertex degree 3 or close a cycle raises ``InputError``
     before any distance is computed.
-    Returns the path and the trace of inserted edges in insertion order, an
-    ``EdgeList`` (warm-start edges are not part of the trace).  Each trace edge was
-    minimal among all edges joining endpoints of distinct paths at its
-    step.
+    Returns the path and the trace of inserted edges in insertion order,
+    an ``EdgeList`` (warm-start edges are not part of the trace).  Each
+    trace edge was minimal among all edges joining endpoints of distinct
+    paths at its step.
     """
     n = points.n
     if n < 2:

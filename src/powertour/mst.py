@@ -35,9 +35,16 @@ Each unreached vertex keeps its lightest pair to the reached set, keyed
 is a total order on the pairs, so the MST is unique and Prim finds the full
 sort's tree.  With a cutoff, a vertex whose key exceeds it starts a new
 tree, so Prim finds exactly the MST pairs <= cutoff: the forest, by the
-exchange property.  Its pairs are then sorted by (d^2, u, v) and scanned
-as one round, so the DSU makes the same unions in the same order.  Time
-is O(n^2) in n - 1 vectorised row steps.
+exchange property.  Its pairs are acyclic already, so they are lexsorted
+by (d^2, u, v) straight into the tree's arrays, with no DSU pass, and the
+forest's trees are the trees Prim grows.  Time is O(n^2) in n - 1
+vectorised row steps; each step lowers the keys with ``np.minimum`` and
+moves the parents that change with one boolean assignment.
+
+Before either path, the forest makes one pass over d^2: when no pair lies
+within the cutoff it returns the n singletons with no scan.  Two-phase
+meets this on every cube-vertex input, whose pairs are at distance >= 1
+above its cutoff k^(-1/4) < 1.
 
 The size constant is the measured crossover.  With one BLAS thread on a
 2-core x86 machine, the scan alone for the MST plus the two-phase forest,
@@ -52,9 +59,10 @@ Memory: the n x n float64 matrix (8 n^2 bytes), which the point set keeps,
 on both paths.  Filter-Kruskal adds 24 bytes per pair for its index and
 weight arrays (up to 12 MB at n = 1000); Prim adds O(n).
 
-The union-find is ``structures.DSU``, and this module is its only user.
-The caller owns it and hands it to the scan, which makes every union; the
-forest then reads its components and roots from that same DSU.
+The union-find is ``structures.DSU``, and Filter-Kruskal is its only
+user.  ``_scan`` owns it and hands it to the rounds, which make every
+union; the forest then names each point's tree by its root in that same
+DSU.  Each tree's weights come from one ``edge_lengths`` call.
 """
 
 from __future__ import annotations
@@ -189,7 +197,7 @@ def _prim(d2: np.ndarray, cut2: float
 
 def build_mst(points: PointSet) -> SpanningTree:
     """Minimum spanning tree of the whole point set under Euclidean weights."""
-    u, v, _label = _scan(points.sq)
+    u, v, _tree_of = _scan(points.sq)
     return SpanningTree(range(points.n), u=u, v=v, weights=edge_lengths(points, u, v))
 
 

@@ -40,6 +40,14 @@ InputError on an edge set that is not a tree over the vertex set.
 The certificate is re-verified after every construction, hop by hop in the
 cycle's own order and direction, without walking the cycle again; a
 failure raises CertificateError and signals a bug, never bad input.
+
+The walk's adjacency lists, the checker and the per-hop triangle check
+read the tree's and the tour's index and weight arrays, never their
+``Edge`` values.  The checker and the triangle check loop over Python
+lists: the numpy forms of both cost about 150 and 30 us per call in fixed
+overhead, several times a whole check at n <= 50, and saved about 1 ms
+per cycle at n = 2000 (2-core x86, one BLAS thread).  Each tree path's
+weights are added left to right, as ``sum`` does.
 """
 
 from __future__ import annotations

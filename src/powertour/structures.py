@@ -1,9 +1,14 @@
 """Combinatorial structures over point indices.
 
-Spanning trees, tours, Hamiltonian paths, disjoint path systems (which
-track each path's endpoints in one map) and matchings, the ``DSU``
-union-find of the MST scan, plus the cycle -> matching decomposition and
-a uniform ``validate`` entry point that reports every violated invariant.
+Spanning trees, tours, Hamiltonian paths, matchings and edge lists (the
+greedy's trace) hold their edges as arrays: ends ``u`` and ``v`` and
+``weights``, each structure's weights from one ``edge_lengths`` call.
+Their ``edges`` tuple of ``Edge`` values is built only when read, so a
+pipeline that passes the arrays on, such as the ``tour`` command, builds
+no ``Edge`` object.  Disjoint path systems track each path's endpoints in
+one map.  Also here: the ``DSU`` union-find of the Filter-Kruskal scan,
+the cycle -> matching decomposition and a uniform ``validate`` entry
+point that reports every violated invariant.
 """
 
 from __future__ import annotations
