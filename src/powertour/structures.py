@@ -14,7 +14,6 @@ point that reports every violated invariant.
 from __future__ import annotations
 
 import operator
-from collections import Counter
 from collections.abc import Sequence
 from functools import cached_property
 
@@ -295,13 +294,18 @@ def _check_edge_weights(structure, points: PointSet, violations: list[str]) -> N
 
 
 def _check_permutation(order, n: int, violations: list[str]) -> bool:
-    seen = Counter(order)
-    found = [f"order not a permutation: vertex {v} appears {c} times"
-             for v, c in sorted(seen.items()) if c > 1]
+    seen: dict[int, int] = {}
+    ok = True
+    for v in order:
+        seen[v] = seen.get(v, 0) + 1
+    for v, c in sorted(seen.items()):
+        if c > 1:
+            violations.append(f"order not a permutation: vertex {v} appears {c} times")
+            ok = False
     if len(order) != n or set(seen) != set(range(n)):
-        found.append(f"order visits {len(order)} of {n} vertices")
-    violations += found
-    return not found
+        violations.append(f"order visits {len(order)} of {n} vertices")
+        ok = False
+    return ok
 
 
 def _root(parent, x: int) -> int:
@@ -351,8 +355,13 @@ def validate(structure, points: PointSet) -> list[str]:
             v.append(f"tree is disconnected: {len(roots)} components")
         _check_edge_weights(structure, points, v)
     elif isinstance(structure, PathSystem):
-        deg = Counter(x for pair in structure.edge_pairs for x in pair)
-        v += [f"degree > 2 at vertex {x}" for x, d in sorted(deg.items()) if d > 2]
+        deg = [0] * structure.n
+        for (a, b) in structure.edge_pairs:
+            deg[a] += 1
+            deg[b] += 1
+        for x, d in enumerate(deg):
+            if d > 2:
+                v.append(f"degree > 2 at vertex {x}")
         parent = list(range(structure.n))
         for (a, b) in structure.edge_pairs:
             ra, rb = _root(parent, a), _root(parent, b)
