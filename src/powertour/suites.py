@@ -210,7 +210,7 @@ def suite_bounds_sweep(trials: int = 50, seed: int = DEFAULT_SEED,
             if n >= 3:
                 _path, trace = greedy_ham_path(pts)
                 cap = math.sqrt(2.0 * k / 3.0) * (1 + tol)
-                if any(e.weight > cap for e in trace[:-1]):
+                if (trace.weights[:-1] > cap).any():
                     bad += 1
             return bad, s_mst, s_two
 
