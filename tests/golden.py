@@ -9,7 +9,7 @@ output bytes regenerates the corpus and says why:
 
     PYTHONPATH=src python tests/golden.py
 
-Every case runs in-process, in one scratch directory that ``write_inputs``
+Every case runs in-process, in one temporary directory that ``write_inputs``
 fills first, so the ``source`` paths in the reports are the bare file names.
 """
 
