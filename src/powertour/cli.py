@@ -22,6 +22,7 @@ import json
 import sys
 import time
 from datetime import datetime, timezone
+from functools import cache
 
 from . import constructions
 from .errors import CertificateError, InputError
@@ -85,6 +86,7 @@ def _parse_int_list(text: str) -> list[int]:
     return out
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="powertour",
                      description="Power-cost tours, trees and matchings in the unit cube.")

@@ -189,49 +189,45 @@ def check_dense_size(n: int) -> None:
                         f"(an n x n matrix of about {8 * n * n:,} bytes)")
 
 
-#: Rows per strip in ``pairwise_sq`` and ``symmetric_sq``; a strip of
-#: n = 2000 rows fits in cache.
-_STRIP = 256
-_STRICT_LOWER = np.tri(_STRIP, k=-1, dtype=bool)
+#: Rows per strip in ``pairwise_sq``; a strip at n = 2000 is 0.5 MiB.
+_STRIP = 32
 
 
 def pairwise_sq(coords: np.ndarray) -> np.ndarray:
     """Dense matrix of squared Euclidean distances (clipped at 0).
 
     Entry (i, j) is max((|x_i|^2 + |x_j|^2) - 2 (x_i . x_j), 0), with the
-    dot products from one full gemm.  The rest is elementwise and runs in
-    place one strip of rows at a time, so the gemm's output is the only
-    n x n array: with whole-matrix temporaries it took 1.6-1.8 times as
-    long at n = 2000.
+    dot products from one ``coords @ coords.T``, the only n x n array: the
+    rest runs in place on one strip of rows at a time while it is in cache,
+    the row-norm sums in one reused block.  numpy computes ``a @ a.T`` for
+    a C-contiguous ``a`` as a syrk and copies its upper triangle onto the
+    lower one, and the norm sum commutes, so the matrix is exactly
+    symmetric as built and needs no mirror pass.
     """
-    coords = np.asarray(coords, dtype=np.float64)
+    coords = np.ascontiguousarray(coords, dtype=np.float64)
     sq = np.einsum("ij,ij->i", coords, coords)
+    # Before the product: freed, it widens the heap hole a freed matrix
+    # leaves, so the next point set's small arrays and matrix both fit in it.
+    norms = np.empty((_STRIP, len(sq)))
     d2 = coords @ coords.T
     for i in range(0, len(d2), _STRIP):
         strip = d2[i:i + _STRIP]
+        block = norms[:len(strip)]
+        np.add(sq[i:i + _STRIP, None], sq, out=block)
         np.multiply(strip, 2.0, out=strip)
-        np.subtract(sq[i:i + _STRIP, None] + sq[None, :], strip, out=strip)
-    np.maximum(d2, 0.0, out=d2)
+        np.subtract(block, strip, out=strip)
+        np.maximum(strip, 0.0, out=strip)
     return d2
 
 
 def symmetric_sq(coords: np.ndarray) -> np.ndarray:
-    """Read-only ``pairwise_sq`` matrix, exactly symmetric, +inf on the diagonal.
+    """Read-only ``pairwise_sq`` matrix, +inf on the diagonal.
 
-    The upper triangle is copied onto the lower one, so row u holds
-    d2[min(u, v), max(u, v)] for every v, bit for bit, whatever the BLAS
-    gives below the diagonal.  The copy runs one strip of rows at a time:
-    a whole-matrix transpose runs at memory speed, several times slower
-    at n = 2000.
+    ``pairwise_sq`` is already exactly symmetric (see there), so row u
+    holds d2[min(u, v), max(u, v)] for every v, bit for bit, with no
+    mirror pass.
     """
     d2 = pairwise_sq(coords)
-    n = len(d2)
-    for i in range(0, n, _STRIP):
-        j = i + _STRIP
-        block = d2[i:j, i:j]
-        m = len(block)
-        np.copyto(block, block.T, where=_STRICT_LOWER[:m, :m])
-        d2[j:, i:j] = d2[i:j, j:].T
     np.fill_diagonal(d2, np.inf)
     d2.flags.writeable = False
     return d2

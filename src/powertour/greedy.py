@@ -22,15 +22,14 @@ implements as the replay oracle.  Within one row, ``argmin`` returns the
 first minimum, the smallest partner index, which is also the smallest
 (min, max) pair.
 
-Cost: the points' one dense d^2 matrix, ``PointSet.sq``: ``pairwise_sq``
-with its upper triangle mirrored onto the lower one, so that row u holds
-d2[min(u, v), max(u, v)] for every v - every key and tie then matches a
-scan of the sorted upper triangle bit for bit.  The greedy only reads it,
-and only while two or more paths remain, so in ``two_phase_tour`` it reads
-the matrix the threshold forest built.  No triangle-index or sort arrays;
-each recomputed entry costs one O(n) row and an ``argmin``.  d^2 orders
-pairs; ``edge_lengths`` measures them: the trace's weights come from one
-call over the inserted pairs.
+Cost: the points' one dense d^2 matrix, ``PointSet.sq``: ``pairwise_sq``,
+which is exactly symmetric as built, so row u holds d2[min(u, v), max(u, v)]
+for every v - every key and tie then matches a scan of the sorted upper
+triangle bit for bit.  The greedy only reads it, and only while two or more
+paths remain, so in ``two_phase_tour`` it reads the matrix the threshold
+forest built.  No triangle-index or sort arrays; each recomputed entry costs
+one O(n) row and an ``argmin``.  d^2 orders pairs; ``edge_lengths`` measures
+them: the trace's weights come from one call over the inserted pairs.
 """
 
 from __future__ import annotations
@@ -100,13 +99,21 @@ def greedy_ham_path(points: PointSet, warm_start: Iterable[tuple[int, int]] = ()
     return path_from_order(points, walk), EdgeList(**edge_arrays(points, system.edge_pairs[warm:]))
 
 
+def _squared_lengths(edges) -> np.ndarray:
+    """w * w of a structure's ``weights`` array, as ``power_cost`` reads
+    it, or of each ``Edge``'s weight."""
+    w = getattr(edges, "weights", None)
+    w = np.array([e.weight for e in edges], dtype=np.float64) if w is None else w
+    return w * w
+
+
 def greedy_edge_count_by_length(trace: Iterable[Edge], j: float) -> int:
     """Number of trace edges with squared length >= j.
 
     On cube-vertex inputs squared lengths are integers, so the comparison
     carries a 1e-9 slack against float noise.
     """
-    return sum(1 for e in trace if e.weight * e.weight >= j - 1e-9)
+    return int(np.count_nonzero(_squared_lengths(trace) >= j - 1e-9))
 
 
 #: Squared-length thresholds, as fractions of k, between the four buckets.
@@ -116,18 +123,9 @@ CLASS_THRESHOLDS = (1.0 / 5.0, 3.0 / 5.0, 2.0 / 3.0)
 def classify_edges(edges, k: int) -> dict[str, int]:
     """Bucket edges by squared length: short <= k/5 < medium <= 3k/5 <
     long <= 2k/3 < very_long.  Diagnostic only."""
-    if hasattr(edges, "edges"):
-        edges = edges.edges
-    t1, t2, t3 = (c * k for c in CLASS_THRESHOLDS)
-    counts = {"short": 0, "medium": 0, "long": 0, "very_long": 0}
-    for e in edges:
-        sq = e.weight * e.weight
-        if sq <= t1 + 1e-9:
-            counts["short"] += 1
-        elif sq <= t2 + 1e-9:
-            counts["medium"] += 1
-        elif sq <= t3 + 1e-9:
-            counts["long"] += 1
-        else:
-            counts["very_long"] += 1
-    return counts
+    sq = _squared_lengths(edges)
+    bucket = np.full(len(sq), 3)
+    for i in (2, 1, 0):  # the first threshold an edge is under wins
+        bucket[sq <= CLASS_THRESHOLDS[i] * k + 1e-9] = i
+    counts = np.bincount(bucket, minlength=4).tolist()
+    return dict(zip(("short", "medium", "long", "very_long"), counts))

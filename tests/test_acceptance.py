@@ -72,8 +72,8 @@ def test_criterion_4_certified_scaled_bounds():
         for _trial in range(1000):
             n = int(rng.integers(2, 201))
             pts = point_set(rng.uniform(size=(n, k)))
-            s1 = power_cost(mst_sekanina_tour(pts, k)[0].edges, k).scaled
-            s2 = power_cost(two_phase_tour(pts, k)[0].edges, k).scaled
+            s1 = power_cost(mst_sekanina_tour(pts, k)[0], k).scaled
+            s2 = power_cost(two_phase_tour(pts, k)[0], k).scaled
             worst_k = max(worst_k, s1, s2)
             if s1 > bound * (1 + REL_TOL) or s2 > bound * (1 + REL_TOL):
                 failures += 1
@@ -126,7 +126,7 @@ def test_criterion_8_greedy_claims():
         pts = cube_vertex_subset(k, min(n, 2 ** k), int(rng.integers(0, 2 ** 31)))
         path, _trace = greedy_ham_path(pts)
         tour = close_path(path, pts)
-        log_cost = power_cost(tour.edges, k).log_unscaled
+        log_cost = power_cost(tour, k).log_unscaled
         log_bound = math.log(2.0) + (k / 2) * math.log(k)
         if log_cost > log_bound + REL_TOL:
             bad_cube += 1
@@ -152,18 +152,18 @@ def test_criterion_9_oracle_dominance():
                     tours.append(newman_square_tour(pts))
                 for tour in tours:
                     checked += 1
-                    if power_cost(tour.edges, k).unscaled < opt.unscaled * (1 - REL_TOL):
+                    if power_cost(tour, k).unscaled < opt.unscaled * (1 - REL_TOL):
                         bad += 1
                 if n % 2 == 0:
                     _m, opt_match = exact_min_matching(pts, k)
                     for tour in tours:
                         m1, _m2 = cycle_to_matchings(tour, k)
-                        if power_cost(m1.edges, k).unscaled < \
+                        if power_cost(m1, k).unscaled < \
                                 opt_match.unscaled * (1 - REL_TOL):
                             bad += 1
                     if k == 2:
                         cheap, _ = cycle_to_matchings(newman_square_tour(pts), 2)
-                        if power_cost(cheap.edges, 2).unscaled > 2.0 * (1 + REL_TOL):
+                        if power_cost(cheap, 2).unscaled > 2.0 * (1 + REL_TOL):
                             bad += 1
     report(9, bad == 0, f"oracle dominance on {checked} construction runs (n <= 10); "
                         f"cheaper matching half <= 2 on unit-square instances")
@@ -176,7 +176,7 @@ def test_criterion_10_trend_table_reported():
     for k in range(3, 65):
         pts = uniform_cube(k, 100, 0)
         tour, _rep = two_phase_tour(pts, k)
-        ratio = power_cost(tour.edges, k).scaled / math.sqrt(k)
+        ratio = power_cost(tour, k).scaled / math.sqrt(k)
         rows.append((k, ratio))
         print(f"  {k:<3d} {ratio:.4f}")
     ok = all(math.isfinite(r) and r > 0 for _, r in rows) and len(rows) == 62

@@ -230,6 +230,38 @@ def test_usage_error_exit_code():
     assert run_cli("frobnicate") == 1
 
 
+BAD_ALGO_STDERR = """\
+usage: powertour tour [-h] --algo
+                      {mst-sekanina,greedy,two-phase,newman2d,oracle} [--k K]
+                      [--cutoff CUTOFF] [--diagonal {main,anti}]
+                      [--no-timestamp] [-o OUTPUT]
+                      input
+powertour tour: error: argument --algo: invalid choice: 'bogus' (choose from \
+'mst-sekanina', 'greedy', 'two-phase', 'newman2d', 'oracle')
+"""
+
+
+def test_one_parser_per_process_with_unchanged_usage_errors(monkeypatch, capsys):
+    """``main`` builds its parser once: two calls parse with one object, and
+    a bad ``--algo`` exits 1 with argparse's usage and message each time."""
+    import powertour.cli as cli
+
+    monkeypatch.setenv("COLUMNS", "80")
+    used = []
+    original = cli._Parser.parse_args
+
+    def recorded(self, *args, **kwargs):
+        used.append(self)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "parse_args", recorded)
+    for _ in range(2):
+        assert run_cli("tour", "x.json", "--algo", "bogus") == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", BAD_ALGO_STDERR)
+    assert len(used) == 2 and used[0] is used[1] is cli.build_parser()
+
+
 def test_verify_tight_examples(capsys):
     assert run_cli("verify", "tight-examples", "--no-timestamp") == 0
     body = json.loads(capsys.readouterr().out)

@@ -16,6 +16,8 @@ from powertour.geometry import (MAX_DENSE_POINTS, Container, Edge, check_dense_s
                                 edge_lengths, named_bounds, pairwise_sq,
                                 point_set, power_cost_from_weights, symmetric_sq)
 
+from conftest import traced_peak
+
 # extended-precision evaluation of 3*sqrt(5)*(2/3)^(1/3)*sqrt(3)
 IMPROVED_BOUND_K3 = 10.150087774487463
 
@@ -321,9 +323,9 @@ def test_pairwise_sq_matches_whole_matrix_expression(make):
 
 @SQ_INPUTS
 def test_symmetric_sq_mirrors_the_upper_triangle(make):
-    """Every row holds the upper-triangle entries bit for bit, whatever the
-    BLAS gives below the diagonal; the diagonal is +inf and the matrix is
-    read-only, so its readers cannot change it for one another."""
+    """Every row holds the upper-triangle entries bit for bit, with no mirror
+    pass; the diagonal is +inf and the matrix is read-only, so its readers
+    cannot change it for one another."""
     coords = make().coords
     d2 = symmetric_sq(coords)
     iu, iv = np.triu_indices(len(coords), k=1)
@@ -332,6 +334,63 @@ def test_symmetric_sq_mirrors_the_upper_triangle(make):
     assert np.all(np.diagonal(d2) == np.inf)
     with pytest.raises(ValueError):
         d2[0, 0] = 0.0
+
+
+def mirrored_sq(coords):
+    """The earlier two-pass build, kept as the reference: the whole-matrix
+    formula, clipped, then the upper triangle copied onto the lower one."""
+    sq = np.einsum("ij,ij->i", coords, coords)
+    d2 = np.maximum(sq[:, None] + sq[None, :] - 2.0 * (coords @ coords.T), 0.0)
+    iu, iv = np.triu_indices(len(coords), k=1)
+    d2[iv, iu] = d2[iu, iv]
+    np.fill_diagonal(d2, np.inf)
+    return d2
+
+
+def sq_input(kind, n, k, seed):
+    gen = np.random.default_rng(seed)
+    if kind == "uniform":
+        return gen.random((n, k))
+    if kind == "lattice":
+        return gen.integers(0, 5, size=(n, k)) / 4.0
+    half = gen.random(((n + 1) // 2, k))
+    return np.concatenate([half, half])[gen.permutation(n)]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 8, 12])
+@pytest.mark.parametrize("kind", ["uniform", "lattice", "duplicated"])
+def test_point_set_matrix_equals_the_mirrored_build(kind, k):
+    """``PointSet.sq``, built in one pass per strip, has the mirrored build's
+    bits and equals its own transpose: below, at and above the strip height
+    and the old 256-row strip, and at the n = 2000 of the benchmark."""
+    for n in [*range(1, 71), 255, 256, 257, 999, 1000, 1001, 2000]:
+        coords = sq_input(kind, n, k, 1000 * k + n)
+        d2 = point_set(coords, "unconstrained").sq
+        assert np.array_equal(d2.view(np.uint64), mirrored_sq(coords).view(np.uint64)), n
+        assert np.array_equal(d2.view(np.uint64), d2.T.view(np.uint64)), n
+
+
+@pytest.mark.parametrize("layout", ["fortran", "column-strided", "row-strided"])
+def test_symmetric_sq_is_symmetric_for_any_memory_layout(layout):
+    """A non-contiguous array gives the bits of its C-contiguous copy, so the
+    product runs as a syrk and the matrix is symmetric (a column-strided
+    view taken as a gemm is not, at n = 1999)."""
+    wide = np.random.default_rng(5).random((2 * 1999, 16))
+    coords = {"fortran": np.asfortranarray(wide[:1999, :8]),
+              "column-strided": wide[:1999, ::2],
+              "row-strided": wide[::2, :8]}[layout]
+    d2 = symmetric_sq(coords)
+    assert np.array_equal(d2.view(np.uint64), d2.T.view(np.uint64))
+    assert np.array_equal(d2.view(np.uint64),
+                          symmetric_sq(np.ascontiguousarray(coords)).view(np.uint64))
+
+
+def test_point_set_matrix_needs_no_full_size_scratch():
+    """Building the n = 2000 matrix allocates the matrix and at most 1 MiB
+    besides: the row-norm sums go into one reused strip-sized block."""
+    n = 2000
+    pts = uniform_cube(3, n, 0)
+    assert traced_peak(lambda: pts.sq) <= 8 * n * n + 2 ** 20
 
 
 @SQ_INPUTS

@@ -291,6 +291,49 @@ def test_edge_counts_below_code_size_bound(rng):
             assert greedy_edge_count_by_length(trace, j) < 2 ** (k - j + 1)
 
 
+def count_by_length_per_edge(edges, j):
+    """The per-``Edge`` count the weights-array path must reproduce."""
+    return sum(1 for e in edges if e.weight * e.weight >= j - 1e-9)
+
+
+def classify_per_edge(edges, k):
+    """The per-``Edge`` if-chain the weights-array path must reproduce."""
+    t1, t2, t3 = (c * k for c in (1.0 / 5.0, 3.0 / 5.0, 2.0 / 3.0))
+    counts = {"short": 0, "medium": 0, "long": 0, "very_long": 0}
+    for e in edges:
+        sq = e.weight * e.weight
+        if sq <= t1 + 1e-9:
+            counts["short"] += 1
+        elif sq <= t2 + 1e-9:
+            counts["medium"] += 1
+        elif sq <= t3 + 1e-9:
+            counts["long"] += 1
+        else:
+            counts["very_long"] += 1
+    return counts
+
+
+def test_counts_from_weights_equal_the_per_edge_counts():
+    """Counting from a trace's or path's ``weights`` gives the per-``Edge``
+    counts on cube-vertex traces, whose squared lengths are integers, so
+    many weights sit exactly at a threshold (j, or k/5 at k = 5 and 10)."""
+    at_threshold = 0
+    for k in range(4, 13):
+        path, trace = greedy_ham_path(cube_vertex_subset(k, min(2 ** k, 150), k))
+        for j in range(0, k + 2):
+            want = count_by_length_per_edge(trace.edges, j)
+            assert greedy_edge_count_by_length(trace, j) == want
+            assert greedy_edge_count_by_length(list(trace), j) == want
+            at_threshold += sum(abs(e.weight ** 2 - j) < 1e-9 for e in trace.edges)
+        for edges in (trace, path):
+            want = classify_per_edge(edges.edges, k)
+            assert classify_edges(edges, k) == want
+            assert classify_edges(list(edges.edges), k) == want
+    assert at_threshold > 0
+    assert classify_edges([], 5) == classify_per_edge([], 5)
+    assert greedy_edge_count_by_length([], 0.0) == 0
+
+
 def test_classify_all_short():
     k = 10
     edges = [type("E", (), {"weight": math.sqrt(k / 10)})() for _ in range(5)]

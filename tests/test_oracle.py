@@ -191,8 +191,8 @@ def test_matchings_match_the_recursion_up_to_n_12(name):
 
 
 def pairwise_power_matrix(points, k):
-    """A power matrix from ``pairwise_sq`` as it comes: no mirrored lower
-    triangle, and a diagonal near 0."""
+    """A power matrix from ``pairwise_sq`` as it comes: a diagonal near 0,
+    not +inf."""
     return pairwise_sq(points.coords) ** (k / 2.0)
 
 
@@ -210,8 +210,8 @@ def oracle_answers(points, k):
 
 @pytest.mark.parametrize("name", REFERENCE_INPUTS)
 def test_answers_unchanged_by_reading_the_point_sets_matrix(name, monkeypatch):
-    """The mirrored, +inf-diagonal matrix of ``PointSet.sq`` gives every
-    answer, bit for bit, that an unmirrored ``pairwise_sq`` matrix gives."""
+    """The read-only, +inf-diagonal matrix of ``PointSet.sq`` gives every
+    answer, bit for bit, that a plain ``pairwise_sq`` matrix gives."""
     make, k = REFERENCE_INPUTS[name]
     cases = [make(n, seed) for n in range(2, 13) for seed in (0, 1, 2)]
     got = [oracle_answers(points, k) for points in cases]
