@@ -19,12 +19,12 @@ tour, cert = tree_cube_cycle(tree, pts, anchor=0)
 print(f"\ncycle order: {tour.order}")
 print("hop lengths (tree edges used per cycle edge):", [len(p) for p in cert.hops])
 usage = Counter(eid for path in cert.hops for eid in path)
-print("usage per tree edge (must all be 2):", [usage[i] for i in range(len(tree.edges))])
+print("usage per tree edge (must all be 2):", [usage[i] for i in range(len(tree.weights))])
 print("certificate validates:", verify_double_cover(tree, cert) == [])
 
 k = 3
 tour, cost, bound = tree_to_cycle_cost_bound(tree, pts, k)
-tree_cost = power_cost(tree.edges, k)
+tree_cost = power_cost(tree, k)
 print(f"\nS_{k}(T) = {tree_cost.unscaled:.4f}")
 print(f"S_{k}(H) = {cost.unscaled:.4f} <= (2/3)*3^{k}*S_{k}(T) = {bound:.4f}")
 

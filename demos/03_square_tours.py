@@ -9,7 +9,7 @@ budget telescopes to 2 + 2 = 4 regardless of how many points there are.
 import numpy as np
 
 from powertour import (RightTriangle, envelope_path, newman_square_tour,
-                       non_obtuse_cycle, point_set, right_triangle_path,
+                       non_obtuse_cycle, point_set, power_cost, right_triangle_path,
                        square_tight_sets)
 
 print("== the three sets whose best tours all cost exactly 4 ==")
@@ -17,7 +17,7 @@ labels = ("four corners (1+1+1+1)", "diagonal pair (2+2)",
           "corners + center (1+1+1+1/2+1/2)")
 for label, ps in zip(labels, square_tight_sets()):
     tour = newman_square_tour(ps)
-    s2 = sum(e.weight ** 2 for e in tour.edges)
+    s2 = power_cost(tour, 2).unscaled
     print(f"{label:<34} order {tour.order}  S_2 = {s2}")
 
 print("\n== random instances never exceed 4 ==")
@@ -26,7 +26,7 @@ worst = 0.0
 for _ in range(2000):
     n = int(rng.integers(2, 400))
     tour = newman_square_tour(point_set(rng.uniform(size=(n, 2))))
-    worst = max(worst, sum(e.weight ** 2 for e in tour.edges))
+    worst = max(worst, power_cost(tour, 2).unscaled)
 print(f"worst S_2 over 2000 instances (n up to 400): {worst:.4f}")
 
 print("\n== the right-triangle primitive ==")
@@ -42,7 +42,7 @@ print("\n== non-obtuse triangles and the square minus a corner wedge ==")
 eq = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, np.sqrt(3) / 2]])
 pts = point_set(eq, "planar_triangle")
 tour = non_obtuse_cycle(eq, pts)
-print(f"equilateral vertices: cycle cost {sum(e.weight**2 for e in tour.edges):.4f}"
+print(f"equilateral vertices: cycle cost {power_cost(tour, 2).unscaled:.4f}"
       " (tight at a^2 + b^2 + c^2 = 3)")
 
 corners = point_set([[0, 0], [1, 0], [1, 1], [0, 1]], "planar_region")

@@ -8,7 +8,7 @@ The named point sets below are the ones that pin the known bounds.
 
 from powertour import (cycle_to_matchings, diagonal_pair, exact_min_matching,
                        exact_min_path, exact_min_tour, k3_code4,
-                       k4_even_weight_code, uniform_cube)
+                       k4_even_weight_code, power_cost, uniform_cube)
 
 print("== the 4-point code in {0,1}^3 (all pairwise distances sqrt(2)) ==")
 pts = k3_code4()
@@ -33,8 +33,8 @@ pts = uniform_cube(2, 10, seed=2)
 tour, tour_cost = exact_min_tour(pts, 2)
 m1, m2 = cycle_to_matchings(tour, 2)
 _m, best = exact_min_matching(pts, 2)
-s1 = sum(e.weight ** 2 for e in m1.edges)
-s2 = sum(e.weight ** 2 for e in m2.edges)
+s1 = power_cost(m1, 2).unscaled
+s2 = power_cost(m2, 2).unscaled
 print(f"optimal tour S_2 = {tour_cost.unscaled:.4f} splits into alternating")
 print(f"matchings costing {s1:.4f} + {s2:.4f}; the cheaper half is within a")
 print(f"factor {s1 / best.unscaled:.3f} of the true optimal matching {best.unscaled:.4f}")

@@ -7,7 +7,7 @@ checkable bound against exact oracles.
 """
 
 from .errors import CertificateError, InputError, SizeError
-from .geometry import (Container, Edge, NamedBounds, PointSet, PowerCost,
+from .geometry import (Container, NamedBounds, PointSet, PowerCost,
                        cycle_upper_improved, edge_lengths, named_bounds, point_set,
                        power_cost, power_cost_from_weights)
 from .structures import (EdgeList, HamPath, Matching, PathSystem, SpanningTree, Tour,
@@ -32,7 +32,7 @@ from .verifiers import (BoundReport, bound_report, hamming_min_distance,
 __version__ = "0.1.0"
 
 __all__ = [
-    "BoundReport", "CertificateError", "Container", "Edge", "EdgeList", "ExtendedPath",
+    "BoundReport", "CertificateError", "Container", "EdgeList", "ExtendedPath",
     "HamPath", "InputError", "Matching", "NamedBounds", "PathSystem", "PhaseReport", "PointSet",
     "PowerCost", "RightTriangle", "SizeError", "SpanningTree", "Tour",
     "UsageCertificate", "bound_report", "build_mst", "build_threshold_forest",

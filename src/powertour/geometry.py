@@ -133,7 +133,9 @@ def point_set(coords, container: Container | str = Container.UNIT_CUBE) -> Point
 
 @dataclass(frozen=True)
 class Edge:
-    """An edge between two point indices, weighted by Euclidean distance."""
+    """An edge between two point indices, weighted by Euclidean distance:
+    an entry of a structure's read-only ``edges`` view.  Structures are
+    built from index and weight arrays, never from ``Edge`` values."""
 
     u: int
     v: int
@@ -144,10 +146,6 @@ class Edge:
             raise InputError(f"degenerate edge at vertex {self.u}")
         if self.weight < 0:
             raise InputError("edge weight must be nonnegative")
-
-    def key(self) -> tuple[int, int]:
-        """Normalized (min, max) endpoint pair."""
-        return (self.u, self.v) if self.u < self.v else (self.v, self.u)
 
 
 def edge_lengths(points: PointSet, u, v) -> np.ndarray:
@@ -281,7 +279,10 @@ def power_cost_from_weights(weights, k: int) -> PowerCost:
 
 def power_cost(edges, k: int) -> PowerCost:
     """PowerCost under exponent k of a structure's ``weights`` (a tree,
-    tour, path, matching or trace), or of an iterable of ``Edge`` values."""
+    tour, path, matching or trace), or of an iterable of ``Edge`` values.
+    The package passes structures only; the ``Edge`` form stays for callers
+    that cost a structure's read-only ``edges`` view, such as the checks in
+    ``perfbench/``."""
     weights = getattr(edges, "weights", None)
     return power_cost_from_weights([e.weight for e in edges] if weights is None else weights, k)
 

@@ -29,7 +29,9 @@ triangle bit for bit.  The greedy only reads it, and only while two or more
 paths remain, so in ``two_phase_tour`` it reads the matrix the threshold
 forest built.  No triangle-index or sort arrays; each recomputed entry costs
 one O(n) row and an ``argmin``.  d^2 orders pairs; ``edge_lengths`` measures
-them: the trace's weights come from one call over the inserted pairs.
+them: the trace's weights come from one call over the inserted pairs.  The
+trace is an ``EdgeList``, and the counters below read its ``weights`` array,
+as they do a path's or a tour's.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ import numpy as np
 
 from .errors import InputError
 # pairwise_sq stays bound here: the benchmark's tracer test reads greedy.pairwise_sq
-from .geometry import Edge, PointSet, pairwise_sq  # noqa: F401
+from .geometry import PointSet, pairwise_sq  # noqa: F401
 from .structures import EdgeList, HamPath, PathSystem, edge_arrays, path_from_order
 
 
@@ -99,21 +101,14 @@ def greedy_ham_path(points: PointSet, warm_start: Iterable[tuple[int, int]] = ()
     return path_from_order(points, walk), EdgeList(**edge_arrays(points, system.edge_pairs[warm:]))
 
 
-def _squared_lengths(edges) -> np.ndarray:
-    """w * w of a structure's ``weights`` array, as ``power_cost`` reads
-    it, or of each ``Edge``'s weight."""
-    w = getattr(edges, "weights", None)
-    w = np.array([e.weight for e in edges], dtype=np.float64) if w is None else w
-    return w * w
-
-
-def greedy_edge_count_by_length(trace: Iterable[Edge], j: float) -> int:
-    """Number of trace edges with squared length >= j.
+def greedy_edge_count_by_length(trace: EdgeList, j: float) -> int:
+    """Number of trace edges with squared length >= j, read off the
+    trace's (or any structure's) ``weights``.
 
     On cube-vertex inputs squared lengths are integers, so the comparison
     carries a 1e-9 slack against float noise.
     """
-    return int(np.count_nonzero(_squared_lengths(trace) >= j - 1e-9))
+    return int(np.count_nonzero(trace.weights * trace.weights >= j - 1e-9))
 
 
 #: Squared-length thresholds, as fractions of k, between the four buckets.
@@ -121,9 +116,10 @@ CLASS_THRESHOLDS = (1.0 / 5.0, 3.0 / 5.0, 2.0 / 3.0)
 
 
 def classify_edges(edges, k: int) -> dict[str, int]:
-    """Bucket edges by squared length: short <= k/5 < medium <= 3k/5 <
-    long <= 2k/3 < very_long.  Diagnostic only."""
-    sq = _squared_lengths(edges)
+    """Bucket a structure's edges by squared length, read off its
+    ``weights``: short <= k/5 < medium <= 3k/5 < long <= 2k/3 < very_long.
+    Diagnostic only."""
+    sq = edges.weights * edges.weights
     bucket = np.full(len(sq), 3)
     for i in (2, 1, 0):  # the first threshold an edge is under wins
         bucket[sq <= CLASS_THRESHOLDS[i] * k + 1e-9] = i

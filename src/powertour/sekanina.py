@@ -42,11 +42,12 @@ cycle's own order and direction, without walking the cycle again; a
 failure raises CertificateError and signals a bug, never bad input.
 
 The walk's adjacency lists, the checker and the per-hop triangle check
-read the tree's and the tour's index and weight arrays, never their
-``Edge`` values.  The checker and the triangle check loop over Python
-lists: the numpy forms of both cost about 150 and 30 us per call in fixed
-overhead, several times a whole check at n <= 50, and saved about 1 ms
-per cycle at n = 2000 (2-core x86, one BLAS thread).  Each tree path's
+read the tree's and the tour's index and weight arrays, the only form a
+structure is built from; nothing here reads the ``edges`` view.  The
+checker and the triangle check loop over Python lists: the numpy forms of
+both cost about 150 and 30 us per call in fixed overhead, several times a
+whole check at n <= 50, and saved about 1 ms per cycle at n = 2000
+(2-core x86, one BLAS thread).  Each tree path's
 weights are added left to right, as ``sum`` does.
 """
 
@@ -130,8 +131,8 @@ def verify_double_cover(tree: SpanningTree, cert: UsageCertificate) -> list[str]
 def _parity_walk(t: SpanningTree, anchor: int) -> UsageCertificate:
     """The cycle order and its oriented hops, from one walk.
 
-    Raises InputError unless ``t.edges`` is a tree over exactly
-    ``t.vertices``: no edge may leave the vertex set, no vertex may be
+    Raises InputError unless the edges of ``t`` (its ``u`` and ``v``)
+    form a tree over exactly ``t.vertices``: no edge may leave the vertex set, no vertex may be
     reached twice (a cycle or a repeated edge) and none may be missed.
     """
     adj: dict[int, list[tuple[int, int]]] = {v: [] for v in t.vertices}

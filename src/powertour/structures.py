@@ -1,20 +1,20 @@
 """Combinatorial structures over point indices.
 
 Spanning trees, tours, Hamiltonian paths, matchings and edge lists (the
-greedy's trace) hold their edges as arrays: ends ``u`` and ``v`` and
+greedy's trace) are built from arrays only: ends ``u`` and ``v`` and
 ``weights``, each structure's weights from one ``edge_lengths`` call.
-Their ``edges`` tuple of ``Edge`` values is built only when read, so a
-pipeline that passes the arrays on, such as the ``tour`` command, builds
-no ``Edge`` object.  Disjoint path systems track each path's endpoints in
-one map.  Also here: the ``DSU`` union-find of the Filter-Kruskal scan,
-the cycle -> matching decomposition and a uniform ``validate`` entry
-point that reports every violated invariant.
+Their ``edges`` tuple of ``Edge`` values is a read-only view, built only
+when read, so no pipeline, comparison or check here builds an ``Edge``.
+Every builder takes vertex ids through one check: integers in 0..n-1.
+Disjoint path systems track each path's endpoints in one map.  Also here:
+the ``DSU`` union-find of the Filter-Kruskal scan, the cycle -> matching
+decomposition and a uniform ``validate`` entry point that reports every
+violated invariant.
 """
 
 from __future__ import annotations
 
 import operator
-from collections.abc import Sequence
 from functools import cached_property
 
 import numpy as np
@@ -29,20 +29,15 @@ class _EdgeArrays:
     """Edges held as arrays: ends ``u`` and ``v`` and ``weights``, one entry
     per edge.
 
-    ``edges`` holds the same values as ``Edge`` objects.  It is built on
-    first read, so a pipeline that passes only the arrays on builds none.  A
-    structure made from ``Edge`` values keeps them and reads its arrays off
-    them.  Structures of one type compare by their ``vertices`` or
-    ``order`` and their ``edges``.
+    ``edges`` holds the same values as ``Edge`` objects, a view built on
+    first read.  Structures of one type compare by their ``vertices`` or
+    ``order`` and their three arrays.
     """
 
     u = v = np.empty(0, dtype=np.intp)  # no edges: shared, never written
     weights = np.empty(0)
 
-    def __init__(self, edges=None, *, u=None, v=None, weights=None):
-        if edges is not None:
-            self.edges = edges = tuple(edges)
-            u, v, weights = ([getattr(e, f) for e in edges] for f in ("u", "v", "weight"))
+    def __init__(self, *, u=None, v=None, weights=None):
         if u is not None:
             self.u = np.asarray(u, dtype=np.intp)
             self.v = np.asarray(v, dtype=np.intp)
@@ -53,16 +48,17 @@ class _EdgeArrays:
         return tuple(map(Edge, self.u.tolist(), self.v.tolist(), self.weights.tolist()))
 
     def __eq__(self, other):
-        return type(other) is type(self) and all(getattr(self, f, None) == getattr(other, f, None)
-                                                 for f in ("vertices", "order", "edges"))
+        return type(other) is type(self) and all(
+            np.array_equal(getattr(self, f, ()), getattr(other, f, ()))
+            for f in ("vertices", "order", "u", "v", "weights"))
 
 
 class SpanningTree(_EdgeArrays):
     """A tree spanning ``vertices`` (a sorted subset of point indices)."""
 
-    def __init__(self, vertices, edges=None, **arrays):
+    def __init__(self, vertices, **arrays):
         self.vertices = tuple(vertices)
-        super().__init__(edges, **arrays)
+        super().__init__(**arrays)
 
     @property
     def n(self) -> int:
@@ -75,9 +71,9 @@ class SpanningTree(_EdgeArrays):
 class _Walk(_EdgeArrays):
     """A visiting ``order`` and the edges between consecutive entries."""
 
-    def __init__(self, order, edges=None, **arrays):
+    def __init__(self, order, **arrays):
         self.order = tuple(order)
-        super().__init__(edges, **arrays)
+        super().__init__(**arrays)
 
     @property
     def n(self) -> int:
@@ -102,19 +98,11 @@ class Matching(_EdgeArrays):
         return 2 * len(self.u) == n
 
 
-class EdgeList(_EdgeArrays, Sequence):
-    """Edges in a given order, such as the greedy's trace.  It reads as the
-    sequence of its ``edges`` and equals any sequence of the same ``Edge``
-    values."""
+class EdgeList(_EdgeArrays):
+    """Edges in a given order, such as the greedy's trace."""
 
     def __len__(self) -> int:
         return len(self.u)
-
-    def __getitem__(self, i):
-        return self.edges[i]
-
-    def __eq__(self, other):
-        return isinstance(other, Sequence) and self.edges == tuple(other)
 
 
 class DSU:
@@ -147,10 +135,25 @@ class DSU:
         return True
 
 
+def _vertex_ids(points: PointSet, ids) -> list[int]:
+    """``ids`` as a list of ints, taken with ``operator.index``.  A
+    non-integer id or one outside 0..n-1 raises InputError."""
+    try:
+        ids = [operator.index(x) for x in ids]
+    except TypeError as e:
+        raise InputError(f"vertex ids must be integers: {e}") from None
+    if ids and not 0 <= min(ids) <= max(ids) < points.n:
+        bad = next(x for x in ids if not 0 <= x < points.n)
+        raise InputError(f"vertex {bad} out of range for {points.n} points")
+    return ids
+
+
 def edge_arrays(points: PointSet, pairs) -> dict[str, np.ndarray]:
     """The arrays ``u``, ``v`` and ``weights`` of (u, v) pairs, the
-    weights from one ``edge_lengths`` call."""
-    u, v = np.array(list(pairs), dtype=np.intp).reshape(-1, 2).T
+    weights from one ``edge_lengths`` call.  Ids are checked as
+    ``_vertex_ids`` does."""
+    ends = _vertex_ids(points, (x for pair in pairs for x in pair))
+    u, v = np.array(ends, dtype=np.intp).reshape(-1, 2).T
     return {"u": u, "v": v, "weights": edge_lengths(points, u, v)}
 
 
@@ -160,12 +163,9 @@ def tree_from_pairs(points: PointSet, pairs, vertices=None) -> SpanningTree:
 
 
 def _walk_arrays(points: PointSet, order, closed: bool) -> tuple[tuple[int, ...], dict]:
-    """``order`` as a tuple of ints, and the arrays of its consecutive
-    pairs.  An id outside 0..n-1 raises InputError."""
-    order = tuple(int(x) for x in order)
-    if order and not 0 <= min(order) <= max(order) < points.n:
-        bad = next(x for x in order if not 0 <= x < points.n)
-        raise InputError(f"vertex {bad} out of range for {points.n} points")
+    """``order`` as a tuple of ints, checked as ``_vertex_ids`` does, and
+    the arrays of its consecutive pairs."""
+    order = tuple(_vertex_ids(points, order))
     ids = np.array(order, dtype=np.intp)
     u, v = (ids, np.concatenate((ids[1:], ids[:1]))) if closed else (ids[:-1], ids[1:])
     return order, {"u": u, "v": v, "weights": edge_lengths(points, u, v)}
@@ -286,11 +286,19 @@ class PathSystem:
 
 
 def _check_edge_weights(structure, points: PointSet, violations: list[str]) -> None:
-    edges = structure.edges
-    lengths = edge_lengths(points, [e.u for e in edges], [e.v for e in edges])
-    for e, d in zip(edges, lengths.tolist()):
-        if not close(e.weight, d, rel_tol=WEIGHT_REL_TOL, abs_tol=1e-12):
-            violations.append(f"edge ({e.u}, {e.v}) weight {e.weight} != distance {d}")
+    """Each edge end outside 0..n-1 is one violation; the other edges'
+    weights must match their recomputed lengths."""
+    n = points.n
+    u, v = structure.u, structure.v
+    inside = (u >= 0) & (u < n) & (v >= 0) & (v < n)
+    for a, b in zip(u[~inside].tolist(), v[~inside].tolist()):
+        violations.extend(f"edge ({a}, {b}) has end {x} outside 0..{n - 1}"
+                          for x in (a, b) if not 0 <= x < n)
+    u, v, weights = u[inside], v[inside], structure.weights[inside]
+    for a, b, w, d in zip(u.tolist(), v.tolist(), weights.tolist(),
+                          edge_lengths(points, u, v).tolist()):
+        if not close(w, d, rel_tol=WEIGHT_REL_TOL, abs_tol=1e-12):
+            violations.append(f"edge ({a}, {b}) weight {w} != distance {d}")
 
 
 def _check_permutation(order, n: int, violations: list[str]) -> bool:
@@ -327,33 +335,30 @@ def validate(structure, points: PointSet) -> list[str]:
     if isinstance(structure, (Tour, HamPath)):
         kind, m = ("tour", n) if isinstance(structure, Tour) else ("path", n - 1)
         if _check_permutation(structure.order, n, v):
-            if len(structure.edges) != m:
-                v.append(f"{kind} has {len(structure.edges)} edges, expected {m}")
+            if len(structure.u) != m:
+                v.append(f"{kind} has {len(structure.u)} edges, expected {m}")
             else:
-                for i in range(m):
+                for i, (x, y) in enumerate(zip(structure.u.tolist(), structure.v.tolist())):
                     a, b = structure.order[i], structure.order[(i + 1) % n]
-                    e = structure.edges[i]
-                    if {e.u, e.v} != {a, b}:
-                        v.append(f"edge {i} is ({e.u}, {e.v}), expected ({a}, {b})")
-        _check_edge_weights(structure, points, v)
+                    if {x, y} != {a, b}:
+                        v.append(f"edge {i} is ({x}, {y}), expected ({a}, {b})")
     elif isinstance(structure, SpanningTree):
         verts = set(structure.vertices)
-        if len(structure.edges) != len(verts) - 1:
-            v.append(f"tree has {len(structure.edges)} edges for {len(verts)} vertices")
+        if len(structure.u) != len(verts) - 1:
+            v.append(f"tree has {len(structure.u)} edges for {len(verts)} vertices")
         parent = {x: x for x in verts}
-        for e in structure.edges:
-            if e.u not in verts or e.v not in verts:
-                v.append(f"edge ({e.u}, {e.v}) leaves the vertex set")
+        for a, b in zip(structure.u.tolist(), structure.v.tolist()):
+            if a not in verts or b not in verts:
+                v.append(f"edge ({a}, {b}) leaves the vertex set")
                 continue
-            ru, rv = _root(parent, e.u), _root(parent, e.v)
-            if ru == rv:
-                v.append(f"edge ({e.u}, {e.v}) closes a cycle")
+            ra, rb = _root(parent, a), _root(parent, b)
+            if ra == rb:
+                v.append(f"edge ({a}, {b}) closes a cycle")
             else:
-                parent[ru] = rv
+                parent[ra] = rb
         roots = {_root(parent, x) for x in verts}
         if len(roots) > 1:
             v.append(f"tree is disconnected: {len(roots)} components")
-        _check_edge_weights(structure, points, v)
     elif isinstance(structure, PathSystem):
         deg = [0] * structure.n
         for (a, b) in structure.edge_pairs:
@@ -377,13 +382,14 @@ def validate(structure, points: PointSet) -> list[str]:
                     v.append(f"endpoint map lists {x}, which has degree {deg[x]}")
     elif isinstance(structure, Matching):
         seen: set[int] = set()
-        for e in structure.edges:
-            for x in (e.u, e.v):
+        for pair in zip(structure.u.tolist(), structure.v.tolist()):
+            for x in pair:
                 if x in seen:
                     v.append(f"vertex {x} matched twice")
                 seen.add(x)
-        _check_edge_weights(structure, points, v)
     else:
         raise InputError(f"cannot validate object of type {type(structure).__name__}")
+    if isinstance(structure, _EdgeArrays):
+        _check_edge_weights(structure, points, v)
     return v
 

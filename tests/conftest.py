@@ -44,3 +44,19 @@ def make_edge(points, u: int, v: int) -> Edge:
     """One ``Edge`` weighed by ``edge_lengths``: the eager build that the
     structures' lazy ``edges`` must equal."""
     return Edge(u, v, float(edge_lengths(points, u, v)))
+
+
+def arrays_of(edges) -> dict[str, list]:
+    """The ``u``, ``v`` and ``weights`` of ``Edge`` values, the only form
+    a structure takes: how a reference built from ``make_edge`` becomes a
+    structure."""
+    edges = tuple(edges)
+    return {"u": [e.u for e in edges], "v": [e.v for e in edges],
+            "weights": [e.weight for e in edges]}
+
+
+def pair_keys(structure) -> list[tuple[int, int]]:
+    """Each edge's (min, max) end pair, in edge order, read off the
+    structure's ``u`` and ``v`` arrays."""
+    return [(a, b) if a < b else (b, a)
+            for a, b in zip(structure.u.tolist(), structure.v.tolist())]

@@ -114,7 +114,7 @@ def test_criterion_8_greedy_claims():
         pts = point_set(rng.uniform(size=(n, k)))
         _path, trace = greedy_ham_path(pts)
         cap = math.sqrt(2 * k / 3) * (1 + REL_TOL)
-        if any(e.weight > cap for e in trace[:-1]):
+        if np.any(trace.weights[:-1] > cap):
             bad_cap += 1
 
     bad_cube = 0

@@ -1,21 +1,22 @@
-"""Trees, tours, paths, matchings and traces hold index and weight arrays,
-and build their ``Edge`` values only when ``edges`` is read.  The eager
-build they replaced, one ``Edge`` per pair, stays here as the oracle."""
+"""Trees, tours, paths, matchings and traces are built from index and
+weight arrays only, and build their ``Edge`` values only when the read-only
+``edges`` view is read.  The eager build they replaced, one ``Edge`` per
+pair, stays here as the oracle."""
 
 import pytest
 
 from powertour.cli import main
 from powertour.constructions import clustered, cube_vertex_subset, save_point_set, uniform_cube
 from powertour.geometry import Edge, point_set
-from powertour.greedy import greedy_ham_path
+from powertour.greedy import classify_edges, greedy_edge_count_by_length, greedy_ham_path
 from powertour.mst import _PRIM_ABOVE, build_mst, build_threshold_forest
 from powertour.oracle import exact_min_matching, exact_min_path, exact_min_tour
 from powertour.sekanina import mst_sekanina_cycle, tree_cube_cycle
-from powertour.structures import (EdgeList, HamPath, Matching, SpanningTree, Tour, close_path,
-                                  cycle_to_matchings, tree_from_pairs)
+from powertour.structures import (EdgeList, Matching, Tour, close_path, cycle_to_matchings,
+                                  tree_from_pairs, validate)
 from powertour.two_phase import two_phase_tour
 
-from conftest import make_edge, random_points
+from conftest import arrays_of, make_edge, random_points
 
 N = 1200
 assert N > _PRIM_ABOVE  # the tour path runs Prim
@@ -61,20 +62,23 @@ def test_tour_command_builds_no_edge_objects(tmp_path, monkeypatch, name, algo):
     assert made == [0]
 
 
+def rebuilt(structure, **arrays):
+    """A new structure of ``structure``'s type, vertices or order, built
+    from ``arrays``: by default, copies of its own."""
+    arrays = arrays or {f: getattr(structure, f).copy() for f in ("u", "v", "weights")}
+    head = [getattr(structure, f) for f in ("vertices", "order") if hasattr(structure, f)]
+    return type(structure)(*head, **arrays)
+
+
 def assert_eager(structure, points, pairs):
     """``structure.edges`` equals the eager build over ``pairs``, bit for
-    bit, and a structure made from those ``Edge`` values equals it."""
+    bit, and a structure made from that build's arrays equals it."""
     want = eager_edges(points, pairs)
     assert [(e.u, e.v, e.weight.hex()) for e in structure.edges] == \
         [(e.u, e.v, e.weight.hex()) for e in want]
     assert all(type(e.u) is int and type(e.v) is int and type(e.weight) is float
                for e in structure.edges)
-    if isinstance(structure, SpanningTree):
-        again = SpanningTree(structure.vertices, want)
-    elif isinstance(structure, (Tour, HamPath)):
-        again = type(structure)(structure.order, want)
-    else:
-        again = type(structure)(want)
+    again = rebuilt(structure, **arrays_of(want))
     assert again == structure
     assert again.weights.tolist() == structure.weights.tolist()
 
@@ -114,12 +118,36 @@ def test_small_structures_read_as_the_eager_build():
     assert_eager(mst_sekanina_cycle(two), two, [(0, 1), (1, 0)])
 
 
-def test_trace_reads_as_a_list_of_its_edges():
+def test_trace_is_an_edge_list_of_arrays():
+    """The trace reads as its eager ``Edge`` values only through ``edges``.
+    It is no sequence of them: it compares by its arrays, with lists of
+    the same ``Edge`` values unequal to it."""
     points = random_points(4, 12, 2)
     _path, trace = greedy_ham_path(points)
-    edges = list(eager_edges(points, zip(trace.u.tolist(), trace.v.tolist())))
+    edges = eager_edges(points, zip(trace.u.tolist(), trace.v.tolist()))
     assert isinstance(trace, EdgeList) and not isinstance(trace, Matching)
-    assert trace == edges and edges == trace and trace == tuple(edges)
-    assert len(trace) == 11 and list(trace) == edges and trace[-1] == edges[-1]
-    assert trace[:-1] == tuple(edges[:-1])
-    assert trace != edges[:-1]
+    assert len(trace) == 11 and trace.edges == edges
+    assert trace == EdgeList(**arrays_of(edges)) and trace != list(edges)
+    assert trace != EdgeList(**arrays_of(edges[:-1]))
+    assert not hasattr(trace, "__getitem__") and not hasattr(trace, "__iter__")
+
+
+@pytest.mark.parametrize("name", INPUTS)
+def test_checks_and_counters_build_no_edge_objects(monkeypatch, name):
+    """``validate``, ``==`` and the greedy's counters read the arrays: on
+    the tour-sized inputs they build no ``Edge``."""
+    points = INPUTS[name]()
+    k = points.k
+    tour = mst_sekanina_cycle(points)
+    path, trace = greedy_ham_path(points)
+    checked = [build_mst(points), *build_threshold_forest(points, 0.3), tour, path,
+               close_path(path, points), *cycle_to_matchings(tour, k)]
+    twins = [rebuilt(s) for s in checked + [trace]]
+    made = count_edges(monkeypatch)
+    assert [validate(s, points) for s in checked] == [[]] * len(checked)
+    assert twins == checked + [trace]
+    for j in range(k + 1):
+        greedy_edge_count_by_length(trace, j)
+    classify_edges(trace, k)
+    classify_edges(path, k)
+    assert made == [0]

@@ -101,7 +101,7 @@ def test_every_weight_is_the_helper_on_its_pair(name):
         for tree in build_threshold_forest(points, cutoff):
             assert_weighed_by_the_helper(tree.edges, points)
     path, trace = greedy_ham_path(points)
-    assert_weighed_by_the_helper(trace, points)
+    assert_weighed_by_the_helper(trace.edges, points)
     assert_weighed_by_the_helper(path.edges, points)
     order = np.random.default_rng(n).permutation(n).tolist()
     assert_weighed_by_the_helper(tour_from_order(points, order).edges, points)

@@ -10,9 +10,9 @@ from powertour.constructions import cube_vertex_subset, diagonal_pair, k4_even_w
 from powertour.errors import InputError
 from powertour.geometry import pairwise_sq, point_set, power_cost
 from powertour.greedy import classify_edges, greedy_edge_count_by_length, greedy_ham_path
-from powertour.structures import PathSystem, validate
+from powertour.structures import EdgeList, PathSystem, validate
 
-from conftest import joinable, make_edge, random_points
+from conftest import joinable, make_edge, pair_keys, random_points
 
 
 def minimum_join_edge(points, system):
@@ -84,8 +84,8 @@ def mixed_warm_start(n, seed):
 def assert_matches_sorted_scan(points, warm_start=()):
     path, trace = greedy_ham_path(points, warm_start=warm_start)
     ref_walk, ref_trace = sorted_scan_greedy(points, warm_start)
-    assert trace == ref_trace
-    assert [e.weight.hex() for e in trace] == [e.weight.hex() for e in ref_trace]
+    rows = zip(trace.u.tolist(), trace.v.tolist(), map(float.hex, trace.weights.tolist()))
+    assert list(rows) == [(e.u, e.v, e.weight.hex()) for e in ref_trace]
     assert path.order == ref_walk
 
 
@@ -137,7 +137,7 @@ def test_square_corners_path(square_corners):
     path, trace = greedy_ham_path(square_corners)
     assert validate(path, square_corners) == []
     assert power_cost(path.edges, 2).unscaled == pytest.approx(3.0)
-    assert all(e.weight == pytest.approx(1.0) for e in trace)
+    assert trace.weights.tolist() == pytest.approx([1.0] * 3)
 
 
 def test_code_square_any_path():
@@ -160,13 +160,13 @@ def test_replay_against_stepwise_minimum(rng):
         pts = random_points(seed + 800, n, 3)
         path, trace = greedy_ham_path(pts)
         system = PathSystem(n)
-        for e in trace:
+        for key, w in zip(pair_keys(trace), trace.weights.tolist()):
             best = minimum_join_edge(pts, system)
             assert best is not None
             d, u, v = best
-            assert (u, v) == e.key()
-            assert d == pytest.approx(e.weight, rel=1e-12)
-            system.add_path_edge(e.u, e.v)
+            assert (u, v) == key
+            assert d == pytest.approx(w, rel=1e-12)
+            system.add_path_edge(u, v)
         assert minimum_join_edge(pts, system) is None
 
 
@@ -179,10 +179,10 @@ def test_replay_with_warm_start(rng):
         warm.add_path_edge(3, 4)
         _path, trace = greedy_ham_path(pts, warm_start=warm.edge_pairs)
         system = PathSystem.from_pairs(n, warm.edge_pairs)
-        for e in trace:
+        for key in pair_keys(trace):
             best = minimum_join_edge(pts, system)
-            assert best is not None and (best[1], best[2]) == e.key()
-            system.add_path_edge(e.u, e.v)
+            assert best is not None and (best[1], best[2]) == key
+            system.add_path_edge(*key)
 
 
 def test_warm_start_respected(rng):
@@ -194,7 +194,7 @@ def test_warm_start_respected(rng):
     path, trace = greedy_ham_path(pts, warm_start=warm.edge_pairs)
     assert validate(path, pts) == []
     assert len(trace) == 12 - 1 - 3
-    path_keys = {e.key() for e in path.edges}
+    path_keys = set(pair_keys(path))
     for pair in [(0, 5), (5, 7), (2, 3)]:
         assert tuple(sorted(pair)) in path_keys
     # the original warm start object is untouched
@@ -260,8 +260,8 @@ def test_trace_edges_below_two_thirds_threshold(rng):
         pts = random_points(seed + 900, n, k)
         _, trace = greedy_ham_path(pts)
         cap = math.sqrt(2 * k / 3)
-        assert all(e.weight <= cap * (1 + 1e-9) for e in trace[:-1])
-        assert trace[-1].weight <= math.sqrt(k) * (1 + 1e-9)
+        assert np.all(trace.weights[:-1] <= cap * (1 + 1e-9))
+        assert trace.weights[-1] <= math.sqrt(k) * (1 + 1e-9)
 
 
 def test_edge_count_all_edges():
@@ -323,20 +323,18 @@ def test_counts_from_weights_equal_the_per_edge_counts():
         for j in range(0, k + 2):
             want = count_by_length_per_edge(trace.edges, j)
             assert greedy_edge_count_by_length(trace, j) == want
-            assert greedy_edge_count_by_length(list(trace), j) == want
             at_threshold += sum(abs(e.weight ** 2 - j) < 1e-9 for e in trace.edges)
         for edges in (trace, path):
             want = classify_per_edge(edges.edges, k)
             assert classify_edges(edges, k) == want
-            assert classify_edges(list(edges.edges), k) == want
     assert at_threshold > 0
-    assert classify_edges([], 5) == classify_per_edge([], 5)
-    assert greedy_edge_count_by_length([], 0.0) == 0
+    assert classify_edges(EdgeList(), 5) == classify_per_edge([], 5)
+    assert greedy_edge_count_by_length(EdgeList(), 0.0) == 0
 
 
 def test_classify_all_short():
     k = 10
-    edges = [type("E", (), {"weight": math.sqrt(k / 10)})() for _ in range(5)]
+    edges = EdgeList(u=range(5), v=range(1, 6), weights=[math.sqrt(k / 10)] * 5)
     counts = classify_edges(edges, k)
     assert counts == {"short": 5, "medium": 0, "long": 0, "very_long": 0}
 

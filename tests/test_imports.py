@@ -7,6 +7,7 @@ name has a caller outside the tests; no function imports."""
 
 import ast
 import dataclasses
+import inspect
 import re
 from pathlib import Path
 
@@ -306,7 +307,9 @@ def test_retired_names_stay_gone():
     keeps no exponent, term tuple or zero count, which nothing read, and
     adds its terms by ``math.fsum`` with no sort; the filter rounds have
     no floor.  Every edge weight comes from ``edge_lengths``, so the
-    vector-pair distance went."""
+    vector-pair distance went.  Structures are built from index and weight
+    arrays only, so the ``edges=`` constructor form, the trace's sequence
+    protocol, ``Edge.key`` and the ``Edge`` export went."""
     import powertour
     import powertour.geometry
     import powertour.greedy
@@ -356,3 +359,17 @@ def test_retired_names_stay_gone():
     # the cost dropped "exponent", "log_terms" and "zero_edges"
     assert [f.name for f in dataclasses.fields(powertour.geometry.PowerCost)] == [
         "log_unscaled", "unscaled", "scaled", "overflow"]
+    # structures are built from arrays only: ``Edge`` is the read-only view
+    assert not hasattr(powertour.geometry.Edge, "key")
+    assert not hasattr(powertour.structures.EdgeList, "__getitem__")
+    assert "Edge" not in powertour.__all__ and not hasattr(powertour, "Edge")
+    for cls in (powertour.structures.SpanningTree, powertour.structures.Tour,
+                powertour.structures.HamPath, powertour.structures.Matching,
+                powertour.structures.EdgeList):
+        assert "edges" not in inspect.signature(cls).parameters
+
+
+def test_the_package_builds_no_edge():
+    """Every ``Edge`` comes from a structure's lazy ``edges`` view, which
+    maps the class over the arrays; no code calls it directly."""
+    assert package_call_sites("Edge") == []

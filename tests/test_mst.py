@@ -13,7 +13,7 @@ from powertour.geometry import pairwise_sq, point_set, symmetric_sq
 from powertour.mst import build_mst, build_threshold_forest, mst_ball_packing_check
 from powertour.structures import DSU, SpanningTree, tree_from_pairs, validate
 
-from conftest import make_edge, random_points
+from conftest import arrays_of, make_edge, pair_keys, random_points
 
 
 def brute_force_min_tree_weight(points):
@@ -53,7 +53,7 @@ def test_mst_square_corners_weight_three(square_corners):
 
 def test_mst_square_corners_tie_break(square_corners):
     tree = build_mst(square_corners)
-    assert sorted(e.key() for e in tree.edges) == [(0, 1), (0, 3), (1, 2)]
+    assert sorted(pair_keys(tree)) == [(0, 1), (0, 3), (1, 2)]
 
 
 def test_mst_matches_brute_force_random():
@@ -87,7 +87,7 @@ def test_mst_two_points():
 def test_mst_collinear_points():
     pts = point_set([[0.0], [0.5], [1.0]])
     tree = build_mst(pts)
-    assert sorted(e.key() for e in tree.edges) == [(0, 1), (1, 2)]
+    assert sorted(pair_keys(tree)) == [(0, 1), (1, 2)]
     assert tree.total_weight() == pytest.approx(1.0)
 
 
@@ -118,7 +118,7 @@ def full_scan_mst(points):
             break
         if dsu.union(u, v):
             edges.append(make_edge(points, u, v))
-    return SpanningTree(tuple(range(n)), tuple(edges))
+    return SpanningTree(tuple(range(n)), **arrays_of(edges))
 
 
 def full_scan_forest(points, cutoff):
@@ -133,7 +133,7 @@ def full_scan_forest(points, cutoff):
     for v in range(n):
         groups.setdefault(dsu.find(v), []).append(v)
     trees = [SpanningTree(tuple(sorted(members)),
-                          tuple(e for e in edges if dsu.find(e.u) == root))
+                          **arrays_of(e for e in edges if dsu.find(e.u) == root))
              for root, members in groups.items()]
     trees.sort(key=lambda t: t.vertices[0])
     return trees
@@ -398,9 +398,9 @@ def assert_forest_matches_full_scan(points, cutoff):
     trees = build_threshold_forest(points, cutoff)
     assert trees == full_scan_forest(points, cutoff)
     # the cut is on the scan's key, d^2, not on the measured weight
-    kept = sorted(e.key() for e in build_mst(points).edges
-                  if points.sq[e.u, e.v] <= cutoff * cutoff)
-    assert sorted(e.key() for t in trees for e in t.edges) == kept
+    kept = sorted(key for key in pair_keys(build_mst(points))
+                  if points.sq[key] <= cutoff * cutoff)
+    assert sorted(key for t in trees for key in pair_keys(t)) == kept
 
 
 @forest_inputs
@@ -457,10 +457,11 @@ def test_threshold_forest_is_mst_restriction(rng):
     for seed in range(6):
         pts = random_points(seed + 100, 25, 3)
         mst = build_mst(pts)
-        cutoff = float(np.median([e.weight for e in mst.edges]))
+        cutoff = float(np.median(mst.weights))
         trees = build_threshold_forest(pts, cutoff)
-        forest_keys = sorted(e.key() for t in trees for e in t.edges)
-        kept = sorted(e.key() for e in mst.edges if e.weight <= cutoff)
+        forest_keys = sorted(key for t in trees for key in pair_keys(t))
+        kept = sorted(key for key, w in zip(pair_keys(mst), mst.weights.tolist())
+                      if w <= cutoff)
         assert forest_keys == kept
         # every inter-component distance exceeds the cutoff
         comp = {}

@@ -16,7 +16,7 @@ from powertour.sekanina import (UsageCertificate, mst_sekanina_tour, tree_cube_c
 from powertour.structures import SpanningTree, tree_from_pairs, validate
 from powertour.suites import random_tree_pairs
 
-from conftest import random_points
+from conftest import pair_keys, random_points
 
 
 def tree_distance(pairs, n, u, v):
@@ -125,9 +125,9 @@ def test_seven_vertex_branching_tree():
     assert all(u == 2 for u in hop_usage(t, cert))
     # every tree edge is used by two different cycle edges
     users = {i: set() for i in range(len(pairs))}
-    for ce, path in zip(tour.edges, cert.hops):
+    for key, path in zip(pair_keys(tour), cert.hops):
         for eid in path:
-            users[eid].add(ce.key())
+            users[eid].add(key)
     assert all(len(s) == 2 for s in users.values())
 
 
@@ -156,7 +156,7 @@ def test_rejects_tree_vertex_outside_point_set():
     t = tree_from_pairs(pts, [(3, 4), (4, 5)], vertices=[3, 4, 5])
     with pytest.raises(InputError, match="out of range"):
         tree_cube_cycle(t, point_set(pts.coords[:5]), anchor=3)
-    negative = SpanningTree((-1,) + t.vertices, t.edges)
+    negative = SpanningTree((-1,) + t.vertices, u=t.u, v=t.v, weights=t.weights)
     with pytest.raises(InputError, match="out of range"):
         tree_cube_cycle(negative, pts, anchor=3)
 
@@ -408,7 +408,7 @@ def worklist_cube_cycle(t, anchor):
     tree path as indices into ``t.edges``."""
     children, size = worklist_root_tree(tree_adjacency(t), anchor)
     n = size[anchor]
-    edge_id = {e.key(): i for i, e in enumerate(t.edges)}
+    edge_id = {key: i for i, key in enumerate(pair_keys(t))}
     hops = {}
 
     def pair(a, b):
@@ -569,10 +569,10 @@ def assert_matches_worklist(t, pts, anchor):
     assert list(tour.order) == worklist_cycle_order(ref, anchor)
     assert cert.order == tour.order
     assert len(cert.hops) == len(tour.edges)
-    assert {e.key() for e in tour.edges} == set(ref)
-    for e, a, b, path in zip(tour.edges, cert.order, cert.order[1:] + cert.order[:1],
-                             cert.hops):
-        assert path in (ref[e.key()], ref[e.key()][::-1])
+    assert set(pair_keys(tour)) == set(ref)
+    for key, a, b, path in zip(pair_keys(tour), cert.order, cert.order[1:] + cert.order[:1],
+                               cert.hops):
+        assert path in (ref[key], ref[key][::-1])
         assert walk_end(t, a, path) == b
     usage = [0] * len(t.edges)
     for path in ref.values():

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from powertour.errors import InputError
-from powertour.geometry import Edge, point_set, power_cost
-from powertour.structures import (DSU, Matching, PathSystem, close_path,
+from powertour.geometry import edge_lengths, point_set, power_cost
+from powertour.structures import (DSU, HamPath, Matching, PathSystem, SpanningTree, Tour,
+                                  close_path, edge_arrays,
                                   cycle_to_matchings, path_from_order, tour_from_order,
                                   tree_from_pairs, validate)
 
@@ -91,7 +92,7 @@ def test_validate_clean_tour(square_corners):
 
 def test_validate_repeated_vertex(square_corners):
     t = tour_from_order(square_corners, (0, 1, 2, 3))
-    bad = type(t)(order=(0, 3, 3, 2), edges=t.edges)
+    bad = type(t)(order=(0, 3, 3, 2), u=t.u, v=t.v, weights=t.weights)
     msgs = validate(bad, square_corners)
     assert any("order not a permutation: vertex 3" in m for m in msgs)
 
@@ -116,15 +117,16 @@ def test_validate_endpoint_map_pairs_one_path():
 
 
 def test_validate_matching_duplicate(square_corners):
-    m = Matching((Edge(0, 1, 1.0), Edge(1, 2, 1.0)))
+    m = Matching(u=[0, 1], v=[1, 2], weights=[1.0, 1.0])
     msgs = validate(m, square_corners)
     assert any("vertex 1 matched twice" in m_ for m_ in msgs)
 
 
 def test_validate_bad_weight(square_corners):
     t = tour_from_order(square_corners, (0, 1, 2, 3))
-    bad_edges = (Edge(0, 1, 0.5),) + t.edges[1:]
-    msgs = validate(type(t)(order=t.order, edges=bad_edges), square_corners)
+    weights = t.weights.copy()
+    weights[0] = 0.5
+    msgs = validate(type(t)(order=t.order, u=t.u, v=t.v, weights=weights), square_corners)
     assert any("weight" in m for m in msgs)
 
 
@@ -280,9 +282,10 @@ def test_path_system_reports_interior_before_cycle():
 
 def test_validate_path_edge_count_and_edges(square_corners):
     p = path_from_order(square_corners, (0, 1, 2, 3))
-    short = type(p)(order=p.order, edges=p.edges[:2])
+    short = type(p)(order=p.order, u=p.u[:2], v=p.v[:2], weights=p.weights[:2])
     assert validate(short, square_corners) == ["path has 2 edges, expected 3"]
-    swapped = type(p)(order=p.order, edges=(p.edges[0], p.edges[2], p.edges[1]))
+    i = [0, 2, 1]
+    swapped = type(p)(order=p.order, u=p.u[i], v=p.v[i], weights=p.weights[i])
     assert validate(swapped, square_corners) == [
         "edge 1 is (2, 3), expected (1, 2)", "edge 2 is (1, 2), expected (2, 3)"]
 
@@ -294,3 +297,60 @@ def test_walks_refuse_vertex_ids_out_of_range(square_corners, build, bad):
     named, not left to a bare IndexError."""
     with pytest.raises(InputError, match=f"vertex {bad} out of range for 4 points"):
         build(square_corners, (0, bad, 2, 3, 1))
+
+
+@pytest.mark.parametrize("bad", [-1, 4])
+def test_pair_builders_refuse_vertex_ids_out_of_range(square_corners, bad):
+    """Pairs get the orders' check: -1 does not wrap to the last point."""
+    with pytest.raises(InputError, match=f"vertex {bad} out of range for 4 points"):
+        tree_from_pairs(square_corners, [(0, 1), (1, 2), (2, bad)])
+    with pytest.raises(InputError, match=f"vertex {bad} out of range for 4 points"):
+        edge_arrays(square_corners, [(bad, 0)])
+
+
+@pytest.mark.parametrize("build", [
+    tour_from_order, path_from_order,
+    lambda points, ids: tree_from_pairs(points, zip(ids, ids[1:])),
+], ids=["tour", "path", "tree"])
+def test_builders_refuse_non_integer_vertex_ids(square_corners, build):
+    """An id is taken with ``operator.index``: 1.9 is not read as 1."""
+    for ids in ([0, 1.9, 2, 3], [0, 1.0, 2, 3], [0, "1", 2, 3]):
+        with pytest.raises(InputError, match="vertex ids must be integers"):
+            build(square_corners, ids)
+
+
+def test_builders_take_integer_ids_of_any_type(square_corners):
+    ids = np.array([0, 1, 3, 2])
+    tour = tour_from_order(square_corners, ids)
+    assert tour.order == (0, 1, 3, 2) and all(type(x) is int for x in tour.order)
+    assert tree_from_pairs(square_corners, zip(ids, ids[1:])) == \
+        tree_from_pairs(square_corners, [(0, 1), (1, 3), (3, 2)])
+
+
+@pytest.mark.parametrize("bad", [-1, 4])
+def test_validate_names_edge_ends_out_of_range(square_corners, bad):
+    """Each end outside 0..n-1 is one violation naming its edge, for every
+    kind, and the in-range edges' weights are still checked."""
+    pts = square_corners
+    out = f"has end {bad} outside 0..3"
+
+    def weights(u, v):
+        """The true lengths of (u, v), then 1 for the out-of-range edge."""
+        return edge_lengths(pts, u, v).tolist() + [1.0]
+
+    tree = SpanningTree(range(4), u=[0, 1, 2], v=[1, 2, bad], weights=weights([0, 1], [1, 2]))
+    assert validate(tree, pts) == [f"edge (2, {bad}) leaves the vertex set",
+                                   "tree is disconnected: 2 components", f"edge (2, {bad}) {out}"]
+    tour = Tour((0, 1, 2, 3), u=[0, 1, 2, 3], v=[1, 2, 3, bad],
+                weights=weights([0, 1, 2], [1, 2, 3]))
+    assert validate(tour, pts) == [f"edge 3 is (3, {bad}), expected (3, 0)",
+                                   f"edge (3, {bad}) {out}"]
+    path = HamPath((0, 1, 2, 3), u=[0, 1, 2], v=[1, 2, bad], weights=weights([0, 1], [1, 2]))
+    assert validate(path, pts) == [f"edge 2 is (2, {bad}), expected (2, 3)",
+                                   f"edge (2, {bad}) {out}"]
+    matching = Matching(u=[bad, 1], v=[0, 2], weights=[1.0, 0.5])
+    assert validate(matching, pts) == [f"edge ({bad}, 0) {out}",
+                                       "edge (1, 2) weight 0.5 != distance 1.0"]
+    both = Matching(u=[-1], v=[4], weights=[1.0])
+    assert validate(both, pts) == ["edge (-1, 4) has end -1 outside 0..3",
+                                   "edge (-1, 4) has end 4 outside 0..3"]
