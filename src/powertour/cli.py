@@ -301,7 +301,7 @@ def main(argv=None) -> int:
     except CertificateError as ex:
         print(f"internal certificate failure: {ex}", file=sys.stderr)
         return EXIT_CERTIFICATE
-    except FileNotFoundError as ex:
+    except OSError as ex:
         print(f"error: {ex}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -31,7 +31,8 @@ class _EdgeArrays:
 
     ``edges`` holds the same values as ``Edge`` objects, a view built on
     first read.  Structures of one type compare by their ``vertices`` or
-    ``order`` and their three arrays.
+    ``order`` and their three arrays.  Arrays of unequal lengths raise
+    InputError.
     """
 
     u = v = np.empty(0, dtype=np.intp)  # no edges: shared, never written
@@ -42,6 +43,9 @@ class _EdgeArrays:
             self.u = np.asarray(u, dtype=np.intp)
             self.v = np.asarray(v, dtype=np.intp)
             self.weights = np.asarray(weights, dtype=np.float64)
+            if not len(self.u) == len(self.v) == len(self.weights):
+                raise InputError(f"edge arrays differ in length: u {len(self.u)}, "
+                                 f"v {len(self.v)}, weights {len(self.weights)}")
 
     @cached_property
     def edges(self) -> tuple[Edge, ...]:

@@ -1,17 +1,19 @@
 """Two-phase tour: threshold forest, per-tree cycles, warm-started greedy.
 
-Phase 1 builds a forest with Kruskal restricted to edges of weight at most
-``cutoff`` (default k^(-1/4)), converts each tree with >= 3 vertices into
-a certified cube-of-tree cycle, removes the maximum-weight edge of each
-cycle, and collects the resulting open paths (2-vertex trees contribute
-their single edge, singletons stay isolated) into a path system F0, kept
-as a list of weighted edges.  Phase 2 hands F0's edge pairs to the greedy
-minimum-edge merging as its warm start and closes the final path into a
-tour.  The phases are the public steps ``build_threshold_forest``,
-``tree_cube_cycle`` and ``greedy_ham_path``; the forest and the greedy
-both read the points' one d^2 matrix, ``PointSet.sq``.  d^2 orders pairs;
-``edge_lengths`` measures them: F0's weights are read off the forest's and
-the cycles' own edges.
+Phase 1 cuts the point set's one MST at ``cutoff`` (default k^(-1/4)):
+its edges within the cutoff form the threshold forest, which by Kruskal's
+exchange property is Kruskal restricted to those edges.  It converts each
+tree with >= 3 vertices into a certified cube-of-tree cycle, removes the
+maximum-weight edge of each cycle, and collects the resulting open paths
+(2-vertex trees contribute their single edge, singletons stay isolated)
+into a path system F0, kept as a list of weighted edges.  Phase 2 hands
+F0's edge pairs to the greedy minimum-edge merging as its warm start and
+closes the final path into a tour.  The phases are the public steps
+``build_threshold_forest``, ``tree_cube_cycle`` and ``greedy_ham_path``;
+the forest and the greedy both read the points' one d^2 matrix,
+``PointSet.sq``, and the forest reads the one MST that mst-sekanina builds
+on the same point set.  d^2 orders pairs; ``edge_lengths`` measures them:
+F0's weights are read off the forest's and the cycles' own edges.
 """
 
 from __future__ import annotations

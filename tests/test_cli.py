@@ -195,6 +195,23 @@ def test_tour_missing_file():
     assert run_cli("tour", "/nonexistent/file.json", "--algo", "greedy") == 1
 
 
+@pytest.mark.parametrize("case", ["tour-input", "tour-output", "gen-output"])
+def test_unreadable_path_gives_one_error_line(tmp_path, capsys, case):
+    """A directory where a file belongs exits 1 with one ``error:`` line
+    naming it, not a traceback."""
+    src = tmp_path / "f.json"
+    save_point_set(uniform_cube(2, 5, 1), src)
+    argv = {"tour-input": ("tour", str(tmp_path), "--algo", "greedy"),
+            "tour-output": ("tour", str(src), "--algo", "greedy", "-o", str(tmp_path)),
+            "gen-output": ("gen", "uniform", "-o", str(tmp_path))}[case]
+    assert run_cli(*argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+    assert str(tmp_path) in captured.err
+
+
 @pytest.mark.parametrize("name, body", [
     ("truncated.json", '{"k": 2, "points": [[0.1, 0.2], [0.3'),
     ("ragged.csv", "0.1,0.2\n0.3\n"),

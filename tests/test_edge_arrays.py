@@ -7,13 +7,14 @@ import pytest
 
 from powertour.cli import main
 from powertour.constructions import clustered, cube_vertex_subset, save_point_set, uniform_cube
+from powertour.errors import InputError
 from powertour.geometry import Edge, point_set
 from powertour.greedy import classify_edges, greedy_edge_count_by_length, greedy_ham_path
 from powertour.mst import _PRIM_ABOVE, build_mst, build_threshold_forest
 from powertour.oracle import exact_min_matching, exact_min_path, exact_min_tour
 from powertour.sekanina import mst_sekanina_cycle, tree_cube_cycle
-from powertour.structures import (EdgeList, Matching, Tour, close_path, cycle_to_matchings,
-                                  tree_from_pairs, validate)
+from powertour.structures import (EdgeList, Matching, SpanningTree, Tour, close_path,
+                                  cycle_to_matchings, tree_from_pairs, validate)
 from powertour.two_phase import two_phase_tour
 
 from conftest import arrays_of, make_edge, random_points
@@ -151,3 +152,22 @@ def test_checks_and_counters_build_no_edge_objects(monkeypatch, name):
     classify_edges(trace, k)
     classify_edges(path, k)
     assert made == [0]
+
+
+@pytest.mark.parametrize("make", [
+    lambda arrays: SpanningTree(range(4), **arrays),
+    lambda arrays: Tour((0, 1, 2, 3), **arrays),
+    lambda arrays: Matching(**arrays),
+    lambda arrays: EdgeList(**arrays),
+], ids=["tree", "tour", "matching", "edge-list"])
+@pytest.mark.parametrize("lengths", [(3, 3, 1), (3, 2, 3), (2, 3, 3)])
+def test_unequal_edge_arrays_are_refused(make, lengths):
+    """Arrays of unequal lengths raise InputError naming the three lengths,
+    where ``edges`` would keep the shortest and ``validate`` would fail on
+    the mask."""
+    arrays = {"u": [0, 1, 2][:lengths[0]], "v": [1, 2, 3][:lengths[1]],
+              "weights": [0.1, 0.2, 0.3][:lengths[2]]}
+    with pytest.raises(InputError) as info:
+        make(arrays)
+    assert str(info.value) == ("edge arrays differ in length: "
+                               "u {}, v {}, weights {}".format(*lengths))

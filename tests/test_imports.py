@@ -131,8 +131,8 @@ def test_union_find_construction_detector_flags_both_forms():
 
 
 def test_only_the_mst_scan_builds_a_union_find():
-    """Path systems track their paths by an endpoint map; Kruskal alone
-    needs a union-find."""
+    """Path systems track their paths by an endpoint map; only the MST
+    module needs a union-find, for Kruskal and for grouping the forest."""
     found = {p.stem: n for p in sorted(PACKAGE.glob("*.py"))
              if (n := union_find_constructions(p.read_text()))}
     assert set(found) == {"mst"}

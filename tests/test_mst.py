@@ -1,6 +1,9 @@
 import functools
+import gc
+import inspect
 import itertools
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -8,10 +11,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from powertour import mst
-from powertour.constructions import clustered, cube_vertex_subset, uniform_cube
-from powertour.geometry import pairwise_sq, point_set, symmetric_sq
+from powertour.constructions import clustered, cube_vertex_subset, k3_code4, uniform_cube
+from powertour.geometry import edge_lengths, pairwise_sq, point_set, power_cost
+from powertour.greedy import greedy_ham_path
 from powertour.mst import build_mst, build_threshold_forest, mst_ball_packing_check
-from powertour.structures import DSU, SpanningTree, tree_from_pairs, validate
+from powertour.oracle import exact_min_tour
+from powertour.sekanina import mst_sekanina_cycle
+from powertour.structures import DSU, SpanningTree, close_path, tree_from_pairs, validate
+from powertour.two_phase import two_phase_tour
 
 from conftest import arrays_of, make_edge, pair_keys, random_points
 
@@ -94,6 +101,99 @@ def test_mst_collinear_points():
 def test_mst_single_point():
     tree = build_mst(point_set([[0.3, 0.3]]))
     assert tree.n == 1 and tree.edges == ()
+
+
+def test_mst_is_built_once_per_point_set_and_read_only():
+    pts = random_points(7, 30, 3)
+    tree = build_mst(pts)
+    assert build_mst(pts) is tree
+    for a in (tree.u, tree.v, tree.weights):
+        assert not a.flags.writeable
+    with pytest.raises(ValueError):
+        tree.weights[0] = 0.0
+    # a copy is the caller's to edit
+    mine = SpanningTree(tree.vertices, u=tree.u.copy(), v=tree.v.copy(),
+                        weights=tree.weights.copy())
+    mine.weights[0] = 0.0
+    assert build_mst(pts).weights[0] > 0.0
+
+
+def test_kept_mst_is_released_with_its_point_set():
+    pts = random_points(8, 30, 3)
+    tree = weakref.ref(build_mst(pts))
+    points = weakref.ref(pts)
+    del pts
+    gc.collect()
+    assert points() is None
+    assert tree() is None
+
+
+def test_only_the_forest_takes_a_cutoff():
+    """The scan engines build the whole tree; the cut is the forest's."""
+    takes_cut = {name for name, fn in inspect.getmembers(mst, inspect.isfunction)
+                 if fn.__module__ == mst.__name__
+                 and any("cut" in p for p in inspect.signature(fn).parameters)}
+    assert takes_cut == {"build_threshold_forest"}
+    assert list(inspect.signature(mst._prim).parameters) == ["d2"]
+    assert list(inspect.signature(mst._kruskal).parameters) == ["d2"]
+    assert list(inspect.signature(mst._filter_rounds).parameters) == ["d2", "dsu"]
+
+
+LOWER_BOUND_INPUTS = [
+    *[(f"uniform-k2-{s}", lambda s=s: uniform_cube(2, 3 + s % 8, s)) for s in range(30)],
+    *[(f"uniform-k3-{s}", lambda s=s: uniform_cube(3, 3 + s % 8, s)) for s in range(30)],
+    *[(f"cube-vertex-k4-{s}", lambda s=s: cube_vertex_subset(4, 3 + s % 8, s)) for s in range(30)],
+    ("k3-code4", k3_code4),
+]
+
+
+def test_mst_cost_bounds_every_tour_from_below():
+    """Dropping a tour edge leaves a spanning tree, and the MST minimises
+    every sum of an increasing function of the weights, so S_k(MST) is at
+    most S_k of the exact optimum tour and of every construction's tour
+    (k the dimension, n <= 10).  The largest S_k(MST) / S_k(OPT) here is
+    0.9, on 10 cube vertices: 9 unit edges against 10."""
+    for name, make in LOWER_BOUND_INPUTS:
+        pts = make()
+        k = pts.k
+        lower = power_cost(build_mst(pts), k).log_unscaled
+        tours = {
+            "optimum": exact_min_tour(pts, k)[1].log_unscaled,
+            "mst-sekanina": power_cost(mst_sekanina_cycle(pts), k).log_unscaled,
+            "two-phase": two_phase_tour(pts, k)[1].tour_cost.log_unscaled,
+            "greedy": power_cost(close_path(greedy_ham_path(pts)[0], pts), k).log_unscaled,
+        }
+        assert all(lower <= cost for cost in tours.values()), (name, lower, tours)
+
+
+def kruskal_over_lengths(points):
+    """Total weight of a Kruskal scan over every pair sorted by its
+    ``edge_lengths`` weight: the MST weight, with no d^2 key involved."""
+    iu, iv = np.triu_indices(points.n, k=1)
+    w = edge_lengths(points, iu, iv)
+    order = np.lexsort((iv, iu, w))
+    dsu = DSU(points.n)
+    return sum(x for a, b, x in zip(iu[order].tolist(), iv[order].tolist(), w[order].tolist())
+               if dsu.union(a, b))
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 1")
+def test_forest_at_cutoff_zero_joins_every_duplicate():
+    """Each of 40 points given twice: 40 trees at cutoff 0.  The Gram key
+    |x|^2 + |y|^2 - 2 x.y of 4 of the 40 duplicate pairs is not 0, so the
+    forest has 44 trees."""
+    coords = uniform_cube(6, 40, 3).coords
+    assert len(build_threshold_forest(point_set(np.vstack([coords, coords])), 0.0)) == 40
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 1")
+@pytest.mark.parametrize("seed", range(5))
+def test_mst_is_minimal_on_a_tight_cluster(seed):
+    """30 points within 1e-12 of 0.5 in k = 4: the Gram keys are noise
+    there, and the tree is 2.2 to 2.6 times heavier than the MST."""
+    gen = np.random.default_rng(seed)
+    pts = point_set(0.5 + 1e-12 * gen.uniform(-1.0, 1.0, size=(30, 4)))
+    assert build_mst(pts).total_weight() <= kruskal_over_lengths(pts) * (1 + 1e-9)
 
 
 def sorted_pairs(points, cutoff=math.inf):
@@ -184,20 +284,41 @@ def use_many_rounds(monkeypatch):
 ENGINES = ("default", "many", "prim")
 
 
-def use_engine(monkeypatch, engine):
+#: The scan function each engine runs.
+SCAN_OF = {"default": "_kruskal", "many": "_kruskal", "prim": "_prim"}
+
+
+def watch_scans(monkeypatch) -> list[str]:
+    """Wrap ``mst._kruskal`` and ``mst._prim``; the returned list gets the
+    name of each scan as it starts."""
+    ran = []
+    for name in ("_kruskal", "_prim"):
+        def watched(d2, name=name, scan=getattr(mst, name)):
+            ran.append(name)
+            return scan(d2)
+
+        monkeypatch.setattr(mst, name, watched)
+    return ran
+
+
+def use_engine(monkeypatch, engine) -> list[str]:
     """Run ``engine`` at every n, by patching ``mst._PRIM_ABOVE``, the size
-    above which the shipped scan runs Prim."""
+    above which the shipped scan runs Prim, and return ``watch_scans``'
+    list.  Each point set keeps its first MST, so a test that compares
+    engines builds a fresh point set for each."""
     monkeypatch.setattr(mst, "_PRIM_ABOVE", 0 if engine == "prim" else math.inf)
     if engine == "many":
         use_many_rounds(monkeypatch)
+    return watch_scans(monkeypatch)
 
 
 @pytest.fixture(params=ENGINES)
 def engine(request, monkeypatch):
-    """Each of ``ENGINES``, with ``watch_sorts``."""
-    use_engine(monkeypatch, request.param)
+    """Each of ``ENGINES``, with ``watch_sorts``: the engine's name and the
+    list of scans run."""
+    ran = use_engine(monkeypatch, request.param)
     watch_sorts(monkeypatch)
-    return request.param
+    return request.param, ran
 
 
 TIED_INPUTS = {
@@ -235,14 +356,20 @@ def tour_large_reference(name):
 def test_mst_matches_full_sort_on_tied_inputs(name, engine):
     points = TIED_INPUTS[name]()
     assert tree_key(build_mst(points)) == tree_key(full_scan_mst(points))
+    assert engine[1] == [SCAN_OF[engine[0]]]
 
 
 @pytest.mark.parametrize("name", TOUR_LARGE)
 def test_mst_and_forest_match_full_sort_on_tour_large_inputs(name, engine):
-    points, cutoff, ref_mst, ref_forest = tour_large_reference(name)
+    """The reference's point set is shared across engines, so each engine
+    gets a fresh copy and scans it once, for the MST and the forest
+    together (the cube-vertex forest is all singletons)."""
+    shared, cutoff, ref_mst, ref_forest = tour_large_reference(name)
+    points = point_set(shared.coords)
     assert tree_key(build_mst(points)) == tree_key(ref_mst)
     assert [tree_key(t) for t in build_threshold_forest(points, cutoff)] == \
         [tree_key(t) for t in ref_forest]
+    assert engine[1] == [SCAN_OF[engine[0]]]
 
 
 def test_scan_runs_prim_above_the_size_constant(monkeypatch):
@@ -251,9 +378,9 @@ def test_scan_runs_prim_above_the_size_constant(monkeypatch):
     calls = []
     prim = mst._prim
 
-    def watched(d2, cut2):
+    def watched(d2):
         calls.append(len(d2))
-        return prim(d2, cut2)
+        return prim(d2)
 
     monkeypatch.setattr(mst, "_prim", watched)
     for n in (mst._PRIM_ABOVE, mst._PRIM_ABOVE + 1):
@@ -279,39 +406,49 @@ def test_mst_and_forest_match_full_sort_on_lattice_property(case):
     want_mst = tree_key(full_scan_mst(points))
     want_forest = [tree_key(t) for t in full_scan_forest(points, cutoff)]
     with pytest.MonkeyPatch.context() as mp:
-        use_engine(mp, engine)
+        ran = use_engine(mp, engine)
         watch_sorts(mp)
         assert tree_key(build_mst(points)) == want_mst
         assert [tree_key(t) for t in build_threshold_forest(points, cutoff)] == want_forest
+    assert ran == [SCAN_OF[engine]]
 
 
 @pytest.mark.parametrize("name", [*TIED_INPUTS, "clustered-k8-seed1"])
 @pytest.mark.parametrize("cut", [math.inf, 1.0])
 def test_each_round_sorts_only_joinable_pairs_heavier_than_the_last(monkeypatch, name, cut):
-    """One pair per point and no floor.  Every pair a round sorts is
-    heavier than all pairs of earlier rounds (ties are never split) and
-    joins two components that earlier rounds left apart (the filter used
-    the roots after the last scan)."""
+    """One pair per point and no floor, for the MST (``cut`` inf) and for
+    the forest at ``cut``, which scans the whole MST and then cuts it.
+    Every pair a round sorts is heavier than all pairs of earlier rounds
+    (ties are never split) and joins two components that earlier rounds
+    left apart (the filter used the roots after the last scan)."""
     points = TIED_INPUTS[name]() if name in TIED_INPUTS else TOUR_LARGE[name]()
     use_engine(monkeypatch, "many")
     calls = []
     watch_sorts(monkeypatch, calls)
     accepted, seen = [], []
-    kruskal = mst._kruskal(symmetric_sq(points.coords), DSU(points.n), cut * cut)
-    while True:
-        before = len(calls)
-        pair = next(kruskal, None)
-        # a round's sort happens before its first accepted pair
-        seen.extend([len(accepted)] * (len(calls) - before))
-        if pair is None:
-            break
-        accepted.append(pair)
+    kruskal = mst._kruskal
+
+    def stepped(d2):
+        pairs = kruskal(d2)
+        while True:
+            before = len(calls)
+            pair = next(pairs, None)
+            # a round's sort happens before its first accepted pair
+            seen.extend([len(accepted)] * (len(calls) - before))
+            if pair is None:
+                return
+            accepted.append(pair)
+            yield pair
+
+    monkeypatch.setattr(mst, "_kruskal", stepped)
+    build_mst(points) if cut == math.inf else build_threshold_forest(points, cut)
     monkeypatch.undo()
     assert calls, "nothing was sorted"
+    assert len(accepted) == points.n - 1
     dsu = DSU(points.n)
     done, heaviest = 0, -math.inf
     for (us, vs, d2s), joined in zip(calls, seen):
-        for u, v, _ in accepted[done:joined]:
+        for u, v in accepted[done:joined]:
             dsu.union(u, v)
         done = joined
         assert min(d2s) > heaviest
@@ -323,9 +460,10 @@ def test_each_round_sorts_only_joinable_pairs_heavier_than_the_last(monkeypatch,
                                           ("cube-vertex-k12-seed1", 1.0)],
                          ids=["clustered-k8", "cube-vertex-k12"])
 def test_forest_makes_each_union_once(monkeypatch, engine, name, cutoff):
-    """The Filter-Kruskal forest reads its components from the scan's own
-    DSU: one successful union per forest edge, none replayed.  Prim labels
-    its trees as it grows them and makes no union at all."""
+    """The forest's trees come from one MST scan and one grouping pass:
+    Filter-Kruskal makes its n - 1 unions and Prim none, then the forest
+    makes one union per kept pair.  A second forest on the same point set
+    reads the kept tree: one more grouping pass, no scan."""
     points = TOUR_LARGE[name]()
     union = DSU.union
     results = []
@@ -335,9 +473,13 @@ def test_forest_makes_each_union_once(monkeypatch, engine, name, cutoff):
         return results[-1]
 
     monkeypatch.setattr(DSU, "union", counted)
-    edges = sum(len(t.edges) for t in build_threshold_forest(points, cutoff))
+    edges = sum(len(t.u) for t in build_threshold_forest(points, cutoff))
     assert edges > 0
-    assert results.count(True) == (0 if engine == "prim" else edges)
+    scan = 0 if engine[0] == "prim" else points.n - 1
+    assert results.count(True) == scan + edges
+    assert sum(len(t.u) for t in build_threshold_forest(points, cutoff)) == edges
+    assert results.count(True) == scan + 2 * edges
+    assert engine[1] == [SCAN_OF[engine[0]]]
 
 
 def sorted_pair_count(monkeypatch, build):
@@ -358,8 +500,8 @@ def test_mst_sorts_under_a_tenth_of_the_pairs(monkeypatch, name):
 
 
 def test_forest_on_cube_vertices_below_unit_distance_sorts_nothing(monkeypatch):
-    """Cube vertices lie at distance >= 1; the two-phase cutoff 12^(-1/4) < 1
-    drops every pair before the first round."""
+    """Cube vertices lie at distance >= 1; at the two-phase cutoff
+    12^(-1/4) < 1 the forest returns before any scan."""
     points = TOUR_LARGE["cube-vertex-k12-seed1"]()
     use_engine(monkeypatch, "default")
     trees = []
@@ -406,22 +548,24 @@ def assert_forest_matches_full_scan(points, cutoff):
 @forest_inputs
 @forest_cutoffs
 def test_threshold_forest_matches_full_scan(make, cutoff):
-    """Early stop and one-pass regrouping keep the trees, their order and
-    each tree's edge order; the forest is the MST restricted to the cutoff.
-    Both paths, Filter-Kruskal and Prim."""
-    points = make()
+    """The MST's cut keeps the trees, their order and each tree's edge
+    order of a Kruskal scan over the pairs within the cutoff.  Both paths,
+    Filter-Kruskal and Prim, each on a fresh point set."""
+    coords = make().coords
     for engine in ("default", "prim"):
         with pytest.MonkeyPatch.context() as mp:
-            use_engine(mp, engine)
-            assert_forest_matches_full_scan(points, cutoff)
+            ran = use_engine(mp, engine)
+            assert_forest_matches_full_scan(point_set(coords), cutoff)
+        assert ran == [SCAN_OF[engine]]
 
 
 @forest_inputs
 @forest_cutoffs
 def test_threshold_forest_matches_full_scan_in_many_rounds(monkeypatch, make, cutoff):
-    use_engine(monkeypatch, "many")
+    ran = use_engine(monkeypatch, "many")
     watch_sorts(monkeypatch)
     assert_forest_matches_full_scan(make(), cutoff)
+    assert ran == ["_kruskal"]
 
 
 def test_threshold_forest_zero_cutoff(rng):
@@ -438,9 +582,11 @@ def test_threshold_forest_full_cutoff_equals_mst():
     inputs = [random_points(5, 20, 4)] + [uniform_cube(3, 200, seed) for seed in range(5)]
     for engine in ("default", "prim"):
         with pytest.MonkeyPatch.context() as mp:
-            use_engine(mp, engine)
+            ran = use_engine(mp, engine)
             for pts in inputs:
-                assert build_threshold_forest(pts, math.sqrt(pts.k)) == [build_mst(pts)]
+                fresh = point_set(pts.coords)
+                assert build_threshold_forest(fresh, math.sqrt(pts.k)) == [build_mst(fresh)]
+        assert ran == [SCAN_OF[engine]] * len(inputs)
 
 
 def test_threshold_forest_two_clusters():

@@ -9,7 +9,7 @@ from powertour import constructions, geometry, mst, structures
 from powertour.geometry import point_set, power_cost
 from powertour.greedy import greedy_ham_path
 from powertour.mst import build_mst
-from powertour.sekanina import tree_to_cycle_cost_bound
+from powertour.sekanina import mst_sekanina_cycle, tree_to_cycle_cost_bound
 from powertour.structures import close_path, validate
 from powertour.two_phase import two_phase_tour
 
@@ -152,3 +152,22 @@ def test_one_distance_matrix_per_run(monkeypatch, n):
     build_mst(again)
     assert two_phase_tour(again, again.k)[0].order == tour.order
     assert calls == [n, n]
+
+
+@pytest.mark.parametrize("n", [200, mst._PRIM_ABOVE + 200],
+                         ids=["filter-kruskal", "prim"])
+def test_one_mst_scan_per_point_set(monkeypatch, n):
+    """mst-sekanina and then two-phase on one point set scan it once: the
+    forest is the cut of the MST the cycle was built on."""
+    pts = constructions.clustered(8, n, 8, 0.05, 3)
+    scans = []
+    for name in ("_kruskal", "_prim"):
+        def watched(d2, name=name, scan=getattr(mst, name)):
+            scans.append(name)
+            return scan(d2)
+
+        monkeypatch.setattr(mst, name, watched)
+    mst_sekanina_cycle(pts)
+    _tour, report = two_phase_tour(pts, pts.k)
+    assert max(report.tree_sizes) > 1
+    assert scans == ["_prim" if n > mst._PRIM_ABOVE else "_kruskal"]
