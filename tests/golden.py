@@ -2,9 +2,10 @@
 pinned ``--no-timestamp`` stdout, stderr and exit codes.
 
 ``tests/golden/manifest.json`` holds each case's argv, exit code and stderr,
-plus the numpy, BLAS and libc versions the corpus was written on;
-``tests/golden/<case>.stdout`` holds its stdout.  ``tests/test_golden.py``
-replays every case and compares the bytes.  A change that is meant to move
+the SHA-256 of every input file, and the numpy, BLAS and libc versions the
+corpus was written on; ``tests/golden/<case>.stdout`` holds its stdout.
+``tests/test_golden.py`` rewrites the inputs, checks their digests, replays
+every case and compares the bytes.  A change that is meant to move
 output bytes regenerates the corpus and says why:
 
     PYTHONPATH=src python tests/golden.py
@@ -16,6 +17,7 @@ fills first, so the ``source`` paths in the reports are the bare file names.
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -142,6 +144,13 @@ def write_inputs(directory: Path) -> None:
                 raise RuntimeError(f"gen {name} exited {code}")
 
 
+def input_digests(directory: Path) -> dict[str, str]:
+    """SHA-256 of every input file in ``directory``, by name."""
+    names = [*WRITTEN, *(name for name, _args in GENERATED)]
+    return {name: hashlib.sha256((directory / name).read_bytes()).hexdigest()
+            for name in names}
+
+
 def run_case(argv: list[str]) -> tuple[int, str, str]:
     """Exit code, stdout and stderr of one in-process ``powertour`` run in
     the current directory."""
@@ -157,9 +166,10 @@ def regenerate() -> None:
     """Rewrite the manifest and every stdout file from the current code."""
     for old in HERE.glob("*.stdout"):
         old.unlink()
-    manifest = {"environment": environment(), "cases": {}}
+    manifest = {"environment": environment(), "inputs": {}, "cases": {}}
     with tempfile.TemporaryDirectory() as tmp:
         write_inputs(Path(tmp))
+        manifest["inputs"] = input_digests(Path(tmp))
         with inside(tmp):
             for name, argv in CASES.items():
                 code, out, err = run_case(argv)

@@ -1,16 +1,18 @@
 import itertools
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 
-from powertour.constructions import (clustered, cube_vertex_subset, diagonal_pair,
-                                     even_weight_code, k3_code4, k4_even_weight_code,
-                                     load_point_set, midball_reach_extremal_pair,
-                                     save_point_set, square_tight_sets, uniform_cube)
+from powertour.constructions import (_cube_vertices, clustered, cube_vertex_subset,
+                                     diagonal_pair, dumps_indent1, even_weight_code,
+                                     k3_code4, k4_even_weight_code, load_point_set,
+                                     midball_reach_extremal_pair, save_point_set,
+                                     square_tight_sets, uniform_cube)
 from powertour.errors import InputError
-from powertour.geometry import Container, edge_lengths
+from powertour.geometry import Container, PointSet, edge_lengths
 from powertour.verifiers import hamming_min_distance
 
 
@@ -55,6 +57,32 @@ def test_even_weight_code_distance_and_size(k):
     ps = even_weight_code(k)
     assert ps.n == 2 ** (k - 1)
     assert hamming_min_distance(ps) == 2
+
+
+def product_vertices(k):
+    """The reference vertex table: every vector of {0, 1}^k in
+    ``itertools.product`` order."""
+    return np.array(list(itertools.product((0.0, 1.0), repeat=k)))
+
+
+@pytest.mark.parametrize("k", range(1, 15))
+def test_vertex_tables_match_itertools_product(k):
+    table = product_vertices(k)
+    assert np.array_equal(_cube_vertices(np.arange(2 ** k), k), table)
+    even = even_weight_code(k).coords
+    assert even.dtype == np.float64
+    assert np.array_equal(even, table[table.sum(axis=1) % 2 == 0])
+
+
+@pytest.mark.parametrize("k, n, seed", [(1, 1, 0), (1, 2, 3), (3, 8, 0), (4, 9, 2),
+                                        (6, 40, 6), (12, 1024, 13), (14, 4096, 1)])
+def test_cube_vertex_subset_picks_rows_of_the_product_table(k, n, seed):
+    """Below 4n vertices the subset is the sorted pick of seeded indices into
+    the ``itertools.product`` table."""
+    rng = np.random.default_rng(np.random.SeedSequence([seed, k, n, 1]))
+    pick = rng.choice(2 ** k, size=n, replace=False)
+    assert np.array_equal(cube_vertex_subset(k, n, seed).coords,
+                          product_vertices(k)[np.sort(pick)])
 
 
 def test_square_tight_sets_containers():
@@ -125,6 +153,67 @@ def test_csv_roundtrip(tmp_path):
     back = load_point_set(target)
     assert np.array_equal(back.coords, ps.coords)
     assert back.container == Container.UNIT_CUBE
+
+
+SPECIAL = [-0.0, 5e-324, 1e-7, 0.1, 1 / 3, 0.0, 1.0]
+
+
+def writer_cases():
+    """Point sets in every container, at n = 1, k = 1, k = 12 and with
+    coordinates whose shortest round-trip text is unusual."""
+    rng = np.random.default_rng(17)
+    yield "n1-k1", PointSet(np.array([[0.25]]))
+    yield "k1", PointSet(rng.uniform(size=(9, 1)))
+    yield "k12", PointSet(rng.uniform(size=(30, 12)))
+    yield "special-unit-cube", PointSet(np.array(SPECIAL).reshape(-1, 1))
+    yield "special-unconstrained", PointSet(np.array(SPECIAL + [1e16]).reshape(4, 2),
+                                            Container.UNCONSTRAINED)
+    yield "half-cube", PointSet(np.array([[-0.5, -0.0, 0.5], [0.1, -1 / 3, 5e-324]]),
+                                Container.HALF_CUBE)
+    for container in (Container.PLANAR_TRIANGLE, Container.PLANAR_REGION):
+        yield container.value, PointSet(np.array([[0.0, 0.0], [1.0, 0.0], [0.1, 1 / 3]]),
+                                        container)
+
+
+def test_writer_cases_cover_every_container():
+    assert {ps.container for _name, ps in writer_cases()} == set(Container)
+
+
+@pytest.mark.parametrize("ps", [pytest.param(ps, id=name) for name, ps in writer_cases()])
+def test_json_file_is_json_dumps_indent1_byte_for_byte(ps, tmp_path):
+    target = tmp_path / "pts.json"
+    save_point_set(ps, target)
+    body = {"k": ps.k, "container": ps.container.value, "points": ps.coords.tolist()}
+    assert target.read_text() == json.dumps(body, indent=1) + "\n"
+    back = load_point_set(target)
+    assert back.container == ps.container
+    assert back.coords.tobytes() == ps.coords.tobytes()  # -0.0 and 5e-324 included
+
+
+@pytest.mark.parametrize("shape", [(0,), (1,), (7,), (0, 3), (2, 0), (1, 1), (4, 3),
+                                   (2, 3, 2)])
+@pytest.mark.parametrize("sort_keys", [False, True])
+def test_dumps_indent1_matches_json_dumps(shape, sort_keys):
+    """Int and float arrays of any shape, empty ones included, beside a body
+    with nested values and keys on both sides of the arrays' keys."""
+    size = math.prod(shape)
+    body = {"z": [1, {"b": None, "a": "\0x"}], "a": 0.5, "m": "é"}
+    arrays = {"ints": np.arange(size).reshape(shape) - 3,
+              "floats": np.array((SPECIAL * size)[:size]).reshape(shape)}
+    want = json.dumps({**body, **{key: a.tolist() for key, a in arrays.items()}},
+                      indent=1, sort_keys=sort_keys)
+    assert dumps_indent1(body, arrays, sort_keys=sort_keys) == want
+
+
+def test_load_refuses_a_declared_k_other_than_the_row_width(tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"k": 3, "points": [[0.1, 0.2], [0.3, 0.4]]}))
+    with pytest.raises(InputError, match=rf"{re.escape(str(bad))}: declares k = 3 but "
+                                         r"its rows have 2 coordinates"):
+        load_point_set(bad)
+    for body in ({"k": 2, "points": [[0.1, 0.2]]}, {"points": [[0.1, 0.2]]}):
+        bad.write_text(json.dumps(body))
+        assert load_point_set(bad).k == 2
 
 
 def test_load_rejects_malformed(tmp_path):

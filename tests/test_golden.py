@@ -1,4 +1,5 @@
-"""Every command of the golden corpus prints the pinned bytes and exit code.
+"""Every input file of the golden corpus has its pinned bytes, and every
+command prints the pinned bytes and exit code.
 
 The corpus and how to regenerate it are described in ``tests/golden.py``."""
 
@@ -6,7 +7,8 @@ import json
 
 import pytest
 
-from golden import CASES, HERE, MANIFEST, environment, run_case, write_inputs
+from golden import (CASES, HERE, MANIFEST, environment, input_digests, run_case,
+                    write_inputs)
 
 PINNED = json.loads(MANIFEST.read_text())
 
@@ -21,6 +23,13 @@ def inputs(tmp_path_factory):
 def test_corpus_lists_every_case():
     assert list(PINNED["cases"]) == list(CASES)
     assert sorted(p.stem for p in HERE.glob("*.stdout")) == sorted(CASES)
+
+
+def test_input_files_are_pinned(inputs):
+    """``gen`` and the hand-written inputs give the pinned bytes, so a writer
+    change that moves one byte of a point-set file fails here."""
+    where = f"corpus written on {PINNED['environment']}, running on {environment()}"
+    assert input_digests(inputs) == PINNED["inputs"], where
 
 
 @pytest.mark.parametrize("name", list(CASES))
