@@ -11,7 +11,8 @@ File formats:
         one value per line, each coordinate as its ``float.__repr__``
         (``dumps_indent1`` splices the points in)
   CSV   one point per row, k columns, no header, each coordinate as its
-        ``float.__repr__``
+        ``float.__repr__``, comma-separated, each row ended by "\r\n" (the
+        layout of ``csv.writer``)
 """
 
 from __future__ import annotations
@@ -175,21 +176,43 @@ def save_point_set(points: PointSet, path: str | Path) -> None:
         body = {"k": points.k, "container": points.container.value}
         path.write_text(dumps_indent1(body, {"points": points.coords}) + "\n")
     else:
+        # csv.writer's layout: comma-separated cells, "\r\n" after each row
+        row = ",".join(["%r"] * points.k) + "\r\n"
         with path.open("w", newline="") as fh:
-            writer = csv.writer(fh)
-            for row in points.coords:
-                writer.writerow([repr(float(x)) for x in row])
+            fh.write(row * points.n % tuple(points.coords.ravel().tolist()))
+
+
+def _refuse_non_numbers(points) -> None:
+    """Raise InputError at the first cell of a JSON ``"points"`` list that
+    is not a JSON number (``np.array`` would read true as 1.0 and "0.5"
+    as 0.5)."""
+    for row in points if isinstance(points, list) else ():
+        for cell in row if isinstance(row, list) else (row,):
+            if type(cell) not in (int, float):
+                raise InputError(f"cell {json.dumps(cell)} is not a JSON number")
 
 
 def load_point_set(path: str | Path) -> PointSet:
     """Read a point-set file written by ``save_point_set``.  A JSON file's
-    ``"k"``, when present, must equal the width of its rows.  Every error
-    in its contents, including the point set's own checks, names the file."""
+    cells must be JSON numbers, and its ``"k"``, when present, must equal
+    the width of its rows.  Every error in its contents, including the
+    point set's own checks, names the file."""
     path = Path(path)
     try:
         if path.suffix.lower() == ".json":
-            body = json.loads(path.read_text())
-            coords = np.array(body["points"], dtype=np.float64)
+            data = path.read_bytes()
+            body = json.loads(data)
+            points = body["points"]
+            # A cell that is not a number holds a quote, a brace or a letter
+            # of true, false or null.  In a file with no escapes the points
+            # follow the first "points" in it, so every cell is checked only
+            # when one of those bytes follows it (another key does too): a
+            # few memchr passes, about 0.05 ms at n = 2000, k = 12, against
+            # about 0.8 ms for a scan of the cells.
+            key = data.find(b'"points"')
+            if key < 0 or b"\\" in data or any(data.find(c, key + 8) >= 0 for c in b'"{tfn'):
+                _refuse_non_numbers(points)
+            coords = np.array(points, dtype=np.float64)
             if "k" in body and coords.ndim == 2 and body["k"] != coords.shape[1]:
                 raise InputError(f"declares k = {body['k']!r} but its rows have "
                                  f"{coords.shape[1]} coordinates")

@@ -43,6 +43,9 @@ GENERATED = (
     ("cl8-1001.json", ["clustered", "--k", "8", "--n", "1001", "--clusters", "8",
                        "--radius", "0.05", "--seed", "12"]),
     ("cv12-1001.json", ["cube-vertices", "--k", "12", "--n", "1001", "--seed", "13"]),
+    # benchmark size: the greedy's sorted prefix and heap both do real work
+    ("u3-2000.json", ["uniform", "--k", "3", "--n", "2000", "--seed", "14"]),
+    ("cv12-2000.json", ["cube-vertices", "--k", "12", "--n", "2000", "--seed", "15"]),
     # near-coincident points, once a certificate failure
     ("near-coincident.json", ["clustered", "--k", "3", "--n", "200", "--radius", "0.0001",
                               "--seed", "1"]),
@@ -83,6 +86,11 @@ def _cases() -> dict[str, list[str]]:
                  "four.json", "corners.csv"):
         cases[f"tour-oracle-{path}"] = _tour(path, "oracle")
     cases["tour-two-phase-cutoff-u3.json"] = _tour("u3.json", "two-phase", "--cutoff", "0.3")
+    for path in ("u3-2000.json", "cv12-2000.json"):
+        cases[f"tour-greedy-{path}"] = _tour(path, "greedy")
+    # a warm start with many path ends
+    cases["tour-two-phase-cutoff-u3-2000.json"] = _tour("u3-2000.json", "two-phase",
+                                                        "--cutoff", "0.05")
     cases["tour-two-phase-cutoff0-dups.json"] = _tour("dups.json", "two-phase",
                                                       "--cutoff", "0")
     cases["tour-mst-sekanina-k5-u3.json"] = _tour("u3.json", "mst-sekanina", "--k", "5")

@@ -1,3 +1,4 @@
+import csv
 import itertools
 import json
 import math
@@ -221,6 +222,68 @@ def test_load_rejects_malformed(tmp_path):
     bad.write_text(json.dumps({"k": 2}))
     with pytest.raises(InputError):
         load_point_set(bad)
+
+
+@pytest.mark.parametrize("points, cell", [
+    ([[True, "0.5"], [0.1, 0.2]], "true"),
+    ([[0.1, 0.2], [0.3, False]], "false"),
+    ([[0.1, 0.2], [0.3, "0.4"]], '"0.4"'),
+    ([[0.1, 0.2], [0.3, None]], "null"),
+    ([[0.1, 0.2], [{"x": 1}, 0.4]], '{"x": 1}'),
+])
+@pytest.mark.parametrize("layout", ["indent1", "compact", "points-first", "escaped"])
+def test_load_refuses_cells_that_are_not_numbers(tmp_path, points, cell, layout):
+    """``np.array`` would read true as 1.0 and "0.4" as 0.4; the loader
+    names the file and the first such cell, whatever the layout: after the
+    other keys, before them, or behind an escaped key."""
+    body = {"k": 2, "container": "unit_cube", "points": points}
+    text = {"indent1": lambda: json.dumps(body, indent=1),
+            "compact": lambda: json.dumps(body),
+            "points-first": lambda: json.dumps({"points": points, "k": 2}),
+            # the key escaped, and "points" again as a later value
+            "escaped": lambda: json.dumps({"k": 2, "points": points, "c": "points"}).replace(
+                '"points"', '"p\\u006fints"', 1)}[layout]()
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    with pytest.raises(InputError, match=re.escape(f"malformed point-set file {bad}: cell "
+                                                   f"{cell} is not a JSON number")):
+        load_point_set(bad)
+
+
+@pytest.mark.parametrize("text", [
+    '{"points": [[1, 0.5], [0, 1e-1]], "container": "unit_cube"}',
+    '{"container": "unit\\u005fcube", "points": [[1, 0.5], [0, 1e-1]]}',
+    '{"k": 2, "points": [[1, 0.5], [0, 1E-1]]}',
+])
+def test_load_takes_number_cells_in_any_layout(tmp_path, text):
+    """Ints, exponents, keys after the points and escapes elsewhere take the
+    cell-by-cell check, and pass it."""
+    good = tmp_path / "good.json"
+    good.write_text(text)
+    assert load_point_set(good).coords.tolist() == [[1.0, 0.5], [0.0, 0.1]]
+
+
+def csv_writer_file(ps, target):
+    """The CSV writer this file format was defined by: ``csv.writer`` over
+    ``repr(float(x))`` of each numpy cell."""
+    with target.open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        for row in ps.coords:
+            writer.writerow([repr(float(x)) for x in row])
+
+
+@pytest.mark.parametrize("ps", [
+    PointSet(np.array([[5e-324, 1e-300], [-0.0, 0.1 + 0.2], [1e16, 0.5]]),
+             Container.UNCONSTRAINED),
+    PointSet(np.array([[0.25]])),
+    uniform_cube(12, 30, 4),
+], ids=["special", "n1-k1", "k12"])
+def test_csv_file_is_the_csv_writers_byte_for_byte(ps, tmp_path):
+    target, want = tmp_path / "pts.csv", tmp_path / "want.csv"
+    save_point_set(ps, target)
+    csv_writer_file(ps, want)
+    assert target.read_bytes() == want.read_bytes()
+    assert load_point_set(target).coords.tobytes() == ps.coords.tobytes()
 
 
 @pytest.mark.parametrize("make", [

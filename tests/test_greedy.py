@@ -6,13 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from powertour.constructions import cube_vertex_subset, diagonal_pair, k4_even_weight_code
+import powertour.greedy as greedy
+from powertour.constructions import (cube_vertex_subset, diagonal_pair, k4_even_weight_code,
+                                     uniform_cube)
 from powertour.errors import InputError
 from powertour.geometry import pairwise_sq, point_set, power_cost
 from powertour.greedy import classify_edges, greedy_edge_count_by_length, greedy_ham_path
 from powertour.structures import EdgeList, PathSystem, validate
 
-from conftest import joinable, make_edge, pair_keys, random_points
+from conftest import joinable, make_edge, pair_keys, random_points, traced_peak
 
 
 def minimum_join_edge(points, system):
@@ -101,6 +103,11 @@ def tripled(points, seed):
     return point_set(np.repeat(points.coords, 3, axis=0)[gen.permutation(3 * points.n)])
 
 
+def doubled(points, seed):
+    gen = np.random.default_rng(seed)
+    return point_set(np.repeat(points.coords, 2, axis=0)[gen.permutation(2 * points.n)])
+
+
 EQUALITY_INPUTS = [
     pytest.param(lambda: cube_vertex_subset(4, 16, 1), id="cube-k4-all"),
     pytest.param(lambda: cube_vertex_subset(6, 50, 2), id="cube-k6"),
@@ -110,9 +117,24 @@ EQUALITY_INPUTS = [
     pytest.param(lambda: grid_subset(5, 90, 3, 6), id="grid-3d"),
     pytest.param(lambda: tripled(random_points(7, 30, 2), 7), id="tripled-2d"),
     pytest.param(lambda: tripled(cube_vertex_subset(5, 20, 8), 8), id="tripled-cube"),
+    pytest.param(lambda: doubled(grid_subset(4, 30, 3, 11), 11), id="doubled-grid"),
+    pytest.param(lambda: point_set(np.full((40, 3), 0.25)), id="all-equal"),
     pytest.param(lambda: random_points(9, 150, 3), id="uniform-k3"),
     pytest.param(lambda: random_points(10, 80, 8), id="uniform-k8"),
 ]
+
+
+def force_prefix(monkeypatch, prefix):
+    """Make the sorted prefix take no pair, every joinable pair, or the
+    pairs under its default bound cut down by a budget of one pair per
+    endpoint."""
+    if prefix == "none":
+        monkeypatch.setattr(greedy, "_prefix_bound", lambda nearest: -1.0)
+    elif prefix == "all":
+        monkeypatch.setattr(greedy, "_prefix_bound", lambda nearest: math.inf)
+        monkeypatch.setattr(greedy, "_PAIRS_PER_END", 10 ** 9)
+    elif prefix == "budget":
+        monkeypatch.setattr(greedy, "_PAIRS_PER_END", 1)
 
 
 @pytest.mark.parametrize("make", EQUALITY_INPUTS)
@@ -121,6 +143,67 @@ def test_heap_engine_matches_sorted_scan(make, warm):
     points = make()
     assert_matches_sorted_scan(points,
                                mixed_warm_start(points.n, points.n).edge_pairs if warm else ())
+
+
+@pytest.mark.parametrize("make", EQUALITY_INPUTS)
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+@pytest.mark.parametrize("prefix", ["none", "all", "budget"])
+def test_any_prefix_matches_sorted_scan(make, warm, prefix, monkeypatch):
+    """Path and trace equal the sorted scan's whatever the prefix takes
+    (the test above runs the default prefix)."""
+    force_prefix(monkeypatch, prefix)
+    points = make()
+    assert_matches_sorted_scan(points,
+                               mixed_warm_start(points.n, points.n).edge_pairs if warm else ())
+
+
+def count_row_scans(monkeypatch, points):
+    """Number of full-row heap scans one cold ``greedy_ham_path`` run makes."""
+    calls = []
+    scan = greedy._scan_row
+
+    def counted(*args):
+        calls.append(args)
+        return scan(*args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(greedy, "_scan_row", counted)
+        greedy_ham_path(points)
+    return len(calls)
+
+
+@pytest.mark.parametrize("make, scans, all_heap", [
+    (lambda: cube_vertex_subset(12, 600, 1), 120, 1982),
+    (lambda: uniform_cube(3, 600, 1), 263, 1576),
+], ids=["cube-vertex-k12", "uniform-k3"])
+def test_prefix_leaves_few_row_scans(make, scans, all_heap, monkeypatch):
+    """The prefix joins most paths, so the heap scans few rows; a silent
+    fall-back to the all-heap engine changes the pinned count."""
+    points = make()
+    assert count_row_scans(monkeypatch, points) == scans
+    force_prefix(monkeypatch, "none")
+    assert count_row_scans(monkeypatch, points) == all_heap
+
+
+@pytest.mark.parametrize("make", [
+    lambda: uniform_cube(3, 2000, 2),
+    lambda: cube_vertex_subset(12, 2000, 3),
+    lambda: point_set(np.full((2000, 2), 0.5)),
+], ids=["uniform-k3", "cube-vertex-k12", "all-equal"])
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+def test_prefix_allocates_no_quadratic_array(make, warm):
+    """With d^2 built beforehand, the prefix holds one strip of 2^16 entries
+    and O(n) pairs, never an n x n array: even on equal points, where all
+    n^2 / 2 pairs tie at d^2 = 0 and every entry of a strip is a hit until
+    the pair budget empties the prefix, its traced peak stays under a
+    quarter of one n x n float matrix."""
+    points = make()
+    n = points.n
+    far_end = np.array(PathSystem.from_pairs(
+        n, mixed_warm_start(n, 5).edge_pairs if warm else ()).other_end)
+    blocked = np.where(far_end < 0, np.inf, 0.0)
+    d2 = points.sq
+    assert traced_peak(lambda: greedy._short_pairs(d2, blocked, far_end)) < 2 * n * n
 
 
 @settings(max_examples=60, deadline=None)
