@@ -172,16 +172,17 @@ def edge_lengths(points: PointSet, u, v) -> np.ndarray:
 #: (``build_mst``, ``build_threshold_forest``, ``greedy_ham_path``): the
 #: n x n float matrix is 0.8 GB at the cap.  Filter-Kruskal's pair arrays
 #: take 24 bytes per pair besides, but only up to ``mst._PRIM_ABOVE``
-#: points; above it the MST and the forest run Prim, which needs O(n)
-#: beside the matrix.
+#: points; above it the MST and the forest run Kruskal over the sorted
+#: prefix and Prim over its components, which hold O(n) prefix pairs and
+#: keys beside the matrix, as the greedy does.
 MAX_DENSE_POINTS = 10_000
 
 
 def check_dense_size(n: int) -> None:
     """Raise SizeError, before anything is allocated, when n points exceed
     ``MAX_DENSE_POINTS``.  The message names the 8 n^2 bytes of the n x n
-    matrix: every refused n is above ``mst._PRIM_ABOVE``, where no pair
-    array is made."""
+    matrix: every refused n is above ``mst._PRIM_ABOVE``, where the scan
+    holds O(n) prefix pairs and no quadratic pair array."""
     if n > MAX_DENSE_POINTS:
         raise SizeError(f"dense paths capped at n = {MAX_DENSE_POINTS}, got n = {n} "
                         f"(an n x n matrix of about {8 * n * n:,} bytes)")

@@ -9,22 +9,18 @@ max) that inserts each pair still joinable - Kruskal's scan with a degree
 rule - and ``sorted_scan_greedy`` in ``tests/test_greedy.py`` is that scan,
 the engine's oracle.  The engine runs it in two stages.
 
-The sorted prefix (after Filter-Kruskal's idea: sort only the pairs that
-can still matter, Osipov, Sanders and Singler, ALENEX 2009).  One pass over
-d^2, one strip of endpoint rows at a time, collects every pair u < v of
-path endpoints with d^2 <= tau that is joinable at the start; they come
-in (u, v) order, so a stable sort by d^2 puts them in (d^2, u, v) order, and
-each pair still joinable is inserted.  That is exactly the scan's prefix up to tau: a pair that is not
-joinable once (an endpoint became interior, or the two paths merged) never
-becomes joinable again, since degrees only grow and paths only merge, so
-the pairs left out and the pairs skipped are ones the scan skips too; and
-afterwards every joinable pair has d^2 > tau.  So the path and the trace do
-not depend on tau.  tau is about the 98th percentile of the nearest
-joinable d^2 of a strided sample of at most about 256 endpoints (far ends
-masked), taken with ``np.partition``; it is lowered while more than 16
-pairs per endpoint would be held, so the prefix holds O(n) pairs even when
-d^2 has a few huge ties (all points equal).  On uniform, clustered and
-cube-vertex inputs most paths are joined here.
+The sorted prefix, ``pairs.short_pairs``, which the MST scan also starts
+from: every pair u < v of path endpoints with d^2 <= tau that is joinable
+at the start, in (d^2, u, v) order; each pair still joinable is inserted.
+That is exactly the scan's prefix up to tau: a pair that is not joinable
+once (an endpoint became interior, or the two paths merged) never becomes
+joinable again, since degrees only grow and paths only merge, so the pairs
+left out and the pairs skipped are ones the scan skips too; and afterwards
+every joinable pair has d^2 > tau.  So the path and the trace do not
+depend on tau, nor on whether the prefix is taken at all: below 32
+endpoints (a warm start of a few long paths, as in two-phase on clustered
+inputs) it is empty and the heap does every join.  On uniform, clustered
+and cube-vertex inputs most paths are joined here.
 
 The lazy heap finishes the scan, with one entry per path endpoint u: u's
 nearest joinable partner v, keyed by (d^2, min(u, v), max(u, v)).  It
@@ -45,13 +41,12 @@ for every v - every key and tie then matches a scan of the sorted upper
 triangle bit for bit.  The greedy only reads it, and only while two or more
 paths remain, so in ``two_phase_tour`` it reads the matrix the threshold
 forest built.  The prefix reads the upper triangle of the endpoint rows
-once, in place where the rows are consecutive (every cold run), plus the
-sampled rows, and holds one strip of about 2^16 entries and its pairs.
-Each heap entry costs one O(n) row and an ``argmin``: at n = 2000 the heap
-makes about 400-1300 such scans after the prefix, against 5300-8200
-without it, and a cold run takes about 12-15 ms, 5-6 of them in the
-prefix, against 28-40 ms for the heap alone (2-core x86-64, one BLAS
-thread).  d^2 orders
+once and holds one strip of about 2^16 entries and O(n) pairs (see
+``pairs``).  Each heap entry costs one O(n) row and an ``argmin``: at
+n = 2000 the heap makes about 400-1300 such scans after the prefix,
+against 5300-8200 without it, and a cold run takes about 12-15 ms, 5-6 of
+them in the prefix, against 28-40 ms for the heap alone (2-core x86-64,
+one BLAS thread).  d^2 orders
 pairs; ``edge_lengths`` measures them: the trace's weights come from one
 call over the inserted pairs.  The trace is an ``EdgeList``, and the
 counters below read its ``weights`` array, as they do a path's or a tour's.
@@ -67,6 +62,7 @@ import numpy as np
 from .errors import InputError
 # pairwise_sq stays bound here: the benchmark's tracer test reads greedy.pairwise_sq
 from .geometry import PointSet, pairwise_sq  # noqa: F401
+from .pairs import short_pairs
 from .structures import EdgeList, HamPath, PathSystem, edge_arrays, path_from_order
 
 
@@ -97,7 +93,7 @@ def greedy_ham_path(points: PointSet, warm_start: Iterable[tuple[int, int]] = ()
         # added to a row: inf masks the interior vertices
         blocked = np.where(far_end < 0, np.inf, 0.0)
         # the sorted prefix: the scan up to tau
-        for a, b in zip(*_short_pairs(d2, blocked, far_end)):
+        for a, b in zip(*short_pairs(d2, blocked, far_end)):
             if far[a] < 0 or far[b] < 0 or far[a] == b:
                 continue
             system.add_path_edge(a, b)
@@ -137,74 +133,6 @@ def _scan_row(d2: np.ndarray, blocked: np.ndarray, far: list[int], u: int
     v = int(row.argmin())
     return (float(d2[u, v]), *((u, v) if u < v else (v, u)), u, v)
 
-
-#: d^2 entries per strip of endpoint rows (32 rows, 0.5 MiB, at n = 2000),
-#: and per strip of sampled rows, which are copied and so kept smaller.
-_STRIP = 2 ** 16
-_SAMPLE_STRIP = 2 ** 14
-
-#: Endpoint rows whose nearest joinable d^2 set the prefix's bound.
-_BOUND_SAMPLE = 256
-
-#: Most pairs the prefix holds, per endpoint.
-_PAIRS_PER_END = 16
-
-
-def _prefix_bound(nearest: np.ndarray) -> float:
-    """The prefix's d^2 bound: about the 98th percentile of ``nearest``, the
-    sampled endpoints' nearest joinable d^2.  ``np.partition``, not
-    ``np.quantile``, whose first call grows peak RSS by about 1.2 MiB."""
-    i = len(nearest) * 49 // 50
-    return float(np.partition(nearest, i)[i])
-
-
-def _short_pairs(d2: np.ndarray, blocked: np.ndarray, far_end: np.ndarray
-                 ) -> tuple[list[int], list[int]]:
-    """Every joinable endpoint pair u < v with d^2 <= tau, sorted by
-    (d^2, u, v), as a list of the u and one of the v.  tau is
-    ``_prefix_bound`` of a strided sample of the endpoints' nearest joinable
-    d^2, lowered while the pairs held would pass ``_PAIRS_PER_END`` per
-    endpoint.  d^2 is read one strip of endpoint rows at a time, in place
-    where the rows are consecutive."""
-    n = len(d2)
-    ends = np.flatnonzero(blocked == 0)
-    sample = ends[::max(1, len(ends) // _BOUND_SAMPLE)]
-    nearest = []
-    step = max(1, _SAMPLE_STRIP // n)
-    for i in range(0, len(sample), step):
-        rows = sample[i:i + step]
-        block = d2[rows]
-        block += blocked
-        block[np.arange(len(rows)), far_end[rows]] = np.inf
-        nearest.append(block.min(axis=1))
-    tau = _prefix_bound(np.concatenate(nearest))
-
-    budget = _PAIRS_PER_END * len(ends)
-    dd, us, vs = [], [], []
-    held = 0
-    step = max(1, _STRIP // n)
-    for i in range(0, len(ends), step):
-        rows = ends[i:i + step]
-        lo, hi = int(rows[0]), int(rows[-1])
-        # only v > u >= lo can join
-        upper = d2[lo:hi + 1, lo + 1:] if hi - lo == len(rows) - 1 else d2[rows, lo + 1:]
-        # flatnonzero: a 2-d np.nonzero is about ten times slower
-        r, c = np.divmod(np.flatnonzero(upper <= tau), upper.shape[1])
-        u, v = rows[r], c + (lo + 1)
-        hit = (v > u) & (blocked[v] == 0) & (far_end[u] != v)
-        dd.append(upper[r[hit], c[hit]])
-        us.append(u[hit])
-        vs.append(v[hit])
-        held += len(dd[-1])
-        if held > budget:
-            # keep only the pairs below the (budget / 2)-th smallest d^2
-            dd, us, vs = map(np.concatenate, (dd, us, vs))
-            tau = np.nextafter(np.partition(dd, budget // 2)[budget // 2], -np.inf)
-            keep = dd <= tau
-            dd, us, vs = [dd[keep]], [us[keep]], [vs[keep]]
-            held = len(dd[0])
-    order = np.argsort(np.concatenate(dd), kind="stable")  # the pairs come in (u, v) order
-    return np.concatenate(us)[order].tolist(), np.concatenate(vs)[order].tolist()
 
 def greedy_edge_count_by_length(trace: EdgeList, j: float) -> int:
     """Number of trace edges with squared length >= j, read off the

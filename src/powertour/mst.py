@@ -38,14 +38,26 @@ all pairs on uniform and clustered inputs.  The round size has no floor:
 as a round takes every pair up to its pivot, a small round splits no tie
 either.
 
-Above ``_PRIM_ABOVE`` points the scan is Prim (1957) with exact keys.
-Each unreached vertex keeps its lightest pair to the reached set, keyed
-(d^2, min, max), and the vertex of smallest key is reached next.  That key
-is a total order on the pairs, so the MST is unique and Prim finds the full
-sort's tree; its pairs are lexsorted by (d^2, u, v) into the tree's
-arrays.  Time is O(n^2) in n - 1 vectorised row steps; each step lowers
-the keys with ``np.minimum`` and moves the parents that change with one
-boolean assignment.
+Above ``_PRIM_ABOVE`` points the scan is Kruskal over the sorted prefix,
+then Prim (1957) over the prefix's components.  The prefix is
+``pairs.short_pairs``, the greedy's too: every pair of d^2 <= tau, in
+(d^2, u, v) order, which is the full sort's exact prefix.  So Kruskal over
+it accepts the MST's pairs up to tau, in order, and every pair between the
+components it leaves is heavier than tau.  It leaves few: 67 / 43 / 1 on
+the uniform k = 3 / clustered k = 8 / cube-vertex k = 12 inputs at
+n = 2000, seed 1.  Prim then reaches one whole component per step, with
+exact keys: each unreached vertex keeps its lightest pair to the reached
+set, keyed (d^2, min, max), and the component of the vertex of smallest
+key is reached next.  Its members' rows, ascending and in strips of about
+``_STRIP`` entries (the rows of the unreached vertices instead, when they
+are fewer), lower the keys; on a tie ``argmin`` takes the first row, the
+smallest member.  That key is a total order on the pairs, so the MST is
+unique and the scan finds the full sort's tree; Prim's pairs are lexsorted
+by (d^2, u, v) behind the prefix's.  A one-vertex component is one row
+step, so with an empty prefix (equal points, where the pair budget empties
+it) the scan is plain Prim, n - 1 row steps.  Time is O(n^2): one pass over
+the upper triangle for the prefix, then each unreached key lowered once
+per row reached.
 
 Before reading the tree, the forest makes one pass over d^2: when no pair
 lies within the cutoff it returns the n singletons with no MST.  Two-phase
@@ -55,19 +67,32 @@ above its cutoff k^(-1/4) < 1.
 The size constant is the measured crossover for the MST alone.  With one
 BLAS thread on a 2-core x86 machine, the scan summed over uniform k = 3,
 clustered k = 8 and cube-vertex k = 12 inputs (three seeds each, best of
-7, two runs) took 12-18 / 21-30 / 33-35 / 47-51 / 88-95 / 198-231 ms by
-Filter-Kruskal and 15-27 / 24-40 / 32-41 / 43-49 / 67-70 / 114-149 ms by
-Prim at n = 200 / 300 / 400 / 500 / 700 / 1000.  Prim wins the clustered
-inputs at every n and the uniform ones from about n = 500; Filter-Kruskal
-stays faster on cube vertices, whose keys tie in hundreds.
+7, two runs; one at n = 40, 500 and 1000) took
+
+    n                   40     50       60       80       100      200
+    Filter-Kruskal      0.7    1.0-1.3  1.5-1.7  2.4-2.6  3.1-3.2  9-10 ms
+    prefix and Prim     1.4    1.3-1.7  1.5-1.7  1.8-1.9  2.1      4.4-4.5 ms
+
+and 50 / 178 ms against 15 / 30 ms at n = 500 / 1000.  On uniform inputs
+alone (the bounds-sweep mix: 300 instances, n = 2..200, k = 3..8)
+Filter-Kruskal is faster up to about n = 95, and on the lemma1 mix (300
+instances, n = 3..50, k = 2..10) it takes 15 ms against 38 ms.  At
+n = 2000 (seeds 1 to 3, best of 7 to 15) the scan takes 7-12 / 12-20 /
+6-11 ms on the tour-large inputs (uniform / clustered / cube vertices),
+where plain Prim took 25-45 / 25-38 / 33-54 ms; the low ends are from a
+quiet machine, the high ends from a loaded one.  Clustered inputs cost
+most: Prim reads the rows of every component but the last, about 1700 of
+2000.
 
 Memory: the n x n float64 matrix (8 n^2 bytes), which the point set keeps,
 on both paths.  Filter-Kruskal adds 24 bytes per pair for its index and
-weight arrays (3 MB at n = 500); Prim adds O(n).  The kept tree is O(n).
+weight arrays (77 kB at n = 80).  The prefix and Prim add O(n): the
+prefix's pairs (at most 16 per point, 2 to 4 on the inputs above), one
+strip of rows and the keys.  The kept tree is O(n).
 
-The union-find is ``structures.DSU``: Filter-Kruskal's rounds make their
-unions in one, and the forest groups the kept pairs into trees with
-another.
+The union-find is ``structures.DSU``: Filter-Kruskal's rounds and the
+prefix's Kruskal make their unions in one, and the forest joins the kept
+pairs in another; each reads all roots at once off ``DSU.roots``.
 """
 
 from __future__ import annotations
@@ -79,14 +104,19 @@ import numpy as np
 
 from .errors import InputError
 from .geometry import PointSet, edge_lengths, pairwise_sq
+from .pairs import short_pairs
 from .structures import DSU, SpanningTree
 
 
 #: Pairs sorted per filter round: this many per point.
 _ROUND_PER_POINT = 4
 
-#: Above this many points the MST scan runs Prim; at or below it, Filter-Kruskal.
-_PRIM_ABOVE = 500
+#: Above this many points the MST scan runs the prefix and Prim; at or below
+#: it, Filter-Kruskal.
+_PRIM_ABOVE = 80
+
+#: d^2 entries per strip of component rows (32 rows at n = 2000).
+_STRIP = 2 ** 16
 
 #: Each point set's MST, built by its first ``build_mst`` call and dropped with it.
 _TREES: weakref.WeakKeyDictionary[PointSet, SpanningTree] = weakref.WeakKeyDictionary()
@@ -125,26 +155,45 @@ def _filter_rounds(d2: np.ndarray, dsu: DSU):
             yield iu, iv, w
             return
         # every taken pair now joins one component, so this drops them too
-        root = np.array([dsu.find(x) for x in range(n)])
+        root = dsu.roots()
         keep = root[iu] != root[iv]
         iu, iv, w = iu[keep], iv[keep], w[keep]
 
 
 def _prim(d2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The MST pairs as arrays (u, v), u < v, lexsorted into (d^2, u, v)
-    order from the order Prim reaches them.
+    """The MST pairs as arrays (u, v), u < v, in (d^2, u, v) order: Kruskal
+    over the sorted prefix, then Prim over the prefix's components.
 
-    Each unreached vertex w keeps its lightest pair to the reached set,
-    keyed (d^2, min, max): for one w, a tie on d^2 goes to the smaller
-    other end.  The next vertex is the one of smallest key.  The unreached
-    vertices are kept packed at the front of ``ids``, so the work shrinks
-    as they do."""
+    The prefix is the full sort's up to tau, so Kruskal over it accepts the
+    MST's pairs up to tau, in order, and every pair between its components
+    is heavier.  Prim then reaches one whole component per step.  Each
+    unreached vertex w keeps its lightest pair to the reached set, keyed
+    (d^2, min, max): for one w, a tie on d^2 goes to the smaller other end.
+    The next component is the one holding the vertex of smallest key.  The
+    unreached vertices are kept packed at the front of ``ids``, so the work
+    shrinks as they do."""
     n = len(d2)
-    ids = np.arange(1, n)  # ids[:m] are the m unreached vertices
-    key = d2[0, 1:].copy()  # their lightest pair's d^2 ...
-    par = np.zeros(n - 1, dtype=np.intp)  # ... and its other end
-    us, vs, ds = [], [], []
-    for m in range(n - 1, 0, -1):
+    dsu = DSU(n)
+    us, vs = [], []
+    for a, b in zip(*short_pairs(d2, np.zeros(n), np.arange(n))):
+        if dsu.union(a, b):
+            us.append(a)
+            vs.append(b)
+            if len(us) == n - 1:
+                break
+    comp = dsu.roots()
+    label = comp.tolist()
+    size = np.bincount(comp, minlength=n)
+    grouped = np.argsort(comp, kind="stable")  # each component's members, ascending
+    end, size = np.cumsum(size).tolist(), size.tolist()
+    r = label[0]
+    ids = np.flatnonzero(comp != r)  # ids[:m] are the m unreached vertices
+    m = len(ids)
+    key = np.full(m, np.inf)  # their lightest pair's d^2 ...
+    par = np.zeros(m, dtype=np.intp)  # ... and its other end
+    _lower(d2, grouped[end[r] - size[r]:end[r]], ids, key, par)
+    pu, pv, ds = [], [], []
+    while m:
         live = key[:m]
         i = live.argmin()
         dd = live[i]
@@ -153,21 +202,57 @@ def _prim(d2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             a, b = ids[tie], par[tie]
             i = tie[(np.minimum(a, b) * n + np.maximum(a, b)).argmin()]
         w, p = int(ids[i]), int(par[i])
-        us.append(min(w, p))
-        vs.append(max(w, p))
+        pu.append(min(w, p))
+        pv.append(max(w, p))
         ds.append(dd)
-        # fill w's slot with the last unreached vertex
-        last = m - 1
-        ids[i] = ids[last]
-        key[i] = key[last]
-        par[i] = par[last]
-        row = d2[w].take(ids[:last])
-        live, near = key[:last], par[:last]
-        near[(row < live) | ((row == live) & (near > w))] = w
-        np.minimum(live, row, out=live)
-    u, v = np.array(us, dtype=np.intp), np.array(vs, dtype=np.intp)
-    order = np.lexsort((v, u, ds)) if n > 1 else slice(None)
-    return u[order], v[order]
+        r = label[w]
+        if size[r] == 1:
+            # fill w's slot with the last unreached vertex, and lower by row w
+            m -= 1
+            ids[i], key[i], par[i] = ids[m], key[m], par[m]
+            row = d2[w].take(ids[:m])
+            live, near = key[:m], par[:m]
+            near[(row < live) | ((row == live) & (near > w))] = w
+            np.minimum(live, row, out=live)
+        else:
+            keep = (comp.take(ids[:m]) != r).nonzero()[0]
+            m = len(keep)
+            ids[:m], key[:m], par[:m] = ids[keep], key[keep], par[keep]
+            _lower(d2, grouped[end[r] - size[r]:end[r]], ids[:m], key[:m], par[:m])
+    pu, pv = np.array(pu, dtype=np.intp), np.array(pv, dtype=np.intp)
+    order = np.lexsort((pv, pu, ds)) if ds else slice(None)
+    return (np.concatenate((np.array(us, dtype=np.intp), pu[order])),
+            np.concatenate((np.array(vs, dtype=np.intp), pv[order])))
+
+
+def _lower(d2: np.ndarray, reach: np.ndarray, ids: np.ndarray, key: np.ndarray,
+           par: np.ndarray) -> None:
+    """Lower the keys ``key`` and other ends ``par`` of the unreached
+    vertices ``ids`` by the rows of ``reach``, the ascending members of the
+    component just reached.  The rows are read in strips of about
+    ``_STRIP`` entries, rows of whichever side is smaller, and ``argmin``'s
+    first minimum is the smallest member on a tie."""
+    step = max(1, _STRIP // len(d2))
+    if len(reach) <= len(ids):
+        for i in range(0, len(reach), step):
+            rows = reach[i:i + step]
+            block = d2.take(rows, axis=0)
+            best = block.min(axis=0).take(ids)
+            hit = (best <= key).nonzero()[0]
+            near = rows[block.take(ids[hit], axis=1).argmin(axis=0)]
+            best = best[hit]
+            take = (best < key[hit]) | (par[hit] > near)
+            par[hit[take]] = near[take]
+            key[hit] = best
+    else:
+        for i in range(0, len(ids), step):
+            block = d2.take(ids[i:i + step], axis=0).take(reach, axis=1)
+            j = block.argmin(axis=1)
+            best, near = block[np.arange(len(j)), j], reach[j]
+            live, far = key[i:i + step], par[i:i + step]
+            take = (best < live) | ((best == live) & (far > near))
+            far[take] = near[take]
+            np.minimum(live, best, out=live)
 
 
 def build_mst(points: PointSet) -> SpanningTree:
@@ -214,11 +299,12 @@ def build_threshold_forest(points: PointSet, cutoff: float) -> list[SpanningTree
     for a, b in zip(u, v):
         dsu.union(a, b)
     # groups open in increasing order of their smallest member
+    root = dsu.roots().tolist()
     groups: dict[int, tuple[list[int], list[int]]] = {}  # members, edge indices
-    for x in range(points.n):
-        groups.setdefault(dsu.find(x), ([], []))[0].append(x)
+    for x, r in enumerate(root):
+        groups.setdefault(r, ([], []))[0].append(x)
     for i, a in zip(keep.tolist(), u):
-        groups[dsu.find(a)][1].append(i)
+        groups[root[a]][1].append(i)
     return [SpanningTree(members, u=tree.u[es], v=tree.v[es], weights=tree.weights[es])
             if es else SpanningTree(members) for members, es in groups.values()]
 

@@ -7,7 +7,7 @@ Their ``edges`` tuple of ``Edge`` values is a read-only view, built only
 when read, so no pipeline, comparison or check here builds an ``Edge``.
 Every builder takes vertex ids through one check: integers in 0..n-1.
 Disjoint path systems track each path's endpoints in one map.  Also here:
-the ``DSU`` union-find of the Filter-Kruskal scan, the cycle -> matching
+the ``DSU`` union-find of the MST scans, the cycle -> matching
 decomposition and a uniform ``validate`` entry point that reports every
 violated invariant.
 """
@@ -110,7 +110,8 @@ class EdgeList(_EdgeArrays):
 
 
 class DSU:
-    """Union-find over 0..n-1 with path compression.
+    """Union-find over 0..n-1: ``find`` compresses paths, ``union`` halves
+    them.
 
     ``union(a, b)`` hangs a's root under b's, so the roots depend only on
     the sequence of unions, never on which ``find`` calls came between.
@@ -131,12 +132,30 @@ class DSU:
         return root
 
     def union(self, a: int, b: int) -> bool:
-        """Join the sets of a and b; False when they were one set already."""
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
+        """Join the sets of a and b; False when they were one set already.
+        Each walk to a root points every vertex it passes at its
+        grandparent, in line: the scans call this once per pair, and two
+        ``find`` calls more cost about as much again."""
+        p = self.parent
+        while p[a] != a:
+            p[a] = a = p[p[a]]
+        while p[b] != b:
+            p[b] = b = p[p[b]]
+        if a == b:
             return False
-        self.parent[ra] = rb
+        p[a] = b
         return True
+
+    def roots(self) -> np.ndarray:
+        """Every vertex's root, ``find(x)`` for each x, as one int array, by
+        pointer jumping over a copy of ``parent`` (each pass halves every
+        path); ``parent`` itself is left as it is."""
+        root = np.array(self.parent, dtype=np.intp)
+        while True:
+            up = root[root]
+            if (up == root).all():
+                return root
+            root = up
 
 
 def _vertex_ids(points: PointSet, ids) -> list[int]:

@@ -294,8 +294,8 @@ def test_dense_paths_refuse_points_beyond_the_cap_before_allocating(monkeypatch,
 
 
 def test_dense_size_message_names_the_matrix_at_the_cap():
-    """Every refused n runs Prim, which builds no pair array, so the
-    message counts the n x n matrix alone."""
+    """Every refused n runs the prefix and Prim, which hold O(n) pairs and
+    no pair array, so the message counts the n x n matrix alone."""
     assert MAX_DENSE_POINTS > powertour.mst._PRIM_ABOVE
     check_dense_size(MAX_DENSE_POINTS)
     with pytest.raises(SizeError) as info:

@@ -7,12 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import powertour.greedy as greedy
-from powertour.constructions import (cube_vertex_subset, diagonal_pair, k4_even_weight_code,
-                                     uniform_cube)
+import powertour.pairs as pairs
+from powertour.constructions import (clustered, cube_vertex_subset, diagonal_pair,
+                                     k4_even_weight_code, uniform_cube)
 from powertour.errors import InputError
 from powertour.geometry import pairwise_sq, point_set, power_cost
 from powertour.greedy import classify_edges, greedy_edge_count_by_length, greedy_ham_path
+from powertour.mst import build_mst
 from powertour.structures import EdgeList, PathSystem, validate
+from powertour.two_phase import two_phase_tour
 
 from conftest import joinable, make_edge, pair_keys, random_points, traced_peak
 
@@ -127,14 +130,16 @@ EQUALITY_INPUTS = [
 def force_prefix(monkeypatch, prefix):
     """Make the sorted prefix take no pair, every joinable pair, or the
     pairs under its default bound cut down by a budget of one pair per
-    endpoint."""
+    endpoint.  Each makes the pass at any endpoint count, below
+    ``pairs._MIN_ENDS`` too."""
+    monkeypatch.setattr(pairs, "_MIN_ENDS", 0)
     if prefix == "none":
-        monkeypatch.setattr(greedy, "_prefix_bound", lambda nearest: -1.0)
+        monkeypatch.setattr(pairs, "_prefix_bound", lambda nearest: -1.0)
     elif prefix == "all":
-        monkeypatch.setattr(greedy, "_prefix_bound", lambda nearest: math.inf)
-        monkeypatch.setattr(greedy, "_PAIRS_PER_END", 10 ** 9)
+        monkeypatch.setattr(pairs, "_prefix_bound", lambda nearest: math.inf)
+        monkeypatch.setattr(pairs, "_PAIRS_PER_END", 10 ** 9)
     elif prefix == "budget":
-        monkeypatch.setattr(greedy, "_PAIRS_PER_END", 1)
+        monkeypatch.setattr(pairs, "_PAIRS_PER_END", 1)
 
 
 @pytest.mark.parametrize("make", EQUALITY_INPUTS)
@@ -203,7 +208,31 @@ def test_prefix_allocates_no_quadratic_array(make, warm):
         n, mixed_warm_start(n, 5).edge_pairs if warm else ()).other_end)
     blocked = np.where(far_end < 0, np.inf, 0.0)
     d2 = points.sq
-    assert traced_peak(lambda: greedy._short_pairs(d2, blocked, far_end)) < 2 * n * n
+    assert traced_peak(lambda: pairs.short_pairs(d2, blocked, far_end)) < 2 * n * n
+
+
+def test_few_endpoints_make_no_prefix_pass(monkeypatch):
+    """Two-phase's warm start on the clustered k = 8 tour-large input leaves
+    5 paths, 10 endpoints, under ``pairs._MIN_ENDS``: the heap alone joins
+    them, with no pass over d^2 (no bound is taken).  A forced prefix still
+    makes the pass there, and the tour stays the same.  The point set's MST,
+    whose scan makes a pass of its own, is built first."""
+    points = clustered(8, 2000, 8, 0.05, 1)
+    build_mst(points)
+    ends, bounds = [], []
+    short_pairs, bound = pairs.short_pairs, pairs._prefix_bound
+
+    def watched(d2, blocked, far_end):
+        ends.append(int(np.count_nonzero(blocked == 0)))
+        return short_pairs(d2, blocked, far_end)
+
+    monkeypatch.setattr(greedy, "short_pairs", watched)
+    monkeypatch.setattr(pairs, "_prefix_bound", lambda nearest: bounds.append(1) or bound(nearest))
+    tour = two_phase_tour(points, 8)[0]
+    assert ends == [10] and bounds == []
+    force_prefix(monkeypatch, "budget")
+    assert two_phase_tour(points, 8)[0].order == tour.order
+    assert ends == [10, 10] and bounds == [1]
 
 
 @settings(max_examples=60, deadline=None)

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from powertour import mst
+from powertour import mst, pairs
 from powertour.constructions import clustered, cube_vertex_subset, k3_code4, uniform_cube
 from powertour.geometry import edge_lengths, pairwise_sq, point_set, power_cost
 from powertour.greedy import greedy_ham_path
@@ -20,7 +20,7 @@ from powertour.sekanina import mst_sekanina_cycle
 from powertour.structures import DSU, SpanningTree, close_path, tree_from_pairs, validate
 from powertour.two_phase import two_phase_tour
 
-from conftest import arrays_of, make_edge, pair_keys, random_points
+from conftest import arrays_of, make_edge, pair_keys, random_points, traced_peak
 
 
 def brute_force_min_tree_weight(points):
@@ -280,12 +280,16 @@ def use_many_rounds(monkeypatch):
 
 
 #: The scan's paths: Filter-Kruskal with its rounds as shipped ("default")
-#: or with ``use_many_rounds`` ("many"), and Prim.
-ENGINES = ("default", "many", "prim")
+#: or with ``use_many_rounds`` ("many"), and Prim over the components of the
+#: sorted prefix as shipped ("prim"), with no pair in the prefix, so every
+#: component is one vertex ("prim-no-prefix"), and with every pair in it,
+#: so Kruskal builds the whole tree ("prim-all-prefix").
+ENGINES = ("default", "many", "prim", "prim-no-prefix", "prim-all-prefix")
 
 
 #: The scan function each engine runs.
-SCAN_OF = {"default": "_kruskal", "many": "_kruskal", "prim": "_prim"}
+SCAN_OF = {"default": "_kruskal", "many": "_kruskal", "prim": "_prim",
+           "prim-no-prefix": "_prim", "prim-all-prefix": "_prim"}
 
 
 def watch_scans(monkeypatch) -> list[str]:
@@ -304,11 +308,19 @@ def watch_scans(monkeypatch) -> list[str]:
 def use_engine(monkeypatch, engine) -> list[str]:
     """Run ``engine`` at every n, by patching ``mst._PRIM_ABOVE``, the size
     above which the shipped scan runs Prim, and return ``watch_scans``'
-    list.  Each point set keeps its first MST, so a test that compares
-    engines builds a fresh point set for each."""
-    monkeypatch.setattr(mst, "_PRIM_ABOVE", 0 if engine == "prim" else math.inf)
+    list.  The prefix engines make their pass at every n, below
+    ``pairs._MIN_ENDS`` too.  Each point set keeps its first MST, so a test
+    that compares engines builds a fresh point set for each."""
+    monkeypatch.setattr(mst, "_PRIM_ABOVE", 0 if SCAN_OF[engine] == "_prim" else math.inf)
     if engine == "many":
         use_many_rounds(monkeypatch)
+    elif engine == "prim-no-prefix":
+        monkeypatch.setattr(pairs, "_MIN_ENDS", 0)
+        monkeypatch.setattr(pairs, "_prefix_bound", lambda nearest: -1.0)
+    elif engine == "prim-all-prefix":
+        monkeypatch.setattr(pairs, "_MIN_ENDS", 0)
+        monkeypatch.setattr(pairs, "_prefix_bound", lambda nearest: math.inf)
+        monkeypatch.setattr(pairs, "_PAIRS_PER_END", 10 ** 9)
     return watch_scans(monkeypatch)
 
 
@@ -461,9 +473,10 @@ def test_each_round_sorts_only_joinable_pairs_heavier_than_the_last(monkeypatch,
                          ids=["clustered-k8", "cube-vertex-k12"])
 def test_forest_makes_each_union_once(monkeypatch, engine, name, cutoff):
     """The forest's trees come from one MST scan and one grouping pass:
-    Filter-Kruskal makes its n - 1 unions and Prim none, then the forest
-    makes one union per kept pair.  A second forest on the same point set
-    reads the kept tree: one more grouping pass, no scan."""
+    Filter-Kruskal makes its n - 1 unions and Prim one per pair its prefix
+    accepts (n less the prefix's components), then the forest makes one
+    union per kept pair.  A second forest on the same point set reads the
+    kept tree: one more grouping pass, no scan."""
     points = TOUR_LARGE[name]()
     union = DSU.union
     results = []
@@ -475,11 +488,51 @@ def test_forest_makes_each_union_once(monkeypatch, engine, name, cutoff):
     monkeypatch.setattr(DSU, "union", counted)
     edges = sum(len(t.u) for t in build_threshold_forest(points, cutoff))
     assert edges > 0
-    scan = 0 if engine[0] == "prim" else points.n - 1
+    scan = {"prim": points.n - PREFIX_COMPONENTS[name], "prim-no-prefix": 0}.get(
+        engine[0], points.n - 1)
     assert results.count(True) == scan + edges
     assert sum(len(t.u) for t in build_threshold_forest(points, cutoff)) == edges
     assert results.count(True) == scan + 2 * edges
     assert engine[1] == [SCAN_OF[engine[0]]]
+
+
+#: Components left by Kruskal over the sorted prefix on the tour-large
+#: seed-1 inputs: Prim takes one step per component after the first.
+PREFIX_COMPONENTS = {"uniform-k3-seed1": 67, "clustered-k8-seed1": 43,
+                     "cube-vertex-k12-seed1": 1}
+
+
+@pytest.mark.parametrize("name", PREFIX_COMPONENTS)
+def test_prefix_leaves_few_components(monkeypatch, name):
+    """The prefix's Kruskal makes n - c unions for c components; a silent
+    fall-back to one Prim step per vertex changes the pinned count."""
+    points = TOUR_LARGE[name]()
+    union, unions = DSU.union, []
+
+    def counted(self, a, b):
+        unions.append(union(self, a, b))
+        return unions[-1]
+
+    monkeypatch.setattr(DSU, "union", counted)
+    assert points.n > mst._PRIM_ABOVE
+    build_mst(points)
+    assert points.n - unions.count(True) == PREFIX_COMPONENTS[name]
+
+
+@pytest.mark.parametrize("make", [
+    *(TOUR_LARGE[name] for name in PREFIX_COMPONENTS),
+    lambda: point_set(np.full((2000, 2), 0.5)),
+], ids=[*PREFIX_COMPONENTS, "all-equal"])
+def test_mst_allocates_no_quadratic_array(make):
+    """With d^2 built beforehand, the scan holds the prefix's O(n) pairs,
+    one strip of about 2^16 entries and O(n) keys, never an n x n array:
+    its traced peak stays under a quarter of one n x n float matrix, on
+    equal points too, where every pair ties and the pair budget empties
+    the prefix."""
+    points = make()
+    n = points.n
+    assert points.sq.shape == (n, n) and n > mst._PRIM_ABOVE
+    assert traced_peak(lambda: build_mst(points)) < 2 * n * n
 
 
 def sorted_pair_count(monkeypatch, build):

@@ -268,6 +268,22 @@ def test_path_system_matches_the_union_find_reference(seed):
     assert rejected > 0
 
 
+@pytest.mark.parametrize("seed", range(20))
+def test_dsu_roots_equal_find_after_random_unions(seed):
+    """``roots`` gives ``find`` of every vertex, between unions too, and
+    leaves the roots the later unions and finds see unchanged."""
+    gen = np.random.default_rng(seed)
+    n = int(gen.integers(1, 200))
+    dsu, ref = DSU(n), DSU(n)
+    for _ in range(4):
+        for a, b in gen.integers(0, n, size=(int(gen.integers(0, n + 1)), 2)).tolist():
+            assert dsu.union(a, b) == ref.union(a, b)
+        roots = dsu.roots()
+        assert roots.dtype == np.intp
+        assert roots.tolist() == [ref.find(x) for x in range(n)]
+    assert [dsu.find(x) for x in range(n)] == [ref.find(x) for x in range(n)]
+
+
 def test_path_system_reports_interior_before_cycle():
     """Edge (1, 2) touches interior vertex 1 and joins a path to itself:
     the degree violation is the one reported."""

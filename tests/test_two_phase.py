@@ -133,7 +133,7 @@ def count_pairwise_sq(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("n", [200, mst._PRIM_ABOVE + 200],
+@pytest.mark.parametrize("n", [mst._PRIM_ABOVE, mst._PRIM_ABOVE + 200],
                          ids=["filter-kruskal", "prim"])
 def test_one_distance_matrix_per_run(monkeypatch, n):
     """One d^2 matrix per point set: two-phase's forest and greedy, the
@@ -154,7 +154,7 @@ def test_one_distance_matrix_per_run(monkeypatch, n):
     assert calls == [n, n]
 
 
-@pytest.mark.parametrize("n", [200, mst._PRIM_ABOVE + 200],
+@pytest.mark.parametrize("n", [mst._PRIM_ABOVE, mst._PRIM_ABOVE + 200],
                          ids=["filter-kruskal", "prim"])
 def test_one_mst_scan_per_point_set(monkeypatch, n):
     """mst-sekanina and then two-phase on one point set scan it once: the
