@@ -7,59 +7,48 @@ paths until a single Hamiltonian path remains.  Ties break by (distance,
 min index, max index).  That is a scan of all pairs sorted by (d^2, min,
 max) that inserts each pair still joinable - Kruskal's scan with a degree
 rule - and ``sorted_scan_greedy`` in ``tests/test_greedy.py`` is that scan,
-the engine's oracle.  The engine runs it in two stages.
+the engine's oracle; ``minimum_join_edge`` there recomputes the minimum
+per step, the replay oracle.
 
-The sorted prefix, ``pairs.short_pairs``, which the MST scan also starts
-from: every pair u < v of path endpoints with d^2 <= tau that is joinable
-at the start, in (d^2, u, v) order; each pair still joinable is inserted.
-That is exactly the scan's prefix up to tau: a pair that is not joinable
-once (an endpoint became interior, or the two paths merged) never becomes
-joinable again, since degrees only grow and paths only merge, so the pairs
-left out and the pairs skipped are ones the scan skips too; and afterwards
-every joinable pair has d^2 > tau.  So the path and the trace do not
-depend on tau, nor on whether the prefix is taken at all: below 32
-endpoints (a warm start of a few long paths, as in two-phase on clustered
-inputs) it is empty and the heap does every join.  On uniform, clustered
-and cube-vertex inputs most paths are joined here.
-
-The lazy heap finishes the scan, with one entry per path endpoint u: u's
-nearest joinable partner v, keyed by (d^2, min(u, v), max(u, v)).  It
-reads endpoints and far ends from the system's own endpoint map,
-``PathSystem.other_end``, and keeps no copy of it.  A popped entry whose
-u is no longer an endpoint is dropped; one whose partner is no longer
-joinable is recomputed from u's row and pushed back; otherwise the pair
-is inserted.  By the same rule every stored key is a lower bound on its
-endpoint's current best key, so the first valid pop is the global minimum
-- the same sequence as recomputing the minimum per step, which
-``minimum_join_edge`` in ``tests/test_greedy.py`` implements as the replay
-oracle.  Within one row, ``argmin`` returns the first minimum, the
-smallest partner index, which is also the smallest (min, max) pair.
+The engine runs the scan in rounds of the sorted prefix,
+``pairs.short_pairs``, which the MST scan also starts from.  A round reads
+the endpoints and far ends off the system's own endpoint map,
+``PathSystem.other_end``, takes the prefix - the first pairs u < v, in
+(d^2, u, v) order, of those joinable at the round's start - and inserts
+each pair still joinable, in order.  A pair that is not joinable once (an
+endpoint became interior, or the two paths merged) never becomes joinable
+again, since degrees only grow and paths only merge.  So the pairs a round
+skips, and the pairs before its last one that it never held, are ones the
+scan skips too, and the next round continues the scan exactly where this
+one stopped: the path and the trace do not depend on where a prefix ends.
+A round's first pair is the smallest joinable pair, so every round joins
+two paths; one that joins none raises ``CertificateError``.  A cold run
+at n = 2000 takes 3 to 5 rounds on uniform, clustered and cube-vertex
+inputs.  Exact duplicates take more, since a prefix holds at most 16 pairs
+per endpoint: 220 rounds on 2000 equal points, 28 on 2000 random vertices
+of {0,1}^3.
 
 Cost: the points' one dense d^2 matrix, ``PointSet.sq``: ``pairwise_sq``,
-which is exactly symmetric as built, so row u holds d2[min(u, v), max(u, v)]
-for every v - every key and tie then matches a scan of the sorted upper
-triangle bit for bit.  The greedy only reads it, and only while two or more
-paths remain, so in ``two_phase_tour`` it reads the matrix the threshold
-forest built.  The prefix reads the upper triangle of the endpoint rows
-once and holds one strip of about 2^16 entries and O(n) pairs (see
-``pairs``).  Each heap entry costs one O(n) row and an ``argmin``: at
-n = 2000 the heap makes about 400-1300 such scans after the prefix,
-against 5300-8200 without it, and a cold run takes about 12-15 ms, 5-6 of
-them in the prefix, against 28-40 ms for the heap alone (2-core x86-64,
-one BLAS thread).  d^2 orders
-pairs; ``edge_lengths`` measures them: the trace's weights come from one
-call over the inserted pairs.  The trace is an ``EdgeList``, and the
-counters below read its ``weights`` array, as they do a path's or a tour's.
+which is exactly symmetric as built, so every key and tie matches a scan
+of the sorted upper triangle bit for bit.  The greedy only reads it, and
+only while two or more paths remain, so in ``two_phase_tour`` it reads the
+matrix the threshold forest built.  A round reads the upper triangle of
+the endpoint rows at most once and holds one strip of about 2^16 entries
+and O(n) pairs (see ``pairs``).  At n = 2000 a cold run takes about 8-14
+ms on those inputs, 0.08 s on the {0,1}^3 vertices and 0.5 s on equal
+points (2-core x86-64, one BLAS thread).  d^2 orders pairs;
+``edge_lengths`` measures them: the trace's weights come from one call
+over the inserted pairs.  The trace is an ``EdgeList``, and the counters
+below read its ``weights`` array, as they do a path's or a tour's.
 """
 
 from __future__ import annotations
 
-import heapq
 from collections.abc import Iterable
 
 import numpy as np
 
-from .errors import InputError
+from .errors import CertificateError, InputError
 # pairwise_sq stays bound here: the benchmark's tracer test reads greedy.pairwise_sq
 from .geometry import PointSet, pairwise_sq  # noqa: F401
 from .pairs import short_pairs
@@ -86,52 +75,24 @@ def greedy_ham_path(points: PointSet, warm_start: Iterable[tuple[int, int]] = ()
     system = PathSystem.from_pairs(n, warm_start)
     warm = len(system.edge_pairs)
     needed = system.component_count() - 1
-    if needed > 0:
-        d2 = points.sq
-        far = system.other_end
+    far = system.other_end
+    while needed > 0:
+        # one round: the scan's next pairs, from where the last round stopped
         far_end = np.fromiter(far, np.intp, n)
         # added to a row: inf masks the interior vertices
         blocked = np.where(far_end < 0, np.inf, 0.0)
-        # the sorted prefix: the scan up to tau
-        for a, b in zip(*short_pairs(d2, blocked, far_end)):
+        left = needed
+        for a, b in zip(*short_pairs(points.sq, blocked, far_end)):
             if far[a] < 0 or far[b] < 0 or far[a] == b:
                 continue
             system.add_path_edge(a, b)
             needed -= 1
             if needed == 0:
                 break
-        blocked[np.fromiter(far, np.intp, n) < 0] = np.inf
-
-        # the lazy heap: the rest of the scan
-        heap = [_scan_row(d2, blocked, far, v) for v in range(n) if far[v] >= 0] if needed else []
-        heapq.heapify(heap)
-        while needed > 0:
-            _dd, a, b, u, v = heapq.heappop(heap)
-            if far[u] < 0:
-                continue
-            if far[v] < 0 or far[u] == v:
-                heapq.heappush(heap, _scan_row(d2, blocked, far, u))
-                continue
-            system.add_path_edge(a, b)
-            needed -= 1
-            for w in (u, v):
-                if far[w] < 0:
-                    blocked[w] = np.inf
-            if far[u] >= 0 and needed > 0:
-                heapq.heappush(heap, _scan_row(d2, blocked, far, u))
-
+        if needed == left:
+            raise CertificateError(f"a round of the sorted prefix joined none of {left + 1} paths")
     (walk,) = system.paths()
     return path_from_order(points, walk), EdgeList(**edge_arrays(points, system.edge_pairs[warm:]))
-
-
-def _scan_row(d2: np.ndarray, blocked: np.ndarray, far: list[int], u: int
-              ) -> tuple[float, int, int, int, int]:
-    """Heap entry (d^2, min, max, u, v) for u's nearest joinable v: one
-    full-row scan."""
-    row = d2[u] + blocked
-    row[far[u]] = np.inf
-    v = int(row.argmin())
-    return (float(d2[u, v]), *((u, v) if u < v else (v, u)), u, v)
 
 
 def greedy_edge_count_by_length(trace: EdgeList, j: float) -> int:

@@ -40,24 +40,25 @@ either.
 
 Above ``_PRIM_ABOVE`` points the scan is Kruskal over the sorted prefix,
 then Prim (1957) over the prefix's components.  The prefix is
-``pairs.short_pairs``, the greedy's too: every pair of d^2 <= tau, in
-(d^2, u, v) order, which is the full sort's exact prefix.  So Kruskal over
-it accepts the MST's pairs up to tau, in order, and every pair between the
-components it leaves is heavier than tau.  It leaves few: 67 / 43 / 1 on
-the uniform k = 3 / clustered k = 8 / cube-vertex k = 12 inputs at
-n = 2000, seed 1.  Prim then reaches one whole component per step, with
-exact keys: each unreached vertex keeps its lightest pair to the reached
-set, keyed (d^2, min, max), and the component of the vertex of smallest
-key is reached next.  Its members' rows, ascending and in strips of about
-``_STRIP`` entries (the rows of the unreached vertices instead, when they
-are fewer), lower the keys; on a tie ``argmin`` takes the first row, the
-smallest member.  That key is a total order on the pairs, so the MST is
-unique and the scan finds the full sort's tree; Prim's pairs are lexsorted
-by (d^2, u, v) behind the prefix's.  A one-vertex component is one row
-step, so with an empty prefix (equal points, where the pair budget empties
-it) the scan is plain Prim, n - 1 row steps.  Time is O(n^2): one pass over
-the upper triangle for the prefix, then each unreached key lowered once
-per row reached.
+``pairs.short_pairs``, the greedy's too: the first pairs in (d^2, u, v)
+order, the full sort's exact prefix.  So Kruskal over it accepts the MST's
+pairs up to the prefix's last pair, in order, and every pair between the
+components it leaves comes after the prefix's last pair in that order.  It
+leaves few: 67 / 43 / 1 on the uniform k = 3 / clustered k = 8 /
+cube-vertex k = 12 inputs at n = 2000, seed 1.  Prim then reaches one whole
+component per step, with exact keys: each unreached vertex keeps its
+lightest pair to the reached set, keyed (d^2, min, max), and the component
+of the vertex of smallest key is reached next.  Its members' rows,
+ascending and in strips of about ``_STRIP`` entries (the rows of the
+unreached vertices instead, when they are fewer), lower the keys; on a tie
+``argmin`` takes the first row, the smallest member.  That key is a total
+order on the pairs, so the MST is unique and the scan finds the full sort's
+tree; Prim's pairs are lexsorted by (d^2, u, v) behind the prefix's.  A
+one-vertex component is one row step, so with an empty prefix the scan
+would be plain Prim, n - 1 row steps; on equal points the prefix's first
+pairs, (0, 1) to (0, n - 1), already span, and Prim takes none.  Time is
+O(n^2): one pass over the upper triangle for the prefix, then each
+unreached key lowered once per row reached.
 
 Before reading the tree, the forest makes one pass over d^2: when no pair
 lies within the cutoff it returns the n singletons with no MST.  Two-phase
@@ -164,14 +165,14 @@ def _prim(d2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The MST pairs as arrays (u, v), u < v, in (d^2, u, v) order: Kruskal
     over the sorted prefix, then Prim over the prefix's components.
 
-    The prefix is the full sort's up to tau, so Kruskal over it accepts the
-    MST's pairs up to tau, in order, and every pair between its components
-    is heavier.  Prim then reaches one whole component per step.  Each
-    unreached vertex w keeps its lightest pair to the reached set, keyed
-    (d^2, min, max): for one w, a tie on d^2 goes to the smaller other end.
-    The next component is the one holding the vertex of smallest key.  The
-    unreached vertices are kept packed at the front of ``ids``, so the work
-    shrinks as they do."""
+    The prefix is the full sort's up to its last pair, so Kruskal over it
+    accepts the MST's pairs up to that pair, in order, and every pair
+    between its components comes after it.  Prim then reaches one whole
+    component per step.  Each unreached vertex w keeps its lightest pair to
+    the reached set, keyed (d^2, min, max): for one w, a tie on d^2 goes to
+    the smaller other end.  The next component is the one holding the
+    vertex of smallest key.  The unreached vertices are kept packed at the
+    front of ``ids``, so the work shrinks as they do."""
     n = len(d2)
     dsu = DSU(n)
     us, vs = [], []

@@ -43,7 +43,7 @@ GENERATED = (
     ("cl8-1001.json", ["clustered", "--k", "8", "--n", "1001", "--clusters", "8",
                        "--radius", "0.05", "--seed", "12"]),
     ("cv12-1001.json", ["cube-vertices", "--k", "12", "--n", "1001", "--seed", "13"]),
-    # benchmark size: the greedy's sorted prefix and heap both do real work
+    # benchmark size: the greedy takes several rounds of the sorted prefix
     ("u3-2000.json", ["uniform", "--k", "3", "--n", "2000", "--seed", "14"]),
     ("cv12-2000.json", ["cube-vertices", "--k", "12", "--n", "2000", "--seed", "15"]),
     # near-coincident points, once a certificate failure

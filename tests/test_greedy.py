@@ -10,7 +10,7 @@ import powertour.greedy as greedy
 import powertour.pairs as pairs
 from powertour.constructions import (clustered, cube_vertex_subset, diagonal_pair,
                                      k4_even_weight_code, uniform_cube)
-from powertour.errors import InputError
+from powertour.errors import CertificateError, InputError
 from powertour.geometry import pairwise_sq, point_set, power_cost
 from powertour.greedy import classify_edges, greedy_edge_count_by_length, greedy_ham_path
 from powertour.mst import build_mst
@@ -111,6 +111,11 @@ def doubled(points, seed):
     return point_set(np.repeat(points.coords, 2, axis=0)[gen.permutation(2 * points.n)])
 
 
+def eight_sites(n, seed):
+    """n random vertices of {0,1}^3: eight classes of exact duplicates."""
+    return point_set(np.random.default_rng(seed).integers(0, 2, size=(n, 3)).astype(float))
+
+
 EQUALITY_INPUTS = [
     pytest.param(lambda: cube_vertex_subset(4, 16, 1), id="cube-k4-all"),
     pytest.param(lambda: cube_vertex_subset(6, 50, 2), id="cube-k6"),
@@ -122,24 +127,27 @@ EQUALITY_INPUTS = [
     pytest.param(lambda: tripled(cube_vertex_subset(5, 20, 8), 8), id="tripled-cube"),
     pytest.param(lambda: doubled(grid_subset(4, 30, 3, 11), 11), id="doubled-grid"),
     pytest.param(lambda: point_set(np.full((40, 3), 0.25)), id="all-equal"),
+    # duplicate classes far over the prefix's pair budget: many rounds
+    pytest.param(lambda: point_set(np.full((300, 3), 0.5)), id="all-equal-n300"),
+    pytest.param(lambda: eight_sites(300, 2), id="eight-sites-n300"),
     pytest.param(lambda: random_points(9, 150, 3), id="uniform-k3"),
     pytest.param(lambda: random_points(10, 80, 8), id="uniform-k8"),
 ]
 
 
 def force_prefix(monkeypatch, prefix):
-    """Make the sorted prefix take no pair, every joinable pair, or the
-    pairs under its default bound cut down by a budget of one pair per
-    endpoint.  Each makes the pass at any endpoint count, below
-    ``pairs._MIN_ENDS`` too."""
-    monkeypatch.setattr(pairs, "_MIN_ENDS", 0)
+    """Make the sorted prefix take no pair, every joinable pair, the pairs
+    under its default bound cut down by a budget of one pair per endpoint,
+    or that budget with one row per strip, so the cut crosses strips."""
     if prefix == "none":
         monkeypatch.setattr(pairs, "_prefix_bound", lambda nearest: -1.0)
     elif prefix == "all":
         monkeypatch.setattr(pairs, "_prefix_bound", lambda nearest: math.inf)
         monkeypatch.setattr(pairs, "_PAIRS_PER_END", 10 ** 9)
-    elif prefix == "budget":
+    elif prefix in ("budget", "strip"):
         monkeypatch.setattr(pairs, "_PAIRS_PER_END", 1)
+        if prefix == "strip":
+            monkeypatch.setattr(pairs, "_STRIP", 1)
 
 
 @pytest.mark.parametrize("make", EQUALITY_INPUTS)
@@ -152,42 +160,65 @@ def test_heap_engine_matches_sorted_scan(make, warm):
 
 @pytest.mark.parametrize("make", EQUALITY_INPUTS)
 @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
-@pytest.mark.parametrize("prefix", ["none", "all", "budget"])
+@pytest.mark.parametrize("prefix", ["none", "all", "budget", "strip"])
 def test_any_prefix_matches_sorted_scan(make, warm, prefix, monkeypatch):
     """Path and trace equal the sorted scan's whatever the prefix takes
-    (the test above runs the default prefix)."""
+    (the test above runs the default prefix).  A prefix forced empty joins
+    nothing in its round, and the greedy raises ``CertificateError``
+    instead of looping."""
     force_prefix(monkeypatch, prefix)
     points = make()
-    assert_matches_sorted_scan(points,
-                               mixed_warm_start(points.n, points.n).edge_pairs if warm else ())
+    warm_start = mixed_warm_start(points.n, points.n).edge_pairs if warm else ()
+    if prefix == "none":
+        with pytest.raises(CertificateError, match="joined none"):
+            greedy_ham_path(points, warm_start)
+    else:
+        assert_matches_sorted_scan(points, warm_start)
 
 
-def count_row_scans(monkeypatch, points):
-    """Number of full-row heap scans one cold ``greedy_ham_path`` run makes."""
-    calls = []
-    scan = greedy._scan_row
+def count_rounds(monkeypatch, run):
+    """``run()``'s result and the joinable endpoints at the start of each
+    round of the sorted prefix it makes in the greedy."""
+    ends = []
+    short_pairs = greedy.short_pairs
 
-    def counted(*args):
-        calls.append(args)
-        return scan(*args)
+    def counted(d2, blocked, far_end):
+        ends.append(int(np.count_nonzero(blocked == 0)))
+        return short_pairs(d2, blocked, far_end)
 
     with monkeypatch.context() as patch:
-        patch.setattr(greedy, "_scan_row", counted)
-        greedy_ham_path(points)
-    return len(calls)
+        patch.setattr(greedy, "short_pairs", counted)
+        result = run()
+    return result, ends
 
 
-@pytest.mark.parametrize("make, scans, all_heap", [
-    (lambda: cube_vertex_subset(12, 600, 1), 120, 1982),
-    (lambda: uniform_cube(3, 600, 1), 263, 1576),
-], ids=["cube-vertex-k12", "uniform-k3"])
-def test_prefix_leaves_few_row_scans(make, scans, all_heap, monkeypatch):
-    """The prefix joins most paths, so the heap scans few rows; a silent
-    fall-back to the all-heap engine changes the pinned count."""
+@pytest.mark.parametrize("make, rounds", [
+    (lambda: uniform_cube(3, 600, 1), 4),
+    (lambda: cube_vertex_subset(12, 600, 1), 3),
+    (lambda: point_set(np.full((2000, 2), 0.5)), 220),
+    (lambda: eight_sites(2000, 1), 28),
+], ids=["uniform-k3-n600", "cube-vertex-k12-n600", "all-equal-n2000", "eight-sites-n2000"])
+def test_greedy_rounds(make, rounds, monkeypatch):
+    """A cold run takes a few rounds, the first from all n points.  On exact
+    duplicates a round holds at most 16 pairs per endpoint, about nine
+    joins on equal points, so there are many rounds; a change in the
+    prefix's bound or cut changes the pinned count."""
     points = make()
-    assert count_row_scans(monkeypatch, points) == scans
-    force_prefix(monkeypatch, "none")
-    assert count_row_scans(monkeypatch, points) == all_heap
+    _, ends = count_rounds(monkeypatch, lambda: greedy_ham_path(points))
+    assert len(ends) == rounds and ends[0] == points.n
+
+
+def test_two_phase_warm_start_rounds(monkeypatch):
+    """Two-phase's warm start on the clustered k = 8 tour-large input leaves
+    5 paths, 10 endpoints: two rounds join them, and a budget of one pair
+    per endpoint gives the same tour.  The point set's MST, whose scan
+    makes a pass of its own, is built first."""
+    points = clustered(8, 2000, 8, 0.05, 1)
+    build_mst(points)
+    (tour, _report), ends = count_rounds(monkeypatch, lambda: two_phase_tour(points, 8))
+    assert ends == [10, 4]
+    force_prefix(monkeypatch, "budget")
+    assert two_phase_tour(points, 8)[0].order == tour.order
 
 
 @pytest.mark.parametrize("make", [
@@ -200,7 +231,7 @@ def test_prefix_allocates_no_quadratic_array(make, warm):
     """With d^2 built beforehand, the prefix holds one strip of 2^16 entries
     and O(n) pairs, never an n x n array: even on equal points, where all
     n^2 / 2 pairs tie at d^2 = 0 and every entry of a strip is a hit until
-    the pair budget empties the prefix, its traced peak stays under a
+    the pair budget cuts the prefix to its first pairs, its traced peak stays under a
     quarter of one n x n float matrix."""
     points = make()
     n = points.n
@@ -209,30 +240,6 @@ def test_prefix_allocates_no_quadratic_array(make, warm):
     blocked = np.where(far_end < 0, np.inf, 0.0)
     d2 = points.sq
     assert traced_peak(lambda: pairs.short_pairs(d2, blocked, far_end)) < 2 * n * n
-
-
-def test_few_endpoints_make_no_prefix_pass(monkeypatch):
-    """Two-phase's warm start on the clustered k = 8 tour-large input leaves
-    5 paths, 10 endpoints, under ``pairs._MIN_ENDS``: the heap alone joins
-    them, with no pass over d^2 (no bound is taken).  A forced prefix still
-    makes the pass there, and the tour stays the same.  The point set's MST,
-    whose scan makes a pass of its own, is built first."""
-    points = clustered(8, 2000, 8, 0.05, 1)
-    build_mst(points)
-    ends, bounds = [], []
-    short_pairs, bound = pairs.short_pairs, pairs._prefix_bound
-
-    def watched(d2, blocked, far_end):
-        ends.append(int(np.count_nonzero(blocked == 0)))
-        return short_pairs(d2, blocked, far_end)
-
-    monkeypatch.setattr(greedy, "short_pairs", watched)
-    monkeypatch.setattr(pairs, "_prefix_bound", lambda nearest: bounds.append(1) or bound(nearest))
-    tour = two_phase_tour(points, 8)[0]
-    assert ends == [10] and bounds == []
-    force_prefix(monkeypatch, "budget")
-    assert two_phase_tour(points, 8)[0].order == tour.order
-    assert ends == [10, 10] and bounds == [1]
 
 
 @settings(max_examples=60, deadline=None)

@@ -309,11 +309,14 @@ def test_retired_names_stay_gone():
     no floor.  Every edge weight comes from ``edge_lengths``, so the
     vector-pair distance went.  Structures are built from index and weight
     arrays only, so the ``edges=`` constructor form, the trace's sequence
-    protocol, ``Edge.key`` and the ``Edge`` export went."""
+    protocol, ``Edge.key`` and the ``Edge`` export went.  The greedy runs
+    the sorted prefix in rounds, so its heap's row scan and the prefix's
+    fewest-endpoints cut-off went."""
     import powertour
     import powertour.geometry
     import powertour.greedy
     import powertour.mst
+    import powertour.pairs
     import powertour.planar
     import powertour.sekanina
     import powertour.structures
@@ -337,7 +340,9 @@ def test_retired_names_stay_gone():
                          (powertour.planar, "_point_in_triangle"),
                          (powertour.geometry, "_logsumexp_desc"),
                          (powertour.mst, "_ROUND_FLOOR"),
-                         (powertour.geometry, "euclidean_distance")):
+                         (powertour.geometry, "euclidean_distance"),
+                         (powertour.greedy, "_scan_row"),
+                         (powertour.pairs, "_MIN_ENDS")):
         assert not hasattr(module, name) and not hasattr(powertour, name)
         assert name not in powertour.__all__
     for cls, name in ((powertour.planar.RightTriangle, "side_a"),

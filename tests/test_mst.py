@@ -308,17 +308,14 @@ def watch_scans(monkeypatch) -> list[str]:
 def use_engine(monkeypatch, engine) -> list[str]:
     """Run ``engine`` at every n, by patching ``mst._PRIM_ABOVE``, the size
     above which the shipped scan runs Prim, and return ``watch_scans``'
-    list.  The prefix engines make their pass at every n, below
-    ``pairs._MIN_ENDS`` too.  Each point set keeps its first MST, so a test
-    that compares engines builds a fresh point set for each."""
+    list.  Each point set keeps its first MST, so a test that compares
+    engines builds a fresh point set for each."""
     monkeypatch.setattr(mst, "_PRIM_ABOVE", 0 if SCAN_OF[engine] == "_prim" else math.inf)
     if engine == "many":
         use_many_rounds(monkeypatch)
     elif engine == "prim-no-prefix":
-        monkeypatch.setattr(pairs, "_MIN_ENDS", 0)
         monkeypatch.setattr(pairs, "_prefix_bound", lambda nearest: -1.0)
     elif engine == "prim-all-prefix":
-        monkeypatch.setattr(pairs, "_MIN_ENDS", 0)
         monkeypatch.setattr(pairs, "_prefix_bound", lambda nearest: math.inf)
         monkeypatch.setattr(pairs, "_PAIRS_PER_END", 10 ** 9)
     return watch_scans(monkeypatch)
@@ -519,6 +516,25 @@ def test_prefix_leaves_few_components(monkeypatch, name):
     assert points.n - unions.count(True) == PREFIX_COMPONENTS[name]
 
 
+def test_equal_points_leave_one_prefix_component(monkeypatch):
+    """On 2000 equal points every pair ties at d^2 = 0, far over the pair
+    budget; the budget keeps the first pairs by (u, v), (0, 1) to (0, 1999)
+    among them, so Kruskal over the prefix builds the whole tree, the star
+    at 0, and Prim takes no step."""
+    points = point_set(np.full((2000, 2), 0.5))
+    union, unions = DSU.union, []
+
+    def counted(self, a, b):
+        unions.append(union(self, a, b))
+        return unions[-1]
+
+    monkeypatch.setattr(DSU, "union", counted)
+    tree = build_mst(points)
+    assert points.n - unions.count(True) == 1
+    assert tree_key(tree) == tree_key(full_scan_mst(points))
+    assert set(tree.u.tolist()) == {0}
+
+
 @pytest.mark.parametrize("make", [
     *(TOUR_LARGE[name] for name in PREFIX_COMPONENTS),
     lambda: point_set(np.full((2000, 2), 0.5)),
@@ -527,8 +543,8 @@ def test_mst_allocates_no_quadratic_array(make):
     """With d^2 built beforehand, the scan holds the prefix's O(n) pairs,
     one strip of about 2^16 entries and O(n) keys, never an n x n array:
     its traced peak stays under a quarter of one n x n float matrix, on
-    equal points too, where every pair ties and the pair budget empties
-    the prefix."""
+    equal points too, where every pair ties and the pair budget cuts the
+    prefix inside the tie."""
     points = make()
     n = points.n
     assert points.sq.shape == (n, n) and n > mst._PRIM_ABOVE
