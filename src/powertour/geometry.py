@@ -170,19 +170,17 @@ def edge_lengths(points: PointSet, u, v) -> np.ndarray:
 
 #: Most points ``PointSet.sq`` accepts, and so the dense paths that read it
 #: (``build_mst``, ``build_threshold_forest``, ``greedy_ham_path``): the
-#: n x n float matrix is 0.8 GB at the cap.  Filter-Kruskal's pair arrays
-#: take 24 bytes per pair besides, but only up to ``mst._PRIM_ABOVE``
-#: points; above it the MST and the forest run Kruskal over the sorted
-#: prefix and Prim over its components, which hold O(n) prefix pairs and
-#: keys beside the matrix, as the greedy does.
+#: n x n float matrix is 0.8 GB at the cap.  The MST and the forest run
+#: Kruskal over the sorted prefix and Prim over its components, which hold
+#: O(n) prefix pairs and keys beside the matrix, as the greedy does.
 MAX_DENSE_POINTS = 10_000
 
 
 def check_dense_size(n: int) -> None:
     """Raise SizeError, before anything is allocated, when n points exceed
     ``MAX_DENSE_POINTS``.  The message names the 8 n^2 bytes of the n x n
-    matrix: every refused n is above ``mst._PRIM_ABOVE``, where the scan
-    holds O(n) prefix pairs and no quadratic pair array."""
+    matrix, the only quadratic array: the scans that read it hold O(n)
+    prefix pairs and no quadratic pair array."""
     if n > MAX_DENSE_POINTS:
         raise SizeError(f"dense paths capped at n = {MAX_DENSE_POINTS}, got n = {n} "
                         f"(an n x n matrix of about {8 * n * n:,} bytes)")
@@ -250,6 +248,14 @@ class PowerCost:
                 "overflow": self.overflow}
 
 
+def check_exponent(k) -> None:
+    """Raise InputError unless the exponent k is a positive integer (nan
+    and inf are not).  The entry points that take k call this first, before
+    any distance is computed."""
+    if not (k >= 1 and float(k).is_integer()):
+        raise InputError(f"exponent must be a positive integer, got {k}")
+
+
 def power_cost_from_weights(weights, k: int) -> PowerCost:
     """PowerCost of a multiset of edge lengths, an array or any iterable of
     floats, under exponent k.
@@ -261,8 +267,7 @@ def power_cost_from_weights(weights, k: int) -> PowerCost:
     (nan and inf included) raises ``InputError``, as does a weight that is
     negative or not finite.
     """
-    if not (k >= 1 and float(k).is_integer()):
-        raise InputError(f"exponent must be a positive integer, got {k}")
+    check_exponent(k)
     k = int(k)
     w = weights.tolist() if isinstance(weights, np.ndarray) else [float(x) for x in weights]
     bad = [x for x in w if not 0 <= x < math.inf]  # nan fails too

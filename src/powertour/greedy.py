@@ -79,10 +79,8 @@ def greedy_ham_path(points: PointSet, warm_start: Iterable[tuple[int, int]] = ()
     while needed > 0:
         # one round: the scan's next pairs, from where the last round stopped
         far_end = np.fromiter(far, np.intp, n)
-        # added to a row: inf masks the interior vertices
-        blocked = np.where(far_end < 0, np.inf, 0.0)
         left = needed
-        for a, b in zip(*short_pairs(points.sq, blocked, far_end)):
+        for a, b in zip(*short_pairs(points.sq, far_end)):
             if far[a] < 0 or far[b] < 0 or far[a] == b:
                 continue
             system.add_path_edge(a, b)

@@ -7,7 +7,7 @@ suites on one point set all read that one tree.  The threshold forest is
 its cut: the MST pairs of d^2 <= cutoff^2, which by Kruskal's exchange
 property are exactly the pairs Kruskal accepts among those within the
 cutoff, grouped into trees.  Only ``build_threshold_forest`` takes a
-cutoff; the scan engines below build the whole tree.
+cutoff; the scan below builds the whole tree.
 
 The tree is the one a Kruskal scan over all pairs sorted by (d^2, min
 index, max index) accepts, so it is reproducible under ties, and it lists
@@ -17,83 +17,50 @@ it, and is never written.  d^2 orders pairs; ``edge_lengths`` measures
 them: the tree's weights come from one call over its pairs, and the
 forest's are a slice of them.
 
-Up to ``_PRIM_ABOVE`` points the scan is Filter-Kruskal (Osipov, Sanders
-and Singler, ALENEX 2009): it sorts only the pairs Kruskal can still
-accept.  The upper-triangle pairs come once from the matrix; then each
-round
-
-* finds with ``np.partition`` the pivot weight of the lightest
-  ``_ROUND_PER_POINT * n`` remaining pairs,
-* takes every remaining pair of weight <= pivot, so a tie is never split
-  across two rounds, sorts them by (d^2, min, max) and scans them with
-  the DSU,
-* computes every point's DSU root and drops each remaining pair whose
-  ends share one: the scan would reject it, as connectivity only grows.
-
-Every later round holds only pairs heavier than every pair of this one,
-and the dropped pairs are exactly rejections, so the accepted sequence is
-the full sort's.  The scan stops after n - 1 unions.  Time is O(n^2) per
-round plus the sort of the pairs the rounds reach, a small fraction of
-all pairs on uniform and clustered inputs.  The round size has no floor:
-as a round takes every pair up to its pivot, a small round splits no tie
-either.
-
-Above ``_PRIM_ABOVE`` points the scan is Kruskal over the sorted prefix,
-then Prim (1957) over the prefix's components.  The prefix is
-``pairs.short_pairs``, the greedy's too: the first pairs in (d^2, u, v)
-order, the full sort's exact prefix.  So Kruskal over it accepts the MST's
-pairs up to the prefix's last pair, in order, and every pair between the
-components it leaves comes after the prefix's last pair in that order.  It
-leaves few: 67 / 43 / 1 on the uniform k = 3 / clustered k = 8 /
-cube-vertex k = 12 inputs at n = 2000, seed 1.  Prim then reaches one whole
-component per step, with exact keys: each unreached vertex keeps its
-lightest pair to the reached set, keyed (d^2, min, max), and the component
-of the vertex of smallest key is reached next.  Its members' rows,
-ascending and in strips of about ``_STRIP`` entries (the rows of the
-unreached vertices instead, when they are fewer), lower the keys; on a tie
-``argmin`` takes the first row, the smallest member.  That key is a total
-order on the pairs, so the MST is unique and the scan finds the full sort's
-tree; Prim's pairs are lexsorted by (d^2, u, v) behind the prefix's.  A
-one-vertex component is one row step, so with an empty prefix the scan
-would be plain Prim, n - 1 row steps; on equal points the prefix's first
-pairs, (0, 1) to (0, n - 1), already span, and Prim takes none.  Time is
-O(n^2): one pass over the upper triangle for the prefix, then each
-unreached key lowered once per row reached.
+At every n the scan is Kruskal over the sorted prefix, then Prim (1957)
+over the prefix's components.  The prefix is ``pairs.short_pairs``, the
+greedy's too: the first pairs in (d^2, u, v) order, the full sort's exact
+prefix.  So Kruskal over it accepts the MST's pairs up to the prefix's last
+pair, in order, and every pair between the components it leaves comes
+after the prefix's last pair in that order.  When it leaves one component
+the scan returns the prefix's pairs as they are, with no Prim setup: on
+equal points, whose prefix's first pairs are (0, 1) to (0, n - 1), on the
+cube-vertex k = 12 input at n = 2000 and on most small inputs (231 of the
+300 of the lemma1 mix, n = 3..50).  Otherwise it leaves few: 67 / 43 on
+the uniform k = 3 / clustered k = 8 inputs at n = 2000, seed 1.  Prim then
+reaches one whole component per step, with exact keys: each unreached
+vertex keeps its lightest pair to the reached set, keyed (d^2, min, max),
+and the component of the vertex of smallest key is reached next.  Its
+members' rows, ascending and in strips of about ``_STRIP`` entries (the
+rows of the unreached vertices instead, when they are fewer), lower the
+keys; on a tie ``argmin`` takes the first row, the smallest member.  That
+key is a total order on the pairs, so the MST is unique and the scan finds
+the full sort's tree; Prim's pairs are lexsorted by (d^2, u, v) behind the
+prefix's.  A one-vertex component is one row step, so with an empty prefix
+the scan would be plain Prim, n - 1 row steps.  Time is O(n^2): one pass
+over the upper triangle for the prefix, then each unreached key lowered
+once per row reached.
 
 Before reading the tree, the forest makes one pass over d^2: when no pair
 lies within the cutoff it returns the n singletons with no MST.  Two-phase
 meets this on every cube-vertex input, whose pairs are at distance >= 1
 above its cutoff k^(-1/4) < 1.
 
-The size constant is the measured crossover for the MST alone.  With one
-BLAS thread on a 2-core x86 machine, the scan summed over uniform k = 3,
-clustered k = 8 and cube-vertex k = 12 inputs (three seeds each, best of
-7, two runs; one at n = 40, 500 and 1000) took
+At n = 2000 (seeds 1 to 3, best of 7 to 15, one BLAS thread on a 2-core
+x86 machine) the scan takes 7-12 / 12-20 / 6-11 ms on the tour-large inputs
+(uniform / clustered / cube vertices), where plain Prim took 25-45 / 25-38
+/ 33-54 ms; the low ends are from a quiet machine, the high ends from a
+loaded one.  Clustered inputs cost most: Prim reads the rows of every
+component but the last, about 1700 of 2000.
 
-    n                   40     50       60       80       100      200
-    Filter-Kruskal      0.7    1.0-1.3  1.5-1.7  2.4-2.6  3.1-3.2  9-10 ms
-    prefix and Prim     1.4    1.3-1.7  1.5-1.7  1.8-1.9  2.1      4.4-4.5 ms
+Memory: the n x n float64 matrix (8 n^2 bytes), which the point set keeps.
+The scan adds O(n): the prefix's pairs (at most 16 per point, 2 to 4 on
+the inputs above), one strip of rows (the whole matrix below about 256
+points) and the keys.  The kept tree is O(n).
 
-and 50 / 178 ms against 15 / 30 ms at n = 500 / 1000.  On uniform inputs
-alone (the bounds-sweep mix: 300 instances, n = 2..200, k = 3..8)
-Filter-Kruskal is faster up to about n = 95, and on the lemma1 mix (300
-instances, n = 3..50, k = 2..10) it takes 15 ms against 38 ms.  At
-n = 2000 (seeds 1 to 3, best of 7 to 15) the scan takes 7-12 / 12-20 /
-6-11 ms on the tour-large inputs (uniform / clustered / cube vertices),
-where plain Prim took 25-45 / 25-38 / 33-54 ms; the low ends are from a
-quiet machine, the high ends from a loaded one.  Clustered inputs cost
-most: Prim reads the rows of every component but the last, about 1700 of
-2000.
-
-Memory: the n x n float64 matrix (8 n^2 bytes), which the point set keeps,
-on both paths.  Filter-Kruskal adds 24 bytes per pair for its index and
-weight arrays (77 kB at n = 80).  The prefix and Prim add O(n): the
-prefix's pairs (at most 16 per point, 2 to 4 on the inputs above), one
-strip of rows and the keys.  The kept tree is O(n).
-
-The union-find is ``structures.DSU``: Filter-Kruskal's rounds and the
-prefix's Kruskal make their unions in one, and the forest joins the kept
-pairs in another; each reads all roots at once off ``DSU.roots``.
+The union-find is ``structures.DSU``: the prefix's Kruskal makes its
+unions in one, and the forest joins the kept pairs in another; each reads
+all roots at once off ``DSU.roots``.
 """
 
 from __future__ import annotations
@@ -109,56 +76,11 @@ from .pairs import short_pairs
 from .structures import DSU, SpanningTree
 
 
-#: Pairs sorted per filter round: this many per point.
-_ROUND_PER_POINT = 4
-
-#: Above this many points the MST scan runs the prefix and Prim; at or below
-#: it, Filter-Kruskal.
-_PRIM_ABOVE = 80
-
 #: d^2 entries per strip of component rows (32 rows at n = 2000).
 _STRIP = 2 ** 16
 
 #: Each point set's MST, built by its first ``build_mst`` call and dropped with it.
 _TREES: weakref.WeakKeyDictionary[PointSet, SpanningTree] = weakref.WeakKeyDictionary()
-
-
-def _kruskal(d2: np.ndarray):
-    """Yield each MST pair (u, v), u < v, in (d^2, u, v) order, as
-    Filter-Kruskal accepts it.  ``d2`` is the points' ``PointSet.sq``."""
-    n = len(d2)
-    dsu = DSU(n)
-    unions = 0
-    for u, v, d in _filter_rounds(d2, dsu):
-        order = np.lexsort((v, u, d))
-        for a, b in zip(u[order].tolist(), v[order].tolist()):
-            if dsu.union(a, b):
-                yield a, b
-                unions += 1
-                if unions == n - 1:
-                    return
-
-
-def _filter_rounds(d2: np.ndarray, dsu: DSU):
-    """Filter-Kruskal's rounds of pairs (u, v, d^2), unsorted; each round is
-    drawn after ``_kruskal`` has scanned the one before into ``dsu``."""
-    n = len(d2)
-    iu, iv = np.triu_indices(n, k=1)
-    w = d2[iu, iv]
-    m = _ROUND_PER_POINT * n
-    while len(w):
-        if len(w) > m:
-            take = w <= np.partition(w, m - 1)[m - 1]
-            yield iu[take], iv[take], w[take]
-            if take.all():
-                return
-        else:
-            yield iu, iv, w
-            return
-        # every taken pair now joins one component, so this drops them too
-        root = dsu.roots()
-        keep = root[iu] != root[iv]
-        iu, iv, w = iu[keep], iv[keep], w[keep]
 
 
 def _prim(d2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -172,16 +94,19 @@ def _prim(d2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     the reached set, keyed (d^2, min, max): for one w, a tie on d^2 goes to
     the smaller other end.  The next component is the one holding the
     vertex of smallest key.  The unreached vertices are kept packed at the
-    front of ``ids``, so the work shrinks as they do."""
+    front of ``ids``, so the work shrinks as they do.  When the prefix
+    spans, its pairs are the tree, and Prim is not set up."""
     n = len(d2)
     dsu = DSU(n)
     us, vs = [], []
-    for a, b in zip(*short_pairs(d2, np.zeros(n), np.arange(n))):
+    for a, b in zip(*short_pairs(d2, np.arange(n))):
         if dsu.union(a, b):
             us.append(a)
             vs.append(b)
             if len(us) == n - 1:
                 break
+    if len(us) == n - 1:
+        return np.array(us, dtype=np.intp), np.array(vs, dtype=np.intp)
     comp = dsu.roots()
     label = comp.tolist()
     size = np.bincount(comp, minlength=n)
@@ -221,7 +146,7 @@ def _prim(d2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             ids[:m], key[:m], par[:m] = ids[keep], key[keep], par[keep]
             _lower(d2, grouped[end[r] - size[r]:end[r]], ids[:m], key[:m], par[:m])
     pu, pv = np.array(pu, dtype=np.intp), np.array(pv, dtype=np.intp)
-    order = np.lexsort((pv, pu, ds)) if ds else slice(None)
+    order = np.lexsort((pv, pu, ds))
     return (np.concatenate((np.array(us, dtype=np.intp), pu[order])),
             np.concatenate((np.array(vs, dtype=np.intp), pv[order])))
 
@@ -262,10 +187,7 @@ def build_mst(points: PointSet) -> SpanningTree:
     on the same point set return that tree, whose arrays are read-only."""
     tree = _TREES.get(points)
     if tree is None:
-        if points.n > _PRIM_ABOVE:
-            u, v = _prim(points.sq)
-        else:
-            u, v = np.array(list(_kruskal(points.sq)), dtype=np.intp).reshape(-1, 2).T
+        u, v = _prim(points.sq)
         tree = SpanningTree(range(points.n), u=u, v=v, weights=edge_lengths(points, u, v))
         for a in (tree.u, tree.v, tree.weights):
             a.flags.writeable = False

@@ -52,7 +52,7 @@ from itertools import islice
 import numpy as np
 
 from .errors import InputError, SizeError
-from .geometry import PointSet, PowerCost, power_cost
+from .geometry import PointSet, PowerCost, check_exponent, power_cost
 from .structures import (HamPath, Matching, Tour, edge_arrays, path_from_order,
                          tour_from_order)
 
@@ -279,6 +279,7 @@ def _first_best_pairs(dk: np.ndarray) -> list[tuple[int, int]]:
 def exact_min_tour(points: PointSet, k: int) -> tuple[Tour, PowerCost]:
     """Globally minimal power-k tour (n <= 16, at most MAX_CANDIDATES
     near-optimal orders)."""
+    check_exponent(k)
     n = points.n
     if n < 2:
         raise InputError("need at least 2 points")
@@ -295,6 +296,7 @@ def exact_min_tour(points: PointSet, k: int) -> tuple[Tour, PowerCost]:
 def exact_min_path(points: PointSet, k: int) -> tuple[HamPath, PowerCost]:
     """Globally minimal power-k Hamiltonian path (n <= 16, at most
     MAX_CANDIDATES near-optimal orders)."""
+    check_exponent(k)
     n = points.n
     if n < 2:
         raise InputError("need at least 2 points")
@@ -307,6 +309,7 @@ def exact_min_path(points: PointSet, k: int) -> tuple[HamPath, PowerCost]:
 
 def exact_min_matching(points: PointSet, k: int) -> tuple[Matching, PowerCost]:
     """Globally minimal power-k perfect matching (n even, n <= 14)."""
+    check_exponent(k)
     n = points.n
     if n < 2 or n % 2 != 0:
         raise InputError(f"perfect matchings need even n >= 2, got {n}")

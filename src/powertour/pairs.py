@@ -4,12 +4,13 @@ The MST and the greedy both scan all pairs sorted by (d^2, min index, max
 index) and act on each pair still joinable: Kruskal joins two trees, the
 greedy two paths.  Both scans take their pairs from ``short_pairs``, after
 Filter-Kruskal's idea (sort only the pairs that can still matter, Osipov,
-Sanders and Singler, ALENEX 2009): the MST once, then Prim; the greedy in
-rounds until one path is left.  One pass over d^2, one strip of rows at a
-time, collects every pair u < v of joinable rows with d^2 <= tau that is
-not the pair ``far_end`` forbids; they come in (u, v) order, so a stable
-sort by d^2 puts them in (d^2, u, v) order.  That is exactly a prefix of
-the full sort, so the caller's result does not depend on where it ends.
+Sanders and Singler, ALENEX 2009): the MST once, then Prim where the
+prefix does not span; the greedy in rounds until one path is left.  One
+pass over d^2, one strip of rows at a time, collects every pair u < v of
+joinable rows with d^2 <= tau that is not the pair ``far_end`` forbids;
+they come in (u, v) order, so a stable sort by d^2 puts them in (d^2, u,
+v) order.  That is exactly a prefix of the full sort, so the caller's
+result does not depend on where it ends.
 
 tau starts at about the 98th percentile of the nearest joinable d^2 of a
 strided sample of at most about 256 rows (far ends masked), taken with
@@ -56,17 +57,18 @@ def _prefix_bound(nearest: np.ndarray) -> float:
     return float(np.partition(nearest, i)[i])
 
 
-def short_pairs(d2: np.ndarray, blocked: np.ndarray, far_end: np.ndarray
-                ) -> tuple[list[int], list[int]]:
+def short_pairs(d2: np.ndarray, far_end: np.ndarray) -> tuple[list[int], list[int]]:
     """The first joinable pairs u < v in (d^2, u, v) order, at least one
     when any pair is joinable, as a list of the u and one of the v.
 
     ``d2`` is the points' ``PointSet.sq``.  Row u is joinable where
-    ``blocked[u]`` is 0 (it is +inf elsewhere), and a joinable pair is one
-    of two joinable rows other than (u, ``far_end[u]``); ``far_end[u]`` is
-    u itself where no partner is barred."""
+    ``far_end[u]`` is not -1, as in ``PathSystem.other_end``, and a
+    joinable pair is one of two joinable rows other than (u,
+    ``far_end[u]``); ``far_end[u]`` is u itself where no partner is
+    barred."""
     n = len(d2)
-    ends = np.flatnonzero(blocked == 0)
+    blocked = np.where(far_end < 0, np.inf, 0.0)  # added to a sampled row: masks interior rows
+    ends = np.flatnonzero(far_end >= 0)
     sample = ends[::max(1, len(ends) // _BOUND_SAMPLE)]
     nearest = []
     step = max(1, _SAMPLE_STRIP // n)
@@ -92,7 +94,7 @@ def short_pairs(d2: np.ndarray, blocked: np.ndarray, far_end: np.ndarray
         # flatnonzero: a 2-d np.nonzero is about ten times slower
         r, c = np.divmod(np.flatnonzero(upper <= tau), upper.shape[1])
         u, v = rows[r], c + (lo + 1)
-        hit = (v > u) & (blocked[v] == 0) & (far_end[u] != v)
+        hit = (v > u) & (far_end[v] >= 0) & (far_end[u] != v)
         dd.append(upper[r[hit], c[hit]])
         us.append(u[hit])
         vs.append(v[hit])

@@ -57,7 +57,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import CertificateError, InputError
-from .geometry import PointSet, PowerCost, power_cost
+from .geometry import PointSet, PowerCost, check_exponent, power_cost
 from .mst import build_mst
 from .structures import SpanningTree, Tour, tour_from_order
 from .verifiers import BoundReport, bound_report
@@ -220,6 +220,7 @@ def tree_to_cycle_cost_bound(t: SpanningTree, points: PointSet, k: int
     Returns the cycle, its PowerCost, and the bound value (inf when the
     linear form overflows; the comparison itself is done in log domain).
     """
+    check_exponent(k)
     tour, _cert = tree_cube_cycle(t, points, anchor=0)
     cost_h = power_cost(tour, k)
     cost_t = power_cost(t, k)
@@ -248,6 +249,7 @@ def mst_sekanina_tour(points: PointSet, k: int) -> tuple[Tour, BoundReport]:
     improved cycle bound 3*sqrt(5)*(2/3)^(1/k)*sqrt(k) is certified for
     k >= 3.
     """
+    check_exponent(k)
     if k < 2:
         raise InputError(f"exponent must be >= 2 for the bound report, got {k}")
     tour = mst_sekanina_cycle(points)

@@ -23,7 +23,7 @@ from .mst import build_mst, mst_ball_packing_check
 from .oracle import (closest_pair_bound_check, exact_min_matching, exact_min_tour,
                      max_pairwise_square_sum)
 from .planar import newman_square_tour
-from .sekanina import mst_sekanina_tour, tree_cube_cycle
+from .sekanina import mst_sekanina_cycle, tree_cube_cycle
 from .structures import tree_from_pairs
 from .two_phase import two_phase_tour
 from .verifiers import (MIDBALL_COEFF, check_seed, check_tol, check_trials, midball_reach,
@@ -199,8 +199,7 @@ def suite_bounds_sweep(trials: int = 50, seed: int = DEFAULT_SEED,
             n = int(rng.integers(n_lo, n_hi + 1))
             pts = point_set(rng.uniform(size=(n, k)))
             bad = 0
-            _tour, rep = mst_sekanina_tour(pts, k)
-            s_mst = rep.algorithms["mst-sekanina"]["s_k"]
+            s_mst = power_cost(mst_sekanina_cycle(pts), k).scaled
             if s_mst > bound * (1 + tol):
                 bad += 1
             _tour2, phase = two_phase_tour(pts, k)

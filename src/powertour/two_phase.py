@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CertificateError, InputError
-from .geometry import PointSet, PowerCost, power_cost, power_cost_from_weights
+from .geometry import PointSet, PowerCost, check_exponent, power_cost, power_cost_from_weights
 from .greedy import greedy_ham_path
 from .mst import build_threshold_forest
 from .sekanina import tree_cube_cycle
@@ -66,10 +66,9 @@ class PhaseReport:
 def two_phase_tour(points: PointSet, k: int, cutoff: float | None = None
                    ) -> tuple[Tour, PhaseReport]:
     """Run both phases and return the tour plus per-phase cost report."""
+    check_exponent(k)
     if points.n < 2:
         raise InputError("need at least 2 points")
-    if k < 1:
-        raise InputError("exponent must be positive")
     if cutoff is None:
         cutoff = float(k) ** -0.25
     start = time.perf_counter()

@@ -428,7 +428,7 @@ def fail_before_work(monkeypatch):
 
     monkeypatch.setattr(suites, "build_mst", unreachable)
     monkeypatch.setattr(suites, "midball_reach_batch", unreachable)
-    monkeypatch.setattr(suites, "mst_sekanina_tour", unreachable)
+    monkeypatch.setattr(suites, "mst_sekanina_cycle", unreachable)
 
 
 @pytest.mark.parametrize("args", [

@@ -10,7 +10,7 @@ from powertour.constructions import clustered, cube_vertex_subset, save_point_se
 from powertour.errors import InputError
 from powertour.geometry import Edge, point_set
 from powertour.greedy import classify_edges, greedy_edge_count_by_length, greedy_ham_path
-from powertour.mst import _PRIM_ABOVE, build_mst, build_threshold_forest
+from powertour.mst import build_mst, build_threshold_forest
 from powertour.oracle import exact_min_matching, exact_min_path, exact_min_tour
 from powertour.sekanina import mst_sekanina_cycle, tree_cube_cycle
 from powertour.structures import (EdgeList, Matching, SpanningTree, Tour, close_path,
@@ -20,7 +20,6 @@ from powertour.two_phase import two_phase_tour
 from conftest import arrays_of, make_edge, random_points
 
 N = 1200
-assert N > _PRIM_ABOVE  # the tour path runs Prim
 
 INPUTS = {
     "uniform-k3": lambda: uniform_cube(3, N, 1),

@@ -16,6 +16,11 @@ from powertour.geometry import (MAX_DENSE_POINTS, Container, Edge, check_dense_s
                                 edge_lengths, named_bounds, pairwise_sq,
                                 point_set, power_cost_from_weights, symmetric_sq)
 
+from powertour.oracle import exact_min_matching, exact_min_path, exact_min_tour
+from powertour.sekanina import mst_sekanina_tour, tree_to_cycle_cost_bound
+from powertour.structures import tree_from_pairs
+from powertour.two_phase import two_phase_tour
+
 from conftest import traced_peak
 
 # extended-precision evaluation of 3*sqrt(5)*(2/3)^(1/3)*sqrt(3)
@@ -69,6 +74,30 @@ def test_power_cost_refuses_non_finite_weights(bad):
 def test_power_cost_refuses_an_exponent_that_is_not_a_positive_integer(weights, k):
     with pytest.raises(InputError, match=f"exponent must be a positive integer, got {k}"):
         power_cost_from_weights(weights, k)
+
+
+#: Every entry point that takes an exponent, as a call on a point set.
+EXPONENT_ENTRY_POINTS = {
+    "two_phase_tour": two_phase_tour,
+    "mst_sekanina_tour": mst_sekanina_tour,
+    "exact_min_tour": exact_min_tour,
+    "exact_min_path": exact_min_path,
+    "exact_min_matching": exact_min_matching,
+    "tree_to_cycle_cost_bound": lambda pts, k: tree_to_cycle_cost_bound(
+        tree_from_pairs(pts, [(v, v + 1) for v in range(pts.n - 1)]), pts, k),
+}
+
+
+@pytest.mark.parametrize("k", [2.5, math.nan, math.inf, 0])
+@pytest.mark.parametrize("name", EXPONENT_ENTRY_POINTS)
+def test_entry_points_refuse_a_bad_exponent_before_any_work(name, k):
+    """An exponent that is not a positive integer is refused first: no d^2
+    matrix is built and no MST is kept for the point set."""
+    pts = uniform_cube(3, 6, 1)
+    with pytest.raises(InputError, match=f"exponent must be a positive integer, got {k}"):
+        EXPONENT_ENTRY_POINTS[name](pts, k)
+    assert "sq" not in pts.__dict__
+    assert pts not in powertour.mst._TREES
 
 
 @pytest.mark.parametrize("weights, message", [
@@ -294,9 +323,8 @@ def test_dense_paths_refuse_points_beyond_the_cap_before_allocating(monkeypatch,
 
 
 def test_dense_size_message_names_the_matrix_at_the_cap():
-    """Every refused n runs the prefix and Prim, which hold O(n) pairs and
-    no pair array, so the message counts the n x n matrix alone."""
-    assert MAX_DENSE_POINTS > powertour.mst._PRIM_ABOVE
+    """The prefix and Prim hold O(n) pairs and no pair array, so the
+    message counts the n x n matrix alone."""
     check_dense_size(MAX_DENSE_POINTS)
     with pytest.raises(SizeError) as info:
         check_dense_size(10_001)

@@ -182,9 +182,9 @@ def count_rounds(monkeypatch, run):
     ends = []
     short_pairs = greedy.short_pairs
 
-    def counted(d2, blocked, far_end):
-        ends.append(int(np.count_nonzero(blocked == 0)))
-        return short_pairs(d2, blocked, far_end)
+    def counted(d2, far_end):
+        ends.append(int(np.count_nonzero(far_end >= 0)))
+        return short_pairs(d2, far_end)
 
     with monkeypatch.context() as patch:
         patch.setattr(greedy, "short_pairs", counted)
@@ -237,9 +237,8 @@ def test_prefix_allocates_no_quadratic_array(make, warm):
     n = points.n
     far_end = np.array(PathSystem.from_pairs(
         n, mixed_warm_start(n, 5).edge_pairs if warm else ()).other_end)
-    blocked = np.where(far_end < 0, np.inf, 0.0)
     d2 = points.sq
-    assert traced_peak(lambda: pairs.short_pairs(d2, blocked, far_end)) < 2 * n * n
+    assert traced_peak(lambda: pairs.short_pairs(d2, far_end)) < 2 * n * n
 
 
 @settings(max_examples=60, deadline=None)

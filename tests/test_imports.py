@@ -305,13 +305,15 @@ def test_retired_names_stay_gone():
     The cube-cycle certificate carries its order and oriented hops, so the
     checker counts the usage itself and needs no wrapper method.  The cost
     keeps no exponent, term tuple or zero count, which nothing read, and
-    adds its terms by ``math.fsum`` with no sort; the filter rounds have
+    adds its terms by ``math.fsum`` with no sort; the filter rounds had
     no floor.  Every edge weight comes from ``edge_lengths``, so the
     vector-pair distance went.  Structures are built from index and weight
     arrays only, so the ``edges=`` constructor form, the trace's sequence
     protocol, ``Edge.key`` and the ``Edge`` export went.  The greedy runs
     the sorted prefix in rounds, so its heap's row scan and the prefix's
-    fewest-endpoints cut-off went."""
+    fewest-endpoints cut-off went.  The MST scan is Kruskal over the prefix,
+    then Prim, at every n, so Filter-Kruskal, its rounds and its size
+    constants went."""
     import powertour
     import powertour.geometry
     import powertour.greedy
@@ -342,7 +344,11 @@ def test_retired_names_stay_gone():
                          (powertour.mst, "_ROUND_FLOOR"),
                          (powertour.geometry, "euclidean_distance"),
                          (powertour.greedy, "_scan_row"),
-                         (powertour.pairs, "_MIN_ENDS")):
+                         (powertour.pairs, "_MIN_ENDS"),
+                         (powertour.mst, "_kruskal"),
+                         (powertour.mst, "_filter_rounds"),
+                         (powertour.mst, "_PRIM_ABOVE"),
+                         (powertour.mst, "_ROUND_PER_POINT")):
         assert not hasattr(module, name) and not hasattr(powertour, name)
         assert name not in powertour.__all__
     for cls, name in ((powertour.planar.RightTriangle, "side_a"),

@@ -129,14 +129,12 @@ def test_kept_mst_is_released_with_its_point_set():
 
 
 def test_only_the_forest_takes_a_cutoff():
-    """The scan engines build the whole tree; the cut is the forest's."""
+    """The scan builds the whole tree; the cut is the forest's."""
     takes_cut = {name for name, fn in inspect.getmembers(mst, inspect.isfunction)
                  if fn.__module__ == mst.__name__
                  and any("cut" in p for p in inspect.signature(fn).parameters)}
     assert takes_cut == {"build_threshold_forest"}
     assert list(inspect.signature(mst._prim).parameters) == ["d2"]
-    assert list(inspect.signature(mst._kruskal).parameters) == ["d2"]
-    assert list(inspect.signature(mst._filter_rounds).parameters) == ["d2", "dsu"]
 
 
 LOWER_BOUND_INPUTS = [
@@ -257,63 +255,45 @@ def grid(k, m, copies, seed):
     return repeated(point_set(list(itertools.product(axis, repeat=k))), copies, seed)
 
 
-def watch_sorts(monkeypatch, calls=None):
-    """Replace ``np.lexsort`` with a wrapper that fails on an empty sort (a
-    filter round that takes no pair would repeat forever) and appends each
-    call's (min index, max index, d^2) keys to ``calls`` when given."""
+def watch_sorts(monkeypatch, calls):
+    """Replace ``np.lexsort`` with a wrapper that appends to ``calls`` the
+    number of pairs each call sorts."""
     lexsort = np.lexsort
 
     def watched(keys):
-        v, u, d2 = keys
-        assert len(d2), "a round took no pair"
-        if calls is not None:
-            calls.append((u.tolist(), v.tolist(), d2.tolist()))
+        calls.append(len(keys[0]))
         return lexsort(keys)
 
     monkeypatch.setattr(np, "lexsort", watched)
 
 
-def use_many_rounds(monkeypatch):
-    """One pair per point: many rounds, and ties at the pivot on lattices
-    and cube vertices."""
-    monkeypatch.setattr(mst, "_ROUND_PER_POINT", 1)
-
-
-#: The scan's paths: Filter-Kruskal with its rounds as shipped ("default")
-#: or with ``use_many_rounds`` ("many"), and Prim over the components of the
-#: sorted prefix as shipped ("prim"), with no pair in the prefix, so every
-#: component is one vertex ("prim-no-prefix"), and with every pair in it,
-#: so Kruskal builds the whole tree ("prim-all-prefix").
-ENGINES = ("default", "many", "prim", "prim-no-prefix", "prim-all-prefix")
-
-
-#: The scan function each engine runs.
-SCAN_OF = {"default": "_kruskal", "many": "_kruskal", "prim": "_prim",
-           "prim-no-prefix": "_prim", "prim-all-prefix": "_prim"}
+#: The sorted prefix's settings: as shipped ("default"), with no pair in
+#: it, so every component is one vertex and Prim takes n - 1 steps
+#: ("prim-no-prefix"), and with every pair in it, so Kruskal builds the
+#: whole tree and Prim is not set up ("prim-all-prefix").
+ENGINES = ("default", "prim-no-prefix", "prim-all-prefix")
 
 
 def watch_scans(monkeypatch) -> list[str]:
-    """Wrap ``mst._kruskal`` and ``mst._prim``; the returned list gets the
-    name of each scan as it starts."""
+    """Wrap ``mst._prim``; the returned list gets its name each time the
+    scan starts."""
     ran = []
-    for name in ("_kruskal", "_prim"):
-        def watched(d2, name=name, scan=getattr(mst, name)):
-            ran.append(name)
-            return scan(d2)
+    prim = mst._prim
 
-        monkeypatch.setattr(mst, name, watched)
+    def watched(d2):
+        ran.append("_prim")
+        return prim(d2)
+
+    monkeypatch.setattr(mst, "_prim", watched)
     return ran
 
 
 def use_engine(monkeypatch, engine) -> list[str]:
-    """Run ``engine`` at every n, by patching ``mst._PRIM_ABOVE``, the size
-    above which the shipped scan runs Prim, and return ``watch_scans``'
-    list.  Each point set keeps its first MST, so a test that compares
-    engines builds a fresh point set for each."""
-    monkeypatch.setattr(mst, "_PRIM_ABOVE", 0 if SCAN_OF[engine] == "_prim" else math.inf)
-    if engine == "many":
-        use_many_rounds(monkeypatch)
-    elif engine == "prim-no-prefix":
+    """Run the scan with ``engine``'s prefix, by patching the prefix's
+    bound and budget, and return ``watch_scans``' list.  Each point set
+    keeps its first MST, so a test that compares engines builds a fresh
+    point set for each."""
+    if engine == "prim-no-prefix":
         monkeypatch.setattr(pairs, "_prefix_bound", lambda nearest: -1.0)
     elif engine == "prim-all-prefix":
         monkeypatch.setattr(pairs, "_prefix_bound", lambda nearest: math.inf)
@@ -323,11 +303,8 @@ def use_engine(monkeypatch, engine) -> list[str]:
 
 @pytest.fixture(params=ENGINES)
 def engine(request, monkeypatch):
-    """Each of ``ENGINES``, with ``watch_sorts``: the engine's name and the
-    list of scans run."""
-    ran = use_engine(monkeypatch, request.param)
-    watch_sorts(monkeypatch)
-    return request.param, ran
+    """Each of ``ENGINES``: the engine's name and the list of scans run."""
+    return request.param, use_engine(monkeypatch, request.param)
 
 
 TIED_INPUTS = {
@@ -365,7 +342,37 @@ def tour_large_reference(name):
 def test_mst_matches_full_sort_on_tied_inputs(name, engine):
     points = TIED_INPUTS[name]()
     assert tree_key(build_mst(points)) == tree_key(full_scan_mst(points))
-    assert engine[1] == [SCAN_OF[engine[0]]]
+    assert engine[1] == ["_prim"]
+
+
+#: Tie-heavy families at every n from 1 to 120, seeded by n.
+SMALL_FAMILIES = {
+    "all-equal": lambda n: point_set(np.full((n, 3), 0.25)),
+    "cube-vertex-k7": lambda n: cube_vertex_subset(7, n, n),
+    "lattice-3-level": lambda n: point_set(
+        np.random.default_rng(n).integers(0, 3, size=(n, 3)) / 2.0),
+    "tripled": lambda n: point_set(
+        repeated(random_points(n, (n + 2) // 3, 3), 3, n).coords[:n]),
+    "tight-clusters": lambda n: point_set(
+        np.random.default_rng(n).integers(1, 4, size=(n, 1)) * 0.2
+        + 1e-7 * np.random.default_rng(n + 1).uniform(-1.0, 1.0, size=(n, 3))),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def small_family_reference(name):
+    """Coordinates and reference tree of each n from 1 to 120."""
+    return [(points.coords, tree_key(full_scan_mst(points)))
+            for points in map(SMALL_FAMILIES[name], range(1, 121))]
+
+
+@pytest.mark.parametrize("name", SMALL_FAMILIES)
+def test_mst_matches_full_sort_at_every_small_n(name, engine):
+    """Every n up to 120, where the prefix often spans, on equal points,
+    cube vertices, lattices, repeats and clusters of extent 1e-7."""
+    for coords, want in small_family_reference(name):
+        assert tree_key(build_mst(point_set(coords))) == want
+    assert engine[1] == ["_prim"] * 120
 
 
 @pytest.mark.parametrize("name", TOUR_LARGE)
@@ -378,24 +385,54 @@ def test_mst_and_forest_match_full_sort_on_tour_large_inputs(name, engine):
     assert tree_key(build_mst(points)) == tree_key(ref_mst)
     assert [tree_key(t) for t in build_threshold_forest(points, cutoff)] == \
         [tree_key(t) for t in ref_forest]
-    assert engine[1] == [SCAN_OF[engine[0]]]
+    assert engine[1] == ["_prim"]
 
 
-def test_scan_runs_prim_above_the_size_constant(monkeypatch):
-    """The path depends on n alone: Filter-Kruskal up to ``_PRIM_ABOVE``
-    points, Prim above."""
-    calls = []
+def test_build_mst_runs_one_scan_at_every_n(monkeypatch):
+    """There is one scan, ``_prim``, at every n, and each point set runs it
+    once."""
+    sizes = []
     prim = mst._prim
 
     def watched(d2):
-        calls.append(len(d2))
+        sizes.append(len(d2))
         return prim(d2)
 
     monkeypatch.setattr(mst, "_prim", watched)
-    for n in (mst._PRIM_ABOVE, mst._PRIM_ABOVE + 1):
-        build_mst(uniform_cube(3, n, 7))
-        build_threshold_forest(uniform_cube(3, n, 7), 0.1)
-    assert calls == [mst._PRIM_ABOVE + 1] * 2
+    ns = (1, 2, 3, 80, 81, 200)
+    for n in ns:
+        points = uniform_cube(3, n, 7)
+        build_mst(points)
+        build_threshold_forest(points, 1.0)
+    assert sizes == list(ns)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: point_set(np.full((2000, 2), 0.5)),
+    k3_code4,
+    lambda: point_set(list(itertools.product([0.0, 1.0], repeat=3))),
+    lambda: uniform_cube(3, 20, 2),
+], ids=["all-equal-n2000", "k3-code4", "cube-k3", "uniform-k3-n20"])
+def test_spanning_prefix_is_the_tree(monkeypatch, make):
+    """When Kruskal over the sorted prefix makes n - 1 unions, its pairs,
+    already in (d^2, u, v) order, are the tree: Prim is not set up and
+    ``_lower`` never runs."""
+    points = make()
+    union, unions = DSU.union, []
+
+    def counted(self, a, b):
+        unions.append(union(self, a, b))
+        return unions[-1]
+
+    def unreachable(*args):
+        raise AssertionError("_lower called though the prefix spans")
+
+    monkeypatch.setattr(mst, "_lower", unreachable)
+    monkeypatch.setattr(DSU, "union", counted)
+    tree = build_mst(points)
+    monkeypatch.undo()
+    assert unions.count(True) == points.n - 1
+    assert tree_key(tree) == tree_key(full_scan_mst(points))
 
 
 lattices_with_repeats = st.tuples(st.integers(1, 3), st.integers(1, 5)).flatmap(
@@ -416,53 +453,9 @@ def test_mst_and_forest_match_full_sort_on_lattice_property(case):
     want_forest = [tree_key(t) for t in full_scan_forest(points, cutoff)]
     with pytest.MonkeyPatch.context() as mp:
         ran = use_engine(mp, engine)
-        watch_sorts(mp)
         assert tree_key(build_mst(points)) == want_mst
         assert [tree_key(t) for t in build_threshold_forest(points, cutoff)] == want_forest
-    assert ran == [SCAN_OF[engine]]
-
-
-@pytest.mark.parametrize("name", [*TIED_INPUTS, "clustered-k8-seed1"])
-@pytest.mark.parametrize("cut", [math.inf, 1.0])
-def test_each_round_sorts_only_joinable_pairs_heavier_than_the_last(monkeypatch, name, cut):
-    """One pair per point and no floor, for the MST (``cut`` inf) and for
-    the forest at ``cut``, which scans the whole MST and then cuts it.
-    Every pair a round sorts is heavier than all pairs of earlier rounds
-    (ties are never split) and joins two components that earlier rounds
-    left apart (the filter used the roots after the last scan)."""
-    points = TIED_INPUTS[name]() if name in TIED_INPUTS else TOUR_LARGE[name]()
-    use_engine(monkeypatch, "many")
-    calls = []
-    watch_sorts(monkeypatch, calls)
-    accepted, seen = [], []
-    kruskal = mst._kruskal
-
-    def stepped(d2):
-        pairs = kruskal(d2)
-        while True:
-            before = len(calls)
-            pair = next(pairs, None)
-            # a round's sort happens before its first accepted pair
-            seen.extend([len(accepted)] * (len(calls) - before))
-            if pair is None:
-                return
-            accepted.append(pair)
-            yield pair
-
-    monkeypatch.setattr(mst, "_kruskal", stepped)
-    build_mst(points) if cut == math.inf else build_threshold_forest(points, cut)
-    monkeypatch.undo()
-    assert calls, "nothing was sorted"
-    assert len(accepted) == points.n - 1
-    dsu = DSU(points.n)
-    done, heaviest = 0, -math.inf
-    for (us, vs, d2s), joined in zip(calls, seen):
-        for u, v in accepted[done:joined]:
-            dsu.union(u, v)
-        done = joined
-        assert min(d2s) > heaviest
-        heaviest = max(d2s)
-        assert all(dsu.find(u) != dsu.find(v) for u, v in zip(us, vs))
+    assert ran == ["_prim"]
 
 
 @pytest.mark.parametrize("name, cutoff", [("clustered-k8-seed1", 8 ** -0.25),
@@ -470,10 +463,10 @@ def test_each_round_sorts_only_joinable_pairs_heavier_than_the_last(monkeypatch,
                          ids=["clustered-k8", "cube-vertex-k12"])
 def test_forest_makes_each_union_once(monkeypatch, engine, name, cutoff):
     """The forest's trees come from one MST scan and one grouping pass:
-    Filter-Kruskal makes its n - 1 unions and Prim one per pair its prefix
-    accepts (n less the prefix's components), then the forest makes one
-    union per kept pair.  A second forest on the same point set reads the
-    kept tree: one more grouping pass, no scan."""
+    the scan makes one union per pair its prefix accepts (n less the
+    prefix's components), then the forest makes one union per kept pair.
+    A second forest on the same point set reads the kept tree: one more
+    grouping pass, no scan."""
     points = TOUR_LARGE[name]()
     union = DSU.union
     results = []
@@ -485,12 +478,12 @@ def test_forest_makes_each_union_once(monkeypatch, engine, name, cutoff):
     monkeypatch.setattr(DSU, "union", counted)
     edges = sum(len(t.u) for t in build_threshold_forest(points, cutoff))
     assert edges > 0
-    scan = {"prim": points.n - PREFIX_COMPONENTS[name], "prim-no-prefix": 0}.get(
-        engine[0], points.n - 1)
+    scan = {"default": points.n - PREFIX_COMPONENTS[name], "prim-no-prefix": 0,
+            "prim-all-prefix": points.n - 1}[engine[0]]
     assert results.count(True) == scan + edges
     assert sum(len(t.u) for t in build_threshold_forest(points, cutoff)) == edges
     assert results.count(True) == scan + 2 * edges
-    assert engine[1] == [SCAN_OF[engine[0]]]
+    assert engine[1] == ["_prim"]
 
 
 #: Components left by Kruskal over the sorted prefix on the tour-large
@@ -511,7 +504,6 @@ def test_prefix_leaves_few_components(monkeypatch, name):
         return unions[-1]
 
     monkeypatch.setattr(DSU, "union", counted)
-    assert points.n > mst._PRIM_ABOVE
     build_mst(points)
     assert points.n - unions.count(True) == PREFIX_COMPONENTS[name]
 
@@ -538,17 +530,22 @@ def test_equal_points_leave_one_prefix_component(monkeypatch):
 @pytest.mark.parametrize("make", [
     *(TOUR_LARGE[name] for name in PREFIX_COMPONENTS),
     lambda: point_set(np.full((2000, 2), 0.5)),
-], ids=[*PREFIX_COMPONENTS, "all-equal"])
+    lambda: uniform_cube(3, 80, 1),
+    lambda: point_set(np.full((80, 2), 0.5)),
+], ids=[*PREFIX_COMPONENTS, "all-equal", "uniform-k3-n80", "all-equal-n80"])
 def test_mst_allocates_no_quadratic_array(make):
     """With d^2 built beforehand, the scan holds the prefix's O(n) pairs,
     one strip of about 2^16 entries and O(n) keys, never an n x n array:
     its traced peak stays under a quarter of one n x n float matrix, on
     equal points too, where every pair ties and the pair budget cuts the
-    prefix inside the tie."""
+    prefix inside the tie.  At n = 80 the whole matrix is smaller than one
+    strip, which may then hold all of it, so there the bound is the strip:
+    ``mst._STRIP`` float entries."""
     points = make()
     n = points.n
-    assert points.sq.shape == (n, n) and n > mst._PRIM_ABOVE
-    assert traced_peak(lambda: build_mst(points)) < 2 * n * n
+    assert points.sq.shape == (n, n)
+    bound = 2 * n * n if n * n > mst._STRIP else 8 * mst._STRIP
+    assert traced_peak(lambda: build_mst(points)) < bound
 
 
 def sorted_pair_count(monkeypatch, build):
@@ -556,14 +553,13 @@ def sorted_pair_count(monkeypatch, build):
     watch_sorts(monkeypatch, calls)
     build()
     monkeypatch.undo()
-    return sum(len(u) for u, _v, _d2 in calls)
+    return sum(calls)
 
 
 @pytest.mark.parametrize("name", ["uniform-k3-seed1", "clustered-k8-seed1"])
 def test_mst_sorts_under_a_tenth_of_the_pairs(monkeypatch, name):
     """A fall-back to one full sort of all pairs fails here."""
     points = TOUR_LARGE[name]()
-    use_engine(monkeypatch, "default")
     pairs = points.n * (points.n - 1) // 2
     assert sorted_pair_count(monkeypatch, lambda: build_mst(points)) < 0.1 * pairs
 
@@ -572,7 +568,6 @@ def test_forest_on_cube_vertices_below_unit_distance_sorts_nothing(monkeypatch):
     """Cube vertices lie at distance >= 1; at the two-phase cutoff
     12^(-1/4) < 1 the forest returns before any scan."""
     points = TOUR_LARGE["cube-vertex-k12-seed1"]()
-    use_engine(monkeypatch, "default")
     trees = []
     assert sorted_pair_count(
         monkeypatch, lambda: trees.extend(build_threshold_forest(points, 12 ** -0.25))) == 0
@@ -584,7 +579,6 @@ def test_forest_with_no_pair_within_the_cutoff_runs_no_scan(monkeypatch):
     12^(-1/4): one pass over d^2 finds that, and the n singletons come back
     with no Prim step and no sort."""
     points = cube_vertex_subset(12, 1200, 5)
-    assert points.n > mst._PRIM_ABOVE
     calls = []
     monkeypatch.setattr(mst, "_prim", lambda *args: calls.append(args))
     watch_sorts(monkeypatch, calls)
@@ -618,23 +612,14 @@ def assert_forest_matches_full_scan(points, cutoff):
 @forest_cutoffs
 def test_threshold_forest_matches_full_scan(make, cutoff):
     """The MST's cut keeps the trees, their order and each tree's edge
-    order of a Kruskal scan over the pairs within the cutoff.  Both paths,
-    Filter-Kruskal and Prim, each on a fresh point set."""
+    order of a Kruskal scan over the pairs within the cutoff.  Every
+    engine, each on a fresh point set."""
     coords = make().coords
-    for engine in ("default", "prim"):
+    for engine in ENGINES:
         with pytest.MonkeyPatch.context() as mp:
             ran = use_engine(mp, engine)
             assert_forest_matches_full_scan(point_set(coords), cutoff)
-        assert ran == [SCAN_OF[engine]]
-
-
-@forest_inputs
-@forest_cutoffs
-def test_threshold_forest_matches_full_scan_in_many_rounds(monkeypatch, make, cutoff):
-    ran = use_engine(monkeypatch, "many")
-    watch_sorts(monkeypatch)
-    assert_forest_matches_full_scan(make(), cutoff)
-    assert ran == ["_kruskal"]
+        assert ran == ["_prim"]
 
 
 def test_threshold_forest_zero_cutoff(rng):
@@ -646,16 +631,16 @@ def test_threshold_forest_zero_cutoff(rng):
 
 def test_threshold_forest_full_cutoff_equals_mst():
     """At a cutoff of at least the diameter the forest is the MST itself,
-    edge order included: both list their edges in the scan's order.  Both
-    paths, Filter-Kruskal and Prim."""
+    edge order included: both list their edges in the scan's order.  Every
+    engine."""
     inputs = [random_points(5, 20, 4)] + [uniform_cube(3, 200, seed) for seed in range(5)]
-    for engine in ("default", "prim"):
+    for engine in ENGINES:
         with pytest.MonkeyPatch.context() as mp:
             ran = use_engine(mp, engine)
             for pts in inputs:
                 fresh = point_set(pts.coords)
                 assert build_threshold_forest(fresh, math.sqrt(pts.k)) == [build_mst(fresh)]
-        assert ran == [SCAN_OF[engine]] * len(inputs)
+        assert ran == ["_prim"] * len(inputs)
 
 
 def test_threshold_forest_two_clusters():

@@ -62,8 +62,9 @@ def test_counts_and_dimensions_below_range_are_input_errors(call):
 
 
 def test_bounds_sweep_reads_costs_from_the_pipelines(monkeypatch):
-    """The MST and two-phase pipelines already cost their tours; the sweep
-    takes s_k from their reports instead of costing each tour again."""
+    """Two-phase already costs its tour, and the sweep takes s_k from its
+    report; the MST cycle is costed once per trial, with no bound report."""
+    import powertour.sekanina as sekanina
     import powertour.suites as suites
 
     calls = {"power_cost": 0}
@@ -73,10 +74,14 @@ def test_bounds_sweep_reads_costs_from_the_pipelines(monkeypatch):
         calls["power_cost"] += 1
         return real(*args, **kwargs)
 
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a bound report was built")
+
     monkeypatch.setattr(suites, "power_cost", counted)
+    monkeypatch.setattr(sekanina, "bound_report", unreachable)
     result = suite_bounds_sweep(trials=3, seed=4, ks=[3, 4], n_hi=40)
     assert result["failures"] == 0
-    assert calls == {"power_cost": 0}
+    assert calls == {"power_cost": 6}
 
 
 @pytest.mark.parametrize("run", [

@@ -133,8 +133,7 @@ def count_pairwise_sq(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("n", [mst._PRIM_ABOVE, mst._PRIM_ABOVE + 200],
-                         ids=["filter-kruskal", "prim"])
+@pytest.mark.parametrize("n", [80, 280])
 def test_one_distance_matrix_per_run(monkeypatch, n):
     """One d^2 matrix per point set: two-phase's forest and greedy, the
     MST and the greedy alone all read the one ``PointSet.sq`` builds, in
@@ -154,20 +153,20 @@ def test_one_distance_matrix_per_run(monkeypatch, n):
     assert calls == [n, n]
 
 
-@pytest.mark.parametrize("n", [mst._PRIM_ABOVE, mst._PRIM_ABOVE + 200],
-                         ids=["filter-kruskal", "prim"])
+@pytest.mark.parametrize("n", [80, 280])
 def test_one_mst_scan_per_point_set(monkeypatch, n):
     """mst-sekanina and then two-phase on one point set scan it once: the
     forest is the cut of the MST the cycle was built on."""
     pts = constructions.clustered(8, n, 8, 0.05, 3)
     scans = []
-    for name in ("_kruskal", "_prim"):
-        def watched(d2, name=name, scan=getattr(mst, name)):
-            scans.append(name)
-            return scan(d2)
+    prim = mst._prim
 
-        monkeypatch.setattr(mst, name, watched)
+    def watched(d2):
+        scans.append("_prim")
+        return prim(d2)
+
+    monkeypatch.setattr(mst, "_prim", watched)
     mst_sekanina_cycle(pts)
     _tour, report = two_phase_tour(pts, pts.k)
     assert max(report.tree_sizes) > 1
-    assert scans == ["_prim" if n > mst._PRIM_ABOVE else "_kruskal"]
+    assert scans == ["_prim"]
