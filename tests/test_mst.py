@@ -267,11 +267,13 @@ def watch_sorts(monkeypatch, calls):
     monkeypatch.setattr(np, "lexsort", watched)
 
 
-#: The sorted prefix's settings: as shipped ("default"), with no pair in
-#: it, so every component is one vertex and Prim takes n - 1 steps
-#: ("prim-no-prefix"), and with every pair in it, so Kruskal builds the
+#: The sorted prefix's settings: as shipped ("default"); cut short by a
+#: budget of one pair per row, so the budget cut runs on every input that
+#: holds more and Prim joins the many components left ("prim"); with no
+#: pair in it, so every component is one vertex and Prim takes n - 1 steps
+#: ("prim-no-prefix"); and with every pair in it, so Kruskal builds the
 #: whole tree and Prim is not set up ("prim-all-prefix").
-ENGINES = ("default", "prim-no-prefix", "prim-all-prefix")
+ENGINES = ("default", "prim", "prim-no-prefix", "prim-all-prefix")
 
 
 def watch_scans(monkeypatch) -> list[str]:
@@ -293,7 +295,9 @@ def use_engine(monkeypatch, engine) -> list[str]:
     bound and budget, and return ``watch_scans``' list.  Each point set
     keeps its first MST, so a test that compares engines builds a fresh
     point set for each."""
-    if engine == "prim-no-prefix":
+    if engine == "prim":
+        monkeypatch.setattr(pairs, "_PAIRS_PER_END", 1)
+    elif engine == "prim-no-prefix":
         monkeypatch.setattr(pairs, "_prefix_bound", lambda nearest: -1.0)
     elif engine == "prim-all-prefix":
         monkeypatch.setattr(pairs, "_prefix_bound", lambda nearest: math.inf)
@@ -478,7 +482,8 @@ def test_forest_makes_each_union_once(monkeypatch, engine, name, cutoff):
     monkeypatch.setattr(DSU, "union", counted)
     edges = sum(len(t.u) for t in build_threshold_forest(points, cutoff))
     assert edges > 0
-    scan = {"default": points.n - PREFIX_COMPONENTS[name], "prim-no-prefix": 0,
+    scan = {"default": points.n - PREFIX_COMPONENTS[name],
+            "prim": points.n - SHORT_PREFIX_COMPONENTS[name], "prim-no-prefix": 0,
             "prim-all-prefix": points.n - 1}[engine[0]]
     assert results.count(True) == scan + edges
     assert sum(len(t.u) for t in build_threshold_forest(points, cutoff)) == edges
@@ -490,6 +495,10 @@ def test_forest_makes_each_union_once(monkeypatch, engine, name, cutoff):
 #: seed-1 inputs: Prim takes one step per component after the first.
 PREFIX_COMPONENTS = {"uniform-k3-seed1": 67, "clustered-k8-seed1": 43,
                      "cube-vertex-k12-seed1": 1}
+
+#: The same under the "prim" engine's budget of one pair per row, which
+#: keeps the first n // 2 pairs.
+SHORT_PREFIX_COMPONENTS = {"clustered-k8-seed1": 629, "cube-vertex-k12-seed1": 1330}
 
 
 @pytest.mark.parametrize("name", PREFIX_COMPONENTS)
