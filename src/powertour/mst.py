@@ -241,8 +241,6 @@ def mst_ball_packing_check(t: SpanningTree, points: PointSet,
     index pairs: (i, j) with |center_i - center_j| < (|e_i| + |e_j|) / 4.
     Tangent balls (equality) are disjoint because the balls are open.
     """
-    if len(t.u) < 2:
-        return []
     coords = points.coords
     centers = 0.5 * (coords[t.u] + coords[t.v])
     radii = 0.25 * t.weights

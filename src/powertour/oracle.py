@@ -15,8 +15,9 @@ each other member, from its own cache of layers, and the same search.
 
 Tie contract.  The result is the first minimum, in lexicographic order,
 over the canonical orders: tours put the pivot 0 first and permute
-1..n-1, paths permute 0..n-1, and of each reversal pair only the order
-whose first permuted entry is below its last entry counts.  An order o
+1..n-1, paths permute 0..n-1, and an order is skipped when its last
+entry is below the first permuted one, so of each reversal pair only the
+order whose first permuted entry is below its last counts.  An order o
 costs the numpy row sum ``dk[o[:-1], o[1:]].sum(axis=1)`` over a row of
 n - 1 terms, plus ``dk[o[-1], 0]`` for tours.  The table and the search
 add in another order, so they only select candidates.  Every candidate is
@@ -178,8 +179,9 @@ def _search_orders(dk: np.ndarray, g: np.ndarray, closed: bool,
                 continue
             rest = left ^ b
             f = v if first < 0 else first
-            # one order per reversal pair: the last entry exceeds the first permuted one
-            if (rest >> (f + 1) == 0) if rest else v <= f:
+            # one order per reversal pair: skip it when the last entry is below the
+            # first permuted one; a 2-point tour's lone permuted entry is both
+            if (rest >> (f + 1) == 0) if rest else v < f:
                 continue
             step = cost + row[v]
             if step + bound[rest * n + v] <= limit:
@@ -285,9 +287,6 @@ def exact_min_tour(points: PointSet, k: int) -> tuple[Tour, PowerCost]:
         raise InputError("need at least 2 points")
     if n > MAX_EXACT_TOUR:
         raise SizeError(f"exact tours capped at n = {MAX_EXACT_TOUR}, got {n}")
-    if n == 2:
-        tour = tour_from_order(points, (0, 1))
-        return tour, power_cost(tour, k)
     best_order = _first_best_order(_power_matrix(points, k), closed=True)
     tour = tour_from_order(points, best_order)
     return tour, power_cost(tour, k)

@@ -1,9 +1,10 @@
 """Hamiltonian cycles in the cube of a spanning tree.
 
-Given a tree T with n >= 3 vertices, T^3 (vertices joined when their tree
+Given a tree T with n >= 2 vertices, T^3 (vertices joined when their tree
 distance is <= 3) contains a Hamiltonian cycle H such that every tree edge
 lies on the tree paths of exactly two cycle edges, and some cycle edge
-incident to a chosen anchor vertex is itself a tree edge.  This module
+incident to a chosen anchor vertex is itself a tree edge.  Two vertices
+give the doubled edge: both hops are the one tree edge.  This module
 constructs such a cycle together with an independently checkable
 UsageCertificate (the cycle order and, per cycle edge, its tree path read
 from the edge's first end to its second), and derives the cost guarantee
@@ -192,13 +193,13 @@ def tree_cube_cycle(t: SpanningTree, points: PointSet, anchor: int = 0
     a repeated edge or a disconnected part) raises InputError before any hop
     is built.  The returned certificate has been re-verified, as has every
     hop's triangle inequality; any internal inconsistency raises
-    CertificateError.
+    CertificateError.  n >= 2; two vertices give the doubled edge.
     """
     if t.vertices and not 0 <= min(t.vertices) <= max(t.vertices) < points.n:
         bad = next(v for v in t.vertices if not 0 <= v < points.n)
         raise InputError(f"tree vertex {bad} out of range for {points.n} points")
-    if t.n < 3:
-        raise InputError(f"need at least 3 vertices, got {t.n}")
+    if t.n < 2:
+        raise InputError(f"need at least 2 vertices, got {t.n}")
     cert = _parity_walk(t, anchor)
     problems = verify_double_cover(t, cert)
     if problems:
@@ -233,11 +234,10 @@ def tree_to_cycle_cost_bound(t: SpanningTree, points: PointSet, k: int
 
 
 def mst_sekanina_cycle(points: PointSet) -> Tour:
-    """MST, then the certified tree-cube cycle; for n = 2 the doubled edge."""
+    """MST, then the certified tree-cube cycle; two points give the
+    doubled edge, certified like any other cycle."""
     if points.n < 2:
         raise InputError("need at least 2 points")
-    if points.n == 2:
-        return tour_from_order(points, (0, 1))
     tour, _cert = tree_cube_cycle(build_mst(points), points, anchor=0)
     return tour
 

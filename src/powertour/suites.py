@@ -42,8 +42,6 @@ def random_tree_pairs(n: int, rng: np.random.Generator) -> list[tuple[int, int]]
     """A uniformly random labeled tree (decoded from a random sequence)."""
     if n == 1:
         return []
-    if n == 2:
-        return [(0, 1)]
     seq = rng.integers(0, n, size=n - 2)
     deg = np.ones(n, dtype=np.int64)
     for s in seq:
@@ -206,11 +204,10 @@ def suite_bounds_sweep(trials: int = 50, seed: int = DEFAULT_SEED,
             s_two = phase.tour_cost.scaled
             if s_two > bound * (1 + tol):
                 bad += 1
-            if n >= 3:
-                _path, trace = greedy_ham_path(pts)
-                cap = math.sqrt(2.0 * k / 3.0) * (1 + tol)
-                if (trace.weights[:-1] > cap).any():
-                    bad += 1
+            _path, trace = greedy_ham_path(pts)
+            cap = math.sqrt(2.0 * k / 3.0) * (1 + tol)
+            if (trace.weights[:-1] > cap).any():
+                bad += 1
             return bad, s_mst, s_two
 
         results = [one(t) for t in range(trials)]
@@ -286,7 +283,7 @@ def sekanina_certificate_sweep(trees: int, seed: int = DEFAULT_SEED,
 
     def one(t: int) -> int:
         rng = np.random.default_rng(np.random.SeedSequence([seed, t, 3]))
-        n = 3 + int((SWEEP_N_MAX - 3) * rng.random() ** 2)
+        n = 2 + int((SWEEP_N_MAX - 2) * rng.random() ** 2)
         k = int(rng.integers(2, 7))
         pts = point_set(rng.uniform(size=(n, k)))
         pairs = random_tree_pairs(n, rng)

@@ -3,17 +3,18 @@
 Phase 1 cuts the point set's one MST at ``cutoff`` (default k^(-1/4)):
 its edges within the cutoff form the threshold forest, which by Kruskal's
 exchange property is Kruskal restricted to those edges.  It converts each
-tree with >= 3 vertices into a certified cube-of-tree cycle, removes the
+tree with >= 2 vertices into a certified cube-of-tree cycle, removes the
 maximum-weight edge of each cycle, and collects the resulting open paths
-(2-vertex trees contribute their single edge, singletons stay isolated)
-into a path system F0, kept as a list of weighted edges.  Phase 2 hands
-F0's edge pairs to the greedy minimum-edge merging as its warm start and
-closes the final path into a tour.  The phases are the public steps
-``build_threshold_forest``, ``tree_cube_cycle`` and ``greedy_ham_path``;
-the forest and the greedy both read the points' one d^2 matrix,
-``PointSet.sq``, and the forest reads the one MST that mst-sekanina builds
-on the same point set.  d^2 orders pairs; ``edge_lengths`` measures them:
-F0's weights are read off the forest's and the cycles' own edges.
+(a 2-vertex tree's doubled edge leaves its single edge, singletons stay
+isolated) into a path system F0, kept as a list of weighted edges.
+Phase 2 hands F0's edge pairs to the greedy minimum-edge merging as its
+warm start and closes the final path into a tour.  The phases are the
+public steps ``build_threshold_forest``, ``tree_cube_cycle`` and
+``greedy_ham_path``; the forest and the greedy both read the points' one
+d^2 matrix, ``PointSet.sq``, and the forest reads the one MST that
+mst-sekanina builds on the same point set.  d^2 orders pairs;
+``edge_lengths`` measures them: F0's weights are read off the forest's and
+the cycles' own edges.
 """
 
 from __future__ import annotations
@@ -77,11 +78,11 @@ def two_phase_tour(points: PointSet, k: int, cutoff: float | None = None
     for tree in trees:
         if tree.n < 2:
             continue
-        s = tree if tree.n == 2 else tree_cube_cycle(tree, points, anchor=tree.vertices[0])[0]
+        s = tree_cube_cycle(tree, points, anchor=tree.vertices[0])[0]
         rows = [(w, min(a, b), max(a, b))
                 for a, b, w in zip(s.u.tolist(), s.v.tolist(), s.weights.tolist())]
-        if tree.n > 2:  # drop the heaviest cycle edge (ties: lexicographically smallest pair)
-            rows.remove(min(rows, key=lambda r: (-r[0], r[1], r[2])))
+        # drop the heaviest cycle edge (ties: lexicographically smallest pair)
+        rows.remove(min(rows, key=lambda r: (-r[0], r[1], r[2])))
         f0 += rows
 
     forest_cost = power_cost_from_weights(np.concatenate([t.weights for t in trees]), k)

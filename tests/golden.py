@@ -50,11 +50,13 @@ GENERATED = (
     ("near-coincident.json", ["clustered", "--k", "3", "--n", "200", "--radius", "0.0001",
                               "--seed", "1"]),
     ("code4.json", ["k3-code4"]),
+    # the smallest instance of the lower bound: opposite corners of the cube
+    ("diag3.json", ["diagonal-pair", "--k", "3"]),
     ("corners.csv", ["square-corners"]),
 )
 
-#: Hand-written inputs: exact duplicates, a grid full of ties, and four
-#: points two of which lie 1e-9 apart.
+#: Hand-written inputs: exact duplicates, a grid full of ties, four points
+#: two of which lie 1e-9 apart, and two coincident points.
 WRITTEN = {
     "dups.json": [[0.1, 0.2, 0.3], [0.1, 0.2, 0.3], [0.7, 0.2, 0.9], [0.5, 0.5, 0.5],
                   [0.7, 0.2, 0.9], [0.0, 1.0, 0.0], [0.5, 0.5, 0.5], [0.1, 0.2, 0.3],
@@ -62,6 +64,7 @@ WRITTEN = {
     "grid.json": [[0.25 * i, 0.25 * j] for i in range(5) for j in range(5)],
     "four.json": [[0.5, 0.5, 0.5], [0.5 + 1e-9, 0.5, 0.5], [0.5, 0.5 + 2e-9, 0.5],
                   [0.9, 0.1, 0.3]],
+    "pair-dup.json": [[0.3, 0.6, 0.2], [0.3, 0.6, 0.2]],
 }
 
 ALGOS = ("mst-sekanina", "greedy", "two-phase")
@@ -95,6 +98,13 @@ def _cases() -> dict[str, list[str]]:
                                                       "--cutoff", "0")
     cases["tour-mst-sekanina-k5-u3.json"] = _tour("u3.json", "mst-sekanina", "--k", "5")
     cases["tour-two-phase-k2-cv6.json"] = _tour("cv6.json", "two-phase", "--k", "2")
+    # two points: the doubled edge through every pipeline
+    for path in ("diag3.json", "pair-dup.json"):
+        for algo in (*ALGOS, "oracle"):
+            cases[f"tour-{algo}-{path}"] = _tour(path, algo)
+    # one 2-vertex forest tree
+    cases["tour-two-phase-cutoff2-diag3.json"] = _tour("diag3.json", "two-phase",
+                                                       "--cutoff", "2")
     cases["tour-missing-file"] = _tour("missing.json", "greedy")
     suites = {"lemma1": "20", "lemma5": "200", "lemma7": "2", "lemma9": "50",
               "bincode": "10", "bounds-sweep": "2", "tight-examples": "1"}

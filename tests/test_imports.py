@@ -204,6 +204,15 @@ def test_only_the_cube_cycle_builds_and_checks_its_certificate():
     assert package_call_sites("verify_double_cover") == ["sekanina.tree_cube_cycle"]
 
 
+def test_every_tour_order_has_one_builder_per_construction():
+    """Each construction builds its tour in one place: the cube-cycle walk
+    builds every MST and forest-tree cycle, two points included, so no
+    uncertified small-n tour sits beside it."""
+    assert package_call_sites("tour_from_order") == [
+        "oracle.exact_min_tour", "planar.non_obtuse_cycle", "planar.newman_square_tour",
+        "sekanina.tree_cube_cycle"]
+
+
 def test_dense_pair_matrices_have_two_builders():
     """Point sets, the oracles' power matrix included, read ``PointSet.sq``;
     only the midball centers build a d^2 matrix of their own."""

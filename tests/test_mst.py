@@ -702,8 +702,12 @@ def test_ball_packing_flags_bad_tree():
 
 
 def test_ball_packing_single_edge():
+    """One edge, or none, has no pair of balls to check."""
     pts = point_set([[0.0, 0.0], [1.0, 1.0]])
     assert mst_ball_packing_check(build_mst(pts), pts) == []
+    assert mst_ball_packing_check(tree_from_pairs(pts, [], vertices=[1]), pts) == []
+    dup = point_set([[0.4, 0.4], [0.4, 0.4]])
+    assert mst_ball_packing_check(build_mst(dup), dup) == []
 
 
 def test_ball_packing_tolerates_duplicate_points():

@@ -22,9 +22,10 @@ def brute_first_best_order(dk, n, closed):
     """The enumeration the exact tour and path oracles must reproduce.
 
     Closed orders fix the pivot 0 and permute 1..n-1, adding the closing
-    term after the open sum; open orders permute 0..n-1.  Of each reversal
-    pair only the order whose first permuted entry precedes its last is
-    costed.  Ties keep the earliest order: first argmin within a chunk,
+    term after the open sum; open orders permute 0..n-1.  An order whose
+    last entry is below its first permuted one is skipped, so of each
+    reversal pair only one order is costed, and a lone permuted entry (a
+    2-point tour) is kept.  Ties keep the earliest order: first argmin within a chunk,
     strict < across chunks.
     """
     best_cost = math.inf
@@ -35,7 +36,7 @@ def brute_first_best_order(dk, n, closed):
         if not chunk:
             break
         arr = np.array(chunk, dtype=np.intp)
-        arr = arr[arr[:, 0] < arr[:, -1]]  # one representative per reversal pair
+        arr = arr[arr[:, 0] <= arr[:, -1]]  # one representative per reversal pair
         if arr.size == 0:
             continue
         if closed:
@@ -133,9 +134,7 @@ def assert_matches_references(points, k):
     """Orders and pairs equal to the enumeration's, costs equal bit for bit."""
     n = points.n
     dk = powertour.oracle._power_matrix(points, k)
-    checks = [(exact_min_path, False, path_from_order)]
-    if n >= 3:
-        checks.append((exact_min_tour, True, tour_from_order))
+    checks = [(exact_min_path, False, path_from_order), (exact_min_tour, True, tour_from_order)]
     for oracle, closed, build in checks:
         structure, cost = oracle(points, k)
         want = brute_first_best_order(dk, n, closed)
@@ -199,7 +198,7 @@ def pairwise_power_matrix(points, k):
 def oracle_answers(points, k):
     """Each exact oracle's order or pairs, and the bits of its cost."""
     n = points.n
-    runs = [exact_min_path] + [exact_min_tour] * (n >= 3) + [exact_min_matching] * (n % 2 == 0)
+    runs = [exact_min_path, exact_min_tour] + [exact_min_matching] * (n % 2 == 0)
     out = []
     for oracle in runs:
         structure, cost = oracle(points, k)

@@ -7,14 +7,18 @@ import numpy as np
 import pytest
 
 import powertour.sekanina
-from powertour.constructions import clustered, cube_vertex_subset, uniform_cube
+from powertour.constructions import clustered, cube_vertex_subset, diagonal_pair, uniform_cube
 from powertour.errors import CertificateError, InputError
 from powertour.geometry import point_set, power_cost
+from powertour.greedy import greedy_ham_path
 from powertour.mst import build_mst, build_threshold_forest
-from powertour.sekanina import (UsageCertificate, mst_sekanina_tour, tree_cube_cycle,
-                                tree_to_cycle_cost_bound, verify_double_cover)
-from powertour.structures import SpanningTree, tree_from_pairs, validate
+from powertour.oracle import exact_min_tour
+from powertour.sekanina import (UsageCertificate, mst_sekanina_cycle, mst_sekanina_tour,
+                                tree_cube_cycle, tree_to_cycle_cost_bound,
+                                verify_double_cover)
+from powertour.structures import SpanningTree, close_path, tree_from_pairs, validate
 from powertour.suites import random_tree_pairs
+from powertour.two_phase import two_phase_tour
 
 from conftest import pair_keys, random_points
 
@@ -132,10 +136,30 @@ def test_seven_vertex_branching_tree():
 
 
 def test_rejects_tiny_trees():
+    """A single vertex is refused; two vertices give the doubled edge."""
     pts = point_set([[0.0, 0.0], [1.0, 1.0]])
+    with pytest.raises(InputError, match="need at least 2 vertices, got 1"):
+        tree_cube_cycle(tree_from_pairs(pts, [], vertices=[1]), pts, anchor=1)
+    tour, _cert = tree_cube_cycle(tree_from_pairs(pts, [(0, 1)]), pts)
+    assert tour.n == 2
+
+
+@pytest.mark.parametrize("coords", [[[0.0, 0.0], [1.0, 1.0]], [[0.3, 0.7], [0.3, 0.7]]],
+                         ids=["diagonal", "coincident"])
+@pytest.mark.parametrize("anchor", [0, 1])
+def test_two_vertex_tree_gives_the_doubled_edge(coords, anchor):
+    """Both hops of a 2-vertex cycle are the one tree edge, read in the
+    cycle's direction; the checker accepts them and the triangle check
+    holds with equality."""
+    pts = point_set(coords)
     t = tree_from_pairs(pts, [(0, 1)])
-    with pytest.raises(InputError):
-        tree_cube_cycle(t, pts)
+    tour, cert = tree_cube_cycle(t, pts, anchor=anchor)
+    assert tour.order == cert.order == (anchor, 1 - anchor)
+    assert cert.hops == ((0,), (0,))
+    assert cert.anchor == anchor
+    assert verify_double_cover(t, cert) == []
+    assert validate(tour, pts) == []
+    assert tour.weights.tolist() == [t.weights[0]] * 2
 
 
 def test_forest_subtree_without_vertex_zero():
@@ -297,12 +321,41 @@ def test_cost_bound_random_msts(rng):
 
 
 def test_mst_tour_two_point_diagonal():
-    for k in (2, 3, 5, 8):
-        pts = point_set(np.array([[0.0] * k, [1.0] * k]))
+    """Opposite corners of the cube: every pipeline's tour is the doubled
+    diagonal, S_k = 2 * k^(k/2), and s_k is the conjectured lower bound."""
+    for k in range(2, 9):
+        pts = diagonal_pair(k)
         tour, report = mst_sekanina_tour(pts, k)
         s = power_cost(tour.edges, k).scaled
         assert s == pytest.approx(2 ** (1 / k) * math.sqrt(k), rel=1e-9)
         assert not report.certified_failures()
+        assert report.algorithms["mst-sekanina"]["s_k"] == pytest.approx(
+            report.bounds["cycle_lower_conjectured"], rel=1e-12)
+        tours = {"mst-sekanina": tour,
+                 "two-phase": two_phase_tour(pts, k)[0],
+                 "greedy": close_path(greedy_ham_path(pts)[0], pts),
+                 "oracle": exact_min_tour(pts, k)[0]}
+        for name, t in tours.items():
+            assert t.order == (0, 1), name
+            assert power_cost(t, k).unscaled == pytest.approx(2.0 * k ** (k / 2.0), rel=1e-12)
+
+
+def test_cost_bound_two_points():
+    for coords in ([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]], [[0.2, 0.4, 0.6], [0.2, 0.4, 0.6]]):
+        pts = point_set(coords)
+        t = build_mst(pts)
+        tour, cost, bound = tree_to_cycle_cost_bound(t, pts, 3)
+        assert tour.order == (0, 1)
+        assert cost.unscaled == pytest.approx(2 * power_cost(t, 3).unscaled, rel=1e-12)
+        assert cost.unscaled <= bound
+
+
+def test_two_point_tour_is_certified(monkeypatch):
+    """Two points go through the cube-cycle walk, so a checker that
+    reports a problem stops the tour."""
+    monkeypatch.setattr(powertour.sekanina, "verify_double_cover", lambda *_a: ["forged"])
+    with pytest.raises(CertificateError, match="forged"):
+        mst_sekanina_cycle(diagonal_pair(3))
 
 
 def test_mst_tour_random_within_bound(rng):

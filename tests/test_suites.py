@@ -1,7 +1,9 @@
+import numpy as np
 import pytest
 
+from powertour import suites
 from powertour.errors import InputError
-from powertour.suites import (SUITES, newman_random_sweep, run_suite,
+from powertour.suites import (SUITES, newman_random_sweep, random_tree_pairs, run_suite,
                               sekanina_certificate_sweep, suite_bincode, suite_bounds_sweep,
                               suite_lemma1, suite_lemma5, suite_lemma9)
 from powertour.verifiers import midball_reach_batch
@@ -28,6 +30,29 @@ def test_bounds_sweep_small():
     assert [row["k"] for row in result["rows"]] == [3, 4]
     for row in result["rows"]:
         assert row["max_s_mst"] <= row["bound"]
+
+
+def test_random_tree_pairs_of_two_points_draw_nothing():
+    """Two points decode the empty sequence to their one edge and leave
+    the generator where it was."""
+    rng, twin = np.random.default_rng(4), np.random.default_rng(4)
+    assert random_tree_pairs(2, rng) == [(0, 1)]
+    assert rng.random() == twin.random()
+
+
+def test_certificate_sweep_reaches_two_vertex_trees(monkeypatch):
+    """The sweep draws its sizes from n = 2 on, so 2-vertex trees go
+    through the certified walk too."""
+    sizes = []
+    real = suites.tree_cube_cycle
+
+    def recorded(tree, points, anchor):
+        sizes.append(tree.n)
+        return real(tree, points, anchor=anchor)
+
+    monkeypatch.setattr(suites, "tree_cube_cycle", recorded)
+    assert sekanina_certificate_sweep(60, seed=0)["failures"] == 0
+    assert min(sizes) == 2
 
 
 def test_run_suite_unknown_name():

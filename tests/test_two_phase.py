@@ -5,7 +5,8 @@ import sys
 import numpy as np
 import pytest
 
-from powertour import constructions, geometry, mst, structures
+from powertour import constructions, geometry, mst, sekanina, structures
+from powertour.errors import CertificateError
 from powertour.geometry import point_set, power_cost
 from powertour.greedy import greedy_ham_path
 from powertour.mst import build_mst
@@ -73,6 +74,19 @@ def test_degenerate_inputs():
     two = point_set([[0.1, 0.1], [0.9, 0.9]])
     tour, report = two_phase_tour(two, 2)
     assert len(tour.edges) == 2
+
+
+def test_two_vertex_forest_trees_are_certified(monkeypatch):
+    """A 2-vertex forest tree goes through the cube-cycle walk: its doubled
+    edge minus the heavier copy is the tree's edge, and a checker that
+    reports a problem stops the tour."""
+    pts = point_set([[0.1, 0.1], [0.15, 0.1], [0.9, 0.9]])
+    _tour, report = two_phase_tour(pts, 2, cutoff=0.2)
+    assert report.tree_sizes == (2, 1)
+    assert report.path_system_cost.unscaled == report.forest_cost.unscaled
+    monkeypatch.setattr(sekanina, "verify_double_cover", lambda *_a: ["forged"])
+    with pytest.raises(CertificateError, match="forged"):
+        two_phase_tour(pts, 2, cutoff=0.2)
 
 
 def test_default_cutoff_and_report_shape(rng):
