@@ -10,12 +10,15 @@ through the log domain so that exponents up to ~1000 and edge lengths up
 to sqrt(k) never overflow; when S_k exceeds the float range the scaled
 cost is still exact and the unscaled value is flagged as overflowed.
 
-d^2 orders pairs; ``edge_lengths`` measures them.  ``PointSet.sq`` (the
-Gram form, fast but noisy for close pairs) picks trees, paths and ties;
-every edge weight, and so every cost and certificate check, comes from
-``edge_lengths``, one coordinate-difference formula.  Structures hold
-those weights as arrays, and ``power_cost`` reads them there; the cost
-still takes ``math.log`` of one weight at a time.
+One formula keys and measures pairs.  ``sq_lengths`` is the squared
+length sum_c (x_uc - x_vc)^2, the columns added left to right: every key
+a scan compares (the MST's, the forest's, the greedy's, the oracles') is
+one of its values, and ``edge_lengths``, its square root, gives every edge
+weight, and so every cost and certificate check.  The pair scans find
+their candidates with Gram products first (``pairs.Gram``), but compare
+only these keys.  Structures hold the weights as arrays, and
+``power_cost`` reads them there; the cost still takes ``math.log`` of one
+weight at a time.
 """
 
 from __future__ import annotations
@@ -23,7 +26,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
 
 import numpy as np
 
@@ -65,12 +67,10 @@ class Container(str, Enum):
 class PointSet:
     """An ordered list of n points in R^k plus the declared container.
 
-    ``sq`` is the points' one d^2 matrix: every dense reader (the MST, the
-    threshold forest, the greedy, the oracle tables, the closest-pair
-    check) takes it from here, so a point set that several of them read
-    builds it once.  It orders pairs; ``edge_lengths`` weighs them.  It is
-    built on first read and lives as long as the point set does.  Point
-    sets compare and hash by identity, as each owns its own matrix.
+    The coordinates are a read-only C-contiguous copy.  Pairs are keyed by
+    ``sq_lengths`` and weighed by ``edge_lengths``, both read off these
+    coordinates, so no pair array is kept.  Point sets compare and hash by
+    identity, as each owns the MST ``mst.build_mst`` keeps for it.
     """
 
     coords: np.ndarray
@@ -107,14 +107,6 @@ class PointSet:
     def k(self) -> int:
         return self.coords.shape[1]
 
-    @cached_property
-    def sq(self) -> np.ndarray:
-        """``symmetric_sq`` of the coordinates, read-only.  A point set over
-        ``MAX_DENSE_POINTS`` raises ``SizeError`` on every read, before any
-        matrix is allocated."""
-        check_dense_size(self.n)
-        return symmetric_sq(self.coords)
-
 
 def _container_box(container: Container):
     if container == Container.UNIT_CUBE:
@@ -148,86 +140,63 @@ class Edge:
             raise InputError("edge weight must be nonnegative")
 
 
+def sq_lengths(points: PointSet, u, v) -> np.ndarray:
+    """Squared lengths sum_c (x_uc - x_vc)^2 of the pairs (u, v), the
+    columns added left to right: the one key every pair scan compares.
+
+    ``u`` and ``v`` index the points and broadcast against each other:
+    equal-length index arrays or lists of pairs, two single indices, or a
+    column of rows against a row of columns for a block (slices such as
+    ``np.s_[lo:hi, None]`` and ``np.s_[:]`` take a block with no gather).  Every step is
+    elementwise IEEE arithmetic, so a pair gets the same bits in any call,
+    any block and on any BLAS, the key is symmetric in (u, v), and a
+    duplicate pair is exactly 0.  One column at a time: memory is two
+    arrays of the broadcast shape.
+    """
+    acc = None
+    for col in points.coords.T:
+        term = col[u] - col[v]
+        term *= term
+        if acc is None:
+            acc = term
+        else:
+            acc += term
+    return acc
+
+
 def edge_lengths(points: PointSet, u, v) -> np.ndarray:
     """Euclidean lengths |x_u - x_v| of the pairs (u[i], v[i]): the square
-    root of sum_c (x_uc - x_vc)^2, the columns added left to right.
-
-    Every step is elementwise IEEE arithmetic, so a pair gets the same bits
-    in any call and on any BLAS, the result is symmetric in (u, v), and a
-    duplicate pair is exactly 0.  ``u`` and ``v`` are equal-length index
-    lists or arrays, or two single indices; memory is O(len(u) k).  Every
-    edge weight in the package comes from here: d^2 (``PointSet.sq``)
-    orders pairs, ``edge_lengths`` measures them.
-    """
-    cols = points.coords.T
-    sq = cols[:, u] - cols[:, v]
-    sq *= sq
-    acc = sq[0]
-    for term in sq[1:]:
-        acc += term
-    return np.sqrt(acc)
+    root of ``sq_lengths``, so a scan's key and the weight of the pair it
+    picks come from the same bits.  Every edge weight in the package comes
+    from here."""
+    return np.sqrt(sq_lengths(points, u, v))
 
 
-#: Most points ``PointSet.sq`` accepts, and so the dense paths that read it
-#: (``build_mst``, ``build_threshold_forest``, ``greedy_ham_path``): the
-#: n x n float matrix is 0.8 GB at the cap.  The MST and the forest run
-#: Kruskal over the sorted prefix and Prim over its components, which hold
-#: O(n) prefix pairs and keys beside the matrix, as the greedy does.
+#: Most points the pair scans accept (``build_mst``,
+#: ``build_threshold_forest``, ``greedy_ham_path``, the closest-pair
+#: check).  They hold O(n) pairs and one strip of pairs at a time, but
+#: their time is O(n^2).
 MAX_DENSE_POINTS = 10_000
 
 
 def check_dense_size(n: int) -> None:
-    """Raise SizeError, before anything is allocated, when n points exceed
-    ``MAX_DENSE_POINTS``.  The message names the 8 n^2 bytes of the n x n
-    matrix, the only quadratic array: the scans that read it hold O(n)
-    prefix pairs and no quadratic pair array."""
+    """Raise SizeError, before any pair is scanned, when n points exceed
+    ``MAX_DENSE_POINTS``.  The message names the n(n - 1)/2 pairs a scan
+    reads: memory is O(n) beside one strip, so the cap is on time."""
     if n > MAX_DENSE_POINTS:
         raise SizeError(f"dense paths capped at n = {MAX_DENSE_POINTS}, got n = {n} "
-                        f"(an n x n matrix of about {8 * n * n:,} bytes)")
-
-
-#: Rows per strip in ``pairwise_sq``; a strip at n = 2000 is 0.5 MiB.
-_STRIP = 32
+                        f"(a scan over about {n * (n - 1) // 2:,} pairs)")
 
 
 def pairwise_sq(coords: np.ndarray) -> np.ndarray:
-    """Dense matrix of squared Euclidean distances (clipped at 0).
-
-    Entry (i, j) is max((|x_i|^2 + |x_j|^2) - 2 (x_i . x_j), 0), with the
-    dot products from one ``coords @ coords.T``, the only n x n array: the
-    rest runs in place on one strip of rows at a time while it is in cache,
-    the row-norm sums in one reused block.  numpy computes ``a @ a.T`` for
-    a C-contiguous ``a`` as a syrk and copies its upper triangle onto the
-    lower one, and the norm sum commutes, so the matrix is exactly
-    symmetric as built and needs no mirror pass.
-    """
+    """Dense matrix of squared Euclidean distances in the Gram form
+    max(|x_i|^2 + |x_j|^2 - 2 x_i . x_j, 0), from one ``coords @ coords.T``.
+    Fast, but noisy for close pairs, so no scan keys pairs with it:
+    ``mst_ball_packing_check`` reads it for the midball centres, with a
+    tolerance."""
     coords = np.ascontiguousarray(coords, dtype=np.float64)
     sq = np.einsum("ij,ij->i", coords, coords)
-    # Before the product: freed, it widens the heap hole a freed matrix
-    # leaves, so the next point set's small arrays and matrix both fit in it.
-    norms = np.empty((_STRIP, len(sq)))
-    d2 = coords @ coords.T
-    for i in range(0, len(d2), _STRIP):
-        strip = d2[i:i + _STRIP]
-        block = norms[:len(strip)]
-        np.add(sq[i:i + _STRIP, None], sq, out=block)
-        np.multiply(strip, 2.0, out=strip)
-        np.subtract(block, strip, out=strip)
-        np.maximum(strip, 0.0, out=strip)
-    return d2
-
-
-def symmetric_sq(coords: np.ndarray) -> np.ndarray:
-    """Read-only ``pairwise_sq`` matrix, +inf on the diagonal.
-
-    ``pairwise_sq`` is already exactly symmetric (see there), so row u
-    holds d2[min(u, v), max(u, v)] for every v, bit for bit, with no
-    mirror pass.
-    """
-    d2 = pairwise_sq(coords)
-    np.fill_diagonal(d2, np.inf)
-    d2.flags.writeable = False
-    return d2
+    return np.maximum(sq[:, None] + sq - 2.0 * (coords @ coords.T), 0.0)
 
 
 @dataclass(frozen=True)

@@ -28,17 +28,17 @@ inputs.  Exact duplicates take more, since a prefix holds at most 16 pairs
 per endpoint: 220 rounds on 2000 equal points, 28 on 2000 random vertices
 of {0,1}^3.
 
-Cost: the points' one dense d^2 matrix, ``PointSet.sq``: ``pairwise_sq``,
-which is exactly symmetric as built, so every key and tie matches a scan
-of the sorted upper triangle bit for bit.  The greedy only reads it, and
-only while two or more paths remain, so in ``two_phase_tour`` it reads the
-matrix the threshold forest built.  A round reads the upper triangle of
-the endpoint rows at most once and holds one strip of about 2^16 entries
-and O(n) pairs (see ``pairs``).  At n = 2000 a cold run takes about 8-14
-ms on those inputs, 0.08 s on the {0,1}^3 vertices and 0.5 s on equal
-points (2-core x86-64, one BLAS thread).  d^2 orders pairs;
-``edge_lengths`` measures them: the trace's weights come from one call
-over the inserted pairs.  The trace is an ``EdgeList``, and the counters
+Cost: no n x n array.  Each round is one ``short_pairs`` call: the Gram
+product of the upper triangle of the endpoint rows, at most once, in
+strips of about 2^16 entries, O(n) pairs, and exact keys
+``geometry.sq_lengths`` for the candidates, so every key and tie matches a
+scan of the full sort bit for bit.  In ``two_phase_tour`` the warm start
+leaves few endpoints, and its rounds read only their rows.  At n = 2000 a
+cold run takes about 9.5-14 ms on those inputs (0.5 s on equal points),
+where reading a prebuilt Gram matrix with its build took 26-29 ms (2-core
+x86-64, one BLAS thread).  The trace's weights come from one
+``edge_lengths`` call over the inserted pairs, the square roots of the
+keys the rounds compared.  The trace is an ``EdgeList``, and the counters
 below read its ``weights`` array, as they do a path's or a tour's.
 """
 
@@ -80,7 +80,7 @@ def greedy_ham_path(points: PointSet, warm_start: Iterable[tuple[int, int]] = ()
         # one round: the scan's next pairs, from where the last round stopped
         far_end = np.fromiter(far, np.intp, n)
         left = needed
-        for a, b in zip(*short_pairs(points.sq, far_end)):
+        for a, b in zip(*short_pairs(points, far_end)):
             if far[a] < 0 or far[b] < 0 or far[a] == b:
                 continue
             system.add_path_edge(a, b)

@@ -1,21 +1,21 @@
 """Euclidean minimum spanning trees and threshold forests.
 
 A point set has one MST.  ``build_mst`` builds it on its first call and
-keeps it, read-only, for as long as the point set lives, as ``PointSet.sq``
-keeps the d^2 matrix; mst-sekanina's tree, two-phase's forest and the
-suites on one point set all read that one tree.  The threshold forest is
-its cut: the MST pairs of d^2 <= cutoff^2, which by Kruskal's exchange
-property are exactly the pairs Kruskal accepts among those within the
-cutoff, grouped into trees.  Only ``build_threshold_forest`` takes a
-cutoff; the scan below builds the whole tree.
+keeps it, read-only, for as long as the point set lives; mst-sekanina's
+tree, two-phase's forest and the suites on one point set all read that one
+tree.  The threshold forest is its cut: the MST pairs of d^2 <= cutoff^2,
+which by Kruskal's exchange property are exactly the pairs Kruskal accepts
+among those within the cutoff, grouped into trees.  Only
+``build_threshold_forest`` takes a cutoff; the scan below builds the whole
+tree.
 
 The tree is the one a Kruskal scan over all pairs sorted by (d^2, min
 index, max index) accepts, so it is reproducible under ties, and it lists
-its edges in that order; so does every forest tree.  d^2 is the points'
-own matrix, ``PointSet.sq``, which also refuses a point set too large for
-it, and is never written.  d^2 orders pairs; ``edge_lengths`` measures
-them: the tree's weights come from one call over its pairs, and the
-forest's are a slice of them.
+its edges in that order; so does every forest tree.  d^2 is the exact key
+``geometry.sq_lengths``, whose square root ``edge_lengths`` gives the
+tree's weights; candidates come from Gram products (``pairs.Gram``), and
+only exact keys are compared, so duplicates key to exactly 0 and the tree
+does not depend on the BLAS or on how the blocks are cut.
 
 At every n the scan is Kruskal over the sorted prefix, then Prim (1957)
 over the prefix's components.  The prefix is ``pairs.short_pairs``, the
@@ -28,35 +28,38 @@ equal points, whose prefix's first pairs are (0, 1) to (0, n - 1), on the
 cube-vertex k = 12 input at n = 2000 and on most small inputs (231 of the
 300 of the lemma1 mix, n = 3..50).  Otherwise it leaves few: 67 / 43 on
 the uniform k = 3 / clustered k = 8 inputs at n = 2000, seed 1.  Prim then
-reaches one whole component per step, with exact keys: each unreached
-vertex keeps its lightest pair to the reached set, keyed (d^2, min, max),
-and the component of the vertex of smallest key is reached next.  Its
-members' rows, ascending and in strips of about ``_STRIP`` entries (the
-rows of the unreached vertices instead, when they are fewer), lower the
-keys; on a tie ``argmin`` takes the first row, the smallest member.  That
-key is a total order on the pairs, so the MST is unique and the scan finds
-the full sort's tree; Prim's pairs are lexsorted by (d^2, u, v) behind the
-prefix's.  A one-vertex component is one row step, so with an empty prefix
+reaches one whole component per step: each unreached vertex keeps its
+lightest pair to the reached set, keyed (d^2, min, max), and the component
+of the vertex of smallest key is reached next.  The Gram block of its
+members against the unreached vertices, in strips of about ``_STRIP``
+entries, lowers the keys: per unreached vertex, the entries within twice
+the margin of the strip's Gram minimum and within the margin of its key
+are re-keyed exactly, and the least (d^2, other end) wins.  That key is a
+total order on the pairs, so the MST is unique and the scan finds the full
+sort's tree; Prim's pairs are lexsorted by (d^2, u, v) behind the
+prefix's.  A one-vertex component is one Gram row, so with an empty prefix
 the scan would be plain Prim, n - 1 row steps.  Time is O(n^2): one pass
 over the upper triangle for the prefix, then each unreached key lowered
-once per row reached.
+once per vertex reached.
 
-Before reading the tree, the forest makes one pass over d^2: when no pair
-lies within the cutoff it returns the n singletons with no MST.  Two-phase
-meets this on every cube-vertex input, whose pairs are at distance >= 1
-above its cutoff k^(-1/4) < 1.
+Before reading the tree, the forest asks ``pairs.any_pair_within`` whether
+any pair lies within the cutoff, one Gram strip at a time, stopping at the
+first strip that holds one; when none does it returns the n singletons with
+no MST.  Two-phase meets this on every cube-vertex input, whose pairs are
+at distance >= 1 above its cutoff k^(-1/4) < 1.  A point set whose MST is
+already kept skips the check.
 
-At n = 2000 (seeds 1 to 3, best of 7 to 15, one BLAS thread on a 2-core
-x86 machine) the scan takes 7-12 / 12-20 / 6-11 ms on the tour-large inputs
-(uniform / clustered / cube vertices), where plain Prim took 25-45 / 25-38
-/ 33-54 ms; the low ends are from a quiet machine, the high ends from a
-loaded one.  Clustered inputs cost most: Prim reads the rows of every
-component but the last, about 1700 of 2000.
+At n = 2000 (seeds 0 and 1, best of 7, one BLAS thread on a 2-core x86
+machine) ``build_mst`` takes 9.5-10 / 19-26 / 9.5-10 ms on the tour-large
+inputs (uniform / clustered / cube vertices), where the Gram matrix and a
+scan over its rows took 23-25 / 27-40 / 24-25 ms on the same runs.
+Clustered inputs cost most: Prim opens the block of every component but
+the last, about 1700 of 2000 rows.
 
-Memory: the n x n float64 matrix (8 n^2 bytes), which the point set keeps.
-The scan adds O(n): the prefix's pairs (at most 16 per point, 2 to 4 on
-the inputs above), one strip of rows (the whole matrix below about 256
-points) and the keys.  The kept tree is O(n).
+Memory: O(n) beside one strip of about ``_STRIP`` Gram entries: the
+prefix's pairs (at most 16 per point, 2 to 4 on the inputs above), the
+Gram factors (2 n (k + 2) floats), the keys, and the candidates of one
+strip.  No n x n array is built.  The kept tree is O(n).
 
 The union-find is ``structures.DSU``: the prefix's Kruskal makes its
 unions in one, and the forest joins the kept pairs in another; each reads
@@ -71,19 +74,19 @@ import weakref
 import numpy as np
 
 from .errors import InputError
-from .geometry import PointSet, edge_lengths, pairwise_sq
-from .pairs import short_pairs
+from .geometry import PointSet, edge_lengths, pairwise_sq, sq_lengths
+from .pairs import Gram, any_pair_within, short_pairs
 from .structures import DSU, SpanningTree
 
 
-#: d^2 entries per strip of component rows (32 rows at n = 2000).
+#: Gram entries per strip of a component block (32 rows at n = 2000).
 _STRIP = 2 ** 16
 
 #: Each point set's MST, built by its first ``build_mst`` call and dropped with it.
 _TREES: weakref.WeakKeyDictionary[PointSet, SpanningTree] = weakref.WeakKeyDictionary()
 
 
-def _prim(d2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _prim(points: PointSet) -> tuple[np.ndarray, np.ndarray]:
     """The MST pairs as arrays (u, v), u < v, in (d^2, u, v) order: Kruskal
     over the sorted prefix, then Prim over the prefix's components.
 
@@ -91,15 +94,16 @@ def _prim(d2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     accepts the MST's pairs up to that pair, in order, and every pair
     between its components comes after it.  Prim then reaches one whole
     component per step.  Each unreached vertex w keeps its lightest pair to
-    the reached set, keyed (d^2, min, max): for one w, a tie on d^2 goes to
-    the smaller other end.  The next component is the one holding the
-    vertex of smallest key.  The unreached vertices are kept packed at the
-    front of ``ids``, so the work shrinks as they do.  When the prefix
+    the reached set, keyed (d^2, min, max) on exact keys: for one w, a tie
+    on d^2 goes to the smaller other end.  The next component is the one
+    holding the vertex of smallest key.  The unreached vertices are kept
+    packed at the front of ``ids``, with their columns of the Gram factor
+    ``right`` beside them, so the work shrinks as they do.  When the prefix
     spans, its pairs are the tree, and Prim is not set up."""
-    n = len(d2)
+    n = points.n
     dsu = DSU(n)
     us, vs = [], []
-    for a, b in zip(*short_pairs(d2, np.arange(n))):
+    for a, b in zip(*short_pairs(points, np.arange(n))):
         if dsu.union(a, b):
             us.append(a)
             vs.append(b)
@@ -107,6 +111,7 @@ def _prim(d2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
                 break
     if len(us) == n - 1:
         return np.array(us, dtype=np.intp), np.array(vs, dtype=np.intp)
+    gram = Gram(points)
     comp = dsu.roots()
     label = comp.tolist()
     size = np.bincount(comp, minlength=n)
@@ -115,9 +120,10 @@ def _prim(d2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     r = label[0]
     ids = np.flatnonzero(comp != r)  # ids[:m] are the m unreached vertices
     m = len(ids)
-    key = np.full(m, np.inf)  # their lightest pair's d^2 ...
+    right = gram.right[:, ids]
+    key = np.full(m, np.inf)  # their lightest pair's exact d^2 ...
     par = np.zeros(m, dtype=np.intp)  # ... and its other end
-    _lower(d2, grouped[end[r] - size[r]:end[r]], ids, key, par)
+    _lower(points, gram, grouped[end[r] - size[r]:end[r]], ids, right, key, par)
     pu, pv, ds = [], [], []
     while m:
         live = key[:m]
@@ -133,52 +139,68 @@ def _prim(d2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         ds.append(dd)
         r = label[w]
         if size[r] == 1:
-            # fill w's slot with the last unreached vertex, and lower by row w
+            # fill w's slot with the last unreached vertex, and lower by w alone
             m -= 1
-            ids[i], key[i], par[i] = ids[m], key[m], par[m]
-            row = d2[w].take(ids[:m])
-            live, near = key[:m], par[:m]
-            near[(row < live) | ((row == live) & (near > w))] = w
-            np.minimum(live, row, out=live)
+            ids[i], key[i], par[i], right[:, i] = ids[m], key[m], par[m], right[:, m]
+            gram_row = gram.left[w] @ right[:, :m]
+            j = (gram_row <= gram.limit(key[:m])).nonzero()[0]
+            _settle(points, ids, key, par, j, np.full(len(j), w))
         else:
             keep = (comp.take(ids[:m]) != r).nonzero()[0]
             m = len(keep)
             ids[:m], key[:m], par[:m] = ids[keep], key[keep], par[keep]
-            _lower(d2, grouped[end[r] - size[r]:end[r]], ids[:m], key[:m], par[:m])
+            right[:, :m] = right[:, keep]
+            _lower(points, gram, grouped[end[r] - size[r]:end[r]], ids[:m], right[:, :m],
+                   key[:m], par[:m])
     pu, pv = np.array(pu, dtype=np.intp), np.array(pv, dtype=np.intp)
     order = np.lexsort((pv, pu, ds))
     return (np.concatenate((np.array(us, dtype=np.intp), pu[order])),
             np.concatenate((np.array(vs, dtype=np.intp), pv[order])))
 
 
-def _lower(d2: np.ndarray, reach: np.ndarray, ids: np.ndarray, key: np.ndarray,
-           par: np.ndarray) -> None:
-    """Lower the keys ``key`` and other ends ``par`` of the unreached
-    vertices ``ids`` by the rows of ``reach``, the ascending members of the
-    component just reached.  The rows are read in strips of about
-    ``_STRIP`` entries, rows of whichever side is smaller, and ``argmin``'s
-    first minimum is the smallest member on a tie."""
-    step = max(1, _STRIP // len(d2))
-    if len(reach) <= len(ids):
-        for i in range(0, len(reach), step):
-            rows = reach[i:i + step]
-            block = d2.take(rows, axis=0)
-            best = block.min(axis=0).take(ids)
-            hit = (best <= key).nonzero()[0]
-            near = rows[block.take(ids[hit], axis=1).argmin(axis=0)]
-            best = best[hit]
-            take = (best < key[hit]) | (par[hit] > near)
-            par[hit[take]] = near[take]
-            key[hit] = best
+def _lower(points: PointSet, gram: Gram, reach: np.ndarray, ids: np.ndarray, right: np.ndarray,
+           key: np.ndarray, par: np.ndarray) -> None:
+    """Lower the exact keys ``key`` and other ends ``par`` of the unreached
+    vertices ``ids`` (Gram columns ``right``) by the pairs to ``reach``, the
+    ascending members of the component just reached.
+
+    The Gram block of ``reach`` against ``ids`` is taken in strips of about
+    ``_STRIP`` entries, run over the smaller side, each taking the larger
+    side whole.  Per unreached vertex, its exact least pair to the strip
+    has a Gram value within twice the margin of the strip's Gram minimum,
+    and a pair that can lower or tie its key one within the margin of that
+    key: only the entries within both are re-keyed (``_settle``)."""
+    m = len(ids)
+    if len(reach) <= m:
+        rows, cols = max(1, _STRIP // m), m
     else:
-        for i in range(0, len(ids), step):
-            block = d2.take(ids[i:i + step], axis=0).take(reach, axis=1)
-            j = block.argmin(axis=1)
-            best, near = block[np.arange(len(j)), j], reach[j]
-            live, far = key[i:i + step], par[i:i + step]
-            take = (best < live) | ((best == live) & (far > near))
-            far[take] = near[take]
-            np.minimum(live, best, out=live)
+        rows, cols = len(reach), max(1, _STRIP // len(reach))
+    for a in range(0, len(reach), rows):
+        near = reach[a:a + rows]
+        left = gram.left[near]
+        for b in range(0, m, cols):
+            block = left @ right[:, b:b + cols]
+            low = block.min(axis=0)
+            hit = (low <= gram.limit(key[b:b + cols])).nonzero()[0]
+            lim = np.minimum(gram.limit(low[hit], 2), gram.limit(key[hit + b]))
+            r, c = (block[:, hit] <= lim).nonzero()
+            _settle(points, ids, key, par, hit[c] + b, near[r])
+
+
+def _settle(points: PointSet, ids: np.ndarray, key: np.ndarray, par: np.ndarray,
+            j: np.ndarray, near: np.ndarray) -> None:
+    """Re-key the candidate pairs (``ids[j]``, ``near``) exactly, and give
+    each unreached slot j the least of its candidates and its own key,
+    ordered by (d^2, other end)."""
+    d2 = sq_lengths(points, ids[j], near)
+    order = np.lexsort((near, d2, j))
+    j, d2, near = j[order], d2[order], near[order]
+    first = np.ones(len(j), dtype=bool)
+    first[1:] = j[1:] != j[:-1]
+    j, d2, near = j[first], d2[first], near[first]
+    take = (d2 < key[j]) | ((d2 == key[j]) & (near < par[j]))
+    key[j[take]] = d2[take]
+    par[j[take]] = near[take]
 
 
 def build_mst(points: PointSet) -> SpanningTree:
@@ -187,7 +209,7 @@ def build_mst(points: PointSet) -> SpanningTree:
     on the same point set return that tree, whose arrays are read-only."""
     tree = _TREES.get(points)
     if tree is None:
-        u, v = _prim(points.sq)
+        u, v = _prim(points)
         tree = SpanningTree(range(points.n), u=u, v=v, weights=edge_lengths(points, u, v))
         for a in (tree.u, tree.v, tree.weights):
             a.flags.writeable = False
@@ -203,20 +225,20 @@ def build_threshold_forest(points: PointSet, cutoff: float) -> list[SpanningTree
     By Kruskal's exchange property this is Kruskal restricted to the pairs
     within the cutoff, so every inter-component distance exceeds it, and a
     cutoff of at least the diameter gives exactly ``[build_mst(points)]``.
-    The cut compares the key, ``points.sq``, with cutoff^2, not the weights
-    with the cutoff, so a pair on the boundary falls where a Kruskal scan
-    over the keys puts it.  When no pair lies within
-    the cutoff (cube vertices below unit distance) one pass over d^2 finds
-    that, and the n singletons come back with no MST.  A negative or
-    non-finite cutoff raises ``InputError``.
+    The cut compares the exact key ``sq_lengths`` with cutoff^2, not the
+    weights with the cutoff, so a pair on the boundary falls where a
+    Kruskal scan over the keys puts it, and a duplicate pair (key 0) is
+    kept at cutoff 0.  When no MST is kept and no pair lies within the
+    cutoff (cube vertices below unit distance), ``any_pair_within`` finds
+    that in one streamed pass, and the n singletons come back with no MST.
+    A negative or non-finite cutoff raises ``InputError``.
     """
     if not math.isfinite(cutoff) or cutoff < 0:
         raise InputError(f"cutoff must be finite and nonnegative, got {cutoff}")
-    d2 = points.sq
-    if d2.min() > cutoff * cutoff:
+    if points not in _TREES and not any_pair_within(points, cutoff * cutoff):
         return [SpanningTree((x,)) for x in range(points.n)]
     tree = build_mst(points)
-    keep = (d2[tree.u, tree.v] <= cutoff * cutoff).nonzero()[0]
+    keep = (sq_lengths(points, tree.u, tree.v) <= cutoff * cutoff).nonzero()[0]
     u, v = tree.u[keep].tolist(), tree.v[keep].tolist()
     dsu = DSU(points.n)
     for a, b in zip(u, v):

@@ -1,10 +1,12 @@
 """Exact optimization for small instances.
 
-Method.  A Held-Karp table ``g[S, v]`` holds the cheapest way to start at
-v, visit every vertex of the bitmask S and, for tours, close back to the
-pivot 0.  It is filled one popcount layer of S at a time:
-``g[S, v] = min over u in S of dk[v, u] + g[S - u, u]``, taken over the
-members u of S only, O(n^2 2^n) work.  Each layer's masks, members and
+Method.  The power table ``dk[u, v] = |u - v|^k`` is the exact key
+``sq_lengths`` of every pair raised to k/2 (n <= 16 here), so duplicate
+points have exactly equal rows and the BLAS plays no part.  A Held-Karp
+table ``g[S, v]`` holds the cheapest way to start at v, visit every vertex
+of the bitmask S and, for tours, close back to the pivot 0.  It is filled
+one popcount layer of S at a time: ``g[S, v] = min over u in S of dk[v,
+u] + g[S - u, u]``, taken over the members u of S only, O(n^2 2^n) work.  Each layer's masks, members and
 ``S - u`` indices depend on n alone, so they are built once per n and
 kept, read-only, in a small cache.  A depth-first search then walks the
 canonical orders in lexicographic order and keeps a prefix only while its
@@ -46,6 +48,7 @@ n = 12, so no tour up to n = 12 and no path up to n = 11 is ever refused.
 from __future__ import annotations
 
 import math
+import weakref
 from collections.abc import Iterator
 from functools import lru_cache
 from itertools import islice
@@ -53,7 +56,8 @@ from itertools import islice
 import numpy as np
 
 from .errors import InputError, SizeError
-from .geometry import PointSet, PowerCost, check_exponent, power_cost
+from .geometry import (PointSet, PowerCost, check_dense_size, check_exponent, power_cost,
+                       sq_lengths)
 from .structures import (HamPath, Matching, Tour, edge_arrays, path_from_order,
                          tour_from_order)
 
@@ -67,12 +71,19 @@ _TOL = 1e-9
 _BLOCK = 10_000
 #: Codes per block in ``max_pairwise_square_sum``.
 _PAIR_SUM_BLOCK = 1024
+#: Exact keys per strip in ``_closest_pair``.
+_PAIR_STRIP = 2 ** 16
+#: Each point set's closest pair, kept by ``_closest_pair`` and dropped with it.
+_CLOSEST: weakref.WeakKeyDictionary[PointSet, tuple[float, int, int]] = \
+    weakref.WeakKeyDictionary()
 
 
 def _power_matrix(points: PointSet, k: int) -> np.ndarray:
-    """|u - v|^k for every pair, from the points' own d^2 matrix; the
-    diagonal is +inf and never read."""
-    return points.sq ** (k / 2.0)
+    """|u - v|^k for every pair, from the exact keys ``sq_lengths`` of all
+    pairs (n <= 16 here); the diagonal is +inf and never read."""
+    d2 = sq_lengths(points, np.s_[:, None], np.s_[:])
+    np.fill_diagonal(d2, np.inf)
+    return d2 ** (k / 2.0)
 
 
 def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -347,6 +358,32 @@ def max_pairwise_square_sum(m: int) -> tuple[int, tuple[int, ...]]:
     return best_sum, tuple(int(b) for b in best_bits)
 
 
+def _closest_pair(points: PointSet) -> tuple[float, int, int]:
+    """The least pair u < v by (exact d^2, u, v) and its key, from strips of
+    about 2^16 exact keys ``sq_lengths``, whole rows at a time.  In row
+    order the first least entry has u < v: its mirror (v, u) is met in an
+    earlier row, and the strict comparison keeps an earlier strip's tie.
+    More than ``MAX_DENSE_POINTS`` points raise SizeError first.  The pair
+    is kept for as long as the point set lives, so checks of several m on
+    one point set key its pairs once."""
+    best = _CLOSEST.get(points)
+    if best is not None:
+        return best
+    n = points.n
+    check_dense_size(n)
+    best = (math.inf, 0, 1)
+    step = max(1, _PAIR_STRIP // n)
+    for lo in range(0, n, step):
+        d2 = sq_lengths(points, np.s_[lo:lo + step, None], np.s_[:])
+        own = np.arange(len(d2))
+        d2[own, own + lo] = np.inf
+        r, c = divmod(int(np.argmin(d2)), n)
+        if d2[r, c] < best[0]:
+            best = (float(d2[r, c]), lo + r, c)
+    _CLOSEST[points] = best
+    return best
+
+
 def closest_pair_bound_check(points: PointSet, m: int,
                              box: tuple[float, float, int, int] | None = None,
                              rel_tol: float = 1e-9):
@@ -365,10 +402,7 @@ def closest_pair_bound_check(points: PointSet, m: int,
         delta, gamma, k1, k2 = box
         if k1 + k2 != points.k:
             raise InputError("box split k1 + k2 must equal the dimension")
-    d2 = points.sq
-    flat = int(np.argmin(d2))
-    u, v = divmod(flat, n)
-    min_sq = float(d2[u, v])
+    min_sq, u, v = _closest_pair(points)
     ratio = ((m // 2) * ((m + 1) // 2)) / math.comb(m, 2)
     bound = ratio * (delta * delta * k1 + gamma * gamma * k2)
     ok = min_sq <= bound * (1.0 + rel_tol) + 1e-12

@@ -10,11 +10,12 @@ isolated) into a path system F0, kept as a list of weighted edges.
 Phase 2 hands F0's edge pairs to the greedy minimum-edge merging as its
 warm start and closes the final path into a tour.  The phases are the
 public steps ``build_threshold_forest``, ``tree_cube_cycle`` and
-``greedy_ham_path``; the forest and the greedy both read the points' one
-d^2 matrix, ``PointSet.sq``, and the forest reads the one MST that
-mst-sekanina builds on the same point set.  d^2 orders pairs;
-``edge_lengths`` measures them: F0's weights are read off the forest's and
-the cycles' own edges.
+``greedy_ham_path``.  Neither builds a pair array: the forest cuts the
+one MST that mst-sekanina builds on the same point set (or first asks, one
+Gram strip at a time, whether any pair lies within the cutoff), and the
+greedy's rounds stream Gram strips of the endpoint rows.  Both compare the
+exact keys ``sq_lengths`` only, so F0 and the tour do not depend on the
+BLAS; F0's weights are read off the forest's and the cycles' own edges.
 """
 
 from __future__ import annotations

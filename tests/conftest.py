@@ -29,6 +29,16 @@ def joinable(system, u: int, v: int) -> bool:
     return u != v and far[u] >= 0 and far[v] >= 0 and far[u] != v
 
 
+def plain_sq(x, y) -> float:
+    """sum_c (x_c - y_c)^2 in plain Python, columns left to right: the
+    reference for every exact key."""
+    acc = 0.0
+    for a, b in zip(x, y):
+        d = a - b
+        acc += d * d
+    return acc
+
+
 def traced_peak(fn) -> int:
     """Peak bytes traced by tracemalloc (numpy arrays included) while
     ``fn()`` runs."""

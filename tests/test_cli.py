@@ -5,6 +5,7 @@ import pytest
 
 import powertour.geometry
 import powertour.oracle
+import powertour.pairs
 import powertour.sekanina
 from powertour.cli import main
 from powertour.constructions import (cube_vertex_subset, k3_code4, load_point_set,
@@ -130,10 +131,10 @@ def test_tour_two_phase_rejects_bad_cutoff_before_work(monkeypatch, capsys, tmp_
     run_cli("gen", "uniform", "--k", "3", "--n", "30", "--seed", "2", "-o", str(src))
     capsys.readouterr()
 
-    def no_matrix(coords):
-        raise AssertionError("distances computed before the cutoff was checked")
+    def no_scan(points):
+        raise AssertionError("pairs scanned before the cutoff was checked")
 
-    monkeypatch.setattr(powertour.geometry, "pairwise_sq", no_matrix)
+    monkeypatch.setattr(powertour.pairs, "Gram", no_scan)
     assert run_cli("tour", str(src), "--algo", "two-phase", f"--cutoff={cutoff}",
                    "--no-timestamp") == 1
     captured = capsys.readouterr()
@@ -591,23 +592,6 @@ def test_bench_costs_each_row_once(monkeypatch, capsys):
                    "--trials", "2", "--no-timestamp") == 0
     assert len(capsys.readouterr().out.splitlines()) == 1 + 4
     assert calls == {"power_cost": 4, "named_bounds": 0}
-
-
-def test_bench_builds_one_matrix_per_instance(monkeypatch, capsys):
-    """The MST tour, the greedy and two-phase on one generated instance
-    share its one d^2 matrix."""
-    calls = []
-    original = powertour.geometry.symmetric_sq
-
-    def counted(coords):
-        calls.append(len(coords))
-        return original(coords)
-
-    monkeypatch.setattr(powertour.geometry, "symmetric_sq", counted)
-    assert run_cli("bench", "--k", "3", "--n", "10,30", "--algos",
-                   "mst-sekanina,greedy,two-phase", "--trials", "2", "--no-timestamp") == 0
-    assert len(capsys.readouterr().out.splitlines()) == 1 + 2 * 3 * 2
-    assert calls == [10, 10, 30, 30]
 
 
 def strict_json(text):

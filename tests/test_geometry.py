@@ -10,18 +10,19 @@ import powertour.geometry
 import powertour.greedy
 import powertour.mst
 import powertour.oracle
+import powertour.pairs
 from powertour.constructions import clustered, cube_vertex_subset, uniform_cube
 from powertour.errors import InputError, SizeError
 from powertour.geometry import (MAX_DENSE_POINTS, Container, Edge, check_dense_size,
                                 edge_lengths, named_bounds, pairwise_sq,
-                                point_set, power_cost_from_weights, symmetric_sq)
+                                point_set, power_cost_from_weights, sq_lengths)
+from powertour.mst import build_mst
 
 from powertour.oracle import exact_min_matching, exact_min_path, exact_min_tour
 from powertour.sekanina import mst_sekanina_tour, tree_to_cycle_cost_bound
 from powertour.structures import tree_from_pairs
 from powertour.two_phase import two_phase_tour
 
-from conftest import traced_peak
 
 # extended-precision evaluation of 3*sqrt(5)*(2/3)^(1/3)*sqrt(3)
 IMPROVED_BOUND_K3 = 10.150087774487463
@@ -278,8 +279,8 @@ def test_point_set_is_immutable():
 
 
 def test_point_sets_compare_and_hash_by_identity():
-    """Each point set owns its own d^2 matrix, so two with equal
-    coordinates are two objects."""
+    """Each point set owns its own kept MST, so two with equal coordinates
+    are two objects."""
     a = point_set([[0.1, 0.2], [0.3, 0.4]])
     b = point_set([[0.1, 0.2], [0.3, 0.4]])
     assert a == a and a != b
@@ -297,39 +298,38 @@ def test_dense_cap_leaves_room_above_benchmark_sizes():
 
 
 @pytest.mark.parametrize("build", [
-    lambda pts: pts.sq,
+    powertour.pairs.Gram,
     powertour.mst.build_mst,
     lambda pts: powertour.mst.build_threshold_forest(pts, 0.5),
     powertour.greedy.greedy_ham_path,
     lambda pts: powertour.oracle.closest_pair_bound_check(pts, 2),
 ], ids=["accessor", "mst", "forest", "greedy", "closest-pair"])
-def test_dense_paths_refuse_points_beyond_the_cap_before_allocating(monkeypatch, build):
-    """The refusal comes from ``PointSet.sq`` before it allocates, and it
-    is not cached: a second read raises again."""
-    def no_matrix(coords):
-        raise AssertionError("the dense matrix was built")
-
-    monkeypatch.setattr(powertour.geometry, "MAX_DENSE_POINTS", 10)
-    monkeypatch.setattr(powertour.geometry, "pairwise_sq", no_matrix)
+def test_dense_paths_refuse_points_beyond_the_cap_before_allocating(build):
+    """The refusal comes from ``pairs.Gram``, the factors every scan reads
+    its candidates through, or from the closest pair's own check, before
+    any pair is keyed; nothing is kept, so a second call raises again."""
     pts = point_set(np.random.default_rng(0).uniform(size=(11, 3)))
-    for _ in range(2):
-        with pytest.raises(SizeError) as info:
-            build(pts)
-        assert "n = 11" in str(info.value)
-        assert f"about {8 * 11 * 11:,} bytes" in str(info.value)
-    monkeypatch.undo()
-    monkeypatch.setattr(powertour.geometry, "MAX_DENSE_POINTS", 11)
-    build(pts)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(powertour.geometry, "MAX_DENSE_POINTS", 10)
+        for _ in range(2):
+            with pytest.raises(SizeError) as info:
+                build(pts)
+            assert "n = 11" in str(info.value)
+            assert f"about {11 * 10 // 2:,} pairs" in str(info.value)
+            assert pts not in powertour.mst._TREES
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(powertour.geometry, "MAX_DENSE_POINTS", 11)
+        build(pts)
 
 
-def test_dense_size_message_names_the_matrix_at_the_cap():
-    """The prefix and Prim hold O(n) pairs and no pair array, so the
-    message counts the n x n matrix alone."""
+def test_dense_size_message_names_the_pairs_at_the_cap():
+    """The scans hold O(n) pairs and one strip, and no pair array, so the
+    cap is on time: the message counts the pairs a scan reads."""
     check_dense_size(MAX_DENSE_POINTS)
     with pytest.raises(SizeError) as info:
         check_dense_size(10_001)
     assert str(info.value) == ("dense paths capped at n = 10000, got n = 10001 "
-                               "(an n x n matrix of about 800,160,008 bytes)")
+                               "(a scan over about 50,005,000 pairs)")
 
 
 SQ_INPUTS = pytest.mark.parametrize("make", [
@@ -342,37 +342,11 @@ SQ_INPUTS = pytest.mark.parametrize("make", [
 
 @SQ_INPUTS
 def test_pairwise_sq_matches_whole_matrix_expression(make):
-    """The strip-wise build gives the bits of the whole-matrix formula."""
+    """The midball check's Gram matrix is the whole-matrix formula."""
     coords = make().coords
     sq = np.einsum("ij,ij->i", coords, coords)
     want = np.maximum(sq[:, None] + sq[None, :] - 2.0 * (coords @ coords.T), 0.0)
     assert np.array_equal(pairwise_sq(coords).view(np.int64), want.view(np.int64))
-
-
-@SQ_INPUTS
-def test_symmetric_sq_mirrors_the_upper_triangle(make):
-    """Every row holds the upper-triangle entries bit for bit, with no mirror
-    pass; the diagonal is +inf and the matrix is read-only, so its readers
-    cannot change it for one another."""
-    coords = make().coords
-    d2 = symmetric_sq(coords)
-    iu, iv = np.triu_indices(len(coords), k=1)
-    assert np.array_equal(d2[iu, iv], pairwise_sq(coords)[iu, iv])
-    assert np.array_equal(d2, d2.T)
-    assert np.all(np.diagonal(d2) == np.inf)
-    with pytest.raises(ValueError):
-        d2[0, 0] = 0.0
-
-
-def mirrored_sq(coords):
-    """The earlier two-pass build, kept as the reference: the whole-matrix
-    formula, clipped, then the upper triangle copied onto the lower one."""
-    sq = np.einsum("ij,ij->i", coords, coords)
-    d2 = np.maximum(sq[:, None] + sq[None, :] - 2.0 * (coords @ coords.T), 0.0)
-    iu, iv = np.triu_indices(len(coords), k=1)
-    d2[iv, iu] = d2[iu, iv]
-    np.fill_diagonal(d2, np.inf)
-    return d2
 
 
 def sq_input(kind, n, k, seed):
@@ -388,49 +362,50 @@ def sq_input(kind, n, k, seed):
 @pytest.mark.parametrize("k", [1, 2, 3, 8, 12])
 @pytest.mark.parametrize("kind", ["uniform", "lattice", "duplicated"])
 def test_point_set_matrix_equals_the_mirrored_build(kind, k):
-    """``PointSet.sq``, built in one pass per strip, has the mirrored build's
-    bits and equals its own transpose: below, at and above the strip height
-    and the old 256-row strip, and at the n = 2000 of the benchmark."""
+    """The points' d^2 matrix of exact keys, taken as one block of rows
+    against columns (as the oracle's table and the closest pair's strips
+    take it), has the bits of the upper triangle's keys taken pair by pair
+    and mirrored onto the lower one, and equals its own transpose: a key
+    does not depend on the block it is computed in.  Below, at and above
+    the scans' strip heights, and at the n = 2000 of the benchmark."""
     for n in [*range(1, 71), 255, 256, 257, 999, 1000, 1001, 2000]:
-        coords = sq_input(kind, n, k, 1000 * k + n)
-        d2 = point_set(coords, "unconstrained").sq
-        assert np.array_equal(d2.view(np.uint64), mirrored_sq(coords).view(np.uint64)), n
+        points = point_set(sq_input(kind, n, k, 1000 * k + n), "unconstrained")
+        index = np.arange(n)
+        d2 = sq_lengths(points, index[:, None], index)
+        want = np.zeros((n, n))
+        iu, iv = np.triu_indices(n, k=1)
+        want[iu, iv] = want[iv, iu] = sq_lengths(points, iu, iv)
+        assert np.array_equal(d2.view(np.uint64), want.view(np.uint64)), n
         assert np.array_equal(d2.view(np.uint64), d2.T.view(np.uint64)), n
 
 
 @pytest.mark.parametrize("layout", ["fortran", "column-strided", "row-strided"])
-def test_symmetric_sq_is_symmetric_for_any_memory_layout(layout):
-    """A non-contiguous array gives the bits of its C-contiguous copy, so the
-    product runs as a syrk and the matrix is symmetric (a column-strided
-    view taken as a gemm is not, at n = 1999)."""
+def test_trees_are_equal_for_any_memory_layout(layout):
+    """A non-contiguous array gives the tree of its C-contiguous copy, bit
+    for bit, at n = 1999, where Gram row tiles of a column-strided view
+    once differed from the full product: only exact keys are compared."""
     wide = np.random.default_rng(5).random((2 * 1999, 16))
     coords = {"fortran": np.asfortranarray(wide[:1999, :8]),
               "column-strided": wide[:1999, ::2],
               "row-strided": wide[::2, :8]}[layout]
-    d2 = symmetric_sq(coords)
-    assert np.array_equal(d2.view(np.uint64), d2.T.view(np.uint64))
-    assert np.array_equal(d2.view(np.uint64),
-                          symmetric_sq(np.ascontiguousarray(coords)).view(np.uint64))
-
-
-def test_point_set_matrix_needs_no_full_size_scratch():
-    """Building the n = 2000 matrix allocates the matrix and at most 1 MiB
-    besides: the row-norm sums go into one reused strip-sized block."""
-    n = 2000
-    pts = uniform_cube(3, n, 0)
-    assert traced_peak(lambda: pts.sq) <= 8 * n * n + 2 ** 20
+    got = build_mst(point_set(coords))
+    want = build_mst(point_set(np.ascontiguousarray(coords)))
+    assert np.array_equal(got.u, want.u) and np.array_equal(got.v, want.v)
+    assert np.array_equal(got.weights.view(np.uint64), want.weights.view(np.uint64))
 
 
 @SQ_INPUTS
 def test_point_set_owns_one_read_only_matrix(make):
-    """``PointSet.sq`` is ``symmetric_sq`` of the coordinates bit for bit,
-    built once and read-only; the point set cannot be handed another."""
-    pts = make()
-    d2 = pts.sq
-    assert d2 is pts.sq
-    assert np.array_equal(d2.view(np.uint64), symmetric_sq(pts.coords).view(np.uint64))
-    assert not d2.flags.writeable
+    """A point set owns one matrix, its coordinates: a read-only
+    C-contiguous copy of what it was given, which every key and Gram factor
+    is read from and no caller can change."""
+    given = np.array(make().coords, order="F")
+    pts = point_set(given)
+    assert pts.coords.flags.c_contiguous and not pts.coords.flags.writeable
+    assert not np.shares_memory(pts.coords, given)
+    given[0, 0] = 0.75 - given[0, 0] / 2
+    assert pts.coords[0, 0] != given[0, 0]
     with pytest.raises(ValueError):
-        d2[0, 0] = 0.0
+        pts.coords[0, 0] = 0.0
     with pytest.raises(AttributeError):
-        pts.sq = np.zeros_like(d2)
+        pts.coords = np.zeros_like(given)

@@ -11,7 +11,7 @@ import powertour.pairs as pairs
 from powertour.constructions import (clustered, cube_vertex_subset, diagonal_pair,
                                      k4_even_weight_code, uniform_cube)
 from powertour.errors import CertificateError, InputError
-from powertour.geometry import pairwise_sq, point_set, power_cost
+from powertour.geometry import point_set, power_cost, sq_lengths
 from powertour.greedy import classify_edges, greedy_edge_count_by_length, greedy_ham_path
 from powertour.mst import build_mst
 from powertour.structures import EdgeList, PathSystem, validate
@@ -43,7 +43,8 @@ def minimum_join_edge(points, system):
 
 
 def sorted_scan_greedy(points, warm_start=()):
-    """Reference engine: sort all pairs once by (d^2, min, max) and scan.
+    """Reference engine: sort all pairs once by (d^2, min, max), d^2 the
+    exact key ``sq_lengths``, and scan.
 
     Returns the vertex walk and the trace, each trace pair weighed by
     ``make_edge``; ``greedy_ham_path`` must match both exactly, weights bit
@@ -54,9 +55,8 @@ def sorted_scan_greedy(points, warm_start=()):
     trace = []
     needed = system.component_count() - 1
     if needed > 0:
-        d2 = pairwise_sq(points.coords)
         iu, iv = np.triu_indices(n, k=1)
-        flat = d2[iu, iv]
+        flat = sq_lengths(points, iu, iv)
         for idx in np.lexsort((iv, iu, flat)):
             u, v = int(iu[idx]), int(iv[idx])
             if not joinable(system, u, v):
@@ -176,15 +176,37 @@ def test_any_prefix_matches_sorted_scan(make, warm, prefix, monkeypatch):
         assert_matches_sorted_scan(points, warm_start)
 
 
+def sorted_joinable(points, far_end):
+    """Every joinable pair u < v in (exact d^2, u, v) order."""
+    iu, iv = np.triu_indices(points.n, k=1)
+    ok = (far_end[iu] >= 0) & (far_end[iv] >= 0) & (far_end[iu] != iv)
+    iu, iv = iu[ok], iv[ok]
+    order = np.lexsort((iv, iu, sq_lengths(points, iu, iv)))
+    return list(zip(iu[order].tolist(), iv[order].tolist()))
+
+
+@pytest.mark.parametrize("make", EQUALITY_INPUTS)
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+def test_short_pairs_is_an_exact_prefix_of_the_full_sort(make, warm):
+    """The prefix is the full sort's first joinable pairs by exact key,
+    never empty while a pair is joinable."""
+    points = make()
+    n = points.n
+    far_end = np.array(PathSystem.from_pairs(
+        n, mixed_warm_start(n, 5).edge_pairs if warm else ()).other_end)
+    got = list(zip(*pairs.short_pairs(points, far_end)))
+    assert 0 < len(got) and got == sorted_joinable(points, far_end)[:len(got)]
+
+
 def count_rounds(monkeypatch, run):
     """``run()``'s result and the joinable endpoints at the start of each
     round of the sorted prefix it makes in the greedy."""
     ends = []
     short_pairs = greedy.short_pairs
 
-    def counted(d2, far_end):
+    def counted(points, far_end):
         ends.append(int(np.count_nonzero(far_end >= 0)))
-        return short_pairs(d2, far_end)
+        return short_pairs(points, far_end)
 
     with monkeypatch.context() as patch:
         patch.setattr(greedy, "short_pairs", counted)
@@ -228,17 +250,16 @@ def test_two_phase_warm_start_rounds(monkeypatch):
 ], ids=["uniform-k3", "cube-vertex-k12", "all-equal"])
 @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
 def test_prefix_allocates_no_quadratic_array(make, warm):
-    """With d^2 built beforehand, the prefix holds one strip of 2^16 entries
+    """The prefix holds one Gram strip of 2^16 entries, the Gram factors
     and O(n) pairs, never an n x n array: even on equal points, where all
     n^2 / 2 pairs tie at d^2 = 0 and every entry of a strip is a hit until
-    the pair budget cuts the prefix to its first pairs, its traced peak stays under a
-    quarter of one n x n float matrix."""
+    the pair budget cuts the prefix to its first pairs, its traced peak
+    stays under a quarter of one n x n float matrix."""
     points = make()
     n = points.n
     far_end = np.array(PathSystem.from_pairs(
         n, mixed_warm_start(n, 5).edge_pairs if warm else ()).other_end)
-    d2 = points.sq
-    assert traced_peak(lambda: pairs.short_pairs(d2, far_end)) < 2 * n * n
+    assert traced_peak(lambda: pairs.short_pairs(points, far_end)) < 2 * n * n
 
 
 @settings(max_examples=60, deadline=None)
@@ -360,13 +381,11 @@ def test_invalid_warm_start_rejected():
                          ids=["out-of-range", "degree-3-star", "3-cycle"])
 def test_invalid_warm_pairs_rejected_before_distances(monkeypatch, pairs):
     """Building the path system from the pairs is the warm start's only
-    check, and it runs before the d^2 matrix is computed."""
-    import powertour.geometry
+    check, and it runs before any pair is scanned."""
+    def no_distances(points):
+        raise AssertionError("pairs scanned before the warm start was checked")
 
-    def no_distances(coords):
-        raise AssertionError("pairwise_sq called before the warm start was checked")
-
-    monkeypatch.setattr(powertour.geometry, "pairwise_sq", no_distances)
+    monkeypatch.setattr("powertour.pairs.Gram", no_distances)
     with pytest.raises(InputError):
         greedy_ham_path(random_points(17, 6, 2), warm_start=pairs)
 

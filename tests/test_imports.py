@@ -180,13 +180,16 @@ def package_call_sites(name: str) -> list[str]:
             for site in call_sites(p.read_text(), name, p.stem)]
 
 
-def test_only_the_point_set_builds_its_matrix():
-    """The MST, the forest and the greedy read ``PointSet.sq``, the one
-    place that checks the size and builds the d^2 matrix; the other size
-    checks refuse a whole grid before its first instance."""
-    assert package_call_sites("symmetric_sq") == ["geometry.PointSet.sq"]
+def test_every_scan_checks_the_size_in_one_place():
+    """The MST, the forest and the greedy read their candidates through
+    ``pairs.Gram``, the one place a scan checks the size; the closest pair
+    checks its own strips, and the other size checks refuse a whole grid
+    before its first instance."""
+    assert package_call_sites("Gram") == [
+        "mst._prim", "pairs.short_pairs", "pairs.any_pair_within"]
     assert package_call_sites("check_dense_size") == [
-        "cli.cmd_bench", "geometry.PointSet.sq", "suites.suite_bounds_sweep"]
+        "cli.cmd_bench", "oracle._closest_pair", "pairs.Gram.__init__",
+        "suites.suite_bounds_sweep"]
 
 
 def test_one_function_splices_the_planar_legs():
@@ -214,10 +217,12 @@ def test_every_tour_order_has_one_builder_per_construction():
 
 
 def test_dense_pair_matrices_have_two_builders():
-    """Point sets, the oracles' power matrix included, read ``PointSet.sq``;
-    only the midball centers build a d^2 matrix of their own."""
-    assert package_call_sites("pairwise_sq") == [
-        "geometry.symmetric_sq", "mst.mst_ball_packing_check"]
+    """No scan builds an n x n array.  The oracles' power table (n <= 16)
+    takes the exact keys of all pairs, and only the midball centers build
+    a Gram matrix."""
+    assert package_call_sites("pairwise_sq") == ["mst.mst_ball_packing_check"]
+    assert [site for site in package_call_sites("sq_lengths")
+            if site.split(".")[0] == "oracle"] == ["oracle._power_matrix", "oracle._closest_pair"]
 
 
 def dotted_name(node) -> str:
@@ -257,11 +262,14 @@ def test_one_length_formula():
     ``geometry`` only two places measure a length, and neither measures an
     input pair: the midball reach of ``verifiers`` (midpoints and radii of
     sampled half-cube pairs) and the anchor arithmetic of ``planar``
-    (chains through virtual triangle corners, distances to a segment)."""
+    (chains through virtual triangle corners, distances to a segment).
+    The Gram filter's norms of translated points only pick candidates,
+    which are keyed by ``sq_lengths`` before any comparison."""
     found = sorted({site for p in sorted(PACKAGE.glob("*.py")) if p.stem != "geometry"
                     for site in scoped_calls(p.read_text(), p.stem, measures_length)})
-    assert found == ["planar.ExtendedPath.cost_sq", "planar._dist_to_segment",
-                     "verifiers.midball_reach", "verifiers.midball_reach_batch"]
+    assert found == ["pairs.Gram.__init__", "planar.ExtendedPath.cost_sq",
+                     "planar._dist_to_segment", "verifiers.midball_reach",
+                     "verifiers.midball_reach_batch"]
 
 
 def referenced_names(source: str) -> set[str]:
@@ -322,7 +330,8 @@ def test_retired_names_stay_gone():
     the sorted prefix in rounds, so its heap's row scan and the prefix's
     fewest-endpoints cut-off went.  The MST scan is Kruskal over the prefix,
     then Prim, at every n, so Filter-Kruskal, its rounds and its size
-    constants went."""
+    constants went.  Every scan compares exact keys and streams its Gram
+    candidates, so the point set's d^2 matrix and its builder went."""
     import powertour
     import powertour.geometry
     import powertour.greedy
@@ -357,7 +366,9 @@ def test_retired_names_stay_gone():
                          (powertour.mst, "_kruskal"),
                          (powertour.mst, "_filter_rounds"),
                          (powertour.mst, "_PRIM_ABOVE"),
-                         (powertour.mst, "_ROUND_PER_POINT")):
+                         (powertour.mst, "_ROUND_PER_POINT"),
+                         (powertour.geometry, "symmetric_sq"),
+                         (powertour.geometry, "_STRIP")):
         assert not hasattr(module, name) and not hasattr(powertour, name)
         assert name not in powertour.__all__
     for cls, name in ((powertour.planar.RightTriangle, "side_a"),
@@ -365,6 +376,7 @@ def test_retired_names_stay_gone():
                       (powertour.planar.RightTriangle, "side_c"),
                       (powertour.planar.RightTriangle, "from_vertices"),
                       (powertour.geometry.PointSet, "point"),
+                      (powertour.geometry.PointSet, "sq"),
                       (powertour.structures.Matching, "vertices"),
                       (powertour.structures.PathSystem, "endpoint_vertices"),
                       (powertour.structures.PathSystem, "can_join"),

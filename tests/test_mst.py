@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from powertour import mst, pairs
 from powertour.constructions import clustered, cube_vertex_subset, k3_code4, uniform_cube
-from powertour.geometry import edge_lengths, pairwise_sq, point_set, power_cost
+from powertour.geometry import edge_lengths, point_set, power_cost, sq_lengths
 from powertour.greedy import greedy_ham_path
 from powertour.mst import build_mst, build_threshold_forest, mst_ball_packing_check
 from powertour.oracle import exact_min_tour
@@ -20,7 +20,7 @@ from powertour.sekanina import mst_sekanina_cycle
 from powertour.structures import DSU, SpanningTree, close_path, tree_from_pairs, validate
 from powertour.two_phase import two_phase_tour
 
-from conftest import arrays_of, make_edge, pair_keys, random_points, traced_peak
+from conftest import arrays_of, make_edge, pair_keys, plain_sq, random_points, traced_peak
 
 
 def brute_force_min_tree_weight(points):
@@ -134,7 +134,7 @@ def test_only_the_forest_takes_a_cutoff():
                  if fn.__module__ == mst.__name__
                  and any("cut" in p for p in inspect.signature(fn).parameters)}
     assert takes_cut == {"build_threshold_forest"}
-    assert list(inspect.signature(mst._prim).parameters) == ["d2"]
+    assert list(inspect.signature(mst._prim).parameters) == ["points"]
 
 
 LOWER_BOUND_INPUTS = [
@@ -175,30 +175,59 @@ def kruskal_over_lengths(points):
                if dsu.union(a, b))
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 1")
 def test_forest_at_cutoff_zero_joins_every_duplicate():
-    """Each of 40 points given twice: 40 trees at cutoff 0.  The Gram key
-    |x|^2 + |y|^2 - 2 x.y of 4 of the 40 duplicate pairs is not 0, so the
-    forest has 44 trees."""
+    """Each of 40 points given twice: 40 trees at cutoff 0, as every
+    duplicate pair's exact key is 0 (its Gram value |x|^2 + |y|^2 - 2 x.y
+    need not be)."""
     coords = uniform_cube(6, 40, 3).coords
     assert len(build_threshold_forest(point_set(np.vstack([coords, coords])), 0.0)) == 40
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 1")
 @pytest.mark.parametrize("seed", range(5))
 def test_mst_is_minimal_on_a_tight_cluster(seed):
-    """30 points within 1e-12 of 0.5 in k = 4: the Gram keys are noise
-    there, and the tree is 2.2 to 2.6 times heavier than the MST."""
+    """30 points within 1e-12 of 0.5 in k = 4: Gram values are noise there
+    (a tree picked on them was 2.2 to 2.6 times heavier than the MST), but
+    only exact keys are compared."""
     gen = np.random.default_rng(seed)
     pts = point_set(0.5 + 1e-12 * gen.uniform(-1.0, 1.0, size=(30, 4)))
     assert build_mst(pts).total_weight() <= kruskal_over_lengths(pts) * (1 + 1e-9)
 
 
+def tight_clusters(case, seed):
+    """One of four tight-cluster families, by ``case``: extent 1e-7 at
+    k = 3, 1e-9 at k = 8, 1e-12 at k = 4, and two clusters of extent 1e-9
+    at opposite corners of [0.2, 0.8]^k."""
+    gen = np.random.default_rng(seed)
+    n = int(gen.integers(3, 40))
+    k, extent = ((3, 1e-7), (8, 1e-9), (4, 1e-12), (int(gen.integers(2, 9)), 1e-9))[case]
+    if case == 3:
+        centre = np.where(np.arange(n)[:, None] < n // 2, 0.2, 0.8)
+    else:
+        centre = gen.uniform(0.1, 0.9, size=k)
+    return point_set(centre + extent * gen.uniform(-1.0, 1.0, size=(n, k)))
+
+
+def test_mst_weight_equals_kruskal_over_lengths_on_tight_clusters():
+    """On 100 tight clusters the tree's weights are those of a Kruskal scan
+    over ``edge_lengths``, as a multiset and bit for bit: the exact keys
+    order pairs as their lengths do."""
+    for seed in range(100):
+        pts = tight_clusters(seed % 4, seed)
+        iu, iv = np.triu_indices(pts.n, k=1)
+        w = edge_lengths(pts, iu, iv)
+        dsu = DSU(pts.n)
+        want = sorted(x for a, b, x in zip(*(arr[np.lexsort((iv, iu, w))].tolist()
+                                              for arr in (iu, iv, w)))
+                      if dsu.union(a, b))
+        assert sorted(build_mst(pts).weights.tolist()) == want, seed
+
+
 def sorted_pairs(points, cutoff=math.inf):
-    """Every pair u < v of length <= cutoff with its squared length, in
-    (d^2, u, v) order, from one sort of all n(n-1)/2 pairs."""
+    """Every pair u < v of length <= cutoff with its exact key
+    ``sq_lengths``, in (d^2, u, v) order, from one sort of all n(n-1)/2
+    pairs."""
     iu, iv = np.triu_indices(points.n, k=1)
-    d2 = pairwise_sq(points.coords)[iu, iv]
+    d2 = sq_lengths(points, iu, iv)
     order = np.lexsort((iv, iu, d2))
     iu, iv, d2 = iu[order], iv[order], d2[order]
     keep = d2 <= cutoff * cutoff
@@ -282,9 +311,9 @@ def watch_scans(monkeypatch) -> list[str]:
     ran = []
     prim = mst._prim
 
-    def watched(d2):
+    def watched(points):
         ran.append("_prim")
-        return prim(d2)
+        return prim(points)
 
     monkeypatch.setattr(mst, "_prim", watched)
     return ran
@@ -392,15 +421,61 @@ def test_mst_and_forest_match_full_sort_on_tour_large_inputs(name, engine):
     assert engine[1] == ["_prim"]
 
 
+def spy_keys(monkeypatch) -> list:
+    """Record every (points, u, v, key) the scans take from ``sq_lengths``."""
+    calls = []
+
+    def recorded(points, u, v):
+        out = sq_lengths(points, u, v)
+        calls.append((points, *np.broadcast_arrays(u, v, out)))
+        return out
+
+    monkeypatch.setattr(pairs, "sq_lengths", recorded)
+    monkeypatch.setattr(mst, "sq_lengths", recorded)
+    return calls
+
+
+@pytest.mark.parametrize("name", ["cube-vertex-k4", "grid-2d-duplicates", "grid-3d-duplicates",
+                                  "tripled", "clustered"])
+def test_every_compared_key_is_the_difference_form(monkeypatch, name):
+    """Every key the prefix, Prim, the forest's check and cut, and the
+    greedy's cold and warm rounds compare has the plain reference's bits."""
+    calls = spy_keys(monkeypatch)
+    points = TIED_INPUTS[name]()
+    build_mst(points)
+    build_threshold_forest(points, 0.3)
+    build_threshold_forest(point_set(points.coords), 0.3)
+    greedy_ham_path(points)
+    greedy_ham_path(points, [(0, 1), (2, 3)])
+    assert calls
+    coords = points.coords.tolist()
+    for pts, u, v, out in calls:
+        assert pts.coords.tolist() == coords
+        want = [plain_sq(coords[a], coords[b])
+                for a, b in zip(u.ravel().tolist(), v.ravel().tolist())]
+        assert np.array_equal(out.ravel().view(np.uint64), np.array(want).view(np.uint64))
+
+
+def test_a_zero_margin_breaks_a_tie_heavy_input(monkeypatch):
+    """The margin is load-bearing: on a 7 x 7 grid, each point twice, the
+    Gram values of tied pairs differ in their last bits, and with no margin
+    the filter drops tied pairs and the tree leaves the full sort's."""
+    make = TIED_INPUTS["grid-2d-duplicates"]
+    want = tree_key(full_scan_mst(make()))
+    assert tree_key(build_mst(make())) == want
+    monkeypatch.setattr(pairs, "_U", 0.0)
+    assert tree_key(build_mst(make())) != want
+
+
 def test_build_mst_runs_one_scan_at_every_n(monkeypatch):
     """There is one scan, ``_prim``, at every n, and each point set runs it
     once."""
     sizes = []
     prim = mst._prim
 
-    def watched(d2):
-        sizes.append(len(d2))
-        return prim(d2)
+    def watched(points):
+        sizes.append(points.n)
+        return prim(points)
 
     monkeypatch.setattr(mst, "_prim", watched)
     ns = (1, 2, 3, 80, 81, 200)
@@ -543,18 +618,26 @@ def test_equal_points_leave_one_prefix_component(monkeypatch):
     lambda: point_set(np.full((80, 2), 0.5)),
 ], ids=[*PREFIX_COMPONENTS, "all-equal", "uniform-k3-n80", "all-equal-n80"])
 def test_mst_allocates_no_quadratic_array(make):
-    """With d^2 built beforehand, the scan holds the prefix's O(n) pairs,
-    one strip of about 2^16 entries and O(n) keys, never an n x n array:
-    its traced peak stays under a quarter of one n x n float matrix, on
-    equal points too, where every pair ties and the pair budget cuts the
-    prefix inside the tie.  At n = 80 the whole matrix is smaller than one
-    strip, which may then hold all of it, so there the bound is the strip:
-    ``mst._STRIP`` float entries."""
+    """The scan holds the prefix's O(n) pairs, one Gram strip of about 2^16
+    entries, O(n) keys and the Gram factors, never an n x n array: its
+    traced peak stays under a quarter of one n x n float matrix, on equal
+    points too, where every pair ties and the pair budget cuts the prefix
+    inside the tie.  At n = 80 the whole triangle is smaller than one
+    strip, so there the bound is the strip: ``mst._STRIP`` float entries."""
     points = make()
     n = points.n
-    assert points.sq.shape == (n, n)
     bound = 2 * n * n if n * n > mst._STRIP else 8 * mst._STRIP
     assert traced_peak(lambda: build_mst(points)) < bound
+
+
+@pytest.mark.parametrize("n", [200, 300, 500])
+def test_all_hit_strips_hold_no_more_than_the_budget(n):
+    """Every Gram entry of n equal points passes the filter, so every
+    strip is all hits.  Its pairs are taken a few rows at a time, at most
+    about the budget's worth at once: the scan peaks under 1.5 MiB, where
+    indexing whole strips took 2.3 / 4.2 / 5.0 MB."""
+    points = point_set(np.full((n, 2), 0.5))
+    assert traced_peak(lambda: build_mst(points)) < 1.5 * 2 ** 20
 
 
 def sorted_pair_count(monkeypatch, build):
@@ -613,7 +696,7 @@ def assert_forest_matches_full_scan(points, cutoff):
     assert trees == full_scan_forest(points, cutoff)
     # the cut is on the scan's key, d^2, not on the measured weight
     kept = sorted(key for key in pair_keys(build_mst(points))
-                  if points.sq[key] <= cutoff * cutoff)
+                  if sq_lengths(points, *key) <= cutoff * cutoff)
     assert sorted(key for t in trees for key in pair_keys(t)) == kept
 
 

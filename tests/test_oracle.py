@@ -10,12 +10,12 @@ import powertour.oracle
 from powertour.constructions import (cube_vertex_subset, diagonal_pair, even_weight_code,
                                      k3_code4, k4_even_weight_code, square_tight_sets, uniform_cube)
 from powertour.errors import InputError, SizeError
-from powertour.geometry import pairwise_sq, point_set, power_cost
+from powertour.geometry import point_set, power_cost
 from powertour.oracle import (closest_pair_bound_check, exact_min_matching,
                               exact_min_path, exact_min_tour, max_pairwise_square_sum)
 from powertour.structures import path_from_order, tour_from_order, validate
 
-from conftest import make_edge, random_points
+from conftest import make_edge, plain_sq, random_points
 
 
 def brute_first_best_order(dk, n, closed):
@@ -190,9 +190,10 @@ def test_matchings_match_the_recursion_up_to_n_12(name):
 
 
 def pairwise_power_matrix(points, k):
-    """A power matrix from ``pairwise_sq`` as it comes: a diagonal near 0,
-    not +inf."""
-    return pairwise_sq(points.coords) ** (k / 2.0)
+    """A power matrix of every pair's ``plain_sq`` as it comes: a 0
+    diagonal, not +inf."""
+    rows = points.coords.tolist()
+    return np.array([[plain_sq(x, y) for y in rows] for x in rows]) ** (k / 2.0)
 
 
 def oracle_answers(points, k):
@@ -209,8 +210,9 @@ def oracle_answers(points, k):
 
 @pytest.mark.parametrize("name", REFERENCE_INPUTS)
 def test_answers_unchanged_by_reading_the_point_sets_matrix(name, monkeypatch):
-    """The read-only, +inf-diagonal matrix of ``PointSet.sq`` gives every
-    answer, bit for bit, that a plain ``pairwise_sq`` matrix gives."""
+    """The oracles' table, the points' exact keys ``sq_lengths`` with a
+    +inf diagonal, gives every answer, bit for bit, that a plain matrix of
+    the same keys, taken in Python, gives."""
     make, k = REFERENCE_INPUTS[name]
     cases = [make(n, seed) for n in range(2, 13) for seed in (0, 1, 2)]
     got = [oracle_answers(points, k) for points in cases]

@@ -5,16 +5,16 @@ import sys
 import numpy as np
 import pytest
 
-from powertour import constructions, geometry, mst, sekanina, structures
+from powertour import constructions, mst, sekanina, structures
 from powertour.errors import CertificateError
 from powertour.geometry import point_set, power_cost
 from powertour.greedy import greedy_ham_path
-from powertour.mst import build_mst
+from powertour.mst import build_mst, build_threshold_forest
 from powertour.sekanina import mst_sekanina_cycle, tree_to_cycle_cost_bound
 from powertour.structures import close_path, validate
 from powertour.two_phase import two_phase_tour
 
-from conftest import random_points
+from conftest import random_points, traced_peak
 
 
 def test_sparse_points_reduce_to_plain_greedy():
@@ -131,40 +131,25 @@ def test_warm_edges_inserted_once_and_never_validated(monkeypatch, make, trees):
     assert calls == {"add": pts.n - 1, "validate": 0}
 
 
-def count_pairwise_sq(monkeypatch):
-    """Count ``pairwise_sq`` calls through every module that binds it;
-    returns the list of each call's point count."""
-    calls = []
-    original = geometry.pairwise_sq
-
-    def counted(coords):
-        calls.append(len(coords))
-        return original(coords)
-
-    for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "powertour" and getattr(module, "pairwise_sq", None) is original:
-            monkeypatch.setattr(module, "pairwise_sq", counted)
-    return calls
-
-
-@pytest.mark.parametrize("n", [80, 280])
-def test_one_distance_matrix_per_run(monkeypatch, n):
-    """One d^2 matrix per point set: two-phase's forest and greedy, the
-    MST and the greedy alone all read the one ``PointSet.sq`` builds, in
-    whatever order they run; a second point set builds its own."""
-    pts = constructions.clustered(8, n, 8, 0.05, 3)
-    calls = count_pairwise_sq(monkeypatch)
-    tour, report = two_phase_tour(pts, pts.k)
-    assert report.greedy_added > 0
-    assert calls == [n]
-    build_mst(pts)
-    greedy_ham_path(pts)
-    assert calls == [n]
-    again = point_set(pts.coords)
-    greedy_ham_path(again)
-    build_mst(again)
-    assert two_phase_tour(again, again.k)[0].order == tour.order
-    assert calls == [n, n]
+@pytest.mark.parametrize("run", [
+    build_mst,
+    lambda pts: build_threshold_forest(pts, pts.k ** -0.25),
+    greedy_ham_path,
+    lambda pts: two_phase_tour(pts, pts.k),
+], ids=["mst", "forest", "greedy", "two-phase"])
+@pytest.mark.parametrize("make", [
+    lambda: constructions.uniform_cube(3, 2000, 1),
+    lambda: constructions.cube_vertex_subset(12, 2000, 1),
+    lambda: point_set(np.full((2000, 2), 0.5)),
+], ids=["uniform-k3", "cube-vertex-k12", "all-equal"])
+def test_pipelines_allocate_no_quadratic_array(make, run):
+    """No pipeline builds an n x n array: at n = 2000 each entry point's
+    traced peak, on a fresh point set, stays under a quarter of one n x n
+    float matrix (8 n^2 / 4 bytes), on equal points too, where every Gram
+    entry passes the filter."""
+    points = make()
+    n = points.n
+    assert traced_peak(lambda: run(points)) < 8 * n * n / 4
 
 
 @pytest.mark.parametrize("n", [80, 280])
@@ -175,9 +160,9 @@ def test_one_mst_scan_per_point_set(monkeypatch, n):
     scans = []
     prim = mst._prim
 
-    def watched(d2):
+    def watched(points):
         scans.append("_prim")
-        return prim(d2)
+        return prim(points)
 
     monkeypatch.setattr(mst, "_prim", watched)
     mst_sekanina_cycle(pts)
